@@ -34,10 +34,10 @@ bench:
 bench-json:
 	$(GO) run ./cmd/sqpeer-bench -bench-json BENCH_PR1.json
 
-# Batch data plane: the CLAIM-BATCH columnar-vs-RowWire sweep at
-# headline sizes (rewrites BENCH_PR6.json), gated against the committed
-# baseline — the run fails if the batch plane's allocs/row regresses
-# >20% at any matching sweep point. See DESIGN.md §12.
+# Batch data plane: the CLAIM-BATCH sweep at headline sizes (rewrites
+# BENCH_PR6.json) — the run fails if the distributed answer differs from
+# the centralized evaluation, or if allocs/row regresses >20% against
+# the committed baseline at any matching sweep point. See DESIGN.md §12.
 batch:
 	$(GO) run ./cmd/sqpeer-bench -exp batch -alloc-baseline BENCH_PR6.json
 

@@ -98,7 +98,8 @@ func isInternal(pkgPath string) bool {
 // tests elsewhere) may JSON rows for artifacts and goldens freely.
 func isDataPlane(pkgPath string) bool {
 	return strings.HasSuffix(pkgPath, "/internal/exec") ||
-		strings.HasSuffix(pkgPath, "/internal/channel")
+		strings.HasSuffix(pkgPath, "/internal/channel") ||
+		strings.HasSuffix(pkgPath, "/internal/overlay")
 }
 
 // isDeadlineScope is isInternal minus the transport implementation.

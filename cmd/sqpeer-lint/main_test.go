@@ -55,7 +55,7 @@ func TestInterproceduralTierMarked(t *testing.T) {
 }
 
 // TestScopeFunctions pins the package scoping of the interprocedural
-// tier.
+// tier and of the data-plane jsonrow check.
 func TestScopeFunctions(t *testing.T) {
 	cases := []struct {
 		analyzer, pkg string
@@ -69,6 +69,10 @@ func TestScopeFunctions(t *testing.T) {
 		{"deadlinebound", "sqpeer/internal/network", false},
 		{"deadlinebound", "sqpeer/internal/exec", true},
 		{"deadlinebound", "sqpeer/internal/dht", true},
+		{"jsonrow", "sqpeer/internal/exec", true},
+		{"jsonrow", "sqpeer/internal/channel", true},
+		{"jsonrow", "sqpeer/internal/overlay", true},
+		{"jsonrow", "sqpeer/internal/harness", false},
 	}
 	for _, c := range cases {
 		accept, ok := scope[c.analyzer]

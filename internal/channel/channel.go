@@ -78,20 +78,6 @@ type PlanChangeInfo struct {
 	Subplan []byte `json:"subplan,omitempty"`
 }
 
-// PayloadEnc names the encoding of a packet's Payload, so a root can
-// decode Results bodies from peers running either data plane.
-type PayloadEnc int
-
-// Payload encodings.
-const (
-	// EncJSON is the legacy encoding: control bodies and row-at-a-time
-	// Results payloads are JSON documents.
-	EncJSON PayloadEnc = iota
-	// EncBatch marks a Results payload framed by the rql batch codec
-	// (length-prefixed binary columns with a per-batch term dictionary).
-	EncBatch
-)
-
 // Packet is one unit of channel traffic.
 type Packet struct {
 	// ChannelID identifies the channel at its root.
@@ -103,10 +89,10 @@ type Packet struct {
 	// Rows is the number of result rows carried (Results packets), used
 	// for throughput monitoring.
 	Rows int `json:"rows"`
-	// Payload is the serialized body; Enc names its encoding (control
-	// packets are always EncJSON).
-	Payload []byte     `json:"payload"`
-	Enc     PayloadEnc `json:"enc,omitempty"`
+	// Payload is the serialized body: an rql batch frame (length-prefixed
+	// binary columns with a per-frame term dictionary) for Results
+	// packets, a JSON document for every control packet.
+	Payload []byte `json:"payload"`
 	// TraceID and SpanID propagate the root's trace context: when the
 	// root ships a subplan with a trace ID, the destination binds it to
 	// the channel (Manager.BindTrace) and every upstream packet carries
@@ -434,16 +420,11 @@ func (m *Manager) OpenChannels() []string {
 // SendToRoot ships a packet upstream on an inbound channel (this peer is
 // the destination). The packet's sequence number is assigned here, before
 // the wire, so a duplicated delivery carries the same Seq and the root
-// can suppress it (at-least-once transport, exactly-once packets).
+// can suppress it (at-least-once transport, exactly-once packets). The
+// send is synchronous — the simulated transport delivers before
+// returning — so a pooled payload buffer may be recycled as soon as this
+// returns.
 func (m *Manager) SendToRoot(channelID string, typ PacketType, rows int, payload []byte) error {
-	return m.SendToRootEnc(channelID, typ, rows, EncJSON, payload)
-}
-
-// SendToRootEnc is SendToRoot with an explicit payload encoding; the
-// batched data plane uses it to ship EncBatch Results frames. The send is
-// synchronous — the simulated transport delivers before returning — so a
-// pooled payload buffer may be recycled as soon as this returns.
-func (m *Manager) SendToRootEnc(channelID string, typ PacketType, rows int, enc PayloadEnc, payload []byte) error {
 	m.mu.Lock()
 	root, ok := m.inbound[channelID]
 	var seq int
@@ -469,7 +450,7 @@ func (m *Manager) SendToRootEnc(channelID string, typ PacketType, rows int, enc 
 		}
 	}
 	pkt := Packet{ChannelID: channelID, Type: typ, Seq: seq, Rows: rows, Payload: payload,
-		Enc: enc, TraceID: tb.traceID, SpanID: tb.spanID, Gossip: gossip}
+		TraceID: tb.traceID, SpanID: tb.spanID, Gossip: gossip}
 	body, err := json.Marshal(pkt)
 	if err != nil {
 		return fmt.Errorf("channel: marshal packet: %w", err)

@@ -1,9 +1,11 @@
 package exec_test
 
 import (
-	"fmt"
+	"encoding/json"
+	"strings"
 	"testing"
 
+	"sqpeer/internal/channel"
 	"sqpeer/internal/faults"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
@@ -101,68 +103,72 @@ func TestBatchResumeAtBatchBoundary(t *testing.T) {
 	}
 }
 
-// TestBatchAndRowWireAnswersIdentical is the ablation equality proof: the
-// same seeded system answers the same query on both data planes, and the
-// rendered answers must be byte-identical.
-func TestBatchAndRowWireAnswersIdentical(t *testing.T) {
-	run := func(rowWire bool) string {
-		peers, _ := paperSystem(t, 3)
-		p1 := peers["P1"]
-		p1.Engine.RowWire = rowWire
-		p1.Engine.BatchSize = 2
-		for _, p := range peers {
-			p.Engine.RowWire = rowWire
-		}
-		pr, err := p1.PlanQuery(gen.PaperQuery())
-		if err != nil {
-			t.Fatalf("PlanQuery: %v", err)
-		}
-		rows, err := p1.Engine.Execute(pr.Optimized)
-		if err != nil {
-			t.Fatalf("Execute (RowWire=%v): %v", rowWire, err)
-		}
-		return fmt.Sprint(rows.Sorted())
+// TestMultiFrameBatchAnswerMatchesGroundTruth runs the paper query with
+// two-row frames on every peer, so each destination's answer crosses the
+// wire as several batch frames, and checks the reassembled answer against
+// the centralized evaluation.
+func TestMultiFrameBatchAnswerMatchesGroundTruth(t *testing.T) {
+	peers, _ := paperSystem(t, 3)
+	p1 := peers["P1"]
+	for _, p := range peers {
+		p.Engine.BatchSize = 2
 	}
-	if batch, row := run(false), run(true); batch != row {
-		t.Fatalf("data planes disagree:\nbatch: %s\nrow:   %s", batch, row)
+	pr, err := p1.PlanQuery(gen.PaperQuery())
+	if err != nil {
+		t.Fatalf("PlanQuery: %v", err)
+	}
+	rows, err := p1.Engine.Execute(pr.Optimized)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	want := groundTruth(t, peers, gen.PaperRQL)
+	if !sameRows(rows, want) {
+		t.Fatalf("multi-frame answer diverged:\n got %v\nwant %v", rows.Sorted(), want.Sorted())
+	}
+	if m := p1.Engine.Metrics(); m.RowsShipped <= 2*m.SubplansShipped {
+		t.Errorf("expected multi-frame streams: %d rows over %d subplans", m.RowsShipped, m.SubplansShipped)
 	}
 }
 
-// TestMixedModePeersInteroperate runs a columnar root against row-wire
-// destinations and vice versa: the packet Enc field lets each side decode
-// the other's Results payloads, so rolling a fleet between the two wire
-// formats never corrupts answers.
-func TestMixedModePeersInteroperate(t *testing.T) {
-	for _, tc := range []struct {
-		name              string
-		rootRow, destsRow bool
-	}{
-		{"batch-root/row-dests", false, true},
-		{"row-root/batch-dests", true, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			peers, _ := paperSystem(t, 3)
-			p1 := peers["P1"]
-			for id, p := range peers {
-				if id == "P1" {
-					p.Engine.RowWire = tc.rootRow
-				} else {
-					p.Engine.RowWire = tc.destsRow
-				}
-			}
-			pr, err := p1.PlanQuery(gen.PaperQuery())
-			if err != nil {
-				t.Fatalf("PlanQuery: %v", err)
-			}
-			rows, err := p1.Engine.Execute(pr.Optimized)
-			if err != nil {
-				t.Fatalf("Execute: %v", err)
-			}
-			want := groundTruth(t, peers, gen.PaperRQL)
-			if !sameRows(rows, want) {
-				t.Fatalf("mixed-mode answer diverged:\n got %v\nwant %v", rows.Sorted(), want.Sorted())
-			}
-		})
+// TestNonBatchResultsPacketFails has a destination answer with a Results
+// packet that is not a batch frame (a JSON body). The root must fail the
+// query with a decode error rather than return a silently smaller answer.
+func TestNonBatchResultsPacketFails(t *testing.T) {
+	// badRows is the row count the bad packet claims: larger than the
+	// whole paper answer, so the shipped-rows counter proves it was booked.
+	const badRows = 1000
+	peers, net := paperSystem(t, 3)
+	p1 := peers["P1"]
+	p1.Engine.Parallelism = 1
+	p1.Engine.Router = nil
+	p4 := peers["P4"]
+	net.Handle("P4", "exec.subplan", func(msg network.Message) ([]byte, error) {
+		var req struct {
+			ChannelID string `json:"channelId"`
+		}
+		if err := json.Unmarshal(msg.Payload, &req); err != nil {
+			return nil, err
+		}
+		body := []byte(`{"vars":["X"],"rows":[]}`)
+		if err := p4.Channels.SendToRoot(req.ChannelID, channel.Results, badRows, body); err != nil {
+			return nil, err
+		}
+		return []byte("ok"), p4.Channels.SendToRoot(req.ChannelID, channel.Done, 0, nil)
+	})
+	pr, err := p1.PlanQuery(gen.PaperQuery())
+	if err != nil {
+		t.Fatalf("PlanQuery: %v", err)
+	}
+	rows, err := p1.Engine.Execute(pr.Optimized)
+	if err == nil {
+		t.Fatalf("Execute accepted a non-batch Results packet, answered %d rows", rows.Len())
+	}
+	if !strings.Contains(err.Error(), "bad results packet") {
+		t.Fatalf("Execute error %q does not name the bad results packet", err)
+	}
+	if m := p1.Engine.Metrics(); m.RowsShipped < badRows {
+		t.Errorf("RowsShipped = %d; the undecodable packet's %d rows must still count as shipped",
+			m.RowsShipped, badRows)
 	}
 }
 

@@ -45,8 +45,8 @@ type LocalSource interface {
 // BatchSource is the columnar upgrade of LocalSource: a source that can
 // evaluate a scan straight into a batch, skipping the per-row map
 // materialization EvalScan pays. The engine uses it at the scan leaf
-// whenever the batch plane is active and the source offers it; RowWire
-// and plain LocalSources keep the row path.
+// whenever the source offers it; a plain LocalSource's rows are
+// converted into a batch there instead.
 type BatchSource interface {
 	// EvalScanBatch evaluates the conjunction of path patterns locally,
 	// returning the joined rows in columnar form. The scan interns into
@@ -150,13 +150,6 @@ type Engine struct {
 	// shipped subplans (default 256). Smaller batches mean more packets —
 	// the ubQL streaming the throughput monitor observes.
 	BatchSize int
-	// RowWire reverts the data plane to the row-at-a-time ablation:
-	// Results payloads are JSON-encoded ResultSet slices and operators run
-	// over row maps instead of batch columns. Default (false) is the
-	// columnar plane: binary batch frames on the wire, vectorized
-	// union/join/project in the collector. Same-seed answers are identical
-	// either way — CLAIM-BATCH proves it by digest.
-	RowWire bool
 	// WindowSize bounds the in-flight encode window when streaming
 	// batches upstream (default 4): the encoder goroutine blocks once
 	// this many frames are encoded but unsent, so a slow channel applies
@@ -577,11 +570,10 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 				note(u.PatternID, u.Reason)
 			}
 			if current.Query != nil && len(current.Query.Projections) > 0 {
-				rel = rel.project(current.Query.Projections)
+				rel = rel.Project(current.Query.Projections)
 			}
-			// The facade boundary: whatever representation the data plane
-			// ran in, callers get the public ResultSet back.
-			res := &Result{Rows: rel.resultSet(), Completeness: Completeness{Complete: len(unanswered) == 0, Unanswered: sortUnanswered(unanswered)}}
+			// The facade boundary: batches become the public ResultSet.
+			res := &Result{Rows: rel.ResultSet(), Completeness: Completeness{Complete: len(unanswered) == 0, Unanswered: sortUnanswered(unanswered)}}
 			if len(unanswered) > 0 {
 				e.mu.Lock()
 				e.metrics.PartialAnswers++
@@ -767,19 +759,16 @@ type siteChan struct {
 // has filled rows/err.
 type cacheEntry struct {
 	done chan struct{}
-	rows *relation
+	rows *rql.Batch
 	err  error
 }
 
 type remoteResult struct {
 	site pattern.PeerID
-	// segs / batches accumulate the stream's Results payloads in arrival
-	// order (exactly one of the two fills, per the root engine's data
-	// plane). Segments are disjoint slices of the destination's already-
+	// batches accumulate the stream's Results frames in arrival order.
+	// Frames are disjoint slices of the destination's already-
 	// deduplicated relation, so gathered() reassembles them by
-	// concatenation instead of the quadratic repeated Union the
-	// row-at-a-time collector used to run.
-	segs    []*rql.ResultSet
+	// concatenation instead of a quadratic repeated Union.
 	batches []*rql.Batch
 	err     error
 	done    bool
@@ -807,12 +796,9 @@ type remoteResult struct {
 // relation. nil when no Results packet arrived at all — the same "no
 // stream" sentinel the old single-ResultSet field encoded (a destination
 // always sends at least one Results packet, even for an empty answer).
-func (res *remoteResult) gathered() *relation {
+func (res *remoteResult) gathered() *rql.Batch {
 	if len(res.batches) > 0 {
-		return relFromBatch(rql.Concat(res.batches...))
-	}
-	if len(res.segs) > 0 {
-		return &relation{rs: concatRS(res.segs)}
+		return rql.Concat(res.batches...)
 	}
 	return nil
 }
@@ -856,7 +842,7 @@ func (ex *execution) release() {
 // executeOnce runs one execution round. It returns the round's rows (nil
 // only on error) plus the patterns whose holes could not be filled
 // mid-flight, sorted by id.
-func (e *Engine) executeOnce(p *plan.Plan, attempt int, lastFailure error, fetched map[string]int, parent *obs.Span, qos admission.QoS) (*relation, []Unanswered, error) {
+func (e *Engine) executeOnce(p *plan.Plan, attempt int, lastFailure error, fetched map[string]int, parent *obs.Span, qos admission.QoS) (*rql.Batch, []Unanswered, error) {
 	ex := newExecution(e)
 	ex.attempt = attempt
 	ex.qos = qos
@@ -876,7 +862,7 @@ func (e *Engine) executeOnce(p *plan.Plan, attempt int, lastFailure error, fetch
 	if rows == nil {
 		// Every branch was an unfillable hole: an empty — but explicitly
 		// annotated — answer.
-		rows = e.emptyRel()
+		rows = rql.NewBatch()
 	}
 	ex.mu.Lock()
 	un := make([]Unanswered, 0, len(ex.unanswered))
@@ -908,7 +894,7 @@ func (ex *execution) cancelled() bool {
 // order, so the caller's merge is deterministic no matter how the branches
 // interleave. On failure the lowest-index real error wins (matching what
 // sequential evaluation would have surfaced) and siblings are cancelled.
-func (ex *execution) runAll(inputs []plan.Node, parent *obs.Span) ([]*relation, error) {
+func (ex *execution) runAll(inputs []plan.Node, parent *obs.Span) ([]*rql.Batch, error) {
 	// Branch spans are pre-created here, in input order, BEFORE any
 	// goroutine is spawned: span creation order (and therefore the
 	// exported layout) is a function of the plan alone, no matter how the
@@ -924,7 +910,7 @@ func (ex *execution) runAll(inputs []plan.Node, parent *obs.Span) ([]*relation, 
 	}
 	if len(inputs) == 1 || ex.sem == nil {
 		// Sequential fast path: no goroutines, stop at the first error.
-		out := make([]*relation, len(inputs))
+		out := make([]*rql.Batch, len(inputs))
 		for i, in := range inputs {
 			var bsp *obs.Span
 			if spans != nil {
@@ -945,7 +931,7 @@ func (ex *execution) runAll(inputs []plan.Node, parent *obs.Span) ([]*relation, 
 	// scan or dispatch. Keeping structural nodes out of the pool matters:
 	// a union parent that held a token while waiting on its children would
 	// starve its own siblings' leaves.
-	results := make([]*relation, len(inputs))
+	results := make([]*rql.Batch, len(inputs))
 	errs := make([]error, len(inputs))
 	var wg sync.WaitGroup
 	for i, in := range inputs {
@@ -1025,7 +1011,7 @@ func endAll(spans []*obs.Span) {
 // annihilate sibling rows — the same collapse semantics as PruneHoles).
 // sp is the node's own span (the branch span its parent pre-created, or
 // the attempt span at the plan root); nil when tracing is off.
-func (ex *execution) run(n plan.Node, sp *obs.Span) (*relation, error) {
+func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 	if ex.cancelled() {
 		return nil, errCancelled
 	}
@@ -1045,20 +1031,18 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*relation, error) {
 			e.metrics.LocalScans++
 			e.mu.Unlock()
 			// The scan leaf is where rows enter the engine's data plane:
-			// on the columnar path they are born a batch (BatchSource) or
-			// become one here, so every union/join above runs vectorized.
-			if bs, ok := e.Local.(BatchSource); ok && !e.RowWire {
-				b := bs.EvalScanBatch(v.Patterns, ex.store)
-				if sp != nil {
-					sp.Annotate("localRows", fmt.Sprintf("%d", b.Len()))
-				}
-				return relFromBatch(b), nil
+			// they are born a batch (BatchSource) or become one here, so
+			// every union/join above runs vectorized.
+			var b *rql.Batch
+			if bs, ok := e.Local.(BatchSource); ok {
+				b = bs.EvalScanBatch(v.Patterns, ex.store)
+			} else {
+				b = rql.BatchOf(e.Local.EvalScan(v.Patterns))
 			}
-			rs := e.Local.EvalScan(v.Patterns)
 			if sp != nil {
-				sp.Annotate("localRows", fmt.Sprintf("%d", rs.Len()))
+				sp.Annotate("localRows", fmt.Sprintf("%d", b.Len()))
 			}
-			return relOf(e.RowWire, rs), nil
+			return b, nil
 		}
 		return ex.runRemote(v.Peer, v, sp)
 	case *plan.Union:
@@ -1068,9 +1052,9 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*relation, error) {
 		}
 		// nil branches (unfilled holes) contribute nothing; all-nil means
 		// the whole union is absent.
-		acc := e.unionAll(rss)
+		acc := unionAll(rss)
 		if acc == nil && len(rss) == 0 {
-			acc = e.emptyRel()
+			acc = rql.NewBatch()
 		}
 		return acc, nil
 	case *plan.Join:
@@ -1084,7 +1068,7 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		var acc *relation
+		var acc *rql.Batch
 		absent := false
 		for _, rel := range rss {
 			if rel == nil {
@@ -1094,14 +1078,14 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*relation, error) {
 			if acc == nil {
 				acc = rel
 			} else {
-				acc = acc.join(rel)
+				acc = acc.Join(rel)
 			}
 		}
 		if acc == nil {
 			if absent {
 				return nil, nil // the whole join was unanswerable
 			}
-			acc = e.emptyRel()
+			acc = rql.NewBatch()
 		}
 		return acc, nil
 	default:
@@ -1109,12 +1093,25 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*relation, error) {
 	}
 }
 
+// unionAll merges the non-nil batches in one pass: a single dedup over
+// every branch (rql.UnionAll) rather than a pairwise fold, which would
+// re-key the accumulated relation once per branch. Returns nil — absent —
+// when every input is nil.
+func unionAll(bs []*rql.Batch) *rql.Batch {
+	for _, b := range bs {
+		if b != nil {
+			return rql.UnionAll(bs...)
+		}
+	}
+	return nil
+}
+
 // runHole resolves a `@?` leaf mid-flight: advertisement updates learned
 // since the plan was generated may cover it now, in which case the hole
 // becomes a dispatched subplan (the paper's plan-change packets carry
 // exactly this upgrade) while sibling branches keep streaming. Unfillable
 // holes become absent branches under AllowPartial, errors otherwise.
-func (ex *execution) runHole(v *plan.Scan, sp *obs.Span) (*relation, error) {
+func (ex *execution) runHole(v *plan.Scan, sp *obs.Span) (*rql.Batch, error) {
 	e := ex.engine
 	if e.Router != nil {
 		ann := e.Router.RoutePatterns(v.Patterns)
@@ -1218,7 +1215,7 @@ type subplanReq struct {
 // the channel. Identical dispatches from concurrent branches are
 // single-flighted: the first branch ships, the rest wait on its cache
 // entry.
-func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (*relation, error) {
+func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 	e := ex.engine
 	cacheKey := string(site) + "\x00" + n.String()
 	ex.mu.Lock()
@@ -1245,7 +1242,7 @@ func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (
 	// (ShouldShed guarantees it).
 	if e.AllowPartial && e.Admission.ShouldShed(ex.qos.Priority) {
 		if ok := ex.shedSubplan(site, n, sp); ok {
-			ent.rows, ent.err = nil, nil // nil relation: the absent-branch sentinel
+			ent.rows, ent.err = nil, nil // nil batch: the absent-branch sentinel
 			close(ent.done)
 			return ent.rows, ent.err
 		}
@@ -1355,7 +1352,7 @@ func (ex *execution) shedSubplan(site pattern.PeerID, n plan.Node, sp *obs.Span)
 // route to precede every quarantine, which the per-branch
 // quarantine-then-route order makes impossible. The wait graph stays
 // acyclic no matter how concurrent migrations interleave.
-func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) (*relation, bool, error) {
+func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql.Batch, bool, error) {
 	e := ex.engine
 	if e.Router == nil || ex.cancelled() || e.maxMigrations() == 0 {
 		return nil, false, nil
@@ -1408,7 +1405,7 @@ func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) 
 	rows, err := ex.run(filled.Root, msp)
 	msp.End()
 	if err == nil && rows == nil {
-		rows = e.emptyRel()
+		rows = rql.NewBatch()
 	}
 	return rows, true, err
 }
@@ -1425,14 +1422,14 @@ func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) 
 // the destination to resume after them. The destination acknowledges with
 // a PlanChange packet — "resume-honored" keeps the prefix, "checkpoint-
 // invalid" discards it and re-streams from scratch.
-func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.Span) (*relation, error) {
+func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.Span) (*rql.Batch, error) {
 	e := ex.engine
 	backoff := e.RetryBackoffMS
 	if backoff <= 0 {
 		backoff = 10
 	}
-	var partial *relation // checkpointed rows from failed attempts
-	checkpoint := 0       // contiguous row prefix already delivered
+	var partial *rql.Batch // checkpointed rows from failed attempts
+	checkpoint := 0        // contiguous row prefix already delivered
 	resumed := false
 	pendingBackoffMS := 0.0 // backoff owed to the next try's span
 	var err error
@@ -1485,7 +1482,7 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 					// new segment extends (never overlaps) the retained
 					// prefix; union keeps the set semantics honest if a
 					// destination ever re-sends a boundary row.
-					partial = partial.union(rel)
+					partial = partial.Union(rel)
 				}
 			}
 			checkpoint += res.rowCount
@@ -1495,7 +1492,7 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 				e.Health.ReportSuccess(site)
 			}
 			if partial == nil {
-				partial = e.emptyRel()
+				partial = rql.NewBatch()
 			}
 			ex.recordComplete(site, n, checkpoint, res.watermark, resumed)
 			return partial, nil
@@ -1722,38 +1719,15 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 		}
 		switch pkt.Type {
 		case channel.Results:
-			// Decode by the packet's declared encoding, then store in the
-			// root's own representation — so a root on either data plane
-			// collects correctly from a destination on either.
+			// Rebase the frame onto the execution's shared dictionary as
+			// it arrives: one interning pass per frame, and reassembly plus
+			// every operator above move ids without touching a term again.
+			// A frame that fails to decode still counts as shipped below.
 			e := ex.engine
-			switch pkt.Enc {
-			case channel.EncBatch:
-				b, err := rql.DecodeBatch(pkt.Payload)
-				if err != nil {
-					res.err = fmt.Errorf("exec: bad results packet: %w", err)
-					break
-				}
-				if e.RowWire {
-					res.segs = append(res.segs, b.ResultSet())
-				} else {
-					// Rebase the frame onto the execution's shared
-					// dictionary as it arrives: one interning pass per
-					// frame, and reassembly plus every operator above
-					// move ids without touching a term again.
-					res.batches = append(res.batches, b.Rebase(ex.store))
-				}
-			default:
-				var rs rql.ResultSet
-				//lint:allow jsonrow legacy RowWire wire format: decoding it here is what keeps mixed-mode peers interoperable
-				if err := json.Unmarshal(pkt.Payload, &rs); err != nil {
-					res.err = fmt.Errorf("exec: bad results packet: %w", err)
-					break
-				}
-				if e.RowWire {
-					res.segs = append(res.segs, &rs)
-				} else {
-					res.batches = append(res.batches, rql.BatchOf(&rs).Rebase(ex.store))
-				}
+			if b, err := rql.DecodeBatch(pkt.Payload); err != nil {
+				res.err = fmt.Errorf("exec: bad results packet: %w", err)
+			} else {
+				res.batches = append(res.batches, b.Rebase(ex.store))
 			}
 			res.rowCount += pkt.Rows
 			resultsRows = pkt.Rows
@@ -1800,7 +1774,7 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 		case channel.Done:
 			res.done = true
 			// A Done payload is the remote's piggybacked span record (see
-			// streamResults); empty when the remote had no trace context.
+			// streamBatches); empty when the remote had no trace context.
 			if len(pkt.Payload) > 0 && res.span != nil {
 				var rec obs.SpanRecord
 				if err := json.Unmarshal(pkt.Payload, &rec); err == nil {
@@ -1897,7 +1871,6 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		StatsSink:     e.StatsSink,
 		Parallelism:   e.Parallelism,
 		BatchSize:     e.BatchSize,
-		RowWire:       e.RowWire,
 		WindowSize:    e.WindowSize,
 		Obs:           e.Obs,
 		Events:        e.Events,
@@ -1930,80 +1903,10 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		}
 		return []byte("failed"), nil
 	}
-	if e.RowWire {
-		if err := e.streamResults(req.ChannelID, rows.resultSet(), req.ResumeFrom, traceRec); err != nil {
-			return nil, err
-		}
-	} else if err := e.streamBatches(req.ChannelID, rows.asBatch(), req.ResumeFrom, traceRec); err != nil {
+	if err := e.streamBatches(req.ChannelID, rows, req.ResumeFrom, traceRec); err != nil {
 		return nil, err
 	}
 	return []byte("ok"), nil
-}
-
-// streamResults ships a result set upstream in BatchSize-row packets
-// followed by a Done marker. A positive resumeFrom is the root's
-// checkpoint: when it is a valid prefix of this evaluation the stream
-// starts after it (acked with a "resume-honored" plan-change packet);
-// otherwise the checkpoint is rejected ("checkpoint-invalid") and the
-// stream restarts from row 0 so the root discards its stale prefix.
-// A non-empty traceRec (the serialized remote span subtree) is shipped
-// as a statistics-class TraceSpans packet just before Done, so the root
-// grafts it only after all row packets have been charged.
-func (e *Engine) streamResults(channelID string, rows *rql.ResultSet, resumeFrom int, traceRec []byte) error {
-	batch := e.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
-	start0 := 0
-	if resumeFrom > 0 {
-		pc := channel.PlanChangeInfo{Reason: "resume-honored", Offset: resumeFrom}
-		if resumeFrom > rows.Len() {
-			// This evaluation produced fewer rows than the root already
-			// holds: its checkpoint cannot be a prefix of our stream.
-			pc = channel.PlanChangeInfo{Reason: "checkpoint-invalid"}
-		} else {
-			start0 = resumeFrom
-		}
-		payload, err := json.Marshal(pc)
-		if err != nil {
-			return fmt.Errorf("exec: marshal plan-change: %w", err)
-		}
-		if err := e.Channels.SendToRoot(channelID, channel.PlanChange, 0, payload); err != nil {
-			return err
-		}
-	}
-	sent := false
-	for start := start0; !sent || start < rows.Len(); start += batch {
-		end := start + batch
-		if end > rows.Len() {
-			end = rows.Len()
-		}
-		part := &rql.ResultSet{Vars: rows.Vars, Rows: rows.Rows[start:end]}
-		//lint:allow jsonrow this IS the RowWire ablation's legacy wire format; the default plane streams binary batches (streamBatches)
-		payload, err := json.Marshal(part)
-		if err != nil {
-			return fmt.Errorf("exec: marshal rows: %w", err)
-		}
-		if err := e.Channels.SendToRoot(channelID, channel.Results, part.Len(), payload); err != nil {
-			return err
-		}
-		sent = true
-	}
-	if e.StatsProvider != nil {
-		if ps := e.StatsProvider(); ps != nil {
-			if payload, err := json.Marshal(ps); err == nil {
-				if err := e.Channels.SendToRoot(channelID, channel.Stats, 0, payload); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	// The span record rides the Done marker's otherwise-empty payload: on
-	// the happy path tracing adds zero extra packets (and zero extra
-	// per-message latency) — only bytes on a packet that was going to be
-	// sent anyway. The failure path, where no Done follows, ships it as a
-	// standalone TraceSpans packet instead.
-	return e.Channels.SendToRoot(channelID, channel.Done, 0, traceRec)
 }
 
 // windowSize resolves the streaming in-flight window (encoded-but-unsent
@@ -2021,13 +1924,16 @@ type wireFrame struct {
 	rows    int
 }
 
-// streamBatches is the columnar twin of streamResults: the answer ships
-// as length-prefixed binary batch frames (BatchSize rows each, per-frame
-// compacted term dictionary, pooled encode buffers) instead of JSON row
-// slices. The checkpoint protocol is byte-for-byte the same — resumeFrom
-// is acked with the identical PlanChange packet, frames after the
-// checkpoint slice the same contiguous row prefix order, and at least one
-// Results packet is always sent so the root learns the schema.
+// streamBatches ships the answer upstream as length-prefixed binary batch
+// frames (BatchSize rows each, per-frame compacted term dictionary,
+// pooled encode buffers) followed by a Done marker. A positive resumeFrom
+// is the root's checkpoint: when it is a valid prefix of this evaluation
+// the stream starts after it (acked with a "resume-honored" plan-change
+// packet); otherwise the checkpoint is rejected ("checkpoint-invalid") and
+// the stream restarts from row 0 so the root discards its stale prefix.
+// At least one Results packet is always sent so the root learns the
+// schema. A non-empty traceRec (the serialized remote span subtree) rides
+// the Done marker.
 //
 // Encoding is pipelined with backpressure: a producer goroutine slices
 // and encodes ahead of the sender through a channel holding at most
@@ -2084,7 +1990,7 @@ func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int
 	var sendErr error
 	for f := range frames {
 		if sendErr == nil {
-			sendErr = e.Channels.SendToRootEnc(channelID, channel.Results, f.rows, channel.EncBatch, f.payload)
+			sendErr = e.Channels.SendToRoot(channelID, channel.Results, f.rows, f.payload)
 			if sendErr != nil {
 				// Stop the producer: the root's checkpoint is the contiguous
 				// prefix that made it, and a retry resumes from there.
@@ -2105,6 +2011,10 @@ func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int
 			}
 		}
 	}
-	// As in streamResults, the span record rides the Done marker.
+	// The span record rides the Done marker's otherwise-empty payload: on
+	// the happy path tracing adds zero extra packets (and zero extra
+	// per-message latency) — only bytes on a packet that was going to be
+	// sent anyway. The failure path, where no Done follows, ships it as a
+	// standalone TraceSpans packet instead.
 	return e.Channels.SendToRoot(channelID, channel.Done, 0, traceRec)
 }

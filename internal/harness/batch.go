@@ -11,12 +11,14 @@ import (
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/obs"
+	"sqpeer/internal/pattern"
 	"sqpeer/internal/peer"
+	"sqpeer/internal/rdf"
 	"sqpeer/internal/rql"
 )
 
 func init() {
-	register("batch", "CLAIM-BATCH: columnar batch plane vs RowWire ablation — throughput, allocs/row, wire bytes (§12)", claimBatch)
+	register("batch", "CLAIM-BATCH: columnar batch data plane — answers vs centralized evaluation, throughput, allocs/row, wire bytes (§12)", claimBatch)
 }
 
 // batchSweep is the machine-readable artifact (BENCH_PR6.json). When
@@ -31,8 +33,8 @@ type batchSweep struct {
 	Points    []batchPoint `json:"points"`
 }
 
-// batchModeStats is one data-plane mode's cost at one sweep point.
-type batchModeStats struct {
+// batchStats is the data plane's cost at one sweep point.
+type batchStats struct {
 	Seconds      float64 `json:"seconds"`
 	RowsPerSec   float64 `json:"rowsPerSec"`
 	AllocsPerRow float64 `json:"allocsPerRow"`
@@ -41,49 +43,34 @@ type batchModeStats struct {
 }
 
 type batchPoint struct {
-	Chains      int            `json:"chains"`
-	RowsShipped int            `json:"rowsShipped"`
-	AnswerRows  int            `json:"answerRows"`
-	Batch       batchModeStats `json:"batch"`
-	RowWire     batchModeStats `json:"rowWire"`
-	Speedup     float64        `json:"speedup"`
-	AllocRatio  float64        `json:"allocRatio"`
-	DigestEqual bool           `json:"digestEqual"`
-	Digest      string         `json:"digest"`
+	Chains      int        `json:"chains"`
+	RowsShipped int        `json:"rowsShipped"`
+	AnswerRows  int        `json:"answerRows"`
+	Batch       batchStats `json:"batch"`
+	// CentralMatch is the answer check against rql.Eval over the union of
+	// the provider bases; absent at points the sweep did not check.
+	CentralMatch *bool  `json:"centralMatch,omitempty"`
+	Digest       string `json:"digest"`
 }
 
-// profileExecHook, when set (by the profiling test hook), brackets the
-// measured Execute call: called with false before, true after.
-var profileExecHook func(stop bool)
-
-// batchRun is one measured execution over a fresh system.
-type batchRun struct {
-	secs         float64
-	rowsShipped  int
-	answerRows   int
-	allocsPerRow float64
-	bytesPerRow  float64
-	payloadBytes int
-	digest       uint64
-}
-
-// claimBatch measures the columnar batch data plane against the RowWire
-// ablation (per-row JSON packets) on a multi-peer scan/join workload: a
-// client P0 joins two property scans, each horizontally sliced across
-// four provider peers, so every shipped row crosses the simulated wire
-// once. The claim under test: on the ≥1M-row headline point the batch
-// plane is ≥5× faster end to end and allocates ≥10× fewer heap objects
-// per shipped row, with byte-identical answers to the row-at-a-time
-// path at every point.
+// claimBatch measures the columnar batch data plane on a multi-peer
+// scan/join workload: a client P0 joins two property scans, each
+// horizontally sliced across four provider peers, so every shipped row
+// crosses the simulated wire once. The claim under test: the distributed
+// answer equals the centralized evaluation of the same query over the
+// union of the provider bases (checked at every smoke point and at the
+// first headline point, outside the timed region), a same-seed rerun
+// reproduces it, and the headline point ships ≥1M rows. Allocs/row is
+// gated against the committed baseline by `sqpeer-bench -alloc-baseline`.
 func claimBatch() *Report {
-	r := &Report{ID: "batch", Title: "CLAIM-BATCH: columnar batch plane vs RowWire ablation — throughput, allocs/row, wire bytes (§12)", Pass: true}
+	r := &Report{ID: "batch", Title: "CLAIM-BATCH: columnar batch data plane — answers vs centralized evaluation, throughput, allocs/row, wire bytes (§12)", Pass: true}
 	const (
 		providers = 4
 		props     = 2
 	)
-	// Two data-plane modes per point; inside a test binary the sweep
-	// shrinks: experiment results stay assertable, wall-clock margins do
-	// not (the race detector alone skews them >10×).
+	// Inside a test binary the sweep shrinks: experiment results stay
+	// assertable, wall-clock figures do not (the race detector alone
+	// skews them >10×).
 	chainSweep := []int{50_000, 200_000, 500_000}
 	smoke := testing.Testing()
 	if smoke {
@@ -91,32 +78,22 @@ func claimBatch() *Report {
 	}
 
 	sweep := batchSweep{Providers: providers, Props: props, Smoke: smoke}
-	allDigestsEqual, allFewerBytes := true, true
-	r.linef("  p1⋈p2 over %d providers, horizontal slices; both modes per point:", providers)
-	r.linef("  %8s %9s | %8s %11s %9s | %8s %11s %9s | %7s %7s", "chains", "shipped",
-		"batch-s", "rows/s", "allocs/r", "json-s", "rows/s", "allocs/r", "speedup", "alloc×")
-	for _, chains := range chainSweep {
-		bt := runBatchPoint(chains, providers, props, false)
-		rw := runBatchPoint(chains, providers, props, true)
-		pt := batchPoint{
-			Chains:      chains,
-			RowsShipped: bt.rowsShipped,
-			AnswerRows:  bt.answerRows,
-			Batch:       bt.modeStats(),
-			RowWire:     rw.modeStats(),
-			Speedup:     rw.secs / bt.secs,
-			AllocRatio:  rw.allocsPerRow / bt.allocsPerRow,
-			DigestEqual: bt.digest == rw.digest && bt.rowsShipped == rw.rowsShipped,
-			Digest:      fmt.Sprintf("%016x", bt.digest),
-		}
+	allMatch := true
+	r.linef("  p1⋈p2 over %d providers, horizontal slices:", providers)
+	r.linef("  %8s %9s %8s | %8s %11s %9s %9s %11s | %s", "chains", "shipped", "answer",
+		"secs", "rows/s", "allocs/r", "bytes/r", "payload", "central")
+	for i, chains := range chainSweep {
+		pt := runBatchPoint(chains, providers, props, smoke || i == 0)
 		sweep.Points = append(sweep.Points, pt)
-		allDigestsEqual = allDigestsEqual && pt.DigestEqual
-		allFewerBytes = allFewerBytes && bt.payloadBytes < rw.payloadBytes
-		r.linef("  %8d %9d | %8.2f %11.0f %9.1f | %8.2f %11.0f %9.1f | %6.1f× %6.1f×",
-			chains, pt.RowsShipped,
+		central := "-"
+		if m := pt.CentralMatch; m != nil {
+			allMatch = allMatch && *m
+			central = fmt.Sprintf("%v", *m)
+		}
+		r.linef("  %8d %9d %8d | %8.2f %11.0f %9.1f %9.0f %11d | %s",
+			chains, pt.RowsShipped, pt.AnswerRows,
 			pt.Batch.Seconds, pt.Batch.RowsPerSec, pt.Batch.AllocsPerRow,
-			pt.RowWire.Seconds, pt.RowWire.RowsPerSec, pt.RowWire.AllocsPerRow,
-			pt.Speedup, pt.AllocRatio)
+			pt.Batch.BytesPerRow, pt.Batch.PayloadBytes, central)
 		// Feed the registry the same way the Fig benches do, so the
 		// allocation trajectory is queryable alongside throughput.
 		usPerRow := pt.Batch.Seconds * 1e6 / float64(max(1, pt.RowsShipped))
@@ -128,17 +105,14 @@ func claimBatch() *Report {
 	// Determinism: a same-seed rerun of the smallest point must land on
 	// the same digest (the workload and engine have no hidden state).
 	rerun := runBatchPoint(chainSweep[0], providers, props, false)
-	deterministic := fmt.Sprintf("%016x", rerun.digest) == sweep.Points[0].Digest
-	r.check("batch and RowWire answers byte-identical at every point", allDigestsEqual)
+	deterministic := rerun.Digest == sweep.Points[0].Digest
+	r.check("answer equals the centralized evaluation at every checked point", allMatch)
 	r.check("same-seed batch rerun reproduces the digest", deterministic)
-	r.check("binary frames move fewer payload bytes than JSON at every point", allFewerBytes)
 	if smoke {
 		r.linef("  (reduced smoke sweep inside go test; run `sqpeer-bench -exp batch` for headline sizes)")
 	} else {
 		head := sweep.Points[len(sweep.Points)-1]
 		r.check("headline point ships ≥1M rows across the wire", head.RowsShipped >= 1_000_000)
-		r.check("≥5× rows/sec over the RowWire ablation at the headline point", head.Speedup >= 5)
-		r.check("≥10× fewer allocs per shipped row at the headline point", head.AllocRatio >= 10)
 	}
 
 	if blob, err := json.MarshalIndent(sweep, "", "  "); err == nil {
@@ -150,29 +124,15 @@ func claimBatch() *Report {
 	return r
 }
 
-// modeStats converts a run into its artifact form.
-func (b batchRun) modeStats() batchModeStats {
-	rps := 0.0
-	if b.secs > 0 {
-		rps = float64(b.rowsShipped) / b.secs
-	}
-	return batchModeStats{
-		Seconds:      b.secs,
-		RowsPerSec:   rps,
-		AllocsPerRow: b.allocsPerRow,
-		BytesPerRow:  b.bytesPerRow,
-		PayloadBytes: b.payloadBytes,
-	}
-}
-
 // runBatchPoint builds a fresh system — `providers` simple peers each
 // holding a horizontal slice of `chains` instance chains, plus a client
 // root P0 with no base so every result row is shipped — and executes the
 // unoptimized chain query (unions and join at the root, no join
 // push-down) once, measuring wall time and allocator cost around the
 // Execute call only. Parallelism 1 keeps dispatch order, and therefore
-// the digest, deterministic.
-func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
+// the digest, deterministic. With checkCentral set, the answer is then
+// compared against the centralized evaluation, outside the measurement.
+func runBatchPoint(chains, providers, props int, checkCentral bool) batchPoint {
 	syn := gen.NewSynthetic(props, false)
 	bases := syn.Bases(providers, chains, gen.Horizontal)
 	net := network.New()
@@ -183,13 +143,11 @@ func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
 		if err != nil {
 			panic(err)
 		}
-		p.Engine.RowWire = rowWire
-		// Both modes stream with the same analytic frame size: the
-		// 256-row default is tuned for interactive first-row latency and
-		// would charge each plane thousands of packet envelopes at the
+		// The 256-row default frame is tuned for interactive first-row
+		// latency and would charge thousands of packet envelopes at the
 		// headline point, measuring the envelope codec instead of the
-		// data planes under comparison. 1024 keeps frame payloads under
-		// the allocator's 32KB large-object threshold on both planes.
+		// data plane. 1024 keeps frame payloads under the allocator's
+		// 32KB large-object threshold.
 		p.Engine.BatchSize = 1024
 		nodes = append(nodes, p)
 	}
@@ -199,7 +157,6 @@ func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
 	if err != nil {
 		panic(err)
 	}
-	p0.Engine.RowWire = rowWire
 	p0.Engine.BatchSize = 1024
 	for _, p := range nodes {
 		p0.Learn(p.Advertisement())
@@ -211,37 +168,57 @@ func runBatchPoint(chains, providers, props int, rowWire bool) batchRun {
 
 	runtime.GC()
 	before := obs.ReadAllocs()
-	if profileExecHook != nil {
-		profileExecHook(false)
-	}
 	clock := StartClock()
 	rows, execErr := p0.Engine.Execute(pr.Raw)
 	secs := clock.Seconds()
-	if profileExecHook != nil {
-		profileExecHook(true)
-	}
 	delta := obs.ReadAllocs().Delta(before)
 	if execErr != nil {
 		panic(execErr)
 	}
 
 	m := p0.Engine.Metrics()
-	out := batchRun{secs: secs, rowsShipped: m.RowsShipped, answerRows: rows.Len()}
-	out.allocsPerRow, out.bytesPerRow = delta.PerOp(m.RowsShipped)
+	pt := batchPoint{Chains: chains, RowsShipped: m.RowsShipped, AnswerRows: rows.Len(),
+		Batch:  batchStats{Seconds: secs, RowsPerSec: float64(m.RowsShipped) / max(secs, 1e-9)},
+		Digest: rowDigest(rows)}
+	pt.Batch.AllocsPerRow, pt.Batch.BytesPerRow = delta.PerOp(m.RowsShipped)
 	for _, p := range nodes {
-		out.payloadBytes += p.Channels.Stats().PayloadBytesSent
+		pt.Batch.PayloadBytes += p.Channels.Stats().PayloadBytesSent
 	}
-	out.digest = rowDigest(rows)
-	return out
+	if checkCentral {
+		match := pt.Digest == rowDigest(centralAnswer(syn, bases, props).Project(rows.Vars))
+		pt.CentralMatch = &match
+	}
+	return pt
+}
+
+// centralAnswer evaluates the sweep's chain query with rql.Eval over the
+// union of every provider base — the answer a single peer holding all the
+// data would give.
+func centralAnswer(syn *gen.Synthetic, bases map[pattern.PeerID]*rdf.Base, props int) *rql.ResultSet {
+	merged := rdf.NewBase()
+	for _, base := range bases {
+		for _, tr := range base.Triples() {
+			merged.Add(tr)
+		}
+	}
+	c, err := rql.ParseAndAnalyze(syn.RQL(1, props), syn.Schema)
+	if err != nil {
+		panic(err)
+	}
+	rs, err := rql.Eval(c, merged)
+	if err != nil {
+		panic(err)
+	}
+	return rs
 }
 
 // rowDigest folds the rendered, sorted answer rows into one fnv64a
-// value: two modes agreeing on it means byte-identical answers.
-func rowDigest(rows *rql.ResultSet) uint64 {
+// value, in hex: two answers agreeing on it are byte-identical.
+func rowDigest(rows *rql.ResultSet) string {
 	h := fnv.New64a()
 	for _, line := range rows.Sorted() {
 		h.Write([]byte(line))
 		h.Write([]byte{'\n'})
 	}
-	return h.Sum64()
+	return fmt.Sprintf("%016x", h.Sum64())
 }

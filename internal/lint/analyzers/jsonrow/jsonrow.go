@@ -2,12 +2,13 @@
 // on the data plane. Since the columnar rewrite, result rows travel as
 // length-prefixed binary batch frames (rql.AppendBatch / rql.DecodeBatch)
 // inside channel packets; a stray json.Marshal of an rql.ResultSet, Row
-// or Batch in internal/exec or internal/channel silently reintroduces the
-// per-row allocation storm the batch plane removed. Control bodies
-// (PlanChange, Stats, trace records, the packet envelope itself) stay
-// JSON — they carry no rows, so the analyzer does not match them. The two
-// legitimate row-JSON sites — the RowWire ablation's encoder and the
-// mixed-mode decoder at the root — carry //lint:allow jsonrow directives.
+// or Batch in internal/exec, internal/channel or internal/overlay
+// silently reintroduces the per-row allocation storm the batch plane
+// removed. Control bodies (PlanChange, Stats, trace records, the packet
+// envelope itself) stay JSON — they carry no rows, so the analyzer does
+// not match them. No legitimate row-JSON site remains on the data plane:
+// every path that ships result rows uses batch frames, so a finding here
+// is a bug to fix, not a site to allowlist.
 package jsonrow
 
 import (

@@ -194,10 +194,7 @@ func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
 			}
 			return []byte("failed"), nil
 		}
-		payload, err := json.Marshal(rows)
-		if err != nil {
-			return nil, fmt.Errorf("overlay: marshal rows: %w", err)
-		}
+		payload := rql.AppendBatch(nil, rql.BatchOf(rows))
 		if err := p.Channels.SendToRoot(req.ChannelID, channel.Results, rows.Len(), payload); err != nil {
 			return nil, err
 		}
@@ -362,15 +359,16 @@ func (c *adhocCollector) onPacket(pkt channel.Packet) {
 	defer c.mu.Unlock()
 	switch pkt.Type {
 	case channel.Results:
-		var rs rql.ResultSet
-		if err := json.Unmarshal(pkt.Payload, &rs); err != nil {
+		b, err := rql.DecodeBatch(pkt.Payload)
+		if err != nil {
 			c.err = fmt.Errorf("overlay: bad results packet: %w", err)
 			return
 		}
+		rs := b.ResultSet()
 		if c.rows == nil {
-			c.rows = &rs
+			c.rows = rs
 		} else {
-			c.rows = c.rows.Union(&rs)
+			c.rows = c.rows.Union(rs)
 		}
 	case channel.Failure:
 		c.err = fmt.Errorf("overlay: remote failure: %s", pkt.Payload)

@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -103,11 +105,24 @@ type floodReq struct {
 	TTL     int    `json:"ttl"`
 }
 
-// floodReply aggregates the rows gathered below a peer.
-type floodReply struct {
-	Rows *rql.ResultSet `json:"rows"`
-	// PeersReached counts peers that processed the query in this subtree.
-	PeersReached int `json:"peersReached"`
+// encodeFloodReply frames the rows gathered below a peer: the count of
+// peers that processed the query in that subtree (uvarint), then the rows
+// as an rql batch frame.
+func encodeFloodReply(rows *rql.ResultSet, reached int) []byte {
+	return rql.AppendBatch(binary.AppendUvarint(nil, uint64(reached)), rql.BatchOf(rows))
+}
+
+// decodeFloodReply parses an encodeFloodReply frame.
+func decodeFloodReply(data []byte) (*rql.ResultSet, int, error) {
+	reached, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, 0, errors.New("overlay: bad flood reply header")
+	}
+	b, err := rql.DecodeBatch(data[n:])
+	if err != nil {
+		return nil, 0, fmt.Errorf("overlay: bad flood reply: %w", err)
+	}
+	return b.ResultSet(), int(reached), nil
 }
 
 // queryHandler evaluates the flooded query locally and recursively floods
@@ -121,15 +136,15 @@ func (f *Flooding) queryHandler(p *peer.Peer) network.Handler {
 		f.mu.Lock()
 		if f.seen[p.ID][req.QueryID] {
 			f.mu.Unlock()
-			return json.Marshal(floodReply{Rows: rql.NewResultSet(), PeersReached: 0})
+			return encodeFloodReply(rql.NewResultSet(), 0), nil
 		}
 		f.seen[p.ID][req.QueryID] = true
 		f.mu.Unlock()
 
-		reply := floodReply{Rows: rql.NewResultSet(), PeersReached: 1}
+		rows, reached := rql.NewResultSet(), 1
 		if c, err := p.Compile(req.RQL); err == nil {
-			if rows, err := rql.Eval(c, p.Base); err == nil {
-				reply.Rows = rows
+			if local, err := rql.Eval(c, p.Base); err == nil {
+				rows = local
 			}
 		}
 		if req.TTL > 0 {
@@ -143,17 +158,15 @@ func (f *Flooding) queryHandler(p *peer.Peer) network.Handler {
 				if err != nil {
 					continue // dead neighbor
 				}
-				var sub floodReply
-				if err := json.Unmarshal(resp, &sub); err != nil {
+				subRows, subReached, err := decodeFloodReply(resp)
+				if err != nil {
 					continue
 				}
-				if sub.Rows != nil {
-					reply.Rows = reply.Rows.Union(sub.Rows)
-				}
-				reply.PeersReached += sub.PeersReached
+				rows = rows.Union(subRows)
+				reached += subReached
 			}
 		}
-		return json.Marshal(reply)
+		return encodeFloodReply(rows, reached), nil
 	}
 }
 
@@ -192,9 +205,9 @@ func (f *Flooding) Query(at pattern.PeerID, rqlText string, ttl int) (*FloodResu
 	if err != nil {
 		return nil, err
 	}
-	var reply floodReply
-	if err := json.Unmarshal(resp, &reply); err != nil {
+	rows, reached, err := decodeFloodReply(resp)
+	if err != nil {
 		return nil, err
 	}
-	return &FloodResult{Rows: reply.Rows, PeersReached: reply.PeersReached}, nil
+	return &FloodResult{Rows: rows, PeersReached: reached}, nil
 }

@@ -42,8 +42,9 @@ func EvalPathPattern(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern
 // EvalPathPatternBatch is EvalPathPattern's columnar twin: the same
 // pairs, the same end-point filters, appended straight into a batch with
 // interned term ids — no per-row map materialization. This is the scan
-// leaf of the batch data plane; the row version above remains the
-// RowWire ablation's leaf and the local ground-truth evaluator's.
+// leaf of the batch data plane; the row version above remains the leaf
+// of the centralized evaluator (Eval) and of LocalSources that offer no
+// batch scan.
 func EvalPathPatternBatch(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern) *Batch {
 	return EvalPathPatternBatchInto(nil, base, schema, pat)
 }
