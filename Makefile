@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint check bench bench-json batch fault trace overload member observe clean
+.PHONY: build test lint check bench bench-json perf-smoke batch fault trace overload member observe clean
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,19 @@ bench:
 # parallel executor (see cmd/sqpeer-bench/benchjson.go).
 bench-json:
 	$(GO) run ./cmd/sqpeer-bench -bench-json BENCH_PR1.json
+
+# Benchmark smoke: every perfbench workload for one second at seed 1,
+# untraced and traced. perfbench exits nonzero when an answer differs
+# from centralized evaluation or a query fails on a fault-free workload,
+# so a change that breaks a benchmark run fails here, before merge
+# (about 20 s in all).
+perf-smoke:
+	@for w in fanout_small churn_update faulty_fanout; do \
+		for t in 0 1; do \
+			echo "perf-smoke: $$w --trace $$t"; \
+			python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace $$t || exit 1; \
+		done; \
+	done
 
 # Batch data plane: the CLAIM-BATCH sweep at headline sizes (rewrites
 # BENCH_PR6.json) — the run fails if the distributed answer differs from

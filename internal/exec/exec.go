@@ -280,9 +280,10 @@ type Metrics struct {
 	// sibling rows kept across a migration plus checkpointed prefixes
 	// honored by resumed dispatches.
 	RowsRetained int
-	// RowsRefetched counts rows shipped again for a pattern set that an
-	// earlier dispatch of this query had already delivered — the wasted
-	// work a full restart pays and migration avoids.
+	// RowsRefetched counts rows a site shipped again for a pattern set
+	// it had already delivered in an earlier dispatch of this query — the
+	// wasted work a full restart pays and migration avoids. Horizontal
+	// siblings (one pattern set at several sites) are distinct slices.
 	RowsRefetched int
 	// RowsDiscarded counts partially-streamed rows abandoned when a
 	// dispatch ultimately failed or a checkpoint was rejected.
@@ -487,9 +488,9 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 			unanswered = append(unanswered, Unanswered{PatternID: id, Reason: reason})
 		}
 	}
-	// fetched maps each dispatched pattern set to the rows its first
-	// completed dispatch delivered; a later dispatch of the same set is
-	// re-fetched work (what restarts pay and migration avoids).
+	// fetched maps each dispatched (site, pattern set) to the rows its
+	// first completed dispatch delivered; a later dispatch of the same
+	// pair is re-fetched work (what restarts pay and migration avoids).
 	fetched := map[string]int{}
 	e.mu.Lock()
 	e.lastLedger = nil
@@ -700,9 +701,9 @@ type execution struct {
 	// holeReason explains why holes in the plan are unanswerable, for the
 	// completeness annotation when mid-flight filling fails.
 	holeReason string
-	// fetched is ExecuteAnnotated's cross-attempt pattern-set → rows map
-	// backing the refetch accounting; guarded by mu (attempts run one at
-	// a time, branches within an attempt race).
+	// fetched is ExecuteAnnotated's cross-attempt (site, pattern set) →
+	// rows map backing the refetch accounting; guarded by mu (attempts
+	// run one at a time, branches within an attempt race).
 	fetched map[string]int
 	// qos is the tenant/priority the execution runs under: stamped onto
 	// every channel open and subplan request, and consulted for
@@ -1549,16 +1550,17 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 func (ex *execution) recordComplete(site pattern.PeerID, n plan.Node, rows, watermark int, resumed bool) {
 	e := ex.engine
 	key := patternKey(n)
+	slice := string(site) + "\x00" + key
 	ex.mu.Lock()
-	_, again := ex.fetched[key]
+	_, again := ex.fetched[slice]
 	if !again {
-		ex.fetched[key] = rows
+		ex.fetched[slice] = rows
 	}
 	ex.completedRows += rows
 	ex.mu.Unlock()
 	if again {
-		// This pattern set was already delivered by an earlier dispatch of
-		// this query: the whole fetch is re-paid work.
+		// This site already delivered this pattern set in an earlier
+		// dispatch of this query: the whole fetch is re-paid work.
 		e.mu.Lock()
 		e.metrics.RowsRefetched += rows
 		e.mu.Unlock()

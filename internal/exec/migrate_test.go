@@ -104,6 +104,30 @@ func TestMigrationAblationMatchesRestart(t *testing.T) {
 	}
 }
 
+// Horizontal siblings — one pattern set answered by several sites — are
+// distinct slices of the answer, not refetches: with no fault at all,
+// ∪(Q1@P2, Q1@P4) ships two slices and refetches nothing.
+func TestHorizontalSiblingsAreNotRefetches(t *testing.T) {
+	peers, _ := paperSystem(t, 3)
+	p1 := peers["P1"]
+	q1 := gen.PaperQuery().Patterns[0]
+	u := plan.NewUnion(plan.NewScan(q1, "P2"), plan.NewScan(q1, "P4"))
+	rows, err := p1.Engine.Execute(&plan.Plan{Root: u, Query: gen.PaperQuery()})
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if rows.Len() == 0 {
+		t.Fatal("empty answer: the slices shipped nothing")
+	}
+	m := p1.Engine.Metrics()
+	if m.SubplansShipped != 2 {
+		t.Errorf("SubplansShipped = %d, want 2", m.SubplansShipped)
+	}
+	if m.RowsRefetched != 0 {
+		t.Errorf("RowsRefetched = %d on a fault-free run, want 0", m.RowsRefetched)
+	}
+}
+
 // A transient mid-stream failure resumes from the checkpointed row prefix
 // instead of re-streaming: the retry carries the watermark-backed row
 // count, and the destination skips what the root already holds.

@@ -56,16 +56,11 @@ func TestFigure4Plan2(t *testing.T) {
 func TestFigure4Plan3(t *testing.T) {
 	p1 := figure3Plan1(t)
 	p3 := optimizer.Optimize(p1, optimizer.Options{})
-	out := p3.String()
-	if !strings.Contains(out, "[Q1⋈Q2]@P1") {
-		t.Errorf("Plan 3 does not push the join to P1: %s", out)
-	}
-	if !strings.Contains(out, "[Q1⋈Q2]@P4") {
-		t.Errorf("Plan 3 does not push the join to P4: %s", out)
-	}
-	// Mixed-peer branches stay distributed.
-	if !strings.Contains(out, "⋈(Q1@P2, Q2@P3)") {
-		t.Errorf("Plan 3 lost a mixed branch: %s", out)
+	const want = "∪([Q1⋈Q2]@P1, ⋈(Q1@P1, Q2@P3), ⋈(Q1@P1, Q2@P4), " +
+		"⋈(Q1@P2, Q2@P1), ⋈(Q1@P2, Q2@P3), ⋈(Q1@P2, Q2@P4), " +
+		"⋈(Q1@P4, Q2@P1), ⋈(Q1@P4, Q2@P3), [Q1⋈Q2]@P4)"
+	if got := p3.String(); got != want {
+		t.Errorf("Plan 3 =\n  %s\nwant\n  %s", got, want)
 	}
 	// Plan 3 sends fewer subplans than Plan 2.
 	p2 := optimizer.DistributeJoinsOverUnions(p1.Root)
@@ -142,19 +137,73 @@ func TestTransformationRuleTwoShape(t *testing.T) {
 	}
 }
 
-func TestDistributionCapsExplosion(t *testing.T) {
-	// A join of many wide unions beyond MaxDistributionBranches is left
-	// in place rather than exploded.
-	q1 := gen.PaperQuery().Patterns[0]
-	q2 := gen.PaperQuery().Patterns[1]
-	var u1, u2 []plan.Node
-	for i := 0; i < 40; i++ {
-		u1 = append(u1, plan.NewScan(q1, pattern.PeerID(fmt.Sprintf("PA%d", i))))
-		u2 = append(u2, plan.NewScan(q2, pattern.PeerID(fmt.Sprintf("PB%d", i))))
+// slices returns a union of n horizontal slices of pattern q, one per
+// peer prefix+i.
+func slices(q pattern.PathPattern, prefix string, n int) plan.Node {
+	var u []plan.Node
+	for i := 0; i < n; i++ {
+		u = append(u, plan.NewScan(q, pattern.PeerID(fmt.Sprintf("%s%d", prefix, i))))
 	}
-	j := plan.NewJoin(plan.NewUnion(u1...), plan.NewUnion(u2...))
+	return plan.NewUnion(u...)
+}
+
+func TestDistributionSkipsDisjointPeers(t *testing.T) {
+	// No peer answers both patterns, so no branch would merge: the join
+	// stays one join over the two unions, well below the cap.
+	q := gen.PaperQuery()
+	j := plan.NewJoin(slices(q.Patterns[0], "PA", 32), slices(q.Patterns[1], "PB", 32))
+	if out := optimizer.DistributeJoinsOverUnions(j); !plan.Equal(out, j) {
+		t.Errorf("disjoint-peer 32×32 join distributed: %d subplans", plan.CountSubplans(out))
+	}
+}
+
+func TestDistributionCapsExplosion(t *testing.T) {
+	// Every peer sits on both sides, so every diagonal branch would
+	// merge, but 40×40 exceeds MaxDistributionBranches: the join is left
+	// in place rather than exploded.
+	q := gen.PaperQuery()
+	j := plan.NewJoin(slices(q.Patterns[0], "P", 40), slices(q.Patterns[1], "P", 40))
 	out := optimizer.DistributeJoinsOverUnions(j)
-	if _, ok := out.(*plan.Join); !ok {
+	if !plan.Equal(out, j) {
 		t.Errorf("40×40 distribution not capped: produced %T", out)
+	}
+	// The same layout below the cap is distributed: the cap, not the
+	// merge gate, stopped the 40×40 join.
+	small := plan.NewJoin(slices(q.Patterns[0], "P", 8), slices(q.Patterns[1], "P", 8))
+	if _, ok := optimizer.DistributeJoinsOverUnions(small).(*plan.Union); !ok {
+		t.Error("8×8 shared-peer join not distributed")
+	}
+}
+
+func TestDistributionFindsSharedPeerInLaterInputs(t *testing.T) {
+	// Only inputs 2 and 3 share a peer (P5); that pair alone justifies
+	// the expansion, after which Rule 1 merges it.
+	q := gen.PaperQuery()
+	q3 := pattern.PathPattern{ID: "Q3", SubjectVar: "Z", ObjectVar: "W",
+		Property: gen.N1("prop3"), Domain: gen.N1("C3"), Range: gen.N1("C4")}
+	j := plan.NewJoin(
+		plan.NewUnion(plan.NewScan(q.Patterns[0], "P1"), plan.NewScan(q.Patterns[0], "P2")),
+		plan.NewUnion(plan.NewScan(q.Patterns[1], "P3"), plan.NewScan(q.Patterns[1], "P5")),
+		plan.NewUnion(plan.NewScan(q3, "P5"), plan.NewScan(q3, "P6")))
+	out := optimizer.DistributeJoinsOverUnions(j)
+	u, ok := out.(*plan.Union)
+	if !ok || len(u.Inputs) != 8 {
+		t.Fatalf("3-input join not distributed into 2×2×2 branches: %s", out)
+	}
+	merged := optimizer.ApplyTransformationRules(out).String()
+	if !strings.Contains(merged, "[Q2⋈Q3]@P5") {
+		t.Errorf("shared peer of inputs 2 and 3 not merged: %s", merged)
+	}
+}
+
+func TestDistributionIgnoresSharedHoles(t *testing.T) {
+	// Holes appear on both sides, but holes are never merged: nothing is
+	// exposed, so the join is not distributed.
+	q := gen.PaperQuery()
+	j := plan.NewJoin(
+		plan.NewUnion(plan.NewScan(q.Patterns[0], "P1"), plan.NewHole(q.Patterns[0])),
+		plan.NewUnion(plan.NewScan(q.Patterns[1], "P3"), plan.NewHole(q.Patterns[1])))
+	if out := optimizer.DistributeJoinsOverUnions(j); !plan.Equal(out, j) {
+		t.Errorf("join distributed over a shared hole: %s", out)
 	}
 }

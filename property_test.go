@@ -28,17 +28,38 @@ import (
 // (so cross-peer joins occur), everyone knowing everyone.
 func randomSystem(seed int64) (map[pattern.PeerID]*peer.Peer, *rdf.Base) {
 	rng := rand.New(rand.NewSource(seed))
+	all := []rdf.IRI{gen.N1("prop1"), gen.N1("prop2"), gen.N1("prop4")}
+	return buildSystem(rng, 2+rng.Intn(4), func() []rdf.IRI { return all })
+}
+
+// mixedSystem builds 3–8 peers, each holding pairs of only the query's
+// first pattern (prop1 or its subproperty prop4), only its second
+// (prop2), or both: a layout mixing peers that answer both join inputs
+// with peers that answer one.
+func mixedSystem(seed int64) (map[pattern.PeerID]*peer.Peer, *rdf.Base) {
+	rng := rand.New(rand.NewSource(seed))
+	roles := [][]rdf.IRI{
+		{gen.N1("prop1"), gen.N1("prop4")},
+		{gen.N1("prop2")},
+		{gen.N1("prop1"), gen.N1("prop2"), gen.N1("prop4")},
+	}
+	return buildSystem(rng, 3+rng.Intn(6), func() []rdf.IRI { return roles[rng.Intn(len(roles))] })
+}
+
+// buildSystem creates n peers, each with up to 11 triples whose
+// properties come from its draw of props() and whose resources come from
+// an 8-resource pool, and returns them with the union of their bases.
+func buildSystem(rng *rand.Rand, n int, props func() []rdf.IRI) (map[pattern.PeerID]*peer.Peer, *rdf.Base) {
 	schema := gen.PaperSchema()
 	net := network.New()
-	nPeers := 2 + rng.Intn(4)
 	merged := rdf.NewBase()
 	peers := map[pattern.PeerID]*peer.Peer{}
-	props := []rdf.IRI{gen.N1("prop1"), gen.N1("prop2"), gen.N1("prop4")}
-	for i := 0; i < nPeers; i++ {
+	for i := 0; i < n; i++ {
 		id := pattern.PeerID(fmt.Sprintf("R%d", i))
 		base := rdf.NewBase()
+		mine := props()
 		for k := 0; k < rng.Intn(12); k++ {
-			p := props[rng.Intn(len(props))]
+			p := mine[rng.Intn(len(mine))]
 			s := rdf.IRI(fmt.Sprintf("http://pool#r%d", rng.Intn(8)))
 			o := rdf.IRI(fmt.Sprintf("http://pool#r%d", rng.Intn(8)))
 			tr := rdf.Statement(s, p, o)
@@ -189,6 +210,78 @@ func TestPropertyOptimizationPreservesPlanSemantics(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPropertyDistributionPreservesAnswers: over seeded layouts mixing
+// peers that answer both join inputs with peers that answer one, the
+// plan Optimize returns — joins pushed below unions where a shared peer
+// exposes a merge, one join over the unions where none does — executes
+// to the raw plan's answer under every shipping policy, and both equal
+// centralized evaluation over the union of the bases. Both rewrite
+// outcomes must occur across the seeds.
+func TestPropertyDistributionPreservesAnswers(t *testing.T) {
+	compiled, err := rql.ParseAndAnalyze(gen.PaperRQL, gen.PaperSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	distributed, kept := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		peers, merged := mixedSystem(seed)
+		truth, err := rql.Eval(compiled, merged)
+		if err != nil {
+			t.Fatalf("seed=%d: Eval: %v", seed, err)
+		}
+		want := fmt.Sprint(truth.Sorted())
+		root := anyPeer(peers)
+		pr, err := root.PlanQuery(compiled.Pattern)
+		if err != nil {
+			t.Fatalf("seed=%d: PlanQuery: %v", seed, err)
+		}
+		raw := pr.Raw
+		opt := optimizer.Optimize(raw, optimizer.Options{})
+		if !plan.Equal(optimizer.DistributeJoinsOverUnions(raw.Root), raw.Root) {
+			distributed++
+		} else if joinsUnions(raw.Root) {
+			kept++
+		}
+		for _, policy := range []optimizer.ShippingPolicy{
+			optimizer.DataShipping, optimizer.QueryShipping, optimizer.HybridShipping,
+		} {
+			root.Engine.Policy = policy
+			for _, pl := range []*plan.Plan{raw, opt} {
+				rows, err := root.Engine.Execute(pl)
+				if err != nil {
+					// A pattern with no provider leaves a hole; the
+					// centralized answer must then be empty too.
+					var he *exec.HoleError
+					if errors.As(err, &he) && truth.Len() == 0 {
+						continue
+					}
+					t.Fatalf("seed=%d policy=%s plan=%s: %v", seed, policy, pl, err)
+				}
+				if got := fmt.Sprint(rows.Project(compiled.Pattern.Projections).Sorted()); got != want {
+					t.Fatalf("seed=%d policy=%s plan=%s\n got %s\nwant %s", seed, policy, pl, got, want)
+				}
+			}
+		}
+	}
+	if distributed == 0 || kept == 0 {
+		t.Errorf("layouts exercised one rewrite outcome only: %d distributed, %d kept over unions", distributed, kept)
+	}
+}
+
+// joinsUnions reports whether n is a join with a union among its inputs.
+func joinsUnions(n plan.Node) bool {
+	j, ok := n.(*plan.Join)
+	if !ok {
+		return false
+	}
+	for _, in := range j.Inputs {
+		if _, ok := in.(*plan.Union); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // TestPropertyPlanSerializationRoundTrips: random plans survive the wire
