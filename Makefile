@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint check bench bench-json perf-smoke batch fault trace overload member observe clean
+.PHONY: build test lint check bench perf-smoke clean
 
 build:
 	$(GO) build ./...
@@ -29,11 +29,6 @@ check: lint
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Machine-readable before/after numbers for the routing index and the
-# parallel executor (see cmd/sqpeer-bench/benchjson.go).
-bench-json:
-	$(GO) run ./cmd/sqpeer-bench -bench-json BENCH_PR1.json
-
 # Benchmark smoke: every perfbench workload for one second at seed 1,
 # untraced and traced. perfbench exits nonzero when an answer differs
 # from centralized evaluation or a query fails on a fault-free workload,
@@ -46,63 +41,6 @@ perf-smoke:
 			python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace $$t || exit 1; \
 		done; \
 	done
-
-# Batch data plane: the CLAIM-BATCH sweep at headline sizes (rewrites
-# BENCH_PR6.json) — the run fails if the distributed answer differs from
-# the centralized evaluation, or if allocs/row regresses >20% against
-# the committed baseline at any matching sweep point. See DESIGN.md §12.
-batch:
-	$(GO) run ./cmd/sqpeer-bench -exp batch -alloc-baseline BENCH_PR6.json
-
-# Fault suite: the chaos soak test (both recovery modes: migration and
-# the NoMigrations restart ablation) under the race detector, the seeded
-# CLAIM-FAULT sweep (rewrites BENCH_PR2.json), and the CLAIM-RECOVER
-# migration-vs-restart experiment under -race (rewrites BENCH_PR4.json).
-# All fully deterministic (fixed seeds baked into the code).
-fault:
-	$(GO) test -race -run TestChaosSoak ./internal/exec/
-	$(GO) run ./cmd/sqpeer-bench -exp fault
-	$(GO) run -race ./cmd/sqpeer-bench -exp recover
-
-# Overload suite: the concurrent multi-tenant admission soak under the
-# race detector (explicit-Done controllers, watchdog, occupancy-drain
-# and goroutine-leak checks), then the deterministic CLAIM-OVERLOAD
-# sweep — 2× sustained overload, priority shedding, hot-advertisement
-# replication, rate-bound fairness and the admission-off ablation
-# (rewrites BENCH_PR7.json). See DESIGN.md §13.
-overload:
-	$(GO) test -race -run TestOverloadSoak ./internal/exec/
-	$(GO) run ./cmd/sqpeer-bench -exp overload
-
-# Membership suite: the decentralized-membership unit tests (SWIM
-# detector + anti-entropy) under the race detector, then the
-# deterministic CLAIM-MEMBER experiment under -race — bounded bootstrap
-# convergence, detection latency under seeded churn + 10% faults,
-# partition degradation to annotated partial answers, post-heal
-# reconvergence to oracle-equal views, byte-identical reruns (rewrites
-# BENCH_PR9.json). See DESIGN.md §14.
-member:
-	$(GO) test -race ./internal/membership/
-	$(GO) run -race ./cmd/sqpeer-bench -exp member
-
-# Operations plane: the obs/debugsrv unit tests (event log, flight
-# recorder, SLO evaluator, Prometheus exposition, HTTP endpoints) under
-# the race detector, then the deterministic CLAIM-OBSERVE experiment
-# under -race — byte-identical event-log reruns, exact event↔counter
-# reconciliation, anomaly-triggered post-mortem dumps, SLO burn-rate
-# alerts and the plane-off overhead ablation (rewrites BENCH_PR10.json
-# and the sample dump bundle FLIGHTREC_PR10.json). See DESIGN.md §15.
-observe:
-	$(GO) test -race ./internal/obs/ ./internal/debugsrv/
-	$(GO) run -race ./cmd/sqpeer-bench -exp observe
-
-# Observability: the CLAIM-TRACE experiment (rewrites BENCH_PR5.json)
-# plus a captured chrome://tracing file for the paper query — open
-# trace.json in chrome://tracing or Perfetto; trace.jsonl is the
-# byte-stable span listing (diffable across same-scenario runs).
-trace:
-	$(GO) run ./cmd/sqpeer-bench -exp trace
-	$(GO) run ./cmd/sqpeer-bench -trace trace.json
 
 clean:
 	$(GO) clean ./...

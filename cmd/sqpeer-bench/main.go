@@ -1,20 +1,18 @@
-// Command sqpeer-bench regenerates the paper's evaluation artifacts: one
-// experiment per figure (fig1..fig7) plus the quantified-claim
-// experiments (son, sub, adapt, dist, adv). Each experiment prints
-// paper-style result rows and self-checks whether the reproduced behavior
-// matches the paper's statement.
+// Command sqpeer-bench reproduces the paper's evaluation: one experiment
+// per figure (fig1..fig7) plus the quantified-claim experiments (son,
+// sub, adapt, dist, adv, ...). Each experiment prints paper-style result
+// rows and self-checks whether the reproduced behavior matches the
+// paper's statement.
 //
 // Usage:
 //
-//	sqpeer-bench                            # run everything
-//	sqpeer-bench -exp fig4                  # run one experiment
-//	sqpeer-bench -list                      # list experiment ids
-//	sqpeer-bench -bench-json BENCH_PR1.json # machine-readable perf numbers
-//	sqpeer-bench -trace trace.json          # chrome://tracing file + .jsonl sibling
+//	sqpeer-bench                    # run everything
+//	sqpeer-bench -exp fig4          # run one experiment
+//	sqpeer-bench -list              # list experiment ids
+//	sqpeer-bench -trace trace.json  # chrome://tracing file + .jsonl sibling
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,18 +24,9 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id to run (or 'all')")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	benchJSON := flag.String("bench-json", "", "write routing/execution before-after ns/op to this JSON file and exit")
 	tracePath := flag.String("trace", "", "run a traced Figure-3 query, write the chrome://tracing trace_event file here (plus a .jsonl sibling) and exit")
-	allocBaseline := flag.String("alloc-baseline", "", "committed BENCH_PR6.json to gate against: fail if the batch plane's allocs/row regresses >20% at any matching sweep point")
 	flag.Parse()
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -65,28 +54,6 @@ func main() {
 	failed := 0
 	for _, r := range reports {
 		fmt.Println(r)
-		// Gate before writing: the baseline may be the very file the fresh
-		// artifact is about to replace.
-		if *allocBaseline != "" && r.ArtifactName == "BENCH_PR6.json" {
-			if err := gateAllocs(*allocBaseline, r.ArtifactJSON); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed++
-			}
-		}
-		if r.ArtifactName != "" {
-			if err := os.WriteFile(r.ArtifactName, r.ArtifactJSON, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Printf("wrote %s\n", r.ArtifactName)
-		}
-		for _, extra := range r.Extras {
-			if err := os.WriteFile(extra.Name, extra.Blob, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			fmt.Printf("wrote %s\n", extra.Name)
-		}
 		if !r.Pass {
 			failed++
 		}
@@ -95,50 +62,6 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// gateAllocs compares the fresh CLAIM-BATCH sweep against a committed
-// baseline artifact: any matching chains point whose batch-plane
-// allocs/row grew more than 20% fails the run. Points present in only
-// one file (a resized sweep) are ignored, so the gate tracks the plane's
-// allocation trajectory without blocking sweep changes.
-func gateAllocs(baselinePath string, fresh []byte) error {
-	type sweep struct {
-		Points []struct {
-			Chains int `json:"chains"`
-			Batch  struct {
-				AllocsPerRow float64 `json:"allocsPerRow"`
-			} `json:"batch"`
-		} `json:"points"`
-	}
-	base, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("alloc-baseline: %w", err)
-	}
-	var was, now sweep
-	if err := json.Unmarshal(base, &was); err != nil {
-		return fmt.Errorf("alloc-baseline: parse %s: %w", baselinePath, err)
-	}
-	if err := json.Unmarshal(fresh, &now); err != nil {
-		return fmt.Errorf("alloc-baseline: parse fresh sweep: %w", err)
-	}
-	ref := map[int]float64{}
-	for _, p := range was.Points {
-		ref[p.Chains] = p.Batch.AllocsPerRow
-	}
-	for _, p := range now.Points {
-		old, ok := ref[p.Chains]
-		if !ok || old <= 0 {
-			continue
-		}
-		if p.Batch.AllocsPerRow > old*1.2 {
-			return fmt.Errorf("alloc-baseline: chains=%d allocs/row %.2f exceeds baseline %.2f by >20%%",
-				p.Chains, p.Batch.AllocsPerRow, old)
-		}
-		fmt.Printf("alloc-baseline: chains=%d allocs/row %.2f vs baseline %.2f ok\n",
-			p.Chains, p.Batch.AllocsPerRow, old)
-	}
-	return nil
 }
 
 // writeTrace captures one traced paper query and writes both export

@@ -1,7 +1,7 @@
 // Cross-module integration tests: the same workload must produce the same
-// answers through every architecture, legacy bases must participate in
-// SONs transparently, and the full experiment harness must reproduce all
-// of the paper's figures and claims.
+// answers through every architecture, and legacy bases must participate
+// in SONs transparently. The experiment harness is checked by its own
+// package tests (internal/harness).
 package sqpeer_test
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"sqpeer"
 	"sqpeer/internal/gen"
-	"sqpeer/internal/harness"
 	"sqpeer/internal/network"
 	"sqpeer/internal/overlay"
 	"sqpeer/internal/pattern"
@@ -172,22 +171,6 @@ func TestSwimPeerParticipatesInSON(t *testing.T) {
 	}
 	if rows.Len() != 3 {
 		t.Errorf("cross-legacy join = %d rows, want 3:\n%s", rows.Len(), rows)
-	}
-}
-
-// TestHarnessReproducesEveryExperiment runs the full experiment suite and
-// requires every figure and claim to reproduce.
-func TestHarnessReproducesEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness suite skipped in -short mode")
-	}
-	for _, r := range harness.All() {
-		if !r.Pass {
-			t.Errorf("experiment %s failed:\n%s", r.ID, r)
-		}
-	}
-	if got := len(harness.IDs()); got != 23 {
-		t.Errorf("expected 23 experiments, have %d", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 
@@ -14,34 +13,6 @@ import (
 
 func init() {
 	register("fault", "CLAIM-FAULT: fault-injection sweep — deadlines, retry, quarantine, partial answers (§2.5)", claimFault)
-}
-
-// faultSweep is the machine-readable artifact (BENCH_PR2.json).
-type faultSweep struct {
-	Seed           int64        `json:"seed"`
-	RoundsPerPoint int          `json:"roundsPerPoint"`
-	Points         []faultPoint `json:"points"`
-}
-
-type faultPoint struct {
-	// Rate is the per-delivery probability for drop, duplicate and delay
-	// spike, and the per-round probability for crash, gray failure and
-	// link flap.
-	Rate            float64 `json:"faultRate"`
-	Queries         int     `json:"queries"`
-	Full            int     `json:"full"`
-	Partial         int     `json:"partial"`
-	Failed          int     `json:"failed"`
-	SuccessRate     float64 `json:"successRate"`
-	PartialFraction float64 `json:"partialFraction"`
-	Retries         int     `json:"retries"`
-	Replans         int     `json:"replans"`
-	Migrations      int     `json:"migrations"`
-	BackoffMS       float64 `json:"backoffMs"`
-	AvgLatencyMS    float64 `json:"avgLatencyMs"`
-	AddedLatencyMS  float64 `json:"addedLatencyMs"`
-	Digest          string  `json:"digest"`
-	Deterministic   bool    `json:"deterministic"`
 }
 
 // faultPointRun is one seeded pass over a sweep point.
@@ -72,64 +43,45 @@ func claimFault() *Report {
 	)
 	rates := []float64{0, 0.1, 0.2, 0.3}
 
-	sweep := faultSweep{Seed: seed, RoundsPerPoint: rounds}
+	var runs []faultPointRun
 	var baselinePerQuery float64
 	allDeterministic, anyInjected := true, false
 	r.linef("  %-6s %8s %6s %8s %7s %8s %8s %6s %9s %12s", "rate", "complete", "full", "partial", "failed", "retries", "replans", "migr", "backoff", "added-lat/q")
 	for _, rate := range rates {
 		run := runFaultPoint(seed, rounds, rate, 0)
 		rerun := runFaultPoint(seed, rounds, rate, 0)
-		deterministic := run.digest == rerun.digest
-		allDeterministic = allDeterministic && deterministic
+		allDeterministic = allDeterministic && run.digest == rerun.digest
 		if run.injected > 0 || run.events > 0 {
 			anyInjected = true
 		}
+		runs = append(runs, run)
 
 		perQuery := run.simMS / float64(rounds)
 		if rate == 0 {
 			baselinePerQuery = perQuery
 		}
-		pt := faultPoint{
-			Rate:            rate,
-			Queries:         rounds,
-			Full:            run.full,
-			Partial:         run.partial,
-			Failed:          run.failed,
-			SuccessRate:     float64(run.full+run.partial) / float64(rounds),
-			PartialFraction: float64(run.partial) / float64(rounds),
-			Retries:         run.retries,
-			Replans:         run.replans,
-			Migrations:      run.migrations,
-			BackoffMS:       run.backoffMS,
-			AvgLatencyMS:    perQuery,
-			AddedLatencyMS:  perQuery - baselinePerQuery,
-			Digest:          fmt.Sprintf("%016x", run.digest),
-			Deterministic:   deterministic,
-		}
-		sweep.Points = append(sweep.Points, pt)
 		r.linef("  %-6.2f %7.0f%% %6d %8d %7d %8d %8d %6d %8.0fms %10.1fms",
-			rate, pt.SuccessRate*100, pt.Full, pt.Partial, pt.Failed,
-			pt.Retries, pt.Replans, pt.Migrations, pt.BackoffMS, pt.AddedLatencyMS)
+			rate, run.successRate(rounds)*100, run.full, run.partial, run.failed,
+			run.retries, run.replans, run.migrations, run.backoffMS, perQuery-baselinePerQuery)
 	}
 
-	p0 := sweep.Points[0]
-	p10 := sweep.Points[1]
+	p0 := runs[0]
+	p10 := runs[1]
 	r.check("fault-free baseline: every query fully complete, no retries, replans or migrations",
-		p0.Full == rounds && p0.Retries == 0 && p0.Replans == 0 && p0.Migrations == 0)
+		p0.full == rounds && p0.retries == 0 && p0.replans == 0 && p0.migrations == 0)
 	r.check("≥95% of queries complete (full or partial) at 10% fault rate",
-		p10.SuccessRate >= 0.95)
+		p10.successRate(rounds) >= 0.95)
 	r.check("hardening machinery exercised under faults (retries, replans or migrations > 0)",
-		p10.Retries+p10.Replans+p10.Migrations > 0)
+		p10.retries+p10.replans+p10.migrations > 0)
 	r.check("faults actually injected at nonzero rates", anyInjected)
 	r.check("same-seed reruns byte-identical at every fault rate", allDeterministic)
-
-	if blob, err := json.MarshalIndent(sweep, "", "  "); err == nil {
-		r.ArtifactName = "BENCH_PR2.json"
-		r.ArtifactJSON = append(blob, '\n')
-	} else {
-		r.check("marshal BENCH_PR2.json", false)
-	}
 	return r
+}
+
+// successRate is the fraction of the pass's queries that completed,
+// fully or explicitly partially.
+func (run faultPointRun) successRate(rounds int) float64 {
+	return float64(run.full+run.partial) / float64(rounds)
 }
 
 // runFaultPoint executes one seeded pass: fresh system, fresh injector

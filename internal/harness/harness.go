@@ -24,21 +24,6 @@ type Report struct {
 	// Pass aggregates the experiment's self-checks: true when every
 	// reproduced figure/claim matched the paper's statement.
 	Pass bool
-	// ArtifactName/ArtifactJSON optionally carry a machine-readable
-	// result file (e.g. BENCH_PR2.json) that cmd/sqpeer-bench writes next
-	// to its stdout report.
-	ArtifactName string
-	ArtifactJSON []byte
-	// Extras are additional artifact files the experiment produced
-	// beyond the primary JSON (e.g. a sample flight-recorder dump);
-	// cmd/sqpeer-bench writes each one alongside the primary artifact.
-	Extras []Artifact
-}
-
-// Artifact is one named side file an experiment emits.
-type Artifact struct {
-	Name string
-	Blob []byte
 }
 
 func (r *Report) linef(format string, args ...any) {

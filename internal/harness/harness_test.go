@@ -1,6 +1,8 @@
 package harness_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -27,8 +29,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // TestEveryExperimentReproduces runs each experiment individually so a
-// failure names the exact experiment (the root integration test runs the
-// whole suite in one shot).
+// failure names the exact experiment.
 func TestEveryExperimentReproduces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments skipped in -short mode")
@@ -64,5 +65,21 @@ func TestReportRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCaptureTrace covers the `sqpeer-bench -trace` payload: the JSONL
+// span listing is byte-stable across captures, the Chrome trace_event
+// export parses as JSON, and the critical-path report is non-empty.
+func TestCaptureTrace(t *testing.T) {
+	a, b := harness.CaptureTrace(), harness.CaptureTrace()
+	if len(a.JSONL) == 0 || !bytes.Equal(a.JSONL, b.JSONL) {
+		t.Errorf("JSONL not byte-identical across captures (%d vs %d bytes)", len(a.JSONL), len(b.JSONL))
+	}
+	if !json.Valid(a.ChromeJSON) {
+		t.Error("ChromeJSON is not valid JSON")
+	}
+	if a.Report == "" {
+		t.Error("empty critical-path report")
 	}
 }

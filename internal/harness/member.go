@@ -20,37 +20,6 @@ func init() {
 	register("member", "CLAIM-MEMBER: decentralized membership — failure detection, anti-entropy convergence, partition healing", claimMember)
 }
 
-// memberBench is the machine-readable artifact (BENCH_PR9.json).
-type memberBench struct {
-	Seed int64 `json:"seed"`
-	// Bootstrap: rounds until every peer's routing view equals the
-	// oracle registry, starting from contact-only knowledge.
-	JoinRounds int `json:"joinRounds"`
-	JoinBound  int `json:"joinBound"`
-	// Churn phase: scripted crashes under 10% message faults.
-	Crashes          int     `json:"crashes"`
-	MaxDetectRounds  int     `json:"maxDetectRounds"`
-	DetectBound      int     `json:"detectBound"`
-	ChurnQueries     int     `json:"churnQueries"`
-	ChurnCompleted   int     `json:"churnCompleted"`
-	ChurnSuccessRate float64 `json:"churnSuccessRate"`
-	QuiesceRounds    int     `json:"quiesceRounds"`
-	// Partition phase.
-	PartitionQueries   int  `json:"partitionQueries"`
-	PartitionCompleted int  `json:"partitionCompleted"`
-	PartitionPartial   int  `json:"partitionPartial"`
-	WrongRows          int  `json:"wrongRows"`
-	BothSidesDetected  bool `json:"bothSidesDetected"`
-	// Heal phase.
-	HealRounds       int  `json:"healRounds"`
-	HealBound        int  `json:"healBound"`
-	ViewsEqualOracle bool `json:"viewsEqualOracle"`
-	AnswerRestored   bool `json:"answerRestored"`
-	// Determinism.
-	Digest        string `json:"digest"`
-	Deterministic bool   `json:"deterministic"`
-}
-
 // memberRun is one seeded pass of the full scenario.
 type memberRun struct {
 	joinRounds     int
@@ -142,36 +111,6 @@ func claimMember() *Report {
 		}
 	}
 	r.check("no goroutine leak across the soak", !leaked)
-
-	bench := memberBench{
-		Seed:               memberSeed,
-		JoinRounds:         run.joinRounds,
-		JoinBound:          memberJoinBound,
-		Crashes:            run.crashes,
-		MaxDetectRounds:    run.maxDetect,
-		DetectBound:        memberDetectBound,
-		ChurnQueries:       run.churnQueries,
-		ChurnCompleted:     run.churnCompleted,
-		ChurnSuccessRate:   float64(run.churnCompleted) / float64(run.churnQueries),
-		QuiesceRounds:      run.quiesceRounds,
-		PartitionQueries:   run.partQueries,
-		PartitionCompleted: run.partCompleted,
-		PartitionPartial:   run.partPartial,
-		WrongRows:          run.wrongRows,
-		BothSidesDetected:  run.bothDetected,
-		HealRounds:         run.healRounds,
-		HealBound:          memberHealBound,
-		ViewsEqualOracle:   run.viewsEqual,
-		AnswerRestored:     run.answerRestored,
-		Digest:             fmt.Sprintf("%016x", run.digest),
-		Deterministic:      deterministic,
-	}
-	if blob, err := json.MarshalIndent(bench, "", "  "); err == nil {
-		r.ArtifactName = "BENCH_PR9.json"
-		r.ArtifactJSON = append(blob, '\n')
-	} else {
-		r.check("marshal BENCH_PR9.json", false)
-	}
 	return r
 }
 

@@ -2,11 +2,9 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 
 	"sqpeer/internal/admission"
 	"sqpeer/internal/faults"
@@ -41,42 +39,6 @@ const (
 	observeHoldMS     = 3000.0
 	observeBurstEvery = 1
 )
-
-// observeBench is the machine-readable artifact (BENCH_PR10.json).
-type observeBench struct {
-	Seed   int64 `json:"seed"`
-	Rounds int   `json:"rounds"`
-	// Event-log shape.
-	Events            int            `json:"events"`
-	EventsByComponent map[string]int `json:"eventsByComponent"`
-	// Event↔counter reconciliation (counter value from the /metrics
-	// scrape vs the event count; every pair must be exactly equal).
-	Reconciled []observeReconcile `json:"reconciled"`
-	// Flight recorder and SLO outcomes.
-	Dumps       int      `json:"dumps"`
-	DumpReasons []string `json:"dumpReasons"`
-	Alerts      []string `json:"alerts"`
-	// Overhead ablation: the identical scenario with the plane off.
-	PlaneSimMS        float64 `json:"planeSimMs"`
-	AblationSimMS     float64 `json:"ablationSimMs"`
-	LatencyOverheadPc float64 `json:"latencyOverheadPct"`
-	PlaneBytes        int     `json:"planeBytes"`
-	AblationBytes     int     `json:"ablationBytes"`
-	BytesOverheadPc   float64 `json:"bytesOverheadPct"`
-	AnswersEqual      bool    `json:"answersEqual"`
-	// Determinism.
-	EventLogBytes int    `json:"eventLogBytes"`
-	Digest        string `json:"digest"`
-	Deterministic bool   `json:"deterministic"`
-}
-
-// observeReconcile is one counter-vs-event-count pair.
-type observeReconcile struct {
-	Counter string `json:"counter"`
-	Metric  int    `json:"metricTotal"`
-	Events  int    `json:"eventTotal"`
-	Equal   bool   `json:"equal"`
-}
 
 // observeRun is one seeded pass.
 type observeRun struct {
@@ -121,13 +83,16 @@ func claimObserve() *Report {
 	// parse it back, and sum the family.
 	promText := run.reg.PromText()
 	samples, parseErr := obs.ParsePromText(promText)
-	recs := []observeReconcile{
-		reconcile(samples, "exec_shed_total", run.events.CountBy("exec", "shed")),
-		reconcile(samples, "adm_shed_total", run.events.CountBy("admission", "shed")),
-		reconcile(samples, "exec_migrations_total", run.events.CountBy("exec", "migrate")),
-		reconcile(samples, "routing_health_condemnations_total", run.events.CountBy("health", "condemn")),
-		reconcile(samples, "member_suspects_total", run.events.CountBy("membership", "suspect")),
-		reconcile(samples, "member_confirmed_dead_total", run.events.CountBy("membership", "confirm-dead")),
+	families := []struct {
+		counter string
+		events  int
+	}{
+		{"exec_shed_total", run.events.CountBy("exec", "shed")},
+		{"adm_shed_total", run.events.CountBy("admission", "shed")},
+		{"exec_migrations_total", run.events.CountBy("exec", "migrate")},
+		{"routing_health_condemnations_total", run.events.CountBy("health", "condemn")},
+		{"member_suspects_total", run.events.CountBy("membership", "suspect")},
+		{"member_confirmed_dead_total", run.events.CountBy("membership", "confirm-dead")},
 	}
 
 	dumps := run.rootRec.Dumps()
@@ -163,8 +128,12 @@ func claimObserve() *Report {
 		line += fmt.Sprintf("%s %d", c, byComponent[c])
 	}
 	r.Lines = append(r.Lines, line+")")
-	for _, rc := range recs {
-		r.linef("  reconcile %-36s counter=%-4d events=%-4d", rc.Counter, rc.Metric, rc.Events)
+	allReconciled, allNonzero := true, true
+	for _, f := range families {
+		metric := promTotal(samples, f.counter)
+		allReconciled = allReconciled && metric == f.events
+		allNonzero = allNonzero && metric > 0
+		r.linef("  reconcile %-36s counter=%-4d events=%-4d", f.counter, metric, f.events)
 	}
 	r.linef("  flight recorder: %d dumps %v (%d with span subtree + ledger context)", len(dumps), dumpReasons, contextualDumps)
 	r.linef("  slo: %d alerts %v, %d alert-tripped dumps", len(run.alerts), alertNames, run.sloDumps)
@@ -172,11 +141,6 @@ func claimObserve() *Report {
 		latPct, run.simMS, ablation.simMS, bytePct, run.bytes, ablation.bytes)
 
 	r.check("same-seed rerun: event log byte-identical and answers byte-identical", deterministic)
-	allReconciled, allNonzero := true, true
-	for _, rc := range recs {
-		allReconciled = allReconciled && rc.Equal
-		allNonzero = allNonzero && rc.Metric > 0
-	}
 	r.check("every plane counter reconciles exactly with its event count", allReconciled)
 	r.check("every reconciled family actually fired (shed, migrate, condemn, suspect, confirm-dead)", allNonzero)
 	r.check("≥1 anomaly-triggered dump carries the span subtree, ledger and frozen event ring", contextualDumps >= 1)
@@ -185,61 +149,7 @@ func claimObserve() *Report {
 	r.check("plane-off ablation answers byte-identical", answersEqual)
 	r.check("plane overhead <2% simulated latency", latPct < 2)
 	r.check("plane overhead <2% network bytes", bytePct < 2)
-
-	bench := observeBench{
-		Seed: observeSeed, Rounds: observeRounds,
-		Events: run.events.Len(), EventsByComponent: byComponent,
-		Reconciled: recs,
-		Dumps:      len(dumps), DumpReasons: dumpReasons, Alerts: alertNames,
-		PlaneSimMS: run.simMS, AblationSimMS: ablation.simMS, LatencyOverheadPc: latPct,
-		PlaneBytes: run.bytes, AblationBytes: ablation.bytes, BytesOverheadPc: bytePct,
-		AnswersEqual:  answersEqual,
-		EventLogBytes: len(run.jsonl),
-		Digest:        fmt.Sprintf("%016x", run.answerDigest),
-		Deterministic: deterministic,
-	}
-	if blob, err := json.MarshalIndent(bench, "", "  "); err == nil {
-		r.ArtifactName = "BENCH_PR10.json"
-		r.ArtifactJSON = append(blob, '\n')
-	} else {
-		r.check("marshal BENCH_PR10.json", false)
-	}
-	// The sample post-mortem bundle rides along as a second artifact:
-	// representative dumps with trimmed rings, not the full history (the
-	// full bundles stay servable live at /debug/flightrec).
-	if blob, err := json.MarshalIndent(sampleDumps(dumps), "", "  "); err == nil {
-		r.Extras = append(r.Extras, Artifact{Name: "FLIGHTREC_PR10.json", Blob: append(blob, '\n')})
-	} else {
-		r.check("marshal FLIGHTREC_PR10.json", false)
-	}
 	return r
-}
-
-// sampleDumps picks a committable sample of the recorder's output: the
-// first SLO-tripped dump and the first query-scoped anomaly dump (span
-// subtree + ledger context), each with its frozen ring trimmed to the
-// last 24 events. Selection and trimming are pure functions of the
-// deterministic dump list, so the artifact is byte-stable across runs.
-func sampleDumps(dumps []obs.Dump) []obs.Dump {
-	const keepEvents = 24
-	var sample []obs.Dump
-	pick := func(match func(obs.Dump) bool) {
-		for _, d := range dumps {
-			if !match(d) {
-				continue
-			}
-			if n := len(d.Events); n > keepEvents {
-				d.Events = d.Events[n-keepEvents:]
-			}
-			sample = append(sample, d)
-			return
-		}
-	}
-	pick(func(d obs.Dump) bool { return strings.HasPrefix(d.Reason, "slo:") })
-	pick(func(d obs.Dump) bool {
-		return !strings.HasPrefix(d.Reason, "slo:") && d.Context["spans"] != nil && d.Context["ledger"] != nil
-	})
-	return sample
 }
 
 // pctOver returns how many percent `got` exceeds `base` (0 when base is
@@ -251,16 +161,15 @@ func pctOver(got, base float64) float64 {
 	return (got/base - 1) * 100
 }
 
-// reconcile sums one counter family across the parsed scrape and pairs
-// it with the event count.
-func reconcile(samples []obs.PromSample, counter string, events int) observeReconcile {
+// promTotal sums one counter family across the parsed scrape.
+func promTotal(samples []obs.PromSample, counter string) int {
 	total := 0.0
 	for _, s := range samples {
 		if s.Name == counter {
 			total += s.Value
 		}
 	}
-	return observeReconcile{Counter: counter, Metric: int(total), Events: events, Equal: int(total) == events}
+	return int(total)
 }
 
 // runObserveScenario executes one seeded pass. With plane=true the

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -9,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"testing"
 
 	"sqpeer/internal/admission"
 	"sqpeer/internal/faults"
@@ -41,47 +39,17 @@ var overloadTenants = []struct {
 	{"bronze-3", admission.Low},
 }
 
-// overloadSweep is the machine-readable artifact (BENCH_PR7.json).
-type overloadSweep struct {
-	Seed           int64               `json:"seed"`
-	Rounds         int                 `json:"rounds"`
-	Smoke          bool                `json:"smoke,omitempty"`
-	FaultRate      float64             `json:"faultRate"`
-	OverloadFactor float64             `json:"overloadFactor"`
-	Tenants        []overloadTenantRow `json:"tenants"`
-
-	GoldP99MS         float64 `json:"goldP99Ms"`
-	GoldBaselineP99MS float64 `json:"goldBaselineP99Ms"`
-	GoldP99Ratio      float64 `json:"goldP99Ratio"`
-
-	Shed              int     `json:"shed"`
-	OverloadRejected  int     `json:"overloadRejected"`
-	Migrations        int     `json:"migrations"`
-	RetryAfterHonored int     `json:"retryAfterHonored"`
-	ShedSurfaced      int     `json:"shedSurfaced"`
-	BareTimeouts      int     `json:"bareTimeouts"`
-	SurfacedRatio     float64 `json:"surfacedRatio"`
-
-	Replications  int     `json:"replications"`
-	FairnessJain  float64 `json:"fairnessJain"`
-	Digest        string  `json:"digest"`
-	Deterministic bool    `json:"deterministic"`
-
-	AblationAnswersEqual bool `json:"ablationAnswersEqual"`
-	GoroutineLeak        int  `json:"goroutineLeak"`
-}
-
 // overloadTenantRow is one tenant's ledger over the loaded pass.
 type overloadTenantRow struct {
-	Tenant       string `json:"tenant"`
-	Priority     string `json:"priority"`
-	Offered      int    `json:"offered"`
-	Admitted     int    `json:"admitted"`
-	RejectedRate int    `json:"rejectedRate"`
-	RejectedLoad int    `json:"rejectedLoad"`
-	Full         int    `json:"full"`
-	Partial      int    `json:"partial"`
-	Failed       int    `json:"failed"`
+	Tenant       string
+	Priority     string
+	Offered      int
+	Admitted     int
+	RejectedRate int
+	RejectedLoad int
+	Full         int
+	Partial      int
+	Failed       int
 }
 
 // overloadRun is one seeded pass over the overload fixture.
@@ -123,12 +91,9 @@ type overloadCfg struct {
 // queries wait, not what any query answers.
 func claimOverload() *Report {
 	r := &Report{ID: "overload", Title: "CLAIM-OVERLOAD: multi-tenant admission, priority shedding and hot-advertisement replication under 2× sustained overload (§13)", Pass: true}
-	rounds := 400
-	if testing.Testing() {
-		rounds = 80
-	}
 	const (
 		seed      = overloadSeed
+		rounds    = 80
 		stepMS    = 40.0 // offered: one query per 40 logical ms
 		faultRate = 0.10
 	)
@@ -148,67 +113,45 @@ func claimOverload() *Report {
 	ablation := runOverloadPass(overloadCfg{seed: seed, rounds: rounds / 2, stepMS: calmStep, disabled: true})
 	fair := runOverloadPass(overloadCfg{seed: seed, rounds: rounds, stepMS: 8 * stepMS, rateFair: true})
 
-	sweep := overloadSweep{
-		Seed: seed, Rounds: rounds, Smoke: testing.Testing(), FaultRate: faultRate,
-		GoldP99MS:         p99(loaded.goldLats),
-		GoldBaselineP99MS: p99(baseline.goldLats),
-		Shed:              loaded.shed,
-		OverloadRejected:  loaded.overloadRejected,
-		Migrations:        loaded.migrations,
-		RetryAfterHonored: loaded.honoredRetries,
-		ShedSurfaced:      loaded.shedHoles + loaded.migrations,
-		BareTimeouts:      loaded.bareTimeouts + loaded.timeoutHoles,
-		Replications:      loaded.replications,
-		FairnessJain:      fair.fairness,
-		Digest:            fmt.Sprintf("%016x", loaded.digest),
-		Deterministic:     loaded.digest == rerun.digest,
-		AblationAnswersEqual: enabledCalm.answers == ablation.answers,
+	goldP99, goldBaselineP99 := p99(loaded.goldLats), p99(baseline.goldLats)
+	goldP99Ratio := 0.0
+	if goldBaselineP99 > 0 {
+		goldP99Ratio = goldP99 / goldBaselineP99
 	}
-	if sweep.GoldBaselineP99MS > 0 {
-		sweep.GoldP99Ratio = sweep.GoldP99MS / sweep.GoldBaselineP99MS
+	shedSurfaced := loaded.shedHoles + loaded.migrations
+	bareTimeouts := loaded.bareTimeouts + loaded.timeoutHoles
+	surfacedRatio := 1.0
+	if surfacedDenom := shedSurfaced + bareTimeouts; surfacedDenom > 0 {
+		surfacedRatio = float64(shedSurfaced) / float64(surfacedDenom)
 	}
-	if surfacedDenom := sweep.ShedSurfaced + sweep.BareTimeouts; surfacedDenom > 0 {
-		sweep.SurfacedRatio = float64(sweep.ShedSurfaced) / float64(surfacedDenom)
-	} else {
-		sweep.SurfacedRatio = 1
-	}
-	sweep.OverloadFactor = loaded.factor
 
 	for _, t := range overloadTenants {
 		row := loaded.rows[t.name]
-		sweep.Tenants = append(sweep.Tenants, *row)
 		r.linef("  %-9s %-6s offered %4d  admitted %4d  rej-rate %3d  rej-load %3d  full %4d  partial %3d  failed %2d",
 			row.Tenant, row.Priority, row.Offered, row.Admitted, row.RejectedRate, row.RejectedLoad,
 			row.Full, row.Partial, row.Failed)
 	}
 	r.linef("  gold p99 %.0fms (baseline %.0fms, ratio %.2f×)  shed %d  rejected %d  migrations %d  retry-hints %d",
-		sweep.GoldP99MS, sweep.GoldBaselineP99MS, sweep.GoldP99Ratio,
-		sweep.Shed, sweep.OverloadRejected, sweep.Migrations, sweep.RetryAfterHonored)
+		goldP99, goldBaselineP99, goldP99Ratio,
+		loaded.shed, loaded.overloadRejected, loaded.migrations, loaded.honoredRetries)
 	r.linef("  shed surfaced %d / bare timeouts %d (ratio %.3f)  replications %d  fairness %.3f  factor %.1f×",
-		sweep.ShedSurfaced, sweep.BareTimeouts, sweep.SurfacedRatio,
-		sweep.Replications, sweep.FairnessJain, sweep.OverloadFactor)
+		shedSurfaced, bareTimeouts, surfacedRatio,
+		loaded.replications, fair.fairness, loaded.factor)
 
 	runtime.GC()
-	sweep.GoroutineLeak = runtime.NumGoroutine() - goroutinesBefore
+	goroutineLeak := runtime.NumGoroutine() - goroutinesBefore
 
 	r.check("sustained overload applied (≥2× root capacity, facade rejections and sheds observed)",
-		sweep.OverloadFactor >= 2 && sweep.OverloadRejected+overloadRejections(loaded) > 0 && sweep.Shed > 0)
-	r.check("high-priority p99 within 1.5× of the unloaded baseline", sweep.GoldP99Ratio > 0 && sweep.GoldP99Ratio <= 1.5)
+		loaded.factor >= 2 && loaded.overloadRejected+overloadRejections(loaded) > 0 && loaded.shed > 0)
+	r.check("high-priority p99 within 1.5× of the unloaded baseline", goldP99Ratio > 0 && goldP99Ratio <= 1.5)
 	r.check("≥95% of shed/overloaded subplans surface as holes or completed migrations (never bare timeouts)",
-		sweep.SurfacedRatio >= 0.95)
-	r.check("retry-after hints honored under overload", sweep.RetryAfterHonored > 0)
-	r.check("hot-advertisement replication rebalanced at least one advertisement", sweep.Replications > 0)
-	r.check("rate-bound fairness: Jain over bronze admitted/entitlement ≥ 0.9", sweep.FairnessJain >= 0.9)
-	r.check("same-seed rerun byte-identical", sweep.Deterministic)
-	r.check("ablation (admission disabled) leaves every answer unchanged", sweep.AblationAnswersEqual)
-	r.check("no goroutine leak across the soak", sweep.GoroutineLeak <= 2)
-
-	if blob, err := json.MarshalIndent(sweep, "", "  "); err == nil {
-		r.ArtifactName = "BENCH_PR7.json"
-		r.ArtifactJSON = append(blob, '\n')
-	} else {
-		r.check("marshal BENCH_PR7.json", false)
-	}
+		surfacedRatio >= 0.95)
+	r.check("retry-after hints honored under overload", loaded.honoredRetries > 0)
+	r.check("hot-advertisement replication rebalanced at least one advertisement", loaded.replications > 0)
+	r.check("rate-bound fairness: Jain over bronze admitted/entitlement ≥ 0.9", fair.fairness >= 0.9)
+	r.check("same-seed rerun byte-identical", loaded.digest == rerun.digest)
+	r.check("ablation (admission disabled) leaves every answer unchanged", enabledCalm.answers == ablation.answers)
+	r.check("no goroutine leak across the soak", goroutineLeak <= 2)
 	return r
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 
@@ -15,40 +14,20 @@ func init() {
 	register("recover", "CLAIM-RECOVER: mid-flight subplan migration vs full restart — checkpointed recovery (§2.4/§2.5)", claimRecover)
 }
 
-// recoverBench is the machine-readable artifact (BENCH_PR4.json).
-type recoverBench struct {
-	Seed       int64             `json:"seed"`
-	Controlled []recoverModeRun  `json:"controlled"`
-	Sweep      recoverSweepPoint `json:"sweepAt10pct"`
-}
-
 // recoverModeRun is one controlled-scenario pass in one recovery mode.
 type recoverModeRun struct {
-	Mode             string `json:"mode"` // "migrate" or "restart"
-	AnswerRows       int    `json:"answerRows"`
-	AnswerDigest     string `json:"answerDigest"`
-	Migrations       int    `json:"migrations"`
-	Replans          int    `json:"replans"`
-	Retries          int    `json:"retries"`
-	RowsFetched      int    `json:"rowsFetched"`      // all completed remote fetches
-	RowsFetchedFinal int    `json:"rowsFetchedFinal"` // fetches feeding the final answer
-	RowsRefetched    int    `json:"rowsRefetched"`
-	RowsRetained     int    `json:"rowsRetained"`
-	RowsDiscarded    int    `json:"rowsDiscarded"`
-	DuplicateFetches int    `json:"duplicateFetches"` // same (site, patterns) completed twice
-}
-
-// recoverSweepPoint compares both modes over the PR-2 stochastic fault
-// schedule at one rate.
-type recoverSweepPoint struct {
-	Rate               float64 `json:"faultRate"`
-	MigrateRefetched   int     `json:"migrateRefetched"`
-	RestartRefetched   int     `json:"restartRefetched"`
-	MigrateMigrations  int     `json:"migrateMigrations"`
-	RestartReplans     int     `json:"restartReplans"`
-	MigrateSuccessRate float64 `json:"migrateSuccessRate"`
-	RestartSuccessRate float64 `json:"restartSuccessRate"`
-	Deterministic      bool    `json:"deterministic"`
+	Mode             string // "migrate" or "restart"
+	AnswerRows       int
+	AnswerDigest     string
+	Migrations       int
+	Replans          int
+	Retries          int
+	RowsFetched      int // all completed remote fetches
+	RowsFetchedFinal int // fetches feeding the final answer
+	RowsRefetched    int
+	RowsRetained     int
+	RowsDiscarded    int
+	DuplicateFetches int // same (site, patterns) completed twice
 }
 
 // runRecoverControlled executes the controlled scenario in one recovery
@@ -129,15 +108,13 @@ func claimRecover() *Report {
 		rounds = 30
 		rate   = 0.1
 	)
-	bench := recoverBench{Seed: seed}
 
 	// Part A: controlled mid-stream crash, migration vs restart ablation.
 	mig := runRecoverControlled("migrate", 0)
 	rst := runRecoverControlled("restart", exec.NoMigrations)
-	bench.Controlled = []recoverModeRun{mig, rst}
 	r.linef("  controlled crash (P4 dies after 1 of 3 result rows):")
 	r.linef("  %-8s %6s %6s %8s %8s %10s %10s %8s", "mode", "rows", "migr", "replans", "fetched", "refetched", "retained", "dupes")
-	for _, m := range bench.Controlled {
+	for _, m := range []recoverModeRun{mig, rst} {
 		r.linef("  %-8s %6d %6d %8d %8d %10d %10d %8d",
 			m.Mode, m.AnswerRows, m.Migrations, m.Replans, m.RowsFetched,
 			m.RowsRefetched, m.RowsRetained, m.DuplicateFetches)
@@ -158,38 +135,20 @@ func claimRecover() *Report {
 	migRerun := runFaultPoint(seed, rounds, rate, 0)
 	rstRun := runFaultPoint(seed, rounds, rate, exec.NoMigrations)
 	rstRerun := runFaultPoint(seed, rounds, rate, exec.NoMigrations)
-	pt := recoverSweepPoint{
-		Rate:              rate,
-		MigrateRefetched:  migRun.refetched,
-		RestartRefetched:  rstRun.refetched,
-		MigrateMigrations: migRun.migrations,
-		RestartReplans:    rstRun.replans,
-		MigrateSuccessRate: float64(migRun.full+migRun.partial) /
-			float64(rounds),
-		RestartSuccessRate: float64(rstRun.full+rstRun.partial) /
-			float64(rounds),
-		Deterministic: migRun.digest == migRerun.digest && rstRun.digest == rstRerun.digest,
-	}
-	bench.Sweep = pt
+	migSuccess := migRun.successRate(rounds)
+	rstSuccess := rstRun.successRate(rounds)
 	r.linef("  stochastic sweep at %.0f%% fault rate, %d rounds:", rate*100, rounds)
 	r.linef("  migrate: refetched=%d migrations=%d replans=%d success=%.0f%%",
-		migRun.refetched, migRun.migrations, migRun.replans, pt.MigrateSuccessRate*100)
+		migRun.refetched, migRun.migrations, migRun.replans, migSuccess*100)
 	r.linef("  restart: refetched=%d migrations=%d replans=%d success=%.0f%%",
-		rstRun.refetched, rstRun.migrations, rstRun.replans, pt.RestartSuccessRate*100)
+		rstRun.refetched, rstRun.migrations, rstRun.replans, rstSuccess*100)
 	r.check("(c) migration re-fetches strictly fewer rows than restart at 10% fault rate",
-		pt.MigrateRefetched < pt.RestartRefetched)
+		migRun.refetched < rstRun.refetched)
 	r.check("migration machinery exercised under the stochastic schedule",
 		migRun.migrations > 0)
 	r.check("ablation performs no migrations", rstRun.migrations == 0)
-	r.check("same-seed reruns byte-identical in both modes", pt.Deterministic)
-	r.check("migration does not hurt completion rate",
-		pt.MigrateSuccessRate >= pt.RestartSuccessRate)
-
-	if blob, err := json.MarshalIndent(bench, "", "  "); err == nil {
-		r.ArtifactName = "BENCH_PR4.json"
-		r.ArtifactJSON = append(blob, '\n')
-	} else {
-		r.check("marshal BENCH_PR4.json", false)
-	}
+	r.check("same-seed reruns byte-identical in both modes",
+		migRun.digest == migRerun.digest && rstRun.digest == rstRerun.digest)
+	r.check("migration does not hurt completion rate", migSuccess >= rstSuccess)
 	return r
 }

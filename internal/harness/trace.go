@@ -84,23 +84,6 @@ func untracedAsk(pairs int) (network.Counters, string) {
 	return net.Counters(), fmt.Sprintf("%016x", h.Sum64())
 }
 
-// traceBench is the machine-readable artifact (BENCH_PR5.json).
-type traceBench struct {
-	Seedless        bool             `json:"seedless"` // scenario is fully deterministic, no RNG involved
-	Pairs           int              `json:"pairs"`
-	Spans           int              `json:"spans"`
-	RemoteSpans     int              `json:"remoteSpans"`
-	EndToEndMS      float64          `json:"endToEndMs"`
-	Attribution     *obs.Attribution `json:"attribution"`
-	UntracedBytes   int              `json:"untracedBytes"`
-	TracedBytes     int              `json:"tracedBytes"`
-	BytesOverhead   float64          `json:"bytesOverheadPct"`
-	UntracedMS      float64          `json:"untracedSimulatedMs"`
-	TracedMS        float64          `json:"tracedSimulatedMs"`
-	LatencyOverhead float64          `json:"latencyOverheadPct"`
-	MetricRows      int              `json:"metricRows"`
-}
-
 // claimTrace validates the observability layer end to end.
 //
 // (a) Determinism: two fresh same-scenario runs export byte-identical
@@ -190,21 +173,6 @@ func claimTrace() *Report {
 		len(snap), statsReceived, rowsShipped)
 	r.check("(e) one registry serves exec, channel and stats-arrival counters",
 		len(snap) > 20 && statsReceived > 0 && rowsShipped > 0)
-
-	bench := traceBench{
-		Seedless: true, Pairs: pairs,
-		Spans: len(layout), RemoteSpans: remoteSpans,
-		EndToEndMS: tr.Root().TotalMS(), Attribution: att,
-		UntracedBytes: cu.Bytes, TracedBytes: c1.Bytes, BytesOverhead: bytesOverhead,
-		UntracedMS: cu.SimulatedMS, TracedMS: c1.SimulatedMS, LatencyOverhead: latOverhead,
-		MetricRows: len(snap),
-	}
-	if blob, err := json.MarshalIndent(bench, "", "  "); err == nil {
-		r.ArtifactName = "BENCH_PR5.json"
-		r.ArtifactJSON = append(blob, '\n')
-	} else {
-		r.check("marshal BENCH_PR5.json", false)
-	}
 	return r
 }
 

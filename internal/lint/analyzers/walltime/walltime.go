@@ -4,9 +4,9 @@
 // (network.Counters.SimulatedMS, CallWithin deadlines), so a stray
 // time.Now or time.Sleep makes same-seed reruns diverge and couples
 // results to host load. The two legitimate exceptions — the
-// network.SetRealLatency sleep shim and the harness wall-clock
-// throughput reporting — carry //lint:allow walltime directives at their
-// single definition sites.
+// network.SetRealLatency sleep shim and the debugsrv uptime shim
+// (operator-facing wall time that never feeds results) — carry
+// //lint:allow walltime directives at their definition sites.
 package walltime
 
 import (
@@ -47,7 +47,7 @@ func run(pass *analysis.Pass) (any, error) {
 			fn := analysis.FuncOf(pass.TypesInfo, sel)
 			if analysis.PkgFunc(fn, "time") && forbidden[fn.Name()] {
 				pass.Reportf(sel.Pos(),
-					"wall-clock time.%s is forbidden here: charge the logical clock (network SimulatedMS / CallWithin) or route through harness.Clock", fn.Name())
+					"wall-clock time.%s is forbidden here: charge the logical clock (network SimulatedMS / CallWithin) or use an allowlisted shim (network.SetRealLatency, the debugsrv uptime shim)", fn.Name())
 			}
 			return true
 		})
