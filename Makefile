@@ -1,5 +1,6 @@
-# Developer entry points. `make check` is the gate the CI (and every PR)
-# must pass: vet plus the full suite under the race detector.
+# Developer entry points. `make check` is the local gate every PR must
+# pass: vet and the analyzers plus the full suite under the race
+# detector. CI runs the same two halves as its lint and test jobs.
 
 GO ?= go
 

@@ -98,8 +98,7 @@ func (o *opsPlane) configure(cfg peer.Config) peer.Config {
 		return cfg
 	}
 	cfg.Obs, cfg.Events, cfg.Tracer = o.reg, o.events, o.tracer
-	rc := obs.DefaultRecorderConfig()
-	cfg.FlightRec = &rc
+	cfg.FlightRec = true
 	return cfg
 }
 

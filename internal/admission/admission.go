@@ -63,6 +63,16 @@ type QoS struct {
 	Priority Priority
 }
 
+// watermarks scale MaxConcurrent per priority: work of class p is
+// admitted while occupancy < watermarks[p]*MaxConcurrent, and in-flight
+// work of class p is shed once occupancy exceeds that line. High's is 1,
+// so High is never shed.
+var watermarks = [numPriorities]float64{Low: 0.5, Normal: 0.8, High: 1}
+
+// retryHintMS is the retry-after suggested on occupancy rejections when
+// no lease expiry is available to derive one.
+const retryHintMS = 10
+
 // Config parameterizes a Controller.
 type Config struct {
 	// RatePerSec is each tenant bucket's refill rate in admissions per
@@ -72,14 +82,9 @@ type Config struct {
 	// Defaults to 1 when RatePerSec > 0.
 	Burst float64
 	// MaxConcurrent caps simultaneously admitted work at this peer.
-	// 0 disables occupancy limiting (rate only).
+	// 0 disables occupancy limiting (rate only). Each priority class
+	// sees it scaled by its watermark.
 	MaxConcurrent int
-	// Watermarks scale MaxConcurrent per priority: work of class p is
-	// admitted while occupancy < Watermarks[p]*MaxConcurrent, and
-	// in-flight work of class p is shed once occupancy exceeds that
-	// line. Zero entries default to {Low: 0.5, Normal: 0.8, High: 1}.
-	// High's watermark is always forced to 1 so High is never shed.
-	Watermarks [numPriorities]float64
 	// HoldMS, when > 0, makes every admission occupy its slot for a
 	// fixed lease on the logical clock instead of until Done — the
 	// deterministic mode used by the overload experiment, where queries
@@ -90,9 +95,6 @@ type Config struct {
 	// network.Network.NowMS or a harness round counter). Nil means a
 	// clock stuck at 0: buckets never refill past their initial Burst.
 	Clock func() float64
-	// RetryHintMS is the retry-after suggested on occupancy rejections
-	// when no lease expiry is available to derive one. Defaults to 10.
-	RetryHintMS float64
 	// Disabled turns the controller into a pass-through that still
 	// counts admissions (the ablation mode): everything is admitted,
 	// nothing is rejected or shed.
@@ -140,18 +142,8 @@ func NewController(cfg Config) *Controller {
 	if cfg.RatePerSec > 0 && cfg.Burst <= 0 {
 		cfg.Burst = 1
 	}
-	def := [numPriorities]float64{Low: 0.5, Normal: 0.8, High: 1}
-	for p := range cfg.Watermarks {
-		if cfg.Watermarks[p] <= 0 || cfg.Watermarks[p] > 1 {
-			cfg.Watermarks[p] = def[p]
-		}
-	}
-	cfg.Watermarks[High] = 1
 	if cfg.Clock == nil {
 		cfg.Clock = func() float64 { return 0 }
-	}
-	if cfg.RetryHintMS <= 0 {
-		cfg.RetryHintMS = 10
 	}
 	return &Controller{
 		cfg:     cfg,
@@ -202,7 +194,7 @@ func (c *Controller) limit(p Priority) int {
 	if p >= numPriorities {
 		p = numPriorities - 1
 	}
-	n := int(c.cfg.Watermarks[p] * float64(c.cfg.MaxConcurrent))
+	n := int(watermarks[p] * float64(c.cfg.MaxConcurrent))
 	if n < 1 {
 		n = 1
 	}
@@ -422,7 +414,7 @@ func (c *Controller) rejectLocked(q QoS, scope, reason string, now, deadlineMS f
 		}
 	}
 	if after <= 0 {
-		after = c.cfg.RetryHintMS
+		after = retryHintMS
 	}
 	return newOverload(q, scope, reason, after, deadlineMS > 0 && after >= deadlineMS)
 }

@@ -133,8 +133,7 @@ func TestWatermarksRejectAndShedByPriority(t *testing.T) {
 
 func TestLeaseModeExpiresOnClock(t *testing.T) {
 	clk := &stepClock{}
-	c := NewController(Config{MaxConcurrent: 2, HoldMS: 50, Clock: clk.now,
-		Watermarks: [3]float64{1, 1, 1}})
+	c := NewController(Config{MaxConcurrent: 2, HoldMS: 50, Clock: clk.now})
 	q := QoS{Tenant: "t", Priority: High}
 	if err := c.AdmitWork(q); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func TestEndpoints(t *testing.T) {
 	reg.Counter("exec_shed_total", obs.L("peer", "P0")).Add(4)
 	reg.Histogram("peer_query_latency_ms", obs.L("peer", "P0")).Observe(12)
 	log := obs.NewEventLog(func() float64 { return 1 })
-	fr := obs.NewFlightRecorder("P0", obs.DefaultRecorderConfig())
+	fr := obs.NewFlightRecorder("P0")
 	log.AddSink(fr.Observe)
 	log.Emit("exec", "shed", "P0", "T1")
 	slo := obs.NewSLOEvaluator(reg, func() float64 { return 1 }, nil)

@@ -173,17 +173,14 @@ func TestNonBatchResultsPacketFails(t *testing.T) {
 }
 
 // TestBackpressureWindowBoundsStream sanity-checks the windowed streamer
-// on a result far larger than the window: many frames, tiny window, and
-// the answer still arrives complete and exactly once.
+// on a result far larger than its four-frame window: one frame per row,
+// and the answer still arrives complete and exactly once.
 func TestBackpressureWindowBoundsStream(t *testing.T) {
 	peers, _ := paperSystem(t, 8)
 	p1 := peers["P1"]
 	p1.Engine.Parallelism = 1
-	p1.Engine.BatchSize = 1 // one frame per row: stream length >> window
-	p1.Engine.WindowSize = 2
 	for _, p := range peers {
-		p.Engine.BatchSize = 1
-		p.Engine.WindowSize = 2
+		p.Engine.BatchSize = 1 // one frame per row: stream length >> window
 	}
 	pr, err := p1.PlanQuery(gen.PaperQuery())
 	if err != nil {

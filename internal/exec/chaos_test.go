@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"sqpeer/internal/exec"
 	"sqpeer/internal/faults"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/pattern"
@@ -19,17 +18,17 @@ import (
 // patterns itself, so every query must complete despite the chaos: via
 // subplan migration, retry, quarantine-aware replanning, or in the worst
 // case a plan collapsed onto P1 alone. The soak runs once per recovery
-// mode — the default migrating engine and the NoMigrations full-restart
+// mode — the default migrating engine and the DisableMigration full-restart
 // ablation — so both recovery paths stay exercised under -race. A
 // watchdog bounds each round so a wedged dispatch fails the test instead
 // of hanging it, and goroutine counts are compared before/after to catch
 // leaks.
 func TestChaosSoak(t *testing.T) {
-	t.Run("migrate", func(t *testing.T) { chaosSoak(t, 0) })
-	t.Run("restart", func(t *testing.T) { chaosSoak(t, exec.NoMigrations) })
+	t.Run("migrate", func(t *testing.T) { chaosSoak(t, false) })
+	t.Run("restart", func(t *testing.T) { chaosSoak(t, true) })
 }
 
-func chaosSoak(t *testing.T, maxMigrations int) {
+func chaosSoak(t *testing.T, restart bool) {
 	const (
 		seed       = 20240805
 		rounds     = 25
@@ -40,7 +39,7 @@ func chaosSoak(t *testing.T, maxMigrations int) {
 	p1.Engine.DeadlineMS = 200
 	p1.Channels.DeadlineMS = 200
 	p1.Engine.MaxRetries = 2
-	p1.Engine.MaxMigrations = maxMigrations
+	p1.Engine.DisableMigration = restart
 	p1.Engine.Health = routing.NewHealth(p1.Registry)
 
 	inj := faults.NewInjector(seed, faults.Rates{
@@ -102,8 +101,8 @@ func chaosSoak(t *testing.T, maxMigrations int) {
 	if m.Retries+m.Migrations+m.Replans == 0 {
 		t.Error("soak exercised no recovery machinery; fault schedule is vacuous")
 	}
-	if maxMigrations == exec.NoMigrations && m.Migrations != 0 {
-		t.Errorf("NoMigrations ablation still migrated %d times", m.Migrations)
+	if restart && m.Migrations != 0 {
+		t.Errorf("DisableMigration ablation still migrated %d times", m.Migrations)
 	}
 
 	// Goroutine accounting: executions join their branch goroutines

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sqpeer/internal/admission"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/peer"
 )
@@ -17,7 +18,8 @@ func TestCompletenessMergeMixedBranches(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Parallelism: 1, MaxRetries: 1, AllowPartial: true, Quarantine: true,
+		Options:    exec.Options{Parallelism: 1, MaxRetries: 1, AllowPartial: true},
+		Quarantine: true,
 	}, net)
 	if err != nil {
 		t.Fatalf("peer.New(P0): %v", err)
@@ -71,7 +73,8 @@ func TestCompletenessShedBranchesSortedDeduped(t *testing.T) {
 	ctl := admission.NewController(admission.Config{MaxConcurrent: 4, HoldMS: 1000})
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Parallelism: 1, AllowPartial: true, Admission: ctl,
+		Options:   exec.Options{Parallelism: 1, AllowPartial: true},
+		Admission: ctl,
 	}, net)
 	if err != nil {
 		t.Fatalf("peer.New(P0): %v", err)

@@ -86,61 +86,32 @@ func (e *HoleError) Error() string {
 	return fmt.Sprintf("exec: plan has unresolved holes for %v", e.PatternIDs)
 }
 
-// Engine executes distributed plans at one peer. The same engine serves
-// both roles: root of its own queries, and remote evaluator of subplans
-// shipped by other peers (registered under the "exec.subplan" and
-// "exec.collect" message kinds).
-type Engine struct {
-	// Self is the peer this engine runs at.
-	Self pattern.PeerID
-	// Net is the transport.
-	Net *network.Network
-	// Channels is the peer's channel manager.
-	Channels *channel.Manager
-	// Local evaluates scans against the peer's base.
-	Local LocalSource
-	// Policy places joins; HybridShipping consults Cost.
+// Options are the executor's settings: join placement plus the
+// run-time adaptation choices of §2.5 (retry, migrate, answer
+// partially). peer.Config embeds the same struct, so a peer hands its
+// settings to its engine in one assignment. Every zero value is the
+// default: data shipping, GOMAXPROCS branches, no deadline, no
+// retries, no partial answers, 256-row frames, migration on.
+type Options struct {
+	// Policy places joins; HybridShipping consults Engine.Cost.
 	Policy optimizer.ShippingPolicy
-	// Cost estimates placements for HybridShipping; nil forces
-	// DataShipping behaviour.
-	Cost *optimizer.CostModel
-	// Router, when set, enables run-time adaptation: on peer failure the
-	// engine replans around the obsolete peer and restarts (ubQL
-	// discard).
-	Router *routing.Router
-	// MaxReplans bounds adaptation retries. The zero value keeps the
-	// historical default of 3; NoReplans (any negative value) disables
-	// adaptation entirely — including mid-flight migration, which is part
-	// of run-time adaptation.
-	MaxReplans int
-	// MaxMigrations bounds mid-flight subplan migrations per execution
-	// round. The zero value defaults to 3; NoMigrations (any negative
-	// value) disables migration so every peer failure takes the legacy
-	// discard-replan-restart path — the ablation CLAIM-RECOVER compares
-	// against.
-	MaxMigrations int
+	// Parallelism bounds how many plan branches one Execute evaluates
+	// concurrently (horizontal distribution, §2.4: per-path-pattern unions
+	// over peers are independent). 0 or negative means GOMAXPROCS; 1
+	// recovers strictly sequential evaluation. Results are deterministic
+	// regardless of the setting: branches are collected per input and
+	// merged in input order.
+	Parallelism int
 	// DeadlineMS, when positive, bounds each dispatch leg on the simulated
 	// clock: a delivery slower than this (hung or gray-failed peer) fails
 	// with a transient error instead of wedging a pool token. Channel
 	// opens are bounded separately via Channels.DeadlineMS.
 	DeadlineMS float64
 	// MaxRetries is how many times a transiently-failed dispatch is
-	// retried (with exponential backoff) before the peer is declared
-	// obsolete and replanned around. 0 — the historical behaviour —
-	// disables retries.
+	// retried (with exponential backoff from retryBackoffMS) before the
+	// peer is declared obsolete and replanned around. 0 — the historical
+	// behaviour — disables retries.
 	MaxRetries int
-	// RetryBackoffMS is the initial retry backoff, doubling per retry
-	// (default 10). Backoff is charged to the metrics' logical clock, not
-	// slept: the simulated network keeps experiments deterministic.
-	RetryBackoffMS float64
-	// Health, when set, receives per-peer dispatch outcomes and replaces
-	// Unregister-on-failure with circuit-breaker quarantine: failed peers
-	// leave routing for a cool-down instead of being forgotten.
-	Health *routing.Health
-	// Throughput, when set, is the paper's run-time adaptation trigger:
-	// the engine tracks per-peer row rates during collection and, after a
-	// completed round, replans around peers the monitor flags.
-	Throughput *optimizer.ThroughputMonitor
 	// AllowPartial opts into graceful degradation: when replanning leaves
 	// unresolved holes, the engine prunes them, executes the answerable
 	// remainder, and returns the rows with a Completeness annotation
@@ -150,11 +121,62 @@ type Engine struct {
 	// shipped subplans (default 256). Smaller batches mean more packets —
 	// the ubQL streaming the throughput monitor observes.
 	BatchSize int
-	// WindowSize bounds the in-flight encode window when streaming
-	// batches upstream (default 4): the encoder goroutine blocks once
-	// this many frames are encoded but unsent, so a slow channel applies
-	// backpressure instead of buffering the whole result.
-	WindowSize int
+	// DisableMigration turns mid-flight subplan migration off, so every
+	// peer failure takes the legacy discard-replan-restart path — the
+	// ablation CLAIM-RECOVER compares against. The zero value migrates
+	// up to maxMigrations subtrees per execution round.
+	DisableMigration bool
+}
+
+// Fixed executor constants; none is a setting.
+const (
+	// maxReplans bounds the whole-plan adaptation rounds of one
+	// ExecuteAnnotated call.
+	maxReplans = 3
+	// maxMigrations bounds mid-flight subplan migrations per round.
+	maxMigrations = 3
+	// retryBackoffMS is the first retry's backoff, doubling per retry.
+	// Backoff is charged to the metrics' logical clock, not slept: the
+	// simulated network keeps experiments deterministic.
+	retryBackoffMS = 10
+	// defaultBatchSize is the Results frame size when BatchSize is 0.
+	defaultBatchSize = 256
+	// streamWindow bounds the encoded-but-unsent frames when streaming
+	// batches upstream: the encoder blocks once this many wait, so a slow
+	// channel applies backpressure instead of buffering the whole result.
+	streamWindow = 4
+)
+
+// Engine executes distributed plans at one peer. The same engine serves
+// both roles: root of its own queries, and remote evaluator of subplans
+// shipped by other peers (registered under the "exec.subplan" and
+// "exec.collect" message kinds).
+type Engine struct {
+	// Options are the engine's settings.
+	Options
+	// Self is the peer this engine runs at.
+	Self pattern.PeerID
+	// Net is the transport.
+	Net *network.Network
+	// Channels is the peer's channel manager.
+	Channels *channel.Manager
+	// Local evaluates scans against the peer's base.
+	Local LocalSource
+	// Cost estimates placements for HybridShipping; nil forces
+	// DataShipping behaviour.
+	Cost *optimizer.CostModel
+	// Router, when set, enables run-time adaptation: on peer failure the
+	// engine migrates the failed subtree or replans around the obsolete
+	// peer and restarts (ubQL discard), up to maxReplans times.
+	Router *routing.Router
+	// Health, when set, receives per-peer dispatch outcomes and replaces
+	// Unregister-on-failure with circuit-breaker quarantine: failed peers
+	// leave routing for a cool-down instead of being forgotten.
+	Health *routing.Health
+	// Throughput, when set, is the paper's run-time adaptation trigger:
+	// the engine tracks per-peer row rates during collection and, after a
+	// completed round, replans around peers the monitor flags.
+	Throughput *optimizer.ThroughputMonitor
 	// StatsProvider, when set, supplies this peer's current statistics,
 	// piggybacked as a Stats packet on every answered subplan (paper
 	// §2.4: packets "can also contain ... statistics useful for query
@@ -163,15 +185,8 @@ type Engine struct {
 	// StatsSink, when set, receives statistics arriving on channels this
 	// engine roots, keeping the local catalog fresh.
 	StatsSink func(*stats.PeerStats)
-	// Parallelism bounds how many plan branches one Execute evaluates
-	// concurrently (horizontal distribution, §2.4: per-path-pattern unions
-	// over peers are independent). 0 or negative means GOMAXPROCS; 1
-	// recovers strictly sequential evaluation. Results are deterministic
-	// regardless of the setting: branches are collected per input and
-	// merged in input order.
-	Parallelism int
 	// Tracer, when set, opens a query trace per Execute call (unless the
-	// caller supplies a parent span via ExecuteAnnotatedIn): spans for
+	// caller supplies a parent span via ExecuteAnnotatedQoS): spans for
 	// every phase, with trace IDs propagated to remote evaluators in the
 	// subplan request so their execution grafts back into the root's
 	// trace. Nil disables tracing at zero cost — all span operations are
@@ -205,33 +220,6 @@ type Engine struct {
 	// ExecuteAnnotated call: one entry per finished dispatch, recording
 	// site, rows and the channel watermark at completion.
 	lastLedger []LedgerEntry
-}
-
-// NoReplans disables run-time adaptation when assigned to
-// Engine.MaxReplans (the zero value means "default", i.e. 3).
-const NoReplans = -1
-
-// NoMigrations disables mid-flight subplan migration when assigned to
-// Engine.MaxMigrations (the zero value means "default", i.e. 3). With
-// migration off every peer failure falls back to the legacy full
-// restart, which is the CLAIM-RECOVER ablation.
-const NoMigrations = -1
-
-// maxMigrations resolves the migration budget: zero keeps the default,
-// NoMigrations (negative) disables migration. Migration is part of
-// run-time adaptation, so NoReplans turns it off too.
-func (e *Engine) maxMigrations() int {
-	if e.MaxReplans < 0 {
-		return 0
-	}
-	switch {
-	case e.MaxMigrations > 0:
-		return e.MaxMigrations
-	case e.MaxMigrations < 0:
-		return 0
-	default:
-		return 3
-	}
 }
 
 // parallelism resolves the engine's effective branch parallelism.
@@ -298,6 +286,30 @@ type Metrics struct {
 	// RetryAfterHonored counts retries that waited the destination's
 	// retry-after hint instead of the default doubling backoff curve.
 	RetryAfterHonored int
+}
+
+// add folds o's counters into m field by field (a serving engine folds
+// each nested execution this way).
+func (m *Metrics) add(o Metrics) {
+	m.ChannelsOpened += o.ChannelsOpened
+	m.SubplansShipped += o.SubplansShipped
+	m.RowsShipped += o.RowsShipped
+	m.BytesShipped += o.BytesShipped
+	m.Replans += o.Replans
+	m.LocalScans += o.LocalScans
+	m.Retries += o.Retries
+	m.BackoffMS += o.BackoffMS
+	m.PartialAnswers += o.PartialAnswers
+	m.Migrations += o.Migrations
+	m.HolesFilled += o.HolesFilled
+	m.PlanChanges += o.PlanChanges
+	m.Resumes += o.Resumes
+	m.RowsRetained += o.RowsRetained
+	m.RowsRefetched += o.RowsRefetched
+	m.RowsDiscarded += o.RowsDiscarded
+	m.Shed += o.Shed
+	m.OverloadRejected += o.OverloadRejected
+	m.RetryAfterHonored += o.RetryAfterHonored
 }
 
 // LedgerEntry is one finished dispatch in the executor's per-leaf row
@@ -372,7 +384,6 @@ func NewEngine(self pattern.PeerID, net *network.Network, ch *channel.Manager, l
 		Net:      net,
 		Channels: ch,
 		Local:    local,
-		Policy:   optimizer.DataShipping,
 	}
 	net.Handle(self, "exec.subplan", e.handleSubplan)
 	return e
@@ -423,7 +434,7 @@ type Result struct {
 // Execute runs a distributed plan rooted at this peer and returns the
 // final result set, applying the query pattern's projections. Plans with
 // holes are rejected with *HoleError (unless AllowPartial). With a Router
-// configured, peer failures trigger replanning (up to MaxReplans) before
+// configured, peer failures trigger replanning (up to maxReplans) before
 // surfacing as *PeerFailure. Callers that opted into AllowPartial and
 // need the completeness annotation use ExecuteAnnotated; this wrapper
 // returns the rows alone.
@@ -435,19 +446,6 @@ func (e *Engine) Execute(p *plan.Plan) (*rql.ResultSet, error) {
 	return res.Rows, nil
 }
 
-// maxReplans resolves the adaptation budget: zero keeps the historical
-// default, NoReplans (negative) disables adaptation.
-func (e *Engine) maxReplans() int {
-	switch {
-	case e.MaxReplans > 0:
-		return e.MaxReplans
-	case e.MaxReplans < 0:
-		return 0
-	default:
-		return 3
-	}
-}
-
 // ExecuteAnnotated is Execute returning the completeness annotation: the
 // adaptation loop of §2.5 with retry/backoff underneath it (transient
 // dispatch failures retry before a peer is declared obsolete), the
@@ -455,21 +453,16 @@ func (e *Engine) maxReplans() int {
 // hole pruning instead of failure when replanning cannot cover every
 // pattern.
 func (e *Engine) ExecuteAnnotated(p *plan.Plan) (*Result, error) {
-	return e.ExecuteAnnotatedIn(p, nil)
+	return e.ExecuteAnnotatedQoS(p, nil, admission.QoS{})
 }
 
-// ExecuteAnnotatedIn is ExecuteAnnotated under a caller-supplied trace
-// span (the peer layer passes its query span so routing, planning and
-// execution share one trace). With a nil span and a configured Tracer,
-// the engine opens a standalone trace for the call.
-func (e *Engine) ExecuteAnnotatedIn(p *plan.Plan, span *obs.Span) (*Result, error) {
-	return e.ExecuteAnnotatedQoS(p, span, admission.QoS{})
-}
-
-// ExecuteAnnotatedQoS is ExecuteAnnotatedIn under an explicit QoS: the
-// tenant and priority ride every channel open and subplan request this
-// execution ships, so serving peers admit (or shed) the work under the
-// same class the root charged at its facade. The zero QoS is an
+// ExecuteAnnotatedQoS is ExecuteAnnotated under a caller-supplied trace
+// span and an explicit QoS. The peer layer passes its query span so
+// routing, planning and execution share one trace; with a nil span and a
+// configured Tracer, the engine opens a standalone trace for the call.
+// The tenant and priority ride every channel open and subplan request
+// this execution ships, so serving peers admit (or shed) the work under
+// the same class the root charged at its facade. The zero QoS is an
 // untagged Low-priority query — indistinguishable from the historical
 // behaviour unless an admission controller is configured somewhere.
 func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission.QoS) (*Result, error) {
@@ -478,7 +471,6 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 		span = tr.Root()
 		defer span.End()
 	}
-	maxReplans := e.maxReplans()
 	current := p
 	var unanswered []Unanswered
 	unansweredSeen := map[string]bool{}
@@ -719,7 +711,7 @@ type execution struct {
 	// the rest wait on its entry.
 	cache map[string]*cacheEntry
 	// migrations counts mid-flight subplan migrations this round, bounded
-	// by Engine.maxMigrations().
+	// by maxMigrations.
 	migrations int
 	// completedRows sums rows delivered by completed dispatches this
 	// round — the sibling work a migration retains.
@@ -1355,7 +1347,7 @@ func (ex *execution) shedSubplan(site pattern.PeerID, n plan.Node, sp *obs.Span)
 // acyclic no matter how concurrent migrations interleave.
 func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql.Batch, bool, error) {
 	e := ex.engine
-	if e.Router == nil || ex.cancelled() || e.maxMigrations() == 0 {
+	if e.Router == nil || ex.cancelled() || e.DisableMigration {
 		return nil, false, nil
 	}
 	// The same quarantine the restart path applies, so migration and
@@ -1380,7 +1372,7 @@ func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) 
 		return nil, false, nil
 	}
 	ex.mu.Lock()
-	if ex.migrations >= e.maxMigrations() {
+	if ex.migrations >= maxMigrations {
 		ex.mu.Unlock()
 		return nil, false, nil
 	}
@@ -1425,10 +1417,7 @@ func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) 
 // invalid" discards it and re-streams from scratch.
 func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.Span) (*rql.Batch, error) {
 	e := ex.engine
-	backoff := e.RetryBackoffMS
-	if backoff <= 0 {
-		backoff = 10
-	}
+	backoff := float64(retryBackoffMS)
 	var partial *rql.Batch // checkpointed rows from failed attempts
 	checkpoint := 0        // contiguous row prefix already delivered
 	resumed := false
@@ -1864,16 +1853,16 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	if rsp != nil {
 		e.Channels.BindTrace(req.ChannelID, req.TraceID, req.SpanID)
 	}
-	// Execute with this peer as root and data-shipping placement, so the
-	// shipped join runs here (terminating the recursion).
+	// Execute with this peer as root under its own options, but with
+	// data-shipping placement, so the shipped join runs here (terminating
+	// the recursion).
+	opts := e.Options
+	opts.Policy = optimizer.DataShipping
 	local := &Engine{
-		Self: e.Self, Net: e.Net, Channels: e.Channels, Local: e.Local,
-		Policy:        optimizer.DataShipping,
+		Options: opts,
+		Self:    e.Self, Net: e.Net, Channels: e.Channels, Local: e.Local,
 		StatsProvider: e.StatsProvider,
 		StatsSink:     e.StatsSink,
-		Parallelism:   e.Parallelism,
-		BatchSize:     e.BatchSize,
-		WindowSize:    e.WindowSize,
 		Obs:           e.Obs,
 		Events:        e.Events,
 	}
@@ -1889,10 +1878,9 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		}
 	}
 	// Fold the nested execution's metrics into the serving engine's.
+	nested := local.Metrics()
 	e.mu.Lock()
-	e.metrics.LocalScans += local.metrics.LocalScans
-	e.metrics.SubplansShipped += local.metrics.SubplansShipped
-	e.metrics.ChannelsOpened += local.metrics.ChannelsOpened
+	e.metrics.add(nested)
 	e.mu.Unlock()
 	if err != nil {
 		if len(traceRec) > 0 {
@@ -1909,15 +1897,6 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		return nil, err
 	}
 	return []byte("ok"), nil
-}
-
-// windowSize resolves the streaming in-flight window (encoded-but-unsent
-// frames the encoder may run ahead by).
-func (e *Engine) windowSize() int {
-	if e.WindowSize > 0 {
-		return e.WindowSize
-	}
-	return 4
 }
 
 // wireFrame is one encoded Results frame awaiting its send slot.
@@ -1939,7 +1918,7 @@ type wireFrame struct {
 //
 // Encoding is pipelined with backpressure: a producer goroutine slices
 // and encodes ahead of the sender through a channel holding at most
-// windowSize() frames, so a slow (or high-latency) channel bounds how
+// streamWindow frames, so a slow (or high-latency) channel bounds how
 // much encoded-but-unsent data exists at any moment instead of the whole
 // result being materialized on the wire at once. The first send error
 // stops the producer via the abort channel; remaining frames are drained
@@ -1947,7 +1926,7 @@ type wireFrame struct {
 func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int, traceRec []byte) error {
 	batch := e.BatchSize
 	if batch <= 0 {
-		batch = 256
+		batch = defaultBatchSize
 	}
 	start0 := 0
 	if resumeFrom > 0 {
@@ -1967,7 +1946,7 @@ func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int
 			return err
 		}
 	}
-	frames := make(chan wireFrame, e.windowSize())
+	frames := make(chan wireFrame, streamWindow)
 	abort := make(chan struct{})
 	go func() {
 		defer close(frames)

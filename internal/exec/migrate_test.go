@@ -63,17 +63,17 @@ func TestMigrationRecoversFailedSubtree(t *testing.T) {
 	}
 }
 
-// The MaxMigrations=NoMigrations ablation restores the legacy behavior:
-// the same mid-stream crash goes through discard-replan-restart, yields
-// the identical answer, and re-fetches strictly more rows than migration.
+// The DisableMigration ablation restores the legacy behavior: the same
+// mid-stream crash goes through discard-replan-restart, yields the
+// identical answer, and re-fetches strictly more rows than migration.
 func TestMigrationAblationMatchesRestart(t *testing.T) {
-	run := func(maxMigrations int) (*exec.Metrics, string) {
+	run := func(restart bool) (*exec.Metrics, string) {
 		peers, net := paperSystem(t, 3)
 		p1 := peers["P1"]
 		p1.Engine.Parallelism = 1
 		p1.Engine.MaxRetries = 1
 		p1.Engine.BatchSize = 1
-		p1.Engine.MaxMigrations = maxMigrations
+		p1.Engine.DisableMigration = restart
 		net.SetInjector(killMidStream("P4", 1))
 		pr, err := p1.PlanQuery(gen.PaperQuery())
 		if err != nil {
@@ -81,13 +81,13 @@ func TestMigrationAblationMatchesRestart(t *testing.T) {
 		}
 		rows, err := p1.Engine.Execute(pr.Optimized)
 		if err != nil {
-			t.Fatalf("Execute (MaxMigrations=%d): %v", maxMigrations, err)
+			t.Fatalf("Execute (DisableMigration=%v): %v", restart, err)
 		}
 		m := p1.Engine.Metrics()
 		return &m, fmt.Sprint(rows.Project([]string{"X", "Y"}).Sorted())
 	}
-	mig, migRows := run(0)
-	abl, ablRows := run(exec.NoMigrations)
+	mig, migRows := run(false)
+	abl, ablRows := run(true)
 
 	if migRows != ablRows {
 		t.Errorf("migration and restart answers diverge:\n%s\nvs\n%s", migRows, ablRows)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqpeer/internal/admission"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/pattern"
@@ -45,9 +46,9 @@ func TestOverloadSoak(t *testing.T) {
 	})
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Parallelism: 2, DeadlineMS: 300, MaxRetries: 2,
-		AllowPartial: true, Quarantine: true,
-		Admission: rootCtl,
+		Options:    exec.Options{Parallelism: 2, DeadlineMS: 300, MaxRetries: 2, AllowPartial: true},
+		Quarantine: true,
+		Admission:  rootCtl,
 	}, net)
 	if err != nil {
 		t.Fatalf("peer.New(P0): %v", err)

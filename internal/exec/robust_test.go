@@ -166,46 +166,6 @@ func TestFailureQuarantinesWithHealthTracker(t *testing.T) {
 	}
 }
 
-// MaxReplans sentinel: the zero value keeps the default of 3, NoReplans
-// disables adaptation entirely.
-func TestNoReplansSentinel(t *testing.T) {
-	peers, _ := paperSystem(t, 3)
-	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
-	p1.Engine.MaxReplans = exec.NoReplans
-	peers["P4"].Net.Fail("P4")
-
-	pr, err := p1.PlanQuery(gen.PaperQuery())
-	if err != nil {
-		t.Fatalf("PlanQuery: %v", err)
-	}
-	_, err = p1.Engine.Execute(pr.Optimized)
-	if err == nil {
-		t.Fatal("NoReplans must surface the failure instead of adapting")
-	}
-	var pf *exec.PeerFailure
-	if pf, _ = failurePeer(err); pf == nil || pf.Peer != "P4" {
-		t.Fatalf("want *PeerFailure for P4, got %v", err)
-	}
-	if m := p1.Engine.Metrics(); m.Replans != 0 {
-		t.Errorf("NoReplans performed %d replans", m.Replans)
-	}
-}
-
-func failurePeer(err error) (*exec.PeerFailure, bool) {
-	for e := err; e != nil; {
-		if pf, ok := e.(*exec.PeerFailure); ok {
-			return pf, true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return nil, false
-		}
-		e = u.Unwrap()
-	}
-	return nil, false
-}
-
 // Graceful degradation: when every peer covering one pattern is gone,
 // AllowPartial yields the answerable half with a completeness annotation
 // instead of an error.
@@ -215,7 +175,8 @@ func TestPartialAnswerWhenPatternUnanswerable(t *testing.T) {
 	// itself, so patterns really can become unanswerable.
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Parallelism: 1, MaxRetries: 1, AllowPartial: true, Quarantine: true,
+		Options:    exec.Options{Parallelism: 1, MaxRetries: 1, AllowPartial: true},
+		Quarantine: true,
 	}, net)
 	if err != nil {
 		t.Fatalf("peer.New(P0): %v", err)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/obs"
@@ -93,7 +94,7 @@ func runBatchPoint(chains, providers, props int, checkCentral bool) batchRun {
 	var nodes []*peer.Peer
 	for id, base := range bases {
 		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: syn.Schema,
-			Base: base, Parallelism: 1}, net)
+			Base: base, Options: exec.Options{Parallelism: 1}}, net)
 		if err != nil {
 			panic(err)
 		}
@@ -106,7 +107,7 @@ func runBatchPoint(chains, providers, props int, checkCentral bool) batchRun {
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	p0, err := peer.New(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: syn.Schema,
-		Parallelism: 1}, net)
+		Options: exec.Options{Parallelism: 1}}, net)
 	if err != nil {
 		panic(err)
 	}

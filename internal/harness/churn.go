@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/membership"
 	"sqpeer/internal/network"
@@ -17,9 +18,9 @@ func init() {
 
 // churnDetectBound is the documented logical-clock bound (DESIGN.md §14)
 // within which the failure detector must confirm a churned-out peer
-// dead: with every live peer probing once per round and SuspectTicks=2,
-// suspicion plus expiry plus gossip spread stays well under 10 rounds
-// for this 9-node topology. Outages shorter than the bound may recover
+// dead: with every live peer probing once per round and a two-tick
+// suspicion window, suspicion plus expiry plus gossip spread stays well
+// under 10 rounds for this 9-node topology. Outages shorter than the bound may recover
 // before confirmation — those are exempt, the detector is allowed (not
 // required) to catch them.
 const churnDetectBound = 10
@@ -135,12 +136,11 @@ func detectorChurnPass(r *Report) {
 	schema := gen.PaperSchema()
 	net := network.New()
 	mopts := func() *membership.Options {
-		return &membership.Options{Seed: churnSeed, DeadlineMS: 200,
-			SuspectTicks: 2, IndirectProbes: 2, DeadRetryTicks: 2}
+		return &membership.Options{Seed: churnSeed}
 	}
 	mk := func(id pattern.PeerID, base *rdf.Base, quarantine bool) *peer.Peer {
 		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: base, DeadlineMS: 200, MaxRetries: 3, AllowPartial: quarantine,
+			Base: base, Options: exec.Options{DeadlineMS: 200, MaxRetries: 3, AllowPartial: quarantine},
 			Quarantine: quarantine, Membership: mopts()}, net)
 		if err != nil {
 			panic(err)

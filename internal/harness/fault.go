@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"sqpeer/internal/exec"
 	"sqpeer/internal/faults"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
@@ -48,8 +49,8 @@ func claimFault() *Report {
 	allDeterministic, anyInjected := true, false
 	r.linef("  %-6s %8s %6s %8s %7s %8s %8s %6s %9s %12s", "rate", "complete", "full", "partial", "failed", "retries", "replans", "migr", "backoff", "added-lat/q")
 	for _, rate := range rates {
-		run := runFaultPoint(seed, rounds, rate, 0)
-		rerun := runFaultPoint(seed, rounds, rate, 0)
+		run := runFaultPoint(seed, rounds, rate, false)
+		rerun := runFaultPoint(seed, rounds, rate, false)
 		allDeterministic = allDeterministic && run.digest == rerun.digest
 		if run.injected > 0 || run.events > 0 {
 			anyInjected = true
@@ -87,10 +88,9 @@ func (run faultPointRun) successRate(rounds int) float64 {
 // runFaultPoint executes one seeded pass: fresh system, fresh injector
 // and schedule, `rounds` queries, everything deterministic. The digest
 // folds in each round's outcome and row set, so two same-seed passes
-// agreeing on the digest means byte-identical answers. maxMigrations
-// selects the recovery mode (0 = engine default, exec.NoMigrations =
-// legacy full-restart ablation).
-func runFaultPoint(seed int64, rounds int, rate float64, maxMigrations int) faultPointRun {
+// agreeing on the digest means byte-identical answers. restart selects
+// the legacy full-restart ablation instead of mid-flight migration.
+func runFaultPoint(seed int64, rounds int, rate float64, restart bool) faultPointRun {
 	schema := gen.PaperSchema()
 	bases := gen.PaperBases(2)
 	net := network.New()
@@ -98,7 +98,7 @@ func runFaultPoint(seed int64, rounds int, rate float64, maxMigrations int) faul
 	peers := map[pattern.PeerID]*peer.Peer{}
 	for _, id := range ids {
 		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: bases[id], Parallelism: 1}, net)
+			Base: bases[id], Options: exec.Options{Parallelism: 1}}, net)
 		if err != nil {
 			panic(err)
 		}
@@ -108,8 +108,9 @@ func runFaultPoint(seed int64, rounds int, rate float64, maxMigrations int) faul
 	// bounded retry with backoff, quarantine-based health tracking and
 	// opt-in partial answers. It is never faulted (schedule root).
 	p0, err := peer.New(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Parallelism: 1, DeadlineMS: 200, MaxRetries: 3,
-		AllowPartial: true, Quarantine: true, MaxMigrations: maxMigrations}, net)
+		Options: exec.Options{Parallelism: 1, DeadlineMS: 200, MaxRetries: 3,
+			AllowPartial: true, DisableMigration: restart},
+		Quarantine: true}, net)
 	if err != nil {
 		panic(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 
+	"sqpeer/internal/exec"
 	"sqpeer/internal/faults"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/membership"
@@ -43,12 +44,11 @@ type memberRun struct {
 
 // Documented logical-clock bounds (DESIGN.md §14): with n peers each
 // ticking once per round, a crash is suspected within one probe-ring
-// pass and confirmed SuspectTicks later; gossip and per-round
+// pass and confirmed two ticks later; gossip and per-round
 // anti-entropy propagate the verdict, and in practice the parallel
 // probing keeps detection far below the single-prober worst case.
 const (
 	memberPeers       = 10 // providers (5 per partition side)
-	memberSuspect     = 2
 	memberJoinBound   = 12
 	memberDetectBound = 10
 	memberHealBound   = 20
@@ -134,12 +134,11 @@ func newMemberSystem(seed int64) *memberSystem {
 	net := network.New()
 	s := &memberSystem{net: net, peers: map[pattern.PeerID]*peer.Peer{}}
 	mopts := func() *membership.Options {
-		return &membership.Options{Seed: seed, DeadlineMS: 200,
-			SuspectTicks: memberSuspect, IndirectProbes: 2, DeadRetryTicks: 2}
+		return &membership.Options{Seed: seed}
 	}
 	root, err := peer.New(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Parallelism: 1, DeadlineMS: 200, MaxRetries: 3,
-		AllowPartial: true, Quarantine: true, Membership: mopts()}, net)
+		Options:    exec.Options{Parallelism: 1, DeadlineMS: 200, MaxRetries: 3, AllowPartial: true},
+		Quarantine: true, Membership: mopts()}, net)
 	if err != nil {
 		panic(err)
 	}
@@ -158,7 +157,7 @@ func newMemberSystem(seed int64) *memberSystem {
 			prop = "prop2"
 		}
 		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: roleBase(string(id), 2, prop), Parallelism: 1, DeadlineMS: 200,
+			Base: roleBase(string(id), 2, prop), Options: exec.Options{Parallelism: 1, DeadlineMS: 200},
 			Membership: mopts()}, net)
 		if err != nil {
 			panic(err)

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"sqpeer/internal/admission"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/faults"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/membership"
@@ -195,25 +196,20 @@ func runObserveScenario(seed int64, plane bool) observeRun {
 		reg = obs.NewRegistry()
 	}
 	mopts := func() *membership.Options {
-		return &membership.Options{Seed: seed, DeadlineMS: 200,
-			SuspectTicks: 2, IndirectProbes: 2, DeadRetryTicks: 2}
+		return &membership.Options{Seed: seed}
 	}
-	recCfg := obs.DefaultRecorderConfig()
-	recCfg.MaxDumps = 16
 	planeCfg := func(cfg peer.Config) peer.Config {
 		if !plane {
 			return cfg
 		}
-		cfg.Events, cfg.Obs = events, reg
-		rc := recCfg
-		cfg.FlightRec = &rc
+		cfg.Events, cfg.Obs, cfg.FlightRec = events, reg, true
 		return cfg
 	}
 
 	peers := map[pattern.PeerID]*peer.Peer{}
 	for _, id := range ids {
 		p, err := peer.New(planeCfg(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: bases[id], Parallelism: 1, DeadlineMS: 200, Membership: mopts()}), net)
+			Base: bases[id], Options: exec.Options{Parallelism: 1, DeadlineMS: 200}, Membership: mopts()}), net)
 		if err != nil {
 			panic(err)
 		}
@@ -223,8 +219,8 @@ func runObserveScenario(seed int64, plane bool) observeRun {
 		MaxConcurrent: observeMaxConc, HoldMS: observeHoldMS, Clock: net.NowMS,
 	})
 	cfg := planeCfg(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Parallelism: 1, DeadlineMS: 200, MaxRetries: 3,
-		AllowPartial: true, Quarantine: true, Membership: mopts(),
+		Options:    exec.Options{Parallelism: 1, DeadlineMS: 200, MaxRetries: 3, AllowPartial: true},
+		Quarantine: true, Membership: mopts(),
 		Admission: rootCtl})
 	cfg.Tracer = tracer
 	p0, err := peer.New(cfg, net)

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"sqpeer/internal/admission"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/faults"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
@@ -221,7 +222,8 @@ func runOverloadPass(cfg overloadCfg) overloadRun {
 	servers := map[pattern.PeerID]*peer.Peer{}
 	for _, id := range ids {
 		p, err := peer.New(peer.Config{
-			ID: id, Kind: peer.SimplePeer, Schema: schema, Base: bases[id], Parallelism: 1,
+			ID: id, Kind: peer.SimplePeer, Schema: schema, Base: bases[id],
+			Options: exec.Options{Parallelism: 1},
 			Admission: admission.NewController(admission.Config{
 				MaxConcurrent: serverConcurrent, HoldMS: serverHoldMS,
 				Clock: net.NowMS, Disabled: cfg.disabled,
@@ -246,9 +248,9 @@ func runOverloadPass(cfg overloadCfg) overloadRun {
 	rootCtl := admission.NewController(rootCfg)
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Parallelism: 1, DeadlineMS: 300, MaxRetries: 2,
-		AllowPartial: true, Quarantine: true,
-		Admission: rootCtl,
+		Options:    exec.Options{Parallelism: 1, DeadlineMS: 300, MaxRetries: 2, AllowPartial: true},
+		Quarantine: true,
+		Admission:  rootCtl,
 	}, net)
 	if err != nil {
 		panic(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"sqpeer/internal/exec"
 	"sqpeer/internal/faults"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
@@ -33,14 +32,15 @@ type recoverModeRun struct {
 // runRecoverControlled executes the controlled scenario in one recovery
 // mode: P4 crashes after its first result packet of a 1-row-per-packet
 // stream, mid-query. With migration enabled the engine re-dispatches only
-// P4's subtrees; with exec.NoMigrations it discards and restarts.
-func runRecoverControlled(mode string, maxMigrations int) recoverModeRun {
+// P4's subtrees; in "restart" mode migration is off and it discards and
+// restarts.
+func runRecoverControlled(mode string) recoverModeRun {
 	peers, net := paperSystem(3)
 	p1 := peers["P1"]
 	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 1
 	p1.Engine.BatchSize = 1
-	p1.Engine.MaxMigrations = maxMigrations
+	p1.Engine.DisableMigration = mode == "restart"
 	net.SetInjector(faults.NewScript(&faults.ScriptRule{
 		From: "P4", Kind: "chan.packet", After: 1,
 		Fault: network.Fault{Drop: true},
@@ -110,8 +110,8 @@ func claimRecover() *Report {
 	)
 
 	// Part A: controlled mid-stream crash, migration vs restart ablation.
-	mig := runRecoverControlled("migrate", 0)
-	rst := runRecoverControlled("restart", exec.NoMigrations)
+	mig := runRecoverControlled("migrate")
+	rst := runRecoverControlled("restart")
 	r.linef("  controlled crash (P4 dies after 1 of 3 result rows):")
 	r.linef("  %-8s %6s %6s %8s %8s %10s %10s %8s", "mode", "rows", "migr", "replans", "fetched", "refetched", "retained", "dupes")
 	for _, m := range []recoverModeRun{mig, rst} {
@@ -131,10 +131,10 @@ func claimRecover() *Report {
 		rst.RowsRefetched > 0 && rst.RowsFetched > mig.RowsFetched)
 
 	// Part B: the PR-2 stochastic schedule at 10%, both modes, same seed.
-	migRun := runFaultPoint(seed, rounds, rate, 0)
-	migRerun := runFaultPoint(seed, rounds, rate, 0)
-	rstRun := runFaultPoint(seed, rounds, rate, exec.NoMigrations)
-	rstRerun := runFaultPoint(seed, rounds, rate, exec.NoMigrations)
+	migRun := runFaultPoint(seed, rounds, rate, false)
+	migRerun := runFaultPoint(seed, rounds, rate, false)
+	rstRun := runFaultPoint(seed, rounds, rate, true)
+	rstRerun := runFaultPoint(seed, rounds, rate, true)
 	migSuccess := migRun.successRate(rounds)
 	rstSuccess := rstRun.successRate(rounds)
 	r.linef("  stochastic sweep at %.0f%% fault rate, %d rounds:", rate*100, rounds)

@@ -116,7 +116,7 @@ func (d *Detector) SyncWith(partner pattern.PeerID) error {
 	if err != nil {
 		return err
 	}
-	reply, err := d.net.CallWithin(d.self, partner, "member.sync", body, d.opts.DeadlineMS)
+	reply, err := d.net.CallWithin(d.self, partner, "member.sync", body, rpcDeadlineMS)
 	if err != nil {
 		return err
 	}
@@ -145,7 +145,7 @@ func (d *Detector) SyncWith(partner pattern.PeerID) error {
 	if err != nil {
 		return err
 	}
-	return d.net.SendWithin(d.self, partner, "member.push", body, d.opts.DeadlineMS)
+	return d.net.SendWithin(d.self, partner, "member.push", body, rpcDeadlineMS)
 }
 
 // handleSync answers an anti-entropy open: merge the digest's status

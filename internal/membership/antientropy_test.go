@@ -120,8 +120,8 @@ func TestDigestStatusGossip(t *testing.T) {
 	// A sync digest alone must carry suspicion: B learns A suspects C
 	// without any entry/push for C's advertisement.
 	net := network.New()
-	a := New("A", net, Options{Seed: 13, SuspectTicks: 50})
-	b := New("B", net, Options{Seed: 13, SuspectTicks: 50})
+	a := New("A", net, Options{Seed: 13})
+	b := New("B", net, Options{Seed: 13})
 	a.Merge([]Entry{{Peer: "C", Status: StatusSuspect, Incarnation: 3}})
 	if err := a.SyncWith(b.Self()); err != nil {
 		t.Fatalf("sync: %v", err)
@@ -147,7 +147,7 @@ func TestPiggybackRoundTrip(t *testing.T) {
 	if st, ok := b.StatusOf("X"); !ok || st != StatusDead {
 		t.Fatalf("gossip blob did not carry X's death: %v %v", st, ok)
 	}
-	// TTL: the queue drains after GossipTTL shipments.
+	// TTL: the queue drains after gossipTTL shipments.
 	for i := 0; i < 20; i++ {
 		a.Piggyback()
 	}

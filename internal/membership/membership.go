@@ -22,7 +22,7 @@
 // The state machine per remote member:
 //
 //	alive --ping timeout (direct + indirect)--> suspect
-//	suspect --SuspectTicks elapse--> dead  (OnDead: quarantine + epoch bump)
+//	suspect --suspectTicks elapse--> dead  (OnDead: quarantine + epoch bump)
 //	suspect --alive@higher-incarnation--> alive  (refutation)
 //	dead --alive@higher-incarnation--> alive  (rejoin; OnRejoin)
 //	dead --suspect@higher-incarnation--> suspect  (also OnRejoin: no
@@ -33,7 +33,7 @@
 // suspected or presumed dead (via gossip, or via the prober's view
 // piggybacked on a ping), it increments and gossips a fresher alive —
 // the SWIM refutation rule. Dead members are not abandoned: every
-// DeadRetryTicks the detector probes one confirmed-dead member, carrying
+// deadRetryTicks the detector probes one confirmed-dead member, carrying
 // its "you are dead at incarnation i" verdict; a partitioned-but-alive
 // peer answers by rejoining at i+1, which is how both sides of a healed
 // partition rediscover each other without any scripted rejoin.
@@ -61,7 +61,7 @@ type Status int
 const (
 	// StatusAlive: the member answers probes (or nobody disputes it).
 	StatusAlive Status = iota
-	// StatusSuspect: probes failed; the member has SuspectTicks to refute.
+	// StatusSuspect: probes failed; the member has suspectTicks to refute.
 	StatusSuspect
 	// StatusDead: the suspicion timed out; routing quarantines the member
 	// until it rejoins at a higher incarnation.
@@ -113,47 +113,30 @@ type Options struct {
 	// Seed feeds the detector's RNG (mixed with the peer id, so each
 	// detector in a cluster draws an independent deterministic stream).
 	Seed int64
-	// DeadlineMS bounds every membership RPC on the simulated clock
-	// (default 200): a gray or partitioned peer fails a probe fast
-	// instead of wedging the prober.
-	DeadlineMS float64
-	// SuspectTicks is how many ticks a suspicion lasts before the member
-	// is confirmed dead (default 2).
-	SuspectTicks int
-	// IndirectProbes is how many relays a failed direct ping escalates to
-	// (default 2) — the SWIM ping-req round that keeps one lossy link
-	// from condemning a healthy peer.
-	IndirectProbes int
-	// DeadRetryTicks: every this many ticks the detector additionally
-	// probes one confirmed-dead member (default 2) — the partition-heal
-	// path. 0 disables dead retry.
-	DeadRetryTicks int
-	// MaxPiggyback bounds the gossip updates attached to any one message
-	// (default 8).
-	MaxPiggyback int
-	// GossipTTL is how many times each update is re-shipped before it
-	// ages out of the piggyback queue (default 6).
-	GossipTTL int
 }
 
-func (o Options) withDefaults() Options {
-	if o.DeadlineMS <= 0 {
-		o.DeadlineMS = 200
-	}
-	if o.SuspectTicks <= 0 {
-		o.SuspectTicks = 2
-	}
-	if o.IndirectProbes <= 0 {
-		o.IndirectProbes = 2
-	}
-	if o.MaxPiggyback <= 0 {
-		o.MaxPiggyback = 8
-	}
-	if o.GossipTTL <= 0 {
-		o.GossipTTL = 6
-	}
-	return o
-}
+// Protocol constants.
+const (
+	// rpcDeadlineMS bounds every membership RPC on the simulated clock:
+	// a gray or partitioned peer fails a probe fast instead of wedging
+	// the prober.
+	rpcDeadlineMS = 200
+	// suspectTicks is how many ticks a suspicion lasts before the member
+	// is confirmed dead.
+	suspectTicks = 2
+	// indirectProbes is how many relays a failed direct ping escalates
+	// to — the SWIM ping-req round that keeps one lossy link from
+	// condemning a healthy peer.
+	indirectProbes = 2
+	// deadRetryTicks: every this many ticks the detector additionally
+	// probes one confirmed-dead member — the partition-heal path.
+	deadRetryTicks = 2
+	// maxPiggyback bounds the gossip updates attached to any one message.
+	maxPiggyback = 8
+	// gossipTTL is how many times each update is re-shipped before it
+	// ages out of the piggyback queue.
+	gossipTTL = 6
+)
 
 // Stats counts detector activity; snapshot via Stats(), published via
 // CollectObs (obs.go).
@@ -201,7 +184,6 @@ type event struct {
 type Detector struct {
 	self pattern.PeerID
 	net  *network.Network
-	opts Options
 
 	// ApplyAdv, when set, receives every advertisement blob adopted as
 	// fresher than the one held (including the first one seen).
@@ -232,7 +214,7 @@ type Detector struct {
 	// deadPos rotates the dead-retry probe over confirmed-dead members.
 	deadPos int
 	// queue is the pending-gossip buffer: newest update per peer, each
-	// re-shipped at most GossipTTL times.
+	// re-shipped at most gossipTTL times.
 	queue []queued
 	stats Stats
 }
@@ -246,13 +228,11 @@ type queued struct {
 // member.* handlers. The detector starts knowing only itself (alive,
 // incarnation 1); Join or Learn seeds it with contacts.
 func New(self pattern.PeerID, net *network.Network, opts Options) *Detector {
-	opts = opts.withDefaults()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s", self)
 	d := &Detector{
 		self:    self,
 		net:     net,
-		opts:    opts,
 		rng:     gen.NewRNG(opts.Seed ^ int64(h.Sum64())),
 		members: map[pattern.PeerID]*member{},
 	}
@@ -359,11 +339,11 @@ func statusOnly(e Entry) Entry {
 func (d *Detector) enqueueLocked(e Entry) {
 	for i := range d.queue {
 		if d.queue[i].e.Peer == e.Peer {
-			d.queue[i] = queued{e: e, ttl: d.opts.GossipTTL}
+			d.queue[i] = queued{e: e, ttl: gossipTTL}
 			return
 		}
 	}
-	d.queue = append(d.queue, queued{e: e, ttl: d.opts.GossipTTL})
+	d.queue = append(d.queue, queued{e: e, ttl: gossipTTL})
 }
 
 // takePiggybackLocked returns up to max queued updates, charging one TTL
@@ -397,7 +377,7 @@ func (d *Detector) Tick() {
 	d.expireSuspectsLocked(&events)
 	target := d.nextProbeLocked()
 	var deadTarget pattern.PeerID
-	if d.opts.DeadRetryTicks > 0 && d.tick%d.opts.DeadRetryTicks == 0 {
+	if d.tick%deadRetryTicks == 0 {
 		deadTarget = d.nextDeadLocked()
 	}
 	partner := d.pickSyncPartnerLocked()
@@ -419,7 +399,7 @@ func (d *Detector) Tick() {
 }
 
 // expireSuspectsLocked confirms dead every suspicion older than
-// SuspectTicks. Callers hold d.mu.
+// suspectTicks. Callers hold d.mu.
 func (d *Detector) expireSuspectsLocked(events *[]event) {
 	ids := make([]pattern.PeerID, 0, len(d.members))
 	for id := range d.members {
@@ -428,7 +408,7 @@ func (d *Detector) expireSuspectsLocked(events *[]event) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		m := d.members[id]
-		if m.entry.Status == StatusSuspect && d.tick-m.suspectSince >= d.opts.SuspectTicks {
+		if m.entry.Status == StatusSuspect && d.tick-m.suspectSince >= suspectTicks {
 			m.entry.Status = StatusDead
 			d.stats.ConfirmedDead++
 			d.enqueueLocked(statusOnly(m.entry))
@@ -511,7 +491,7 @@ func (d *Detector) viewOfLocked(peer pattern.PeerID) (Entry, bool) {
 }
 
 // probe runs the SWIM probe cycle against one target: direct ping, then
-// IndirectProbes ping-req relays, then suspicion.
+// indirectProbes ping-req relays, then suspicion.
 func (d *Detector) probe(target pattern.PeerID) {
 	if d.ping(target) {
 		return
@@ -525,7 +505,7 @@ func (d *Detector) probe(target pattern.PeerID) {
 	d.suspect(target)
 }
 
-// pickRelays selects IndirectProbes alive members (excluding self and
+// pickRelays selects indirectProbes alive members (excluding self and
 // the target) as ping-req relays.
 func (d *Detector) pickRelays(target pattern.PeerID) []pattern.PeerID {
 	d.mu.Lock()
@@ -538,8 +518,8 @@ func (d *Detector) pickRelays(target pattern.PeerID) []pattern.PeerID {
 	}
 	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
 	d.rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-	if len(alive) > d.opts.IndirectProbes {
-		alive = alive[:d.opts.IndirectProbes]
+	if len(alive) > indirectProbes {
+		alive = alive[:indirectProbes]
 	}
 	return alive
 }
@@ -574,7 +554,7 @@ type pingReqAck struct {
 func (d *Detector) ping(target pattern.PeerID) bool {
 	d.mu.Lock()
 	d.stats.Pings++
-	updates := d.takePiggybackLocked(d.opts.MaxPiggyback)
+	updates := d.takePiggybackLocked(maxPiggyback)
 	if v, ok := d.viewOfLocked(target); ok {
 		updates = append(updates, v)
 	}
@@ -583,7 +563,7 @@ func (d *Detector) ping(target pattern.PeerID) bool {
 	if err != nil {
 		return false
 	}
-	reply, err := d.net.CallWithin(d.self, target, "member.ping", body, d.opts.DeadlineMS)
+	reply, err := d.net.CallWithin(d.self, target, "member.ping", body, rpcDeadlineMS)
 	if err != nil {
 		d.mu.Lock()
 		d.stats.PingFails++
@@ -606,7 +586,7 @@ func (d *Detector) ping(target pattern.PeerID) bool {
 func (d *Detector) pingReq(relay, target pattern.PeerID) bool {
 	d.mu.Lock()
 	d.stats.IndirectReqs++
-	updates := d.takePiggybackLocked(d.opts.MaxPiggyback)
+	updates := d.takePiggybackLocked(maxPiggyback)
 	if v, ok := d.viewOfLocked(target); ok {
 		updates = append(updates, v)
 	}
@@ -615,7 +595,7 @@ func (d *Detector) pingReq(relay, target pattern.PeerID) bool {
 	if err != nil {
 		return false
 	}
-	reply, err := d.net.CallWithin(d.self, relay, "member.pingreq", body, d.opts.DeadlineMS)
+	reply, err := d.net.CallWithin(d.self, relay, "member.pingreq", body, rpcDeadlineMS)
 	if err != nil {
 		return false
 	}
@@ -657,7 +637,7 @@ func (d *Detector) handlePing(msg network.Message) ([]byte, error) {
 	d.mu.Lock()
 	var events []event
 	d.mergeLocked(pm.Updates, &events)
-	updates := d.takePiggybackLocked(d.opts.MaxPiggyback)
+	updates := d.takePiggybackLocked(maxPiggyback)
 	updates = append(updates, statusOnly(d.members[d.self].entry))
 	d.mu.Unlock()
 	d.fire(events)
@@ -673,7 +653,7 @@ func (d *Detector) handlePingReq(msg network.Message) ([]byte, error) {
 	}
 	d.Merge(rm.Updates)
 	d.mu.Lock()
-	updates := d.takePiggybackLocked(d.opts.MaxPiggyback)
+	updates := d.takePiggybackLocked(maxPiggyback)
 	if v, ok := d.viewOfLocked(rm.Target); ok {
 		updates = append(updates, v)
 	}
@@ -682,7 +662,7 @@ func (d *Detector) handlePingReq(msg network.Message) ([]byte, error) {
 	if err != nil {
 		return json.Marshal(pingReqAck{Ack: false})
 	}
-	reply, err := d.net.CallWithin(d.self, rm.Target, "member.ping", body, d.opts.DeadlineMS)
+	reply, err := d.net.CallWithin(d.self, rm.Target, "member.ping", body, rpcDeadlineMS)
 	if err != nil {
 		return json.Marshal(pingReqAck{Ack: false})
 	}
@@ -812,13 +792,13 @@ func (d *Detector) fire(events []event) {
 	}
 }
 
-// Piggyback returns up to MaxPiggyback pending gossip updates as an
+// Piggyback returns up to maxPiggyback pending gossip updates as an
 // opaque blob for carriage on an existing packet (the channel layer's
 // gossip field), or nil when nothing is pending. HandleGossip is its
 // receiving half.
 func (d *Detector) Piggyback() []byte {
 	d.mu.Lock()
-	updates := d.takePiggybackLocked(d.opts.MaxPiggyback)
+	updates := d.takePiggybackLocked(maxPiggyback)
 	d.mu.Unlock()
 	if len(updates) == 0 {
 		return nil

@@ -6,42 +6,24 @@ import (
 	"sync"
 )
 
-// RecorderConfig tunes the flight recorder's ring and anomaly triggers.
-// The zero value is unusable; call DefaultRecorderConfig for the tuned
-// defaults and override fields as needed.
-type RecorderConfig struct {
-	// RingSize bounds the recent-event ring buffer.
-	RingSize int `json:"ringSize"`
-	// MaxDumps bounds the retained post-mortem bundles (oldest evicted).
-	MaxDumps int `json:"maxDumps"`
-	// SlowFactor: a query-done event whose durMs exceeds SlowFactor × the
-	// running mean duration (after MinSamples priming queries) trips a
-	// "slow-query" dump.
-	SlowFactor float64 `json:"slowFactor"`
-	// MinSamples is the priming count before the slow-query trigger arms.
-	MinSamples int `json:"minSamples"`
-	// ShedBurst / ShedWindowMS: ShedBurst shed events within a logical
-	// window of ShedWindowMS trip a "shed-burst" dump.
-	ShedBurst    int     `json:"shedBurst"`
-	ShedWindowMS float64 `json:"shedWindowMS"`
-	// MigrateBurst / MigrateWindowMS: same shape for plan migrations
-	// (a "migration-storm" dump).
-	MigrateBurst    int     `json:"migrateBurst"`
-	MigrateWindowMS float64 `json:"migrateWindowMS"`
-}
-
-// DefaultRecorderConfig returns the tuned trigger thresholds.
-func DefaultRecorderConfig() RecorderConfig {
-	return RecorderConfig{
-		RingSize:     256,
-		MaxDumps:     8,
-		SlowFactor:   3,
-		MinSamples:   5,
-		ShedBurst:    3,
-		ShedWindowMS: 1000,
-		MigrateBurst: 3, MigrateWindowMS: 1000,
-	}
-}
+// Flight recorder ring size and anomaly triggers.
+const (
+	// recorderRing bounds the recent-event ring buffer.
+	recorderRing = 256
+	// recorderMaxDumps bounds the retained post-mortem bundles (oldest
+	// evicted).
+	recorderMaxDumps = 8
+	// slowFactor, slowMinSamples: a query-done event whose durMs exceeds
+	// slowFactor × the running mean duration (after slowMinSamples
+	// priming queries) trips a "slow-query" dump.
+	slowFactor     = 3
+	slowMinSamples = 5
+	// burstCount, burstWindowMS: burstCount shed events — or burstCount
+	// plan migrations — within a logical window of burstWindowMS trip a
+	// "shed-burst" (or "migration-storm") dump.
+	burstCount    = 3
+	burstWindowMS = 1000
+)
 
 // Dump is one frozen post-mortem bundle: the trigger, the event ring at
 // freeze time, and whatever query-scoped context (span subtree, critical
@@ -74,7 +56,6 @@ type Dump struct {
 type FlightRecorder struct {
 	mu   sync.Mutex
 	peer string
-	cfg  RecorderConfig
 
 	ring  []Event // bounded, oldest first
 	dumps []*Dump
@@ -100,11 +81,8 @@ func (fr *FlightRecorder) PeerID() string {
 }
 
 // NewFlightRecorder builds a recorder for one peer.
-func NewFlightRecorder(peer string, cfg RecorderConfig) *FlightRecorder {
-	if cfg.RingSize <= 0 {
-		cfg = DefaultRecorderConfig()
-	}
-	return &FlightRecorder{peer: peer, cfg: cfg}
+func NewFlightRecorder(peer string) *FlightRecorder {
+	return &FlightRecorder{peer: peer}
 }
 
 // Observe is the EventLog sink: records the event if it belongs to this
@@ -116,32 +94,32 @@ func (fr *FlightRecorder) Observe(ev Event) {
 	var dump *Dump
 	fr.mu.Lock()
 	fr.ring = append(fr.ring, ev)
-	if len(fr.ring) > fr.cfg.RingSize {
-		fr.ring = fr.ring[len(fr.ring)-fr.cfg.RingSize:]
+	if len(fr.ring) > recorderRing {
+		fr.ring = fr.ring[len(fr.ring)-recorderRing:]
 	}
 	switch {
 	case ev.Component == "health" && ev.Kind == "condemn":
 		dump = fr.freezeLocked("condemn", ev)
 	case ev.Component == "exec" && ev.Kind == "shed":
-		fr.sheds = trimWindow(append(fr.sheds, ev.TMS), ev.TMS-fr.cfg.ShedWindowMS)
-		if len(fr.sheds) >= fr.cfg.ShedBurst {
+		fr.sheds = trimWindow(append(fr.sheds, ev.TMS), ev.TMS-burstWindowMS)
+		if len(fr.sheds) >= burstCount {
 			fr.sheds = nil
 			dump = fr.freezeLocked("shed-burst", ev)
 		}
 	case ev.Component == "exec" && ev.Kind == "migrate":
-		fr.migrates = trimWindow(append(fr.migrates, ev.TMS), ev.TMS-fr.cfg.MigrateWindowMS)
-		if len(fr.migrates) >= fr.cfg.MigrateBurst {
+		fr.migrates = trimWindow(append(fr.migrates, ev.TMS), ev.TMS-burstWindowMS)
+		if len(fr.migrates) >= burstCount {
 			fr.migrates = nil
 			dump = fr.freezeLocked("migration-storm", ev)
 		}
 	case ev.Component == "peer" && ev.Kind == "query-done":
 		if dur, ok := parseMS(ev.Attrs["durMs"]); ok {
-			primed := fr.durCount >= fr.cfg.MinSamples
+			primed := fr.durCount >= slowMinSamples
 			mean := 0.0
 			if fr.durCount > 0 {
 				mean = fr.durSum / float64(fr.durCount)
 			}
-			if primed && mean > 0 && dur > mean*fr.cfg.SlowFactor {
+			if primed && mean > 0 && dur > mean*slowFactor {
 				dump = fr.freezeLocked("slow-query", ev)
 			}
 			fr.durCount++
@@ -172,8 +150,8 @@ func (fr *FlightRecorder) freezeLocked(reason string, ev Event) *Dump {
 	d := &Dump{Reason: reason, TMS: ev.TMS, Peer: fr.peer, Trace: ev.Trace,
 		Events: CanonicalEvents(append([]Event(nil), fr.ring...))}
 	fr.dumps = append(fr.dumps, d)
-	if len(fr.dumps) > fr.cfg.MaxDumps {
-		fr.dumps = fr.dumps[len(fr.dumps)-fr.cfg.MaxDumps:]
+	if len(fr.dumps) > recorderMaxDumps {
+		fr.dumps = fr.dumps[len(fr.dumps)-recorderMaxDumps:]
 	}
 	return d
 }

@@ -5,17 +5,17 @@ import (
 	"testing"
 )
 
-func recorderOn(t *testing.T, cfg RecorderConfig) (*EventLog, *FlightRecorder, *float64) {
+func recorderOn(t *testing.T) (*EventLog, *FlightRecorder, *float64) {
 	t.Helper()
 	clock := 0.0
 	log := NewEventLog(func() float64 { return clock })
-	fr := NewFlightRecorder("P0", cfg)
+	fr := NewFlightRecorder("P0")
 	log.AddSink(fr.Observe)
 	return log, fr, &clock
 }
 
 func TestFlightRecorderCondemnTrigger(t *testing.T) {
-	log, fr, clock := recorderOn(t, DefaultRecorderConfig())
+	log, fr, clock := recorderOn(t)
 	*clock = 100
 	log.Emit("exec", "dispatch", "P0", "T1")
 	log.Emit("health", "condemn", "P0", "T1", Attr{Key: "target", Value: "P3"})
@@ -33,23 +33,21 @@ func TestFlightRecorderCondemnTrigger(t *testing.T) {
 }
 
 func TestFlightRecorderShedBurst(t *testing.T) {
-	cfg := DefaultRecorderConfig()
-	cfg.ShedBurst, cfg.ShedWindowMS = 3, 100
-	log, fr, clock := recorderOn(t, cfg)
+	log, fr, clock := recorderOn(t)
 	// Two sheds inside a window, the third outside it: no dump.
 	*clock = 0
 	log.Emit("exec", "shed", "P0", "T1")
-	*clock = 50
-	log.Emit("exec", "shed", "P0", "T2")
 	*clock = 500
+	log.Emit("exec", "shed", "P0", "T2")
+	*clock = 5000
 	log.Emit("exec", "shed", "P0", "T3")
 	if n := len(fr.Dumps()); n != 0 {
 		t.Fatalf("burst fired across the window gap: %d dumps", n)
 	}
 	// Three within the window: dump.
-	*clock = 510
+	*clock = 5100
 	log.Emit("exec", "shed", "P0", "T4")
-	*clock = 520
+	*clock = 5200
 	log.Emit("exec", "shed", "P0", "T5")
 	dumps := fr.Dumps()
 	if len(dumps) != 1 || dumps[0].Reason != "shed-burst" {
@@ -58,9 +56,7 @@ func TestFlightRecorderShedBurst(t *testing.T) {
 }
 
 func TestFlightRecorderSlowQuery(t *testing.T) {
-	cfg := DefaultRecorderConfig()
-	cfg.MinSamples, cfg.SlowFactor = 3, 2
-	log, fr, clock := recorderOn(t, cfg)
+	log, fr, clock := recorderOn(t)
 	fr.Context = func(trace string) map[string]any {
 		return map[string]any{"trace": trace, "ledger": []string{"complete"}}
 	}
@@ -69,37 +65,36 @@ func TestFlightRecorderSlowQuery(t *testing.T) {
 			Attr{Key: "durMs", Value: strconv.FormatFloat(dur, 'g', -1, 64)})
 	}
 	*clock = 10
-	emit(10, "T1")
-	emit(10, "T2")
-	emit(10, "T3") // primed after this
+	for i := 1; i <= slowMinSamples; i++ { // primed after the last
+		emit(10, "T"+strconv.Itoa(i))
+	}
+	emit(25, "T6") // 2.5× the mean: under slowFactor
 	if len(fr.Dumps()) != 0 {
-		t.Fatal("trigger fired while priming")
+		t.Fatal("trigger fired below the slow factor")
 	}
-	emit(100, "T4") // 10× the mean
+	emit(100, "T7") // ~8× the mean
 	dumps := fr.Dumps()
-	if len(dumps) != 1 || dumps[0].Reason != "slow-query" || dumps[0].Trace != "T4" {
-		t.Fatalf("want slow-query dump for T4, got %+v", dumps)
+	if len(dumps) != 1 || dumps[0].Reason != "slow-query" || dumps[0].Trace != "T7" {
+		t.Fatalf("want slow-query dump for T7, got %+v", dumps)
 	}
-	if dumps[0].Context["trace"] != "T4" {
+	if dumps[0].Context["trace"] != "T7" {
 		t.Fatalf("context callback not applied: %+v", dumps[0].Context)
 	}
 }
 
 func TestFlightRecorderPeerFilterAndRing(t *testing.T) {
-	cfg := DefaultRecorderConfig()
-	cfg.RingSize = 2
-	log, fr, _ := recorderOn(t, cfg)
-	log.Emit("exec", "dispatch", "OTHER", "T1") // filtered out
-	log.Emit("exec", "dispatch", "P0", "T1")
-	log.Emit("exec", "dispatch", "P0", "T2")
-	log.Emit("exec", "dispatch", "P0", "T3")
-	fr.TriggerDump("manual", "T3", 99)
+	log, fr, _ := recorderOn(t)
+	log.Emit("exec", "dispatch", "OTHER", "T0") // filtered out
+	for i := 1; i <= recorderRing+1; i++ {
+		log.Emit("exec", "dispatch", "P0", "T"+strconv.Itoa(i))
+	}
+	fr.TriggerDump("manual", "", 99)
 	dumps := fr.Dumps()
 	if len(dumps) != 1 {
 		t.Fatalf("want 1 dump, got %d", len(dumps))
 	}
 	evs := dumps[0].Events
-	if len(evs) != 2 {
+	if len(evs) != recorderRing {
 		t.Fatalf("ring not bounded: %d events", len(evs))
 	}
 	for _, ev := range evs {
@@ -113,15 +108,13 @@ func TestFlightRecorderPeerFilterAndRing(t *testing.T) {
 }
 
 func TestFlightRecorderMaxDumps(t *testing.T) {
-	cfg := DefaultRecorderConfig()
-	cfg.MaxDumps = 2
-	_, fr, _ := recorderOn(t, cfg)
-	fr.TriggerDump("a", "", 1)
-	fr.TriggerDump("b", "", 2)
-	fr.TriggerDump("c", "", 3)
+	_, fr, _ := recorderOn(t)
+	for i := 0; i <= recorderMaxDumps; i++ {
+		fr.TriggerDump("d"+strconv.Itoa(i), "", float64(i))
+	}
 	dumps := fr.Dumps()
-	if len(dumps) != 2 || dumps[0].Reason != "b" || dumps[1].Reason != "c" {
-		t.Fatalf("dump retention wrong: %+v", dumps)
+	if len(dumps) != recorderMaxDumps || dumps[0].Reason != "d1" || dumps[len(dumps)-1].Reason != "d"+strconv.Itoa(recorderMaxDumps) {
+		t.Fatalf("dump retention wrong: %d dumps, first %q", len(dumps), dumps[0].Reason)
 	}
 }
 

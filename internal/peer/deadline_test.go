@@ -4,15 +4,17 @@ import (
 	"errors"
 	"testing"
 
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/peer"
 	"sqpeer/internal/stats"
 )
 
-// TestAdvertisementDeadline: Peer.DeadlineMS bounds the control-plane
-// advertisement RPCs, so pushing to a peer behind a gray-failed link
-// fails fast with a transient deadline error; zero keeps them unbounded.
+// TestAdvertisementDeadline: the engine's DeadlineMS also bounds the
+// control-plane advertisement RPCs, so pushing to a peer behind a
+// gray-failed link fails fast with a transient deadline error; zero
+// keeps them unbounded.
 func TestAdvertisementDeadline(t *testing.T) {
 	net := network.New()
 	bases := gen.PaperBases(2)
@@ -21,7 +23,7 @@ func TestAdvertisementDeadline(t *testing.T) {
 	_ = p1
 	net.SetLink("P1", "P2", stats.Link{LatencyMS: 500, BandwidthKBps: 1000})
 
-	p2.DeadlineMS = 10
+	p2.Engine.DeadlineMS = 10
 	err := p2.PushAdvertisement("P1")
 	if err == nil {
 		t.Fatal("push over a 500ms link beat a 10ms deadline")
@@ -38,7 +40,7 @@ func TestAdvertisementDeadline(t *testing.T) {
 	}
 
 	// Zero restores the unbounded behavior.
-	p2.DeadlineMS = 0
+	p2.Engine.DeadlineMS = 0
 	if err := p2.PushAdvertisement("P1"); err != nil {
 		t.Fatalf("unbounded push failed: %v", err)
 	}
@@ -48,20 +50,21 @@ func TestAdvertisementDeadline(t *testing.T) {
 }
 
 // TestConfigDeadlineMirrorsToPeer pins the wiring: Config.DeadlineMS
-// feeds both the data-plane engine and the peer's control-plane field.
+// reaches the engine, which also bounds the peer's control-plane RPCs,
+// and the channel manager's opens.
 func TestConfigDeadlineMirrorsToPeer(t *testing.T) {
 	net := network.New()
 	p, err := peer.New(peer.Config{
 		ID: "P1", Kind: peer.SimplePeer, Schema: gen.PaperSchema(),
-		Base: gen.PaperBases(1)["P1"], DeadlineMS: 42,
+		Base: gen.PaperBases(1)["P1"], Options: exec.Options{DeadlineMS: 42},
 	}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DeadlineMS != 42 {
-		t.Errorf("Peer.DeadlineMS = %v, want 42", p.DeadlineMS)
-	}
 	if p.Engine.DeadlineMS != 42 {
 		t.Errorf("Engine.DeadlineMS = %v, want 42", p.Engine.DeadlineMS)
+	}
+	if p.Channels.DeadlineMS != 42 {
+		t.Errorf("Channels.DeadlineMS = %v, want 42", p.Channels.DeadlineMS)
 	}
 }

@@ -3,6 +3,7 @@ package peer_test
 import (
 	"testing"
 
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/membership"
 	"sqpeer/internal/network"
@@ -19,14 +20,14 @@ func TestMembershipFeedsRoutingView(t *testing.T) {
 	net := network.New()
 	bases := gen.PaperBases(3)
 	mopts := func() *membership.Options {
-		return &membership.Options{Seed: 42, SuspectTicks: 2, DeadRetryTicks: 2}
+		return &membership.Options{Seed: 42}
 	}
 	peers := map[pattern.PeerID]*peer.Peer{}
 	for _, id := range []pattern.PeerID{"P1", "P2", "P3"} {
 		p, err := peer.New(peer.Config{
 			ID: id, Kind: peer.SimplePeer, Schema: gen.PaperSchema(), Base: bases[id],
-			DeadlineMS: 200, MaxRetries: 2, AllowPartial: true, Quarantine: true,
-			Membership: mopts(),
+			Options:    exec.Options{DeadlineMS: 200, MaxRetries: 2, AllowPartial: true},
+			Quarantine: true, Membership: mopts(),
 		}, net)
 		if err != nil {
 			t.Fatalf("New(%s): %v", id, err)
@@ -143,7 +144,8 @@ func TestGossipRidesChannelTraffic(t *testing.T) {
 	mk := func(id pattern.PeerID) *peer.Peer {
 		p, err := peer.New(peer.Config{
 			ID: id, Kind: peer.SimplePeer, Schema: gen.PaperSchema(), Base: bases["P1"],
-			DeadlineMS: 200, Membership: &membership.Options{Seed: 2},
+			Options:    exec.Options{DeadlineMS: 200},
+			Membership: &membership.Options{Seed: 2},
 		}, net)
 		if err != nil {
 			t.Fatalf("New(%s): %v", id, err)

@@ -58,6 +58,12 @@ func (k Kind) String() string {
 
 // Config describes a peer at construction.
 type Config struct {
+	// Options are the settings of the peer's execution engine, handed
+	// to it as they are: shipping policy for the peer's own queries,
+	// branch parallelism, dispatch deadline (which also bounds the
+	// peer's channel opens and control-plane RPCs), retries, partial
+	// answers, frame size and the migration switch.
+	exec.Options
 	// ID names the peer on the network.
 	ID pattern.PeerID
 	// Kind is the peer's role.
@@ -72,24 +78,6 @@ type Config struct {
 	Views []*rvl.CompiledView
 	// Slots is the peer's concurrent-query processing capacity.
 	Slots int
-	// Policy is the peer's shipping policy for its own queries.
-	Policy optimizer.ShippingPolicy
-	// Parallelism bounds concurrent plan-branch evaluation in the peer's
-	// engine; 0 means GOMAXPROCS (see exec.Engine.Parallelism).
-	Parallelism int
-	// DeadlineMS, when positive, bounds every dispatch and channel
-	// delivery on the simulated clock (see exec.Engine.DeadlineMS).
-	DeadlineMS float64
-	// MaxRetries retries transiently-failed dispatches before replanning
-	// (see exec.Engine.MaxRetries).
-	MaxRetries int
-	// AllowPartial opts the peer's queries into partial answers with
-	// completeness annotations (see exec.Engine.AllowPartial).
-	AllowPartial bool
-	// MaxMigrations bounds surgical subtree migrations per query round;
-	// 0 uses the engine default, exec.NoMigrations disables migration so
-	// recovery falls back to full replan+restart (the PR-4 ablation).
-	MaxMigrations int
 	// Quarantine enables the circuit-breaker health tracker: failed peers
 	// are quarantined from routing for a cool-down instead of forgotten.
 	Quarantine bool
@@ -130,7 +118,7 @@ type Config struct {
 	// migration storm) that freeze post-mortem dumps merging the ring
 	// with the query's span subtree, critical-path attribution, row
 	// ledger and admission occupancy.
-	FlightRec *obs.RecorderConfig
+	FlightRec bool
 	// Membership, when set, runs a failure detector + anti-entropy
 	// endpoint at this peer: the routing registry becomes per-peer state
 	// fed by membership events — advertisements adopted via anti-entropy
@@ -201,10 +189,6 @@ type Peer struct {
 	// Super is the super-peer this simple-peer is attached to (hybrid
 	// architecture); empty otherwise.
 	Super pattern.PeerID
-	// DeadlineMS bounds this peer's control-plane RPCs (advertisement
-	// push/pull, departure, routing requests) on the simulated clock,
-	// mirroring Config.DeadlineMS on the data plane. 0 means none.
-	DeadlineMS float64
 	// qos is the default QoS for this peer's own queries (from
 	// Config.Tenant/Priority).
 	qos admission.QoS
@@ -257,17 +241,11 @@ func New(cfg Config, net *network.Network) (*Peer, error) {
 	p.Router = routing.NewRouter(cfg.Schema, p.Registry)
 	p.Channels = channel.NewManager(cfg.ID, net)
 	p.Engine = exec.NewEngine(cfg.ID, net, p.Channels, localSource{p})
-	p.Engine.Policy = cfg.Policy
+	p.Engine.Options = cfg.Options
 	p.Engine.Cost = optimizer.NewCostModel(p.Catalog)
 	p.Engine.Router = p.Router
 	p.Engine.StatsProvider = p.selfStats
 	p.Engine.StatsSink = p.Catalog.PutPeer
-	p.Engine.Parallelism = cfg.Parallelism
-	p.Engine.DeadlineMS = cfg.DeadlineMS
-	p.DeadlineMS = cfg.DeadlineMS
-	p.Engine.MaxRetries = cfg.MaxRetries
-	p.Engine.AllowPartial = cfg.AllowPartial
-	p.Engine.MaxMigrations = cfg.MaxMigrations
 	p.Channels.DeadlineMS = cfg.DeadlineMS
 	if cfg.Quarantine {
 		p.Health = routing.NewHealth(p.Registry)
@@ -319,8 +297,8 @@ func New(cfg Config, net *network.Network) (*Peer, error) {
 		if p.Membership != nil {
 			p.Membership.Events = cfg.Events
 		}
-		if cfg.FlightRec != nil {
-			p.Recorder = obs.NewFlightRecorder(string(cfg.ID), *cfg.FlightRec)
+		if cfg.FlightRec {
+			p.Recorder = obs.NewFlightRecorder(string(cfg.ID))
 			p.Recorder.Context = p.recorderContext
 			cfg.Events.AddSink(p.Recorder.Observe)
 		}
@@ -520,7 +498,7 @@ func (p *Peer) PushAdvertisement(to pattern.PeerID) error {
 	if err != nil {
 		return fmt.Errorf("peer %s: marshal advertisement: %w", p.ID, err)
 	}
-	if _, err := p.Net.CallWithin(p.ID, to, "adv.push", body, p.DeadlineMS); err != nil {
+	if _, err := p.Net.CallWithin(p.ID, to, "adv.push", body, p.Engine.DeadlineMS); err != nil {
 		return fmt.Errorf("peer %s: push advertisement to %s: %w", p.ID, to, err)
 	}
 	return nil
@@ -530,7 +508,7 @@ func (p *Peer) PushAdvertisement(to pattern.PeerID) error {
 // (the pull of §3.2: "the peer explicitly requests the active-schemas of
 // its neighbor peers").
 func (p *Peer) PullAdvertisement(from pattern.PeerID) error {
-	reply, err := p.Net.CallWithin(p.ID, from, "adv.pull", nil, p.DeadlineMS)
+	reply, err := p.Net.CallWithin(p.ID, from, "adv.pull", nil, p.Engine.DeadlineMS)
 	if err != nil {
 		return fmt.Errorf("peer %s: pull advertisement from %s: %w", p.ID, from, err)
 	}
@@ -547,7 +525,7 @@ func (p *Peer) PullAdvertisement(from pattern.PeerID) error {
 // drop it from their routing knowledge. Dead recipients are skipped.
 func (p *Peer) AnnounceDeparture(to ...pattern.PeerID) {
 	for _, id := range to {
-		_ = p.Net.SendWithin(p.ID, id, "adv.leave", []byte(p.ID), p.DeadlineMS)
+		_ = p.Net.SendWithin(p.ID, id, "adv.leave", []byte(p.ID), p.Engine.DeadlineMS)
 	}
 }
 
@@ -592,7 +570,7 @@ func (p *Peer) RequestRouting(from pattern.PeerID, q *pattern.QueryPattern) (*pa
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: marshal query pattern: %w", p.ID, err)
 	}
-	reply, err := p.Net.CallWithin(p.ID, from, "query.route", body, p.DeadlineMS)
+	reply, err := p.Net.CallWithin(p.ID, from, "query.route", body, p.Engine.DeadlineMS)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: routing request to %s: %w", p.ID, from, err)
 	}
@@ -728,7 +706,7 @@ func (p *Peer) AskAnnotated(rqlText string) (*exec.Result, error) {
 // AskAnnotatedAs is AskAnnotated under an explicit QoS. With an
 // admission controller configured, the query is admitted at this facade
 // first — charged against the tenant's token bucket and checked under
-// its priority's occupancy watermark, with the peer's DeadlineMS as the
+// its priority's occupancy watermark, with the engine's DeadlineMS as the
 // deadline-awareness budget. A rejected query returns a transient
 // *admission.OverloadError (network.Transient reports true) carrying a
 // retry-after hint on the logical clock; no compile or routing work is

@@ -1,6 +1,6 @@
 // Peer health tracking: a circuit breaker over the Registry's
 // quarantine. The executor reports delivery successes and failures per
-// peer; repeated failures trip the breaker (the peer's advertisements
+// peer; a failure trips the breaker (the peer's advertisements
 // are quarantined from routing for a cool-down), and after the cool-down
 // the peer re-enters on probation — the next query is its probe, and one
 // more failure re-quarantines it with a doubled cool-down. Time is
@@ -16,6 +16,16 @@ import (
 	"sqpeer/internal/pattern"
 )
 
+// Breaker timing, in ticks. One failure opens the breaker: in a
+// simulated network a delivery failure is already the end of a retry
+// loop.
+const (
+	// cooldownTicks is the first quarantine's length.
+	cooldownTicks = 2
+	// maxCooldownTicks caps the doubling on probation failures.
+	maxCooldownTicks = 16
+)
+
 // Health state per peer.
 const (
 	healthy     = iota
@@ -25,12 +35,10 @@ const (
 
 type peerHealth struct {
 	state int
-	// consecutive counts failures since the last success.
-	consecutive int
 	// until is the tick at which a quarantine lifts.
 	until int
 	// cooldown is the length of the peer's next quarantine (doubles on
-	// probation failure, up to MaxCooldownTicks).
+	// probation failure, up to maxCooldownTicks).
 	cooldown int
 	// condemned pins the breaker open past every cool-down: a membership
 	// confirm-dead verdict, not a transient delivery failure. Only Revive
@@ -60,14 +68,6 @@ type HealthStats struct {
 type Health struct {
 	// Registry is the routing registry the breaker gates.
 	Registry *Registry
-	// FailureThreshold is how many consecutive failures open the breaker
-	// (default 1: in a simulated network a delivery failure is already
-	// the end of a retry loop).
-	FailureThreshold int
-	// CooldownTicks is the initial quarantine length in ticks (default 2).
-	CooldownTicks int
-	// MaxCooldownTicks caps the doubling (default 16).
-	MaxCooldownTicks int
 
 	// events/peerID feed the unified operations log; set once via
 	// SetEventLog during peer wiring, before traffic. Breaker methods
@@ -82,14 +82,11 @@ type Health struct {
 	stats HealthStats
 }
 
-// NewHealth returns a tracker over the registry with default thresholds.
+// NewHealth returns a tracker over the registry.
 func NewHealth(reg *Registry) *Health {
 	return &Health{
-		Registry:         reg,
-		FailureThreshold: 1,
-		CooldownTicks:    2,
-		MaxCooldownTicks: 16,
-		peers:            map[pattern.PeerID]*peerHealth{},
+		Registry: reg,
+		peers:    map[pattern.PeerID]*peerHealth{},
 	}
 }
 
@@ -115,7 +112,7 @@ func (h *Health) emit(kind string, target pattern.PeerID, attrs ...obs.Attr) {
 func (h *Health) get(peer pattern.PeerID) *peerHealth {
 	ph, ok := h.peers[peer]
 	if !ok {
-		ph = &peerHealth{cooldown: h.CooldownTicks}
+		ph = &peerHealth{cooldown: cooldownTicks}
 		h.peers[peer] = ph
 	}
 	return ph
@@ -125,19 +122,14 @@ func (h *Health) get(peer pattern.PeerID) *peerHealth {
 func (h *Health) quarantineLocked(peer pattern.PeerID, ph *peerHealth) {
 	ph.state = quarantined
 	ph.until = h.now + ph.cooldown
-	next := ph.cooldown * 2
-	if next > h.MaxCooldownTicks {
-		next = h.MaxCooldownTicks
-	}
-	ph.cooldown = next
-	ph.consecutive = 0
+	ph.cooldown = min(ph.cooldown*2, maxCooldownTicks)
 	h.stats.Quarantines++
 	h.Registry.Quarantine(peer)
 }
 
-// ReportFailure records a delivery failure against the peer. At
-// FailureThreshold consecutive failures — or any failure while on
-// probation — the breaker opens and the peer is quarantined.
+// ReportFailure records a delivery failure against the peer: the
+// breaker opens and the peer is quarantined (for twice as long when it
+// was on probation).
 func (h *Health) ReportFailure(peer pattern.PeerID) {
 	h.mu.Lock()
 	ph := h.get(peer)
@@ -145,20 +137,13 @@ func (h *Health) ReportFailure(peer pattern.PeerID) {
 		h.mu.Unlock()
 		return
 	}
-	ph.consecutive++
-	tripped := ph.state == probation || ph.consecutive >= h.FailureThreshold
-	if tripped {
-		h.quarantineLocked(peer, ph)
-	}
+	h.quarantineLocked(peer, ph)
 	h.mu.Unlock()
-	if tripped {
-		h.emit("quarantine", peer, obs.A("reason", "failures"))
-	}
+	h.emit("quarantine", peer, obs.A("reason", "failures"))
 }
 
 // ReportSuccess records a successful delivery: a peer on probation
-// recovers fully (breaker closed, cool-down reset), any peer's failure
-// streak resets.
+// recovers fully (breaker closed, cool-down reset).
 func (h *Health) ReportSuccess(peer pattern.PeerID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -168,14 +153,12 @@ func (h *Health) ReportSuccess(peer pattern.PeerID) {
 	}
 	if ph.state == probation {
 		ph.state = healthy
-		ph.cooldown = h.CooldownTicks
+		ph.cooldown = cooldownTicks
 		h.stats.Recoveries++
 	}
-	ph.consecutive = 0
 }
 
-// QuarantineNow opens the breaker immediately regardless of the failure
-// streak — used when the executor has already classified a failure as
+// QuarantineNow opens the breaker immediately — used when the executor has already classified a failure as
 // permanent-for-this-peer (e.g. a replan-triggering *PeerFailure*).
 func (h *Health) QuarantineNow(peer pattern.PeerID) {
 	h.mu.Lock()
@@ -225,8 +208,7 @@ func (h *Health) Revive(peer pattern.PeerID) {
 	}
 	ph.condemned = false
 	ph.state = healthy
-	ph.consecutive = 0
-	ph.cooldown = h.CooldownTicks
+	ph.cooldown = cooldownTicks
 	h.stats.Revivals++
 	h.Registry.Reinstate(peer)
 	h.mu.Unlock()

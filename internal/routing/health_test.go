@@ -83,29 +83,24 @@ func TestQuarantineEdgeCases(t *testing.T) {
 	}
 }
 
-// The breaker: threshold failures quarantine, Tick-driven cool-down
-// lifts into probation, probation failure re-quarantines with doubled
-// cool-down, probation success closes the breaker.
+// The breaker: a failure quarantines, Tick-driven cool-down lifts into
+// probation, probation failure re-quarantines with doubled cool-down,
+// probation success closes the breaker.
 func TestHealthCircuitBreaker(t *testing.T) {
 	reg := routing.NewRegistry()
 	for peer, as := range gen.PaperActiveSchemas() {
 		reg.Register(peer, as)
 	}
 	h := routing.NewHealth(reg)
-	h.FailureThreshold = 2
-	h.CooldownTicks = 2
 
 	h.ReportFailure("P3")
-	if reg.IsQuarantined("P3") {
-		t.Fatal("one failure below threshold must not quarantine")
-	}
-	h.ReportFailure("P3")
 	if !reg.IsQuarantined("P3") {
-		t.Fatal("threshold failures must quarantine")
+		t.Fatal("a failure must quarantine")
 	}
 	if fmt.Sprint(h.Quarantined()) != "[P3]" {
 		t.Fatalf("Quarantined() = %v", h.Quarantined())
 	}
+	h.ReportFailure("P3") // already open: no second quarantine
 
 	if lifted := h.Tick(); len(lifted) != 0 {
 		t.Fatalf("cool-down of 2 must survive one tick, lifted %v", lifted)
@@ -142,25 +137,27 @@ func TestHealthCircuitBreaker(t *testing.T) {
 	}
 }
 
+// QuarantineNow opens the breaker without a failure; repeated probation
+// failures then double the cool-down up to its cap of 16 ticks, and a
+// probation success resets it to 2.
 func TestHealthQuarantineNowAndSuccessReset(t *testing.T) {
 	reg := routing.NewRegistry()
 	for peer, as := range gen.PaperActiveSchemas() {
 		reg.Register(peer, as)
 	}
 	h := routing.NewHealth(reg)
-	h.FailureThreshold = 3
-
-	// Successes reset the failure streak.
-	h.ReportFailure("P2")
-	h.ReportFailure("P2")
-	h.ReportSuccess("P2")
-	h.ReportFailure("P2")
-	h.ReportFailure("P2")
-	if reg.IsQuarantined("P2") {
-		t.Fatal("streak should have been reset by the success")
+	// ticksToLift ticks until the peer leaves quarantine.
+	ticksToLift := func(peer string) int {
+		for n := 1; n <= 64; n++ {
+			if len(h.Tick()) > 0 {
+				return n
+			}
+		}
+		t.Fatalf("%s never lifted", peer)
+		return 0
 	}
 
-	// Forced quarantine ignores the threshold; a stale success while the
+	// Forced quarantine needs no failure; a stale success while the
 	// breaker is open does not close it.
 	h.QuarantineNow("P2")
 	if !reg.IsQuarantined("P2") {
@@ -169,6 +166,20 @@ func TestHealthQuarantineNowAndSuccessReset(t *testing.T) {
 	h.ReportSuccess("P2")
 	if !reg.IsQuarantined("P2") {
 		t.Fatal("a success while quarantined must not close the breaker")
+	}
+	var got []int
+	got = append(got, ticksToLift("P2"))
+	for i := 0; i < 4; i++ {
+		h.ReportFailure("P2") // on probation
+		got = append(got, ticksToLift("P2"))
+	}
+	if fmt.Sprint(got) != "[2 4 8 16 16]" {
+		t.Fatalf("cool-downs = %v, want [2 4 8 16 16]", got)
+	}
+	h.ReportSuccess("P2") // probation success: breaker closed, cool-down reset
+	h.ReportFailure("P2")
+	if n := ticksToLift("P2"); n != 2 {
+		t.Fatalf("cool-down after a recovery = %d, want 2", n)
 	}
 }
 
@@ -181,13 +192,12 @@ func TestHealthCondemnPinsUntilRevive(t *testing.T) {
 		reg.Register(peer, as)
 	}
 	h := routing.NewHealth(reg)
-	h.CooldownTicks = 1
 
 	h.Condemn("P2")
 	if !reg.IsQuarantined("P2") || !h.Condemned("P2") {
 		t.Fatal("condemn must quarantine immediately")
 	}
-	// Far past any cool-down (the initial is 1 tick): still pinned, never
+	// Far past any cool-down (the initial is 2 ticks): still pinned, never
 	// lifted into probation.
 	for i := 0; i < 20; i++ {
 		if lifted := h.Tick(); len(lifted) != 0 {
