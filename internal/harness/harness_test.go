@@ -55,6 +55,27 @@ func TestEveryExperimentReproduces(t *testing.T) {
 	}
 }
 
+// TestFigure4Deterministic pins FIG-4's report: the base's sorted runs
+// give every scan one row order, so the measured Plan 1 byte count —
+// which depends on how scan rows split into frames, each with its own
+// dictionary — is the same on every run.
+func TestFigure4Deterministic(t *testing.T) {
+	a, err := harness.Run("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := harness.Run("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("fig4 reports differ between runs:\n%s\n---\n%s", a, b)
+	}
+	if want := "Plan 1+data →  55672 bytes"; !strings.Contains(a.String(), want) {
+		t.Errorf("fig4 report lacks %q:\n%s", want, a)
+	}
+}
+
 func TestReportRendering(t *testing.T) {
 	r, err := harness.Run("fig1")
 	if err != nil {

@@ -154,6 +154,15 @@ func TestBaseConcurrentAccess(t *testing.T) {
 				b.Add(Statement(res(g*1000+i), n1("prop1"), res(i)))
 				b.Match(Term{}, NewIRI(n1("prop1")), Term{})
 				b.Count(NewIRI(res(g*1000+i)), Term{}, Term{})
+				// Dictionary snapshots are read after the base lock is
+				// released, while other goroutines keep interning.
+				xs, ys, terms := b.PairIDs(n1("prop1"), nil)
+				if len(xs) == 0 || terms[xs[0]].Zero() || terms[ys[len(ys)-1]].Zero() {
+					t.Error("pair ids do not resolve in their snapshot")
+				}
+				if i%50 == 0 {
+					CollectStats(b, nil)
+				}
 			}
 		}(g)
 	}
@@ -199,8 +208,8 @@ func TestBaseIndexAgreementProperty(t *testing.T) {
 }
 
 // TestBaseRemoveInverseProperty: removing everything inserted leaves the
-// base empty with all index maps drained (no leaked submaps reachable via
-// Match).
+// base empty with every run dropped (no emptied run left behind for Match
+// to search).
 func TestBaseRemoveInverseProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -218,7 +227,7 @@ func TestBaseRemoveInverseProperty(t *testing.T) {
 			}
 		}
 		return b.Len() == 0 && len(b.Triples()) == 0 &&
-			len(b.spo) == 0 && len(b.pos) == 0 && len(b.osp) == 0
+			len(b.runs) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

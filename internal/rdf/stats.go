@@ -30,60 +30,93 @@ type BaseStats struct {
 // CollectStats computes BaseStats for the base against the schema. The
 // schema supplies the subsumption hierarchies; it may be nil, in which
 // case only directly asserted properties and classes are counted.
+//
+// Every count is read off the base's sorted runs in id space: a
+// property's pair cardinality is the size of the merged union of its
+// subproperties' POS ranges, its distinct objects are counted where the
+// merged object changes, its distinct subjects through a stamped id
+// array, and a class's cardinality is the size of the merged union of
+// its subclasses' rdf:type ranges. No pair, instance or term set is
+// built.
 func CollectStats(b *Base, schema *Schema) *BaseStats {
+	props := b.PropertiesUsed()
+	classes := b.ClassesUsed()
+	if schema != nil {
+		// Count every schema property and class so subsumption-contributed
+		// cardinalities appear even when the superproperty or superclass
+		// itself has no direct triples.
+		for _, p := range schema.Properties() {
+			props = append(props, p.Name)
+		}
+		for _, c := range schema.Classes() {
+			classes = append(classes, c.Name)
+		}
+	}
+	// Resolve the hierarchies before taking the base lock: the schema has
+	// its own.
+	propSubs := hierarchies(props, schema, subProperties)
+	classSubs := hierarchies(classes, schema, subClasses)
+
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	st := &BaseStats{
-		Triples:          b.Len(),
+		Triples:          b.n,
 		PropertyCard:     map[IRI]int{},
 		ClassCard:        map[IRI]int{},
 		DistinctSubjects: map[IRI]int{},
 		DistinctObjects:  map[IRI]int{},
 	}
-	props := b.PropertiesUsed()
-	if schema != nil {
-		// Count every schema property so subsumption-contributed
-		// cardinalities appear even when the superproperty itself has no
-		// direct triples.
-		for _, p := range schema.Properties() {
-			props = append(props, p.Name)
+	// mark[id] == stamp marks subject id as seen for the current property.
+	mark := make([]uint32, b.dict.Len())
+	stamp := uint32(0)
+	for _, pc := range propSubs {
+		stamp++
+		pairs, objs, subs := 0, 0, 0
+		var lastObj uint32
+		mergeDistinct(b.propRanges(pc.members), 1, func(x key) {
+			if pairs == 0 || x[1] != lastObj {
+				objs++
+				lastObj = x[1]
+			}
+			pairs++
+			if mark[x[2]] != stamp {
+				mark[x[2]] = stamp
+				subs++
+			}
+		})
+		if pairs > 0 {
+			st.PropertyCard[pc.name] = pairs
+			st.DistinctSubjects[pc.name] = subs
+			st.DistinctObjects[pc.name] = objs
 		}
 	}
-	seenProp := map[IRI]bool{}
-	for _, p := range props {
-		if seenProp[p] {
-			continue
-		}
-		seenProp[p] = true
-		pairs := b.Pairs(p, schema)
-		if len(pairs) == 0 {
-			continue
-		}
-		st.PropertyCard[p] = len(pairs)
-		subs := map[Term]struct{}{}
-		objs := map[Term]struct{}{}
-		for _, pr := range pairs {
-			subs[pr.X] = struct{}{}
-			objs[pr.Y] = struct{}{}
-		}
-		st.DistinctSubjects[p] = len(subs)
-		st.DistinctObjects[p] = len(objs)
-	}
-	classes := b.ClassesUsed()
-	if schema != nil {
-		for _, c := range schema.Classes() {
-			classes = append(classes, c.Name)
-		}
-	}
-	seenClass := map[IRI]bool{}
-	for _, c := range classes {
-		if seenClass[c] {
-			continue
-		}
-		seenClass[c] = true
-		if n := len(b.InstancesOf(c, schema)); n > 0 {
-			st.ClassCard[c] = n
+	for _, cc := range classSubs {
+		n := 0
+		mergeDistinct(b.typeRanges(cc.members), 2, func(key) { n++ })
+		if n > 0 {
+			st.ClassCard[cc.name] = n
 		}
 	}
 	return st
+}
+
+// hierarchy is a property or class with its subsumption closure.
+type hierarchy struct {
+	name    IRI
+	members []IRI
+}
+
+// hierarchies resolves each distinct name's closure, in first-seen order.
+func hierarchies(names []IRI, schema *Schema, sub func(IRI, *Schema) []IRI) []hierarchy {
+	seen := map[IRI]bool{}
+	var out []hierarchy
+	for _, n := range names {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, hierarchy{n, sub(n, schema)})
+		}
+	}
+	return out
 }
 
 // Card returns the pair cardinality recorded for property p, or 0.

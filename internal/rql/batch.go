@@ -52,94 +52,30 @@ type Batch struct {
 // immutable while the store grows, and every id-space read path (facade
 // conversion, slicing, encoding) works unchanged.
 //
-// The mutex makes interning safe across the execution's collector and
-// branch goroutines; reads of a snapshot need no lock because the store
-// only ever appends past every existing snapshot's length.
-//
-// The inverse index is a linear-probing table of id+1 slots (0 empty)
-// rather than a Go map: each term's hash is computed once at insertion
-// and memoized in hashes, so growing the table re-buckets by stored
-// hash without touching a term, and both table arrays are pointer-free
-// — on million-term executions a Term-keyed map spends more time
-// re-hashing terms during growth (and being scanned by the collector)
-// than interning them.
+// The dictionary itself is an rdf.TermDict, the probe-table dictionary
+// every rdf.Base also keeps. The mutex makes interning safe across the
+// execution's collector and branch goroutines; reads of a snapshot need
+// no lock because the store only ever appends past every existing
+// snapshot's length.
 type TermStore struct {
-	mu    sync.Mutex
-	terms []rdf.Term
-	// hashes[id] is the memoized termHash of terms[id].
-	hashes []uint64
-	// slots is the power-of-two probe table holding id+1; mask is
-	// len(slots)-1.
-	slots []int32
-	mask  uint64
+	mu   sync.Mutex
+	dict rdf.TermDict
 }
 
 // NewTermStore returns an empty shared dictionary.
 func NewTermStore() *TermStore {
-	return &TermStore{slots: make([]int32, 1024), mask: 1023}
-}
-
-// termHash is a deterministic FNV-1a over the term's discriminant and
-// text; interning uses it through the memo in TermStore.hashes.
-func termHash(t rdf.Term) uint64 {
-	h := uint64(14695981039346656037)
-	h ^= uint64(t.Kind)
-	h *= 1099511628211
-	for i := 0; i < len(t.Value); i++ {
-		h ^= uint64(t.Value[i])
-		h *= 1099511628211
-	}
-	h ^= 0xff // separator: ("a","b") must not collide with ("ab","")
-	h *= 1099511628211
-	for i := 0; i < len(t.Datatype); i++ {
-		h ^= uint64(t.Datatype[i])
-		h *= 1099511628211
-	}
-	return h
+	return &TermStore{}
 }
 
 // intern returns t's id, adding it on first use. Caller holds mu.
 func (s *TermStore) intern(t rdf.Term) int32 {
-	h := termHash(t)
-	i := h & s.mask
-	for {
-		slot := s.slots[i]
-		if slot == 0 {
-			break
-		}
-		if id := slot - 1; s.hashes[id] == h && s.terms[id] == t {
-			return id
-		}
-		i = (i + 1) & s.mask
-	}
-	id := int32(len(s.terms))
-	s.terms = append(s.terms, t)
-	s.hashes = append(s.hashes, h)
-	s.slots[i] = id + 1
-	if uint64(len(s.terms))*4 >= uint64(len(s.slots))*3 {
-		s.grow()
-	}
-	return id
-}
-
-// grow doubles the probe table, re-bucketing by memoized hash.
-func (s *TermStore) grow() {
-	slots := make([]int32, 2*len(s.slots))
-	mask := uint64(len(slots) - 1)
-	for id, h := range s.hashes {
-		i := h & mask
-		for slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		slots[i] = int32(id) + 1
-	}
-	s.slots, s.mask = slots, mask
+	return int32(s.dict.Intern(t))
 }
 
 // snapshot returns the current term sequence, capacity-capped so later
 // store appends reallocate instead of scribbling past it. Caller holds mu.
 func (s *TermStore) snapshot() []rdf.Term {
-	return s.terms[:len(s.terms):len(s.terms)]
+	return s.dict.Terms()
 }
 
 // NewBatch returns an empty store-backed batch over the variables.

@@ -51,43 +51,63 @@ func EvalPathPatternBatch(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPa
 
 // EvalPathPatternBatchInto is EvalPathPatternBatch interning into an
 // execution's shared dictionary (nil store for a self-contained batch).
-// The pairs stream straight from the triple indexes into the columns, so
-// the scan materializes nothing per row but the two id appends.
+// The scan runs in the base's id space: the base merges the property's
+// sorted POS ranges into the two columns as base-local ids, the end-point
+// filters test id sets, and a final pass maps each distinct base id to a
+// batch id once — through a pointer-free remap table, in first-appearance
+// order — so no term is hashed per row.
 func EvalPathPatternBatchInto(store *TermStore, base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern) *Batch {
-	var b *Batch
-	if store != nil {
-		b = store.NewBatch(pat.SubjectVar, pat.ObjectVar)
-	} else {
-		b = NewBatch(pat.SubjectVar, pat.ObjectVar)
-	}
+	b := NewBatch(pat.SubjectVar, pat.ObjectVar)
 	def, _ := schema.PropertyByName(pat.Property)
 
-	var domainFilter, rangeFilter map[rdf.Term]bool
+	var domain, rng rdf.IDSet
 	if def != nil && pat.Domain != def.Domain && pat.Domain != "" {
-		domainFilter = instanceSet(base, schema, pat.Domain)
+		domain = base.InstanceIDs(pat.Domain, schema)
 	}
 	if def != nil && pat.Range != def.Range && pat.Range != "" {
-		rangeFilter = instanceSet(base, schema, pat.Range)
+		rng = base.InstanceIDs(pat.Range, schema)
 	}
-	// The triple indexes group a property's pairs by subject, so runs of
-	// consecutive pairs share pr.X; memoizing the previous subject's id
-	// saves a dictionary probe per pair in the run.
-	var lastX rdf.Term
-	lastID := int32(-1)
-	base.PairsFunc(pat.Property, schema, func(pr rdf.Pair) {
-		if domainFilter != nil && !domainFilter[pr.X] {
-			return
+	xs, ys, terms := base.PairIDs(pat.Property, schema)
+	if domain != nil || rng != nil {
+		n := 0
+		for i, x := range xs {
+			y := ys[i]
+			if domain != nil && !domain.Has(x) {
+				continue
+			}
+			if rng != nil && !terms[y].IsLiteral() && !rng.Has(y) {
+				continue
+			}
+			xs[n], ys[n] = x, y
+			n++
 		}
-		if rangeFilter != nil && !pr.Y.IsLiteral() && !rangeFilter[pr.Y] {
-			return
+		xs, ys = xs[:n], ys[:n]
+	}
+	b.Cols[0], b.Cols[1], b.rows = xs, ys, len(xs)
+
+	// remap[id] is base id's batch id + 1; 0 while unassigned.
+	remap := make([]int32, len(terms))
+	intern := func(t rdf.Term) int32 {
+		b.Dict = append(b.Dict, t)
+		return int32(len(b.Dict) - 1)
+	}
+	if store != nil {
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		intern = store.intern
+	}
+	for r := range xs {
+		for _, col := range b.Cols {
+			id := col[r]
+			if remap[id] == 0 {
+				remap[id] = intern(terms[id]) + 1
+			}
+			col[r] = remap[id] - 1
 		}
-		if lastID < 0 || pr.X != lastX {
-			lastX, lastID = pr.X, b.Intern(pr.X)
-		}
-		b.Cols[0] = append(b.Cols[0], lastID)
-		b.Cols[1] = append(b.Cols[1], b.Intern(pr.Y))
-		b.rows++
-	})
+	}
+	if store != nil {
+		b.store, b.Dict = store, store.snapshot()
+	}
 	return b
 }
 

@@ -1,6 +1,7 @@
 package rql_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -73,6 +74,56 @@ func TestEvalPathPatternBatchMatchesScalar(t *testing.T) {
 		}
 		if !slicesEqual(got.Vars, want.Vars) {
 			t.Errorf("pattern %s: Vars = %v, want %v", pat.ID, got.Vars, want.Vars)
+		}
+	}
+}
+
+// TestEvalPathPatternBatchIntoStore runs the id-space scan leaf over a
+// base spread across several sorted runs, with pairs reachable through
+// both a property and its subproperty, literal objects under a range
+// filter, and a shared store that already holds terms: every variant must
+// render the row evaluator's rows, once each.
+func TestEvalPathPatternBatchIntoStore(t *testing.T) {
+	schema := gen.PaperSchema()
+	base := rdf.NewBase()
+	res := func(i int) rdf.IRI { return rdf.IRI("http://d#r" + strconv.Itoa(i)) }
+	for i := 0; i < 300; i++ {
+		base.Add(rdf.Statement(res(i), gen.N1("prop1"), res(i+1)))
+		if i%3 == 0 {
+			base.Add(rdf.Statement(res(i), gen.N1("prop4"), res(i+1))) // same pair again
+			base.Add(rdf.Typing(res(i), gen.N1("C5")))
+		}
+		if i%5 == 0 {
+			base.Add(rdf.Statement(res(i), gen.N1("prop4"), res(i+7)))
+			base.Add(rdf.NewTriple(rdf.NewIRI(res(i)), rdf.NewIRI(gen.N1("prop1")), rdf.NewLiteral("l"+strconv.Itoa(i))))
+		}
+		if i%7 == 0 {
+			base.Add(rdf.Typing(res(i+1), gen.N1("C6")))
+		}
+	}
+	pats := []pattern.PathPattern{
+		gen.PaperQuery().Patterns[0], // {X;C1}prop1{Y;C2}, subproperty closure
+		{ID: "Q1", SubjectVar: "X", ObjectVar: "Y",
+			Property: gen.N1("prop1"), Domain: gen.N1("C5"), Range: gen.N1("C2")},
+		{ID: "Q2", SubjectVar: "X", ObjectVar: "Y",
+			Property: gen.N1("prop1"), Domain: gen.N1("C1"), Range: gen.N1("C6")},
+		{ID: "Q3", SubjectVar: "S", ObjectVar: "O",
+			Property: gen.N1("prop4"), Domain: gen.N1("C5"), Range: gen.N1("C6")},
+	}
+	store := rql.NewTermStore()
+	store.NewBatch("Z").Intern(rdf.NewIRI(res(150)))
+	for _, pat := range pats {
+		want := strings.Join(rql.EvalPathPattern(base, schema, pat).Sorted(), "\n")
+		if want == "" {
+			t.Fatalf("pattern %s: empty oracle answer makes the comparison vacuous", pat.ID)
+		}
+		for i, b := range []*rql.Batch{
+			rql.EvalPathPatternBatch(base, schema, pat),
+			rql.EvalPathPatternBatchInto(store, base, schema, pat),
+		} {
+			if got := strings.Join(b.ResultSet().Sorted(), "\n"); got != want {
+				t.Errorf("pattern %s, store-backed %v: batch scan diverges from scalar\nbatch:\n%s\nscalar:\n%s", pat.ID, i == 1, got, want)
+			}
 		}
 	}
 }
