@@ -17,12 +17,11 @@ test:
 # intraprocedural (walltime, seededrand, maporder, errclass, locksafe,
 # obsspan, jsonrow) and four interprocedural (lockorder, bufsafe,
 # deadlinebound, goroleak) — see DESIGN.md §9. Zero un-allowlisted
-# diagnostics is a merge gate. The interprocedural tier's per-package
-# summaries persist in .lintcache/ so repeat runs only re-summarize
-# what changed; the per-analyzer cost report lands in lint-report.txt.
+# diagnostics is a merge gate. The per-analyzer cost report lands in
+# lint-report.txt.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/sqpeer-lint -summary-cache .lintcache -report lint-report.txt ./...
+	$(GO) run ./cmd/sqpeer-lint -report lint-report.txt ./...
 
 check: lint
 	$(GO) test -race ./...

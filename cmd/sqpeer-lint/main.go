@@ -14,7 +14,7 @@
 //	jsonrow        no JSON of row-carrying rql types on the data plane
 //
 // Interprocedural tier (cross-package function summaries, see
-// internal/lint/summary; cacheable via -summary-cache):
+// internal/lint/summary):
 //
 //	lockorder      mutex acquisition-order graph must be acyclic
 //	bufsafe        pooled wire-buffer lifecycle (double-put, use-after-put,
@@ -110,7 +110,6 @@ func isDeadlineScope(pkgPath string) bool {
 func main() {
 	showAllowed := flag.Bool("show-allowed", false, "also print suppressed diagnostics with their reasons")
 	list := flag.Bool("help-analyzers", false, "list analyzers and exit")
-	cacheDir := flag.String("summary-cache", "", "directory for the interprocedural summary cache (empty = no cache)")
 	reportFile := flag.String("report", "", "also write the per-analyzer stats report to this file")
 	flag.Parse()
 	if *list {
@@ -129,9 +128,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sqpeer-lint:", err)
 		os.Exit(2)
 	}
-	findings, stats, err := driver.RunWith(analyzers, pkgs, scope, driver.Options{
-		SummaryCacheDir: *cacheDir,
-	})
+	findings, stats, err := driver.RunWith(analyzers, pkgs, scope)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sqpeer-lint:", err)
 		os.Exit(2)

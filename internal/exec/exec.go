@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -205,13 +204,13 @@ type Engine struct {
 	// their watermark into completeness holes (AllowPartial only; High
 	// is never shed). Nil disables both — the historical behaviour.
 	Admission *admission.Controller
-	// Events, when set, receives the executor's operations events — one
-	// "shed" per Metrics.Shed, one "migrate" per Metrics.Migrations, one
-	// "retry"/"resume" per retry-loop transition, one "replan" per
-	// Metrics.Replans, one "ledger" per ledger entry, and a "dispatch"
-	// per shipped try. The exact 1:1 pairing with the counters is the
-	// reconciliation invariant CLAIM-OBSERVE checks. Nil disables the
-	// plane (the ablation path); events are emitted outside e.mu.
+	// Events, when set, receives the executor's operations events, each
+	// stamped with Self and written by the same record call that folds
+	// the fact into Metrics: one "dispatch" per SubplansShipped, "retry"
+	// per Retries, "resume" per Resumes, "replan" per Replans, "shed" per
+	// Shed, "migrate" per Migrations and one "ledger" per ledger entry.
+	// CLAIM-OBSERVE reconciles them against the counters. Nil disables
+	// the plane (the ablation path); events are emitted outside e.mu.
 	Events *obs.EventLog
 
 	mu      sync.Mutex
@@ -220,6 +219,10 @@ type Engine struct {
 	// ExecuteAnnotated call: one entry per finished dispatch, recording
 	// site, rows and the channel watermark at completion.
 	lastLedger []LedgerEntry
+	// serving is set on the shadow engine handleSubplan builds for one
+	// shipped subplan: the shadow records its counters straight into the
+	// engine the subplan arrived at.
+	serving *Engine
 }
 
 // parallelism resolves the engine's effective branch parallelism.
@@ -228,135 +231,6 @@ func (e *Engine) parallelism() int {
 		return e.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Metrics counts executor activity for the experiment harness.
-type Metrics struct {
-	// ChannelsOpened counts channels deployed by this engine as root.
-	ChannelsOpened int
-	// SubplansShipped counts subplans sent to remote peers.
-	SubplansShipped int
-	// RowsShipped counts result rows received from remote peers.
-	RowsShipped int
-	// BytesShipped counts result payload bytes received from remotes.
-	BytesShipped int
-	// Replans counts run-time adaptations performed.
-	Replans int
-	// LocalScans counts scans evaluated against the local base.
-	LocalScans int
-	// Retries counts transiently-failed dispatches that were retried.
-	Retries int
-	// BackoffMS is the total retry backoff charged to the logical clock.
-	BackoffMS float64
-	// PartialAnswers counts executions that returned an incomplete result
-	// under AllowPartial.
-	PartialAnswers int
-	// Migrations counts mid-flight subplan migrations: a failed subtree
-	// re-dispatched to an alternate peer while its siblings' rows were
-	// retained (vs. Replans, which discard and restart everything).
-	Migrations int
-	// HolesFilled counts `@?` holes converted into dispatched subplans
-	// mid-flight, after advertisement updates made them answerable.
-	HolesFilled int
-	// PlanChanges counts PlanChange packets exchanged (both the
-	// migration/resume announcements and the destination's acks).
-	PlanChanges int
-	// Resumes counts dispatch retries that resumed from a row checkpoint
-	// instead of re-streaming from scratch.
-	Resumes int
-	// RowsRetained counts rows that recovery did NOT have to fetch again:
-	// sibling rows kept across a migration plus checkpointed prefixes
-	// honored by resumed dispatches.
-	RowsRetained int
-	// RowsRefetched counts rows a site shipped again for a pattern set
-	// it had already delivered in an earlier dispatch of this query — the
-	// wasted work a full restart pays and migration avoids. Horizontal
-	// siblings (one pattern set at several sites) are distinct slices.
-	RowsRefetched int
-	// RowsDiscarded counts partially-streamed rows abandoned when a
-	// dispatch ultimately failed or a checkpoint was rejected.
-	RowsDiscarded int
-	// Shed counts subplans this engine (as root) converted into
-	// completeness holes because its pool saturated past the query's
-	// priority watermark — answered partially instead of timing out.
-	Shed int
-	// OverloadRejected counts subplans this engine (as serving peer)
-	// refused at admission; the root retries, migrates or sheds them.
-	OverloadRejected int
-	// RetryAfterHonored counts retries that waited the destination's
-	// retry-after hint instead of the default doubling backoff curve.
-	RetryAfterHonored int
-}
-
-// add folds o's counters into m field by field (a serving engine folds
-// each nested execution this way).
-func (m *Metrics) add(o Metrics) {
-	m.ChannelsOpened += o.ChannelsOpened
-	m.SubplansShipped += o.SubplansShipped
-	m.RowsShipped += o.RowsShipped
-	m.BytesShipped += o.BytesShipped
-	m.Replans += o.Replans
-	m.LocalScans += o.LocalScans
-	m.Retries += o.Retries
-	m.BackoffMS += o.BackoffMS
-	m.PartialAnswers += o.PartialAnswers
-	m.Migrations += o.Migrations
-	m.HolesFilled += o.HolesFilled
-	m.PlanChanges += o.PlanChanges
-	m.Resumes += o.Resumes
-	m.RowsRetained += o.RowsRetained
-	m.RowsRefetched += o.RowsRefetched
-	m.RowsDiscarded += o.RowsDiscarded
-	m.Shed += o.Shed
-	m.OverloadRejected += o.OverloadRejected
-	m.RetryAfterHonored += o.RetryAfterHonored
-}
-
-// LedgerEntry is one finished dispatch in the executor's per-leaf row
-// ledger: the checkpointed result accounting behind the plan-change
-// protocol. CLAIM-RECOVER reconciles these entries to prove exactly-once
-// recovery (retained rows + migrated rows = restart rows).
-type LedgerEntry struct {
-	// Site is the peer the subplan ran at.
-	Site pattern.PeerID `json:"site"`
-	// Subplan is the canonical rendering of the dispatched node.
-	Subplan string `json:"subplan"`
-	// Patterns is the site-independent pattern-set key of the subplan;
-	// two dispatches with equal keys fetched the same logical data slice.
-	Patterns string `json:"patterns"`
-	// Rows is how many result rows the dispatch delivered (for "failed"
-	// entries: how many had arrived before the failure, all discarded).
-	Rows int `json:"rows"`
-	// Watermark is the channel's contiguous sequence watermark when the
-	// dispatch finished.
-	Watermark int `json:"watermark"`
-	// Attempt is the ExecuteAnnotated restart round the dispatch ran in.
-	Attempt int `json:"attempt"`
-	// Outcome is "complete", "failed" or "migrated-away".
-	Outcome string `json:"outcome"`
-	// Resumed reports that the dispatch resumed from a row checkpoint.
-	Resumed bool `json:"resumed,omitempty"`
-}
-
-// Ledger returns the row ledger of the most recent ExecuteAnnotated call.
-func (e *Engine) Ledger() []LedgerEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]LedgerEntry, len(e.lastLedger))
-	copy(out, e.lastLedger)
-	return out
-}
-
-func (e *Engine) appendLedger(entry LedgerEntry) {
-	e.mu.Lock()
-	e.lastLedger = append(e.lastLedger, entry)
-	e.mu.Unlock()
-	// One "ledger" event per entry, emitted after e.mu is released (the
-	// log has its own lock; lock order stays one-deep).
-	e.Events.Emit("exec", "ledger", string(e.Self), "",
-		obs.A("site", string(entry.Site)), obs.A("outcome", entry.Outcome),
-		obs.A("patterns", entry.Patterns), obs.A("rows", strconv.Itoa(entry.Rows)),
-		obs.A("attempt", strconv.Itoa(entry.Attempt)))
 }
 
 // patternKey renders a node's pattern ids, deduplicated and sorted — the
@@ -387,20 +261,6 @@ func NewEngine(self pattern.PeerID, net *network.Network, ch *channel.Manager, l
 	}
 	net.Handle(self, "exec.subplan", e.handleSubplan)
 	return e
-}
-
-// Metrics returns a snapshot of the engine's counters.
-func (e *Engine) Metrics() Metrics {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.metrics
-}
-
-// ResetMetrics zeroes the counters between experiment runs.
-func (e *Engine) ResetMetrics() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.metrics = Metrics{}
 }
 
 // Unanswered names one path pattern a partial answer is missing and why.
@@ -511,9 +371,7 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 				if pruned == nil {
 					// Nothing answerable at all: an empty, fully-annotated
 					// partial result.
-					e.mu.Lock()
-					e.metrics.PartialAnswers++
-					e.mu.Unlock()
+					e.record(fact{kind: factPartialAnswer}, nil)
 					return &Result{
 						Rows:         rql.NewResultSet(),
 						Completeness: Completeness{Complete: false, Unanswered: sortUnanswered(unanswered)},
@@ -545,12 +403,8 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 					rsp := span.Child(obs.KindReplan, fmt.Sprintf("replan.%d", attempt))
 					rsp.Annotate("trigger", "throughput")
 					rsp.Annotate("obsolete", peersCSV(slow))
-					rsp.EmitEvent(e.Events, "exec", "replan",
-						obs.A("trigger", "throughput"), obs.A("obsolete", peersCSV(slow)))
+					e.record(fact{kind: factReplan, trigger: "throughput", obsolete: peersCSV(slow)}, rsp)
 					rsp.End()
-					e.mu.Lock()
-					e.metrics.Replans++
-					e.mu.Unlock()
 					current = replanned
 					continue // ubQL discard: drop rs, re-execute
 				}
@@ -568,9 +422,7 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 			// The facade boundary: batches become the public ResultSet.
 			res := &Result{Rows: rel.ResultSet(), Completeness: Completeness{Complete: len(unanswered) == 0, Unanswered: sortUnanswered(unanswered)}}
 			if len(unanswered) > 0 {
-				e.mu.Lock()
-				e.metrics.PartialAnswers++
-				e.mu.Unlock()
+				e.record(fact{kind: factPartialAnswer}, nil)
 			}
 			return res, nil
 		}
@@ -591,23 +443,14 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 				// The replan left holes; the loop top prunes them into the
 				// completeness annotation and runs the rest.
 				lastFailure = err
-				e.mu.Lock()
-				e.metrics.Replans++
-				e.mu.Unlock()
-				// One "replan" event per Replans increment (rsp has Ended;
-				// the root span is still open).
-				span.EmitEvent(e.Events, "exec", "replan",
-					obs.A("trigger", "failure-partial"), obs.A("obsolete", string(pf.Peer)))
+				// On the root span: rsp has Ended.
+				e.record(fact{kind: factReplan, trigger: "failure-partial", obsolete: string(pf.Peer)}, span)
 				current = replanned
 				continue
 			}
 			return nil, fmt.Errorf("exec: adaptation after %v: %w", err, rerr)
 		}
-		e.mu.Lock()
-		e.metrics.Replans++
-		e.mu.Unlock()
-		span.EmitEvent(e.Events, "exec", "replan",
-			obs.A("trigger", "failure"), obs.A("obsolete", string(pf.Peer)))
+		e.record(fact{kind: factReplan, trigger: "failure", obsolete: string(pf.Peer)}, span)
 		current = replanned
 	}
 }
@@ -1020,9 +863,7 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 			if ex.cancelled() {
 				return nil, errCancelled
 			}
-			e.mu.Lock()
-			e.metrics.LocalScans++
-			e.mu.Unlock()
+			e.record(fact{kind: factLocalScan}, nil)
 			// The scan leaf is where rows enter the engine's data plane:
 			// they are born a batch (BatchSource) or become one here, so
 			// every union/join above runs vectorized.
@@ -1111,10 +952,7 @@ func (ex *execution) runHole(v *plan.Scan, sp *obs.Span) (*rql.Batch, error) {
 		sub := plan.SplitHoles(&plan.Plan{Root: v})
 		filled, nfilled := plan.FillHoles(sub, ann)
 		if nfilled > 0 && !plan.HasHoles(filled.Root) {
-			e.mu.Lock()
-			e.metrics.HolesFilled += nfilled
-			e.metrics.PlanChanges++
-			e.mu.Unlock()
+			e.record(fact{kind: factHoleFill, count: nfilled}, nil)
 			hsp := sp.Child(obs.KindHoleFill, "hole-fill")
 			rows, err := ex.run(filled.Root, hsp)
 			hsp.End()
@@ -1304,25 +1142,16 @@ func (ex *execution) shedSubplan(site pattern.PeerID, n plan.Node, sp *obs.Span)
 		}
 	}
 	ex.mu.Unlock()
-	e.mu.Lock()
-	e.metrics.Shed++
-	e.mu.Unlock()
-	e.Admission.RecordShed(ex.qos)
-	e.appendLedger(LedgerEntry{
-		Site: site, Subplan: n.String(), Patterns: patternKey(n),
-		Attempt: ex.attempt, Outcome: "shed",
-	})
 	ssp := sp.Child(obs.KindShed, "shed@"+string(site))
 	if ssp != nil {
 		ssp.Annotate("reason", reason)
 		ssp.Annotate("priority", ex.qos.Priority.String())
 	}
-	// Exactly one "shed" event per Metrics.Shed increment above — the
-	// shed reconciliation invariant. Emitted before End (post-End event
-	// emission is an obsspan lint error).
-	ssp.EmitEvent(e.Events, "exec", "shed",
-		obs.A("site", string(site)), obs.A("priority", ex.qos.Priority.String()),
-		obs.A("patterns", patternKey(n)))
+	// Recorded before End: recording on an ended span is an obsspan
+	// lint error.
+	e.record(fact{kind: factShed, qos: ex.qos, entry: LedgerEntry{
+		Site: site, Subplan: n.String(), Patterns: patternKey(n), Attempt: ex.attempt,
+	}}, ssp)
 	ssp.End()
 	return true
 }
@@ -1379,22 +1208,13 @@ func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) 
 	ex.migrations++
 	retained := ex.completedRows
 	ex.mu.Unlock()
-	e.mu.Lock()
-	e.metrics.Migrations++
-	e.metrics.PlanChanges++
-	e.metrics.RowsRetained += retained
-	e.mu.Unlock()
-	e.appendLedger(LedgerEntry{
-		Site: site, Subplan: n.String(), Patterns: patternKey(n),
-		Attempt: ex.attempt, Outcome: "migrated-away",
-	})
 	msp := sp.Child(obs.KindMigrate, "migrate-from@"+string(site))
 	if msp != nil {
 		msp.Annotate("retainedRows", fmt.Sprintf("%d", retained))
 	}
-	// Exactly one "migrate" event per Metrics.Migrations increment above.
-	msp.EmitEvent(e.Events, "exec", "migrate",
-		obs.A("from", string(site)), obs.A("retainedRows", strconv.Itoa(retained)))
+	e.record(fact{kind: factMigrate, count: retained, entry: LedgerEntry{
+		Site: site, Subplan: n.String(), Patterns: patternKey(n), Attempt: ex.attempt,
+	}}, msp)
 	rows, err := ex.run(filled.Root, msp)
 	msp.End()
 	if err == nil && rows == nil {
@@ -1435,10 +1255,8 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 		ssp := leaf.Child(kind, name)
 		ssp.ChargeMS(pendingBackoffMS)
 		pendingBackoffMS = 0
-		ssp.EmitEvent(e.Events, "exec", "dispatch",
-			obs.A("site", string(site)), obs.A("try", strconv.Itoa(try)))
 		var res *remoteResult
-		res, err = ex.dispatch(site, n, checkpoint, ssp)
+		res, err = ex.dispatch(site, n, try, checkpoint, ssp)
 		ssp.End()
 		if res != nil {
 			switch {
@@ -1447,22 +1265,14 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 				// from row 0: drop the retained prefix (set-union keeps the
 				// answer right either way; the ledger keeps the accounting
 				// honest).
-				e.mu.Lock()
-				e.metrics.RowsDiscarded += checkpoint
-				e.mu.Unlock()
+				e.record(fact{kind: factCheckpointRejected, count: checkpoint}, nil)
 				ssp.Annotate("checkpoint", "invalid")
 				partial, checkpoint, resumed = nil, 0, false
 			case checkpoint > 0 && res.resumed:
 				resumed = true
-				e.mu.Lock()
-				e.metrics.Resumes++
-				e.metrics.RowsRetained += checkpoint
-				e.mu.Unlock()
 				ssp.Annotate("checkpoint", "resumed")
-				// One "resume" event per Metrics.Resumes increment; on the
-				// leaf span (ssp has already Ended).
-				leaf.EmitEvent(e.Events, "exec", "resume",
-					obs.A("site", string(site)), obs.A("checkpoint", strconv.Itoa(checkpoint)))
+				// On the leaf span: ssp has already Ended.
+				e.record(fact{kind: factResume, site: site, count: checkpoint}, leaf)
 			}
 			if rel := res.gathered(); rel != nil {
 				if partial == nil {
@@ -1490,7 +1300,7 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 		if try >= e.MaxRetries || !network.Transient(err) || ex.cancelled() {
 			break
 		}
-		wait := backoff
+		wait, hinted := backoff, false
 		if admission.IsOverload(err) {
 			hint, ok := admission.RetryAfterHint(err)
 			if !ok {
@@ -1501,33 +1311,20 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 			}
 			// The destination said when its capacity frees up: honor its
 			// retry-after instead of the blind doubling curve.
-			wait = hint
-			e.mu.Lock()
-			e.metrics.RetryAfterHonored++
-			e.mu.Unlock()
+			wait, hinted = hint, true
 		} else {
 			backoff *= 2
 		}
-		e.mu.Lock()
-		e.metrics.Retries++
-		e.metrics.BackoffMS += wait
-		e.mu.Unlock()
-		// One "retry" event per Metrics.Retries increment.
-		leaf.EmitEvent(e.Events, "exec", "retry",
-			obs.A("site", string(site)), obs.A("try", strconv.Itoa(try+1)),
-			obs.A("waitMs", strconv.FormatFloat(wait, 'g', -1, 64)))
+		e.record(fact{kind: factRetry, site: site, try: try + 1, waitMS: wait, hinted: hinted}, leaf)
 		pendingBackoffMS = wait
 		ex.resetSite(site)
 	}
 	// Terminal failure: the checkpointed prefix is abandoned (a migration
 	// or restart will fetch the subtree elsewhere, from scratch).
-	e.mu.Lock()
-	e.metrics.RowsDiscarded += checkpoint
-	e.mu.Unlock()
-	e.appendLedger(LedgerEntry{
+	e.record(fact{kind: factFailed, count: checkpoint, entry: LedgerEntry{
 		Site: site, Subplan: n.String(), Patterns: patternKey(n),
-		Rows: checkpoint, Attempt: ex.attempt, Outcome: "failed",
-	})
+		Rows: checkpoint, Attempt: ex.attempt,
+	}}, nil)
 	if e.Health != nil {
 		e.Health.ReportFailure(site)
 	}
@@ -1547,18 +1344,16 @@ func (ex *execution) recordComplete(site pattern.PeerID, n plan.Node, rows, wate
 	}
 	ex.completedRows += rows
 	ex.mu.Unlock()
+	// A site that already delivered this pattern set in an earlier
+	// dispatch of this query re-paid the whole fetch.
+	refetched := 0
 	if again {
-		// This site already delivered this pattern set in an earlier
-		// dispatch of this query: the whole fetch is re-paid work.
-		e.mu.Lock()
-		e.metrics.RowsRefetched += rows
-		e.mu.Unlock()
+		refetched = rows
 	}
-	e.appendLedger(LedgerEntry{
+	e.record(fact{kind: factComplete, count: refetched, entry: LedgerEntry{
 		Site: site, Subplan: n.String(), Patterns: key,
-		Rows: rows, Watermark: watermark, Attempt: ex.attempt,
-		Outcome: "complete", Resumed: resumed,
-	})
+		Rows: rows, Watermark: watermark, Attempt: ex.attempt, Resumed: resumed,
+	}}, nil)
 }
 
 // resetSite drops a site's channel slot — every dispatch failure either
@@ -1586,7 +1381,7 @@ func (ex *execution) resetSite(site pattern.PeerID) {
 // sp is the try's stream/retry span: the request leg's transfer time is
 // charged to it here, reply packets are charged by the packet collector,
 // and the remote's shipped span record is grafted under it.
-func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, resumeFrom int, sp *obs.Span) (*remoteResult, error) {
+func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom int, sp *obs.Span) (*remoteResult, error) {
 	e := ex.engine
 	sc, err := ex.channelTo(site)
 	if err != nil {
@@ -1623,9 +1418,7 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, resumeFrom int, 
 	ex.mu.Lock()
 	ex.inbox[sc.ch.ID] = &remoteResult{site: site, span: sp, link: link}
 	ex.mu.Unlock()
-	e.mu.Lock()
-	e.metrics.SubplansShipped++
-	e.mu.Unlock()
+	e.record(fact{kind: factShipped, site: site, try: try}, sp)
 	if tm := e.Throughput; tm != nil {
 		tm.Track(site)
 	}
@@ -1669,9 +1462,7 @@ func (ex *execution) channelTo(site pattern.PeerID) (*siteChan, error) {
 		sc.ch, sc.err = e.Channels.OpenAs(site, ex.qos.Tenant, int(ex.qos.Priority),
 			func(pkt channel.Packet) { ex.onPacket(pkt) })
 		if sc.err == nil {
-			e.mu.Lock()
-			e.metrics.ChannelsOpened++
-			e.mu.Unlock()
+			e.record(fact{kind: factChannelOpened}, nil)
 		}
 		close(sc.opened)
 	} else {
@@ -1699,6 +1490,7 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 	var statsSite pattern.PeerID
 	statsReceived := false
 	resultsRows, resultsSeen := 0, false
+	planChangeAck := false
 	ex.mu.Lock()
 	res, ok := ex.inbox[pkt.ChannelID]
 	if ok {
@@ -1723,10 +1515,6 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 			res.rowCount += pkt.Rows
 			resultsRows = pkt.Rows
 			resultsSeen = true
-			e.mu.Lock()
-			e.metrics.RowsShipped += pkt.Rows
-			e.metrics.BytesShipped += len(pkt.Payload)
-			e.mu.Unlock()
 			if tm := e.Throughput; tm != nil {
 				tm.Observe(res.site, pkt.Rows)
 			}
@@ -1742,10 +1530,7 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 			case "checkpoint-invalid":
 				res.restarted = true
 			}
-			e := ex.engine
-			e.mu.Lock()
-			e.metrics.PlanChanges++
-			e.mu.Unlock()
+			planChangeAck = true
 		case channel.Stats:
 			statsReceived = true
 			statsSite = res.site
@@ -1775,9 +1560,13 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 		}
 	}
 	ex.mu.Unlock()
-	// Registry counters live behind their own lock: increment after ex.mu
-	// is released so lock order stays one-deep.
+	// Facts and registry counters live behind their own locks: record
+	// them after ex.mu is released so lock order stays one-deep.
+	if planChangeAck {
+		ex.engine.record(fact{kind: factPlanChangeAck}, nil)
+	}
 	if resultsSeen {
+		ex.engine.record(fact{kind: factResults, count: resultsRows, bytes: len(pkt.Payload)}, nil)
 		if reg := ex.engine.Obs; reg != nil {
 			reg.Histogram("exec_batch_rows", obs.L("peer", string(ex.engine.Self))).Observe(float64(resultsRows))
 		}
@@ -1839,9 +1628,7 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	// shedding happens here, lowest classes first.
 	qos := admission.QoS{Tenant: req.Tenant, Priority: admission.Priority(req.Priority)}
 	if aerr := e.Admission.AdmitWork(qos); aerr != nil {
-		e.mu.Lock()
-		e.metrics.OverloadRejected++
-		e.mu.Unlock()
+		e.record(fact{kind: factOverloadRejected}, nil)
 		return nil, aerr
 	}
 	defer e.Admission.Done()
@@ -1855,7 +1642,7 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	}
 	// Execute with this peer as root under its own options, but with
 	// data-shipping placement, so the shipped join runs here (terminating
-	// the recursion).
+	// the recursion). The shadow's facts fold into this engine's counters.
 	opts := e.Options
 	opts.Policy = optimizer.DataShipping
 	local := &Engine{
@@ -1865,6 +1652,7 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		StatsSink:     e.StatsSink,
 		Obs:           e.Obs,
 		Events:        e.Events,
+		serving:       e,
 	}
 	ex := newExecution(local)
 	ex.qos = qos // nested dispatches ship under the root's class
@@ -1877,11 +1665,6 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 			traceRec = data
 		}
 	}
-	// Fold the nested execution's metrics into the serving engine's.
-	nested := local.Metrics()
-	e.mu.Lock()
-	e.metrics.add(nested)
-	e.mu.Unlock()
 	if err != nil {
 		if len(traceRec) > 0 {
 			if serr := e.Channels.SendToRoot(req.ChannelID, channel.TraceSpans, 0, traceRec); serr != nil {

@@ -88,6 +88,10 @@ func claimObserve() *Report {
 		counter string
 		events  int
 	}{
+		{"exec_subplans_shipped_total", run.events.CountBy("exec", "dispatch")},
+		{"exec_retries_total", run.events.CountBy("exec", "retry")},
+		{"exec_resumes_total", run.events.CountBy("exec", "resume")},
+		{"exec_replans_total", run.events.CountBy("exec", "replan")},
 		{"exec_shed_total", run.events.CountBy("exec", "shed")},
 		{"adm_shed_total", run.events.CountBy("admission", "shed")},
 		{"exec_migrations_total", run.events.CountBy("exec", "migrate")},
@@ -143,7 +147,7 @@ func claimObserve() *Report {
 
 	r.check("same-seed rerun: event log byte-identical and answers byte-identical", deterministic)
 	r.check("every plane counter reconciles exactly with its event count", allReconciled)
-	r.check("every reconciled family actually fired (shed, migrate, condemn, suspect, confirm-dead)", allNonzero)
+	r.check("every reconciled family actually fired (dispatch, retry, resume, replan, shed, migrate, condemn, suspect, confirm-dead)", allNonzero)
 	r.check("≥1 anomaly-triggered dump carries the span subtree, ledger and frozen event ring", contextualDumps >= 1)
 	r.check("SLO burn-rate alert fired and tripped a recorder dump", len(run.alerts) > 0 && run.sloDumps > 0)
 	r.check("/metrics renders as parseable Prometheus text exposition", parseErr == nil && len(samples) > 0)

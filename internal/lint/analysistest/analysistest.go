@@ -65,7 +65,7 @@ func Run(t T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 			// fixture dependency it pulled in; summarize them all so the
 			// interprocedural analyzers see cross-package facts exactly as
 			// the driver builds them.
-			index = summary.BuildIndex(imp.sourcePkgs(), nil)
+			index = summary.BuildIndex(imp.sourcePkgs())
 		}
 		check(t, a, fset, pkg, index)
 	}

@@ -21,13 +21,14 @@
 // tree all pass; anything where a return path can skip the End is
 // reported. Genuinely fine sites carry //lint:allow obsspan.
 //
-// The analyzer also guards the PR10 event-log contract: an
-// x.EmitEvent(...) lexically after x.End() is flagged. A span's
-// identity (peer, trace id, path) is fixed when it Ends — emitting
-// afterwards correlates the event to a span the exporters have already
-// sealed, so the emit must move before the End or onto a still-open
-// ancestor span. defer x.End() is exempt: it runs at return, after
-// every lexical emit.
+// The analyzer also guards the event-log contract: an x.EmitEvent(...)
+// — or a recv.record(..., x, ...) call, the executor's one write path,
+// which emits the recorded fact's events correlated to x — lexically
+// after x.End() is flagged. A span's identity (trace id, path) is fixed
+// when it Ends — emitting afterwards correlates the event to a span the
+// exporters have already sealed, so the emit must move before the End
+// or onto a still-open ancestor span. defer x.End() is exempt: it runs
+// at return, after every lexical emit.
 package obsspan
 
 import (
@@ -151,8 +152,8 @@ func checkCandidate(pass *analysis.Pass, body *ast.BlockStmt, c candidate) {
 				return false
 			}
 			if isEmitOn(pass, s, c.obj) {
-				// A method call on the span; its arguments carry the
-				// event log and attributes, never the span itself.
+				// Use, not escape: an emit on the span, or a record call
+				// that only correlates its events to the span.
 				emits = append(emits, s.Pos())
 				return false
 			}
@@ -241,14 +242,25 @@ func isOpener(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return false
 }
 
-// isEmitOn reports whether call is obj.EmitEvent(...).
+// isEmitOn reports whether call is obj.EmitEvent(...) or
+// recv.record(..., obj, ...).
 func isEmitOn(pass *analysis.Pass, call *ast.CallExpr, obj types.Object) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "EmitEvent" {
+	if !ok {
 		return false
 	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && pass.TypesInfo.Uses[id] == obj
+	switch sel.Sel.Name {
+	case "EmitEvent":
+		id, ok := ast.Unparen(sel.X).(*ast.Ident)
+		return ok && pass.TypesInfo.Uses[id] == obj
+	case "record":
+		for _, arg := range call.Args {
+			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // isEndOn reports whether call is obj.End().

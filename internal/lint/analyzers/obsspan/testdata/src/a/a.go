@@ -156,3 +156,30 @@ func emitAfterEndThenEscape(sp *obs.Span, log *obs.EventLog) {
 	c.EmitEvent(log, "exec", "retry") // want `after c.End\(\)`
 	sink(c)
 }
+
+// record(fact, span) emits the recorded fact's events correlated to the
+// span: recording on an ended span is emit-after-End too, although the
+// span is passed as an argument rather than being the receiver.
+
+type engine struct{}
+
+func (engine) record(kind string, sp *obs.Span) {}
+
+func recordAfterEnd(e engine, sp *obs.Span) {
+	c := sp.Child("shed", "sealed")
+	c.End()
+	e.record("shed", c) // want `after c.End\(\)`
+}
+
+func recordBeforeEnd(e engine, sp *obs.Span) {
+	c := sp.Child("shed", "ok")
+	e.record("shed", c)
+	c.End()
+}
+
+// A record call hands nothing over: the span must still be closed.
+
+func recordThenLeak(e engine, sp *obs.Span) {
+	c := sp.Child("migrate", "leak") // want `left open`
+	e.record("migrate", c)
+}

@@ -10,7 +10,7 @@
 //
 // Nodes are keyed by the stable full name of their *types.Func (e.g.
 // "sqpeer/internal/exec.(*Engine).run"), which is also the key format of
-// the summary index and its on-disk cache.
+// the summary index.
 package callgraph
 
 import (

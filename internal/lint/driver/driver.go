@@ -49,14 +49,6 @@ type directive struct {
 	bad      bool // malformed: missing analyzer or reason
 }
 
-// Options configures a driver run.
-type Options struct {
-	// SummaryCacheDir, when non-empty, persists per-package summaries of
-	// the interprocedural tier there (see internal/lint/summary). The
-	// directory is created if missing.
-	SummaryCacheDir string
-}
-
 // Stat is one analyzer's cost/yield line for the end-of-run report:
 // how long its passes took across all packages and how many findings it
 // produced (suppressed ones included, so directive changes don't hide
@@ -67,7 +59,7 @@ type Stat struct {
 	Suppressed int
 	Wall       time.Duration
 	// Note replaces the finding columns for pseudo-rows (the shared
-	// summary-index build reports its cache hit/miss split here).
+	// summary-index build reports its package count here).
 	Note string
 }
 
@@ -93,16 +85,15 @@ func Stats(stats []Stat) []string {
 // an analyzer (by name) to packages whose import path it accepts; absent
 // entries run everywhere. Findings come back sorted by position.
 func Run(analyzers []*analysis.Analyzer, pkgs []*load.Package, scope map[string]func(pkgPath string) bool) ([]Finding, error) {
-	findings, _, err := RunWith(analyzers, pkgs, scope, Options{})
+	findings, _, err := RunWith(analyzers, pkgs, scope)
 	return findings, err
 }
 
-// RunWith is Run plus per-analyzer stats and driver options. When any
-// analyzer needs summaries, the interprocedural index is built once over
-// every loaded package (cached per Options.SummaryCacheDir) and shared
-// by all passes; its build time is reported under the pseudo-analyzer
-// name "summaries".
-func RunWith(analyzers []*analysis.Analyzer, pkgs []*load.Package, scope map[string]func(pkgPath string) bool, opts Options) ([]Finding, []Stat, error) {
+// RunWith is Run plus per-analyzer stats. When any analyzer needs
+// summaries, the interprocedural index is built once over every loaded
+// package and shared by all passes; its build time is reported under
+// the pseudo-analyzer name "summaries".
+func RunWith(analyzers []*analysis.Analyzer, pkgs []*load.Package, scope map[string]func(pkgPath string) bool) ([]Finding, []Stat, error) {
 	var index *summary.Index
 	statByName := map[string]*Stat{}
 	statOf := func(name string) *Stat {
@@ -116,10 +107,6 @@ func RunWith(analyzers []*analysis.Analyzer, pkgs []*load.Package, scope map[str
 	for _, a := range analyzers {
 		statOf(a.Name)
 		if a.NeedsSummaries && index == nil {
-			cache, err := summary.NewCache(opts.SummaryCacheDir)
-			if err != nil {
-				return nil, nil, err
-			}
 			src := make([]*callgraph.SourcePkg, 0, len(pkgs))
 			for _, pkg := range pkgs {
 				src = append(src, &callgraph.SourcePkg{
@@ -128,10 +115,10 @@ func RunWith(analyzers []*analysis.Analyzer, pkgs []*load.Package, scope map[str
 				})
 			}
 			start := time.Now()
-			index = summary.BuildIndex(src, cache)
+			index = summary.BuildIndex(src)
 			s := statOf("summaries")
 			s.Wall = time.Since(start)
-			s.Note = fmt.Sprintf("%d pkg(s) computed, %d cached", index.CacheMisses, index.CacheHits)
+			s.Note = fmt.Sprintf("%d pkg(s) summarized", len(src))
 		}
 	}
 

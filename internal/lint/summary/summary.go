@@ -47,15 +47,13 @@ import (
 	"sqpeer/internal/lint/callgraph"
 )
 
-// Site is a serializable source position. Offsets are stored so a
-// cache-loaded summary can be resolved back to a token.Pos in the
-// current FileSet (valid because the cache key covers file contents:
-// a hit implies identical bytes, hence identical offsets).
+// Site is a source position recorded by file name and byte offset, so
+// it resolves back to a token.Pos in any FileSet holding the file.
 type Site struct {
-	File   string `json:"file"`
-	Offset int    `json:"offset"`
-	Line   int    `json:"line"`
-	Col    int    `json:"col"`
+	File   string
+	Offset int
+	Line   int
+	Col    int
 }
 
 // SiteAt captures a position from the FileSet.
@@ -83,10 +81,10 @@ func (s Site) Pos(fset *token.FileSet) token.Pos {
 // (transitively) acquires To. From == To is a reentrant-acquisition
 // edge, a self-deadlock on Go's non-reentrant mutexes.
 type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Site Site   `json:"site"`
-	Via  string `json:"via,omitempty"`
+	From string
+	To   string
+	Site Site
+	Via  string
 }
 
 // NetOp is one reachable unbounded network operation: a call to
@@ -94,9 +92,9 @@ type LockEdge struct {
 // reached through the Via chain of function keys (empty for a direct
 // call in the summarized function).
 type NetOp struct {
-	Op   string   `json:"op"` // "Call" or "Send"
-	Site Site     `json:"site"`
-	Via  []string `json:"via,omitempty"`
+	Op   string // "Call" or "Send"
+	Site Site
+	Via  []string
 }
 
 // maxVia caps the reported call chain; deeper paths are elided, the
@@ -107,37 +105,34 @@ const maxVia = 3
 type FuncSummary struct {
 	// Acquires lists lock IDs the function may acquire while running
 	// synchronously (transitive over calls, excludes function literals).
-	Acquires []string `json:"acquires,omitempty"`
+	Acquires []string
 	// LockEdges are the held→acquired edges contributed by the body.
-	LockEdges []LockEdge `json:"lockEdges,omitempty"`
+	LockEdges []LockEdge
 	// Unbounded lists reachable deadline-free network.Call/Send sites.
-	Unbounded []NetOp `json:"unbounded,omitempty"`
+	Unbounded []NetOp
 	// RunsForever marks bodies with an inescapable infinite loop.
-	RunsForever bool `json:"runsForever,omitempty"`
+	RunsForever bool
 	// SpawnsParams lists indices of func-typed parameters launched as
 	// goroutines.
-	SpawnsParams []int `json:"spawnsParams,omitempty"`
+	SpawnsParams []int
 	// PutsParams lists indices of []byte parameters handed (transitively)
 	// to rql.PutWireBuf.
-	PutsParams []int `json:"putsParams,omitempty"`
+	PutsParams []int
 	// EscapesParams lists indices of []byte parameters stored beyond the
 	// call: channel sends, field/global/composite stores.
-	EscapesParams []int `json:"escapesParams,omitempty"`
+	EscapesParams []int
 	// ReturnsParams lists indices of parameters returned as-is (buffer
 	// identity passes through, e.g. rql.AppendBatch).
-	ReturnsParams []int `json:"returnsParams,omitempty"`
+	ReturnsParams []int
 	// ReturnsPooled marks functions whose result is a pooled buffer
 	// (rql.GetWireBuf or a wrapper around it).
-	ReturnsPooled bool `json:"returnsPooled,omitempty"`
+	ReturnsPooled bool
 }
 
 // Index is the cross-package summary store the analyzers consult.
 type Index struct {
 	funcs map[string]*FuncSummary
 	pkgs  map[string][]string // package path → sorted function keys
-	// CacheHits and CacheMisses count per-package cache outcomes for the
-	// driver's stats report and the invalidation tests.
-	CacheHits, CacheMisses int
 }
 
 // Func returns the summary for a function key, or nil if unknown (a
@@ -182,22 +177,13 @@ func (ix *Index) AllLockEdges() []LockEdge {
 	return out
 }
 
-// BuildIndex computes summaries for the given packages, consulting and
-// filling cache (which may be nil) per package. Packages are processed
-// in import topological order so callee summaries precede callers.
-func BuildIndex(pkgs []*callgraph.SourcePkg, cache *Cache) *Index {
+// BuildIndex computes summaries for the given packages. Packages are
+// processed in import topological order so callee summaries precede
+// callers.
+func BuildIndex(pkgs []*callgraph.SourcePkg) *Index {
 	ix := &Index{funcs: map[string]*FuncSummary{}, pkgs: map[string][]string{}}
 	for _, pkg := range callgraph.TopoSort(pkgs) {
-		key := cache.packageKey(pkg)
-		if sums, ok := cache.load(pkg.Path, key); ok {
-			ix.CacheHits++
-			ix.add(pkg.Path, sums)
-			continue
-		}
-		ix.CacheMisses++
-		sums := summarizePackage(ix, pkg)
-		ix.add(pkg.Path, sums)
-		cache.store(pkg.Path, key, sums)
+		ix.add(pkg.Path, summarizePackage(ix, pkg))
 	}
 	return ix
 }

@@ -141,7 +141,7 @@ func b(s *S, n int) {
 }
 `,
 	})
-	ix := summary.BuildIndex(loadTree(t, root, "p"), nil)
+	ix := summary.BuildIndex(loadTree(t, root, "p"))
 	for _, fn := range []string{"p.a", "p.b"} {
 		sum := ix.Func(fn)
 		if sum == nil {
@@ -175,7 +175,7 @@ func g() { gmu.Lock(); gmu.Unlock() }
 func (e *E) h() { e.Lock(); e.Unlock() }
 `,
 	})
-	ix := summary.BuildIndex(loadTree(t, root, "q"), nil)
+	ix := summary.BuildIndex(loadTree(t, root, "q"))
 	for fn, want := range map[string]string{
 		"q.f":      "q.S.mu",
 		"q.g":      "q.gmu",
@@ -189,146 +189,4 @@ func (e *E) h() { e.Lock(); e.Unlock() }
 			t.Errorf("%s.Acquires = %v, want [%s]", fn, sum.Acquires, want)
 		}
 	}
-}
-
-const cacheBaseV1 = `package base
-
-import "sync"
-
-var Mu sync.Mutex
-
-func Hold() {
-	Mu.Lock()
-	Mu.Unlock()
-}
-`
-
-const cacheTop = `package top
-
-import "base"
-
-func Use() {
-	base.Hold()
-}
-`
-
-// build reloads the tree from disk with a fresh cache handle, the way a
-// new lint process would.
-func buildCached(t *testing.T, root, cacheDir string, paths ...string) *summary.Index {
-	t.Helper()
-	cache, err := summary.NewCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return summary.BuildIndex(loadTree(t, root, paths...), cache)
-}
-
-func TestCacheHitMissAndTransitiveInvalidation(t *testing.T) {
-	root := t.TempDir()
-	cacheDir := t.TempDir()
-	writeTree(t, root, map[string]string{
-		"base/base.go": cacheBaseV1,
-		"top/top.go":   cacheTop,
-	})
-
-	// Cold: both packages computed.
-	ix := buildCached(t, root, cacheDir, "top")
-	if ix.CacheMisses != 2 || ix.CacheHits != 0 {
-		t.Fatalf("cold build: misses=%d hits=%d, want 2/0", ix.CacheMisses, ix.CacheHits)
-	}
-	if got := ix.Func("top.Use").Acquires; !reflect.DeepEqual(got, []string{"base.Mu"}) {
-		t.Fatalf("top.Use.Acquires = %v, want [base.Mu]", got)
-	}
-
-	// Warm: both served from cache.
-	ix = buildCached(t, root, cacheDir, "top")
-	if ix.CacheMisses != 0 || ix.CacheHits != 2 {
-		t.Fatalf("warm build: misses=%d hits=%d, want 0/2", ix.CacheMisses, ix.CacheHits)
-	}
-
-	// A comment-only change to base recomputes base but leaves its
-	// summaries identical, so top — keyed on base's *results* — stays
-	// cached.
-	writeTree(t, root, map[string]string{"base/base.go": cacheBaseV1 + "\n// tweak\n"})
-	ix = buildCached(t, root, cacheDir, "top")
-	if ix.CacheMisses != 1 || ix.CacheHits != 1 {
-		t.Fatalf("comment tweak: misses=%d hits=%d, want 1/1", ix.CacheMisses, ix.CacheHits)
-	}
-
-	// A behavior change in base alters its summaries; top's key changes
-	// with the dependency result hash, so the stale top entry is not
-	// used and the new fact propagates.
-	writeTree(t, root, map[string]string{"base/base.go": `package base
-
-import "sync"
-
-var Mu sync.Mutex
-
-var Mu2 sync.Mutex
-
-func Hold() {
-	Mu.Lock()
-	Mu2.Lock()
-	Mu2.Unlock()
-	Mu.Unlock()
-}
-`})
-	ix = buildCached(t, root, cacheDir, "top")
-	if ix.CacheMisses != 2 || ix.CacheHits != 0 {
-		t.Fatalf("behavior change: misses=%d hits=%d, want 2/0", ix.CacheMisses, ix.CacheHits)
-	}
-	if got := ix.Func("top.Use").Acquires; !reflect.DeepEqual(got, []string{"base.Mu", "base.Mu2"}) {
-		t.Fatalf("top.Use.Acquires after change = %v, want [base.Mu base.Mu2]", got)
-	}
-}
-
-// Cache-loaded sites must resolve to valid positions in the new
-// process's FileSet (offset-based resolution against identical bytes).
-func TestCachedSitesResolve(t *testing.T) {
-	root := t.TempDir()
-	cacheDir := t.TempDir()
-	writeTree(t, root, map[string]string{
-		"r/r.go": `package r
-
-import "sync"
-
-type S struct{ mu sync.Mutex }
-
-type T struct{ mu sync.Mutex }
-
-func ab(s *S, t *T) {
-	s.mu.Lock()
-	t.mu.Lock()
-	t.mu.Unlock()
-	s.mu.Unlock()
-}
-`,
-	})
-	buildCached(t, root, cacheDir, "r")
-
-	loader := newTreeLoader(root)
-	pkg, err := loader.load("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := summary.NewCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := summary.BuildIndex([]*callgraph.SourcePkg{pkg}, cache)
-	if ix.CacheHits != 1 {
-		t.Fatalf("expected cache hit, got misses=%d hits=%d", ix.CacheMisses, ix.CacheHits)
-	}
-	edges := ix.AllLockEdges()
-	if len(edges) != 1 {
-		t.Fatalf("lock edges = %+v, want exactly one", edges)
-	}
-	pos := edges[0].Site.Pos(loader.fset)
-	if !pos.IsValid() {
-		t.Fatal("cached site did not resolve in the new FileSet")
-	}
-	if p := loader.fset.Position(pos); p.Line != edges[0].Site.Line {
-		t.Fatalf("resolved line %d != recorded line %d", p.Line, edges[0].Site.Line)
-	}
-	_ = token.NoPos
 }
