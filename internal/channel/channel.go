@@ -8,7 +8,6 @@
 package channel
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -78,35 +77,46 @@ type PlanChangeInfo struct {
 	Subplan []byte `json:"subplan,omitempty"`
 }
 
-// Packet is one unit of channel traffic.
+// Packet is one unit of channel traffic. Its wire form is a fixed header
+// plus the raw payload (AppendPacket/DecodePacket).
+//
+// Aliasing rule: a delivered packet's Payload and Gossip alias the
+// message that carried it. Each send allocates its body once, at the
+// exact size, and never reuses it, so a receiver may keep either slice
+// as long as it likes; a receiver that mutates one must copy it first.
 type Packet struct {
-	// ChannelID identifies the channel at its root.
-	ChannelID string `json:"channelId"`
+	// Channel is the channel's number at its root (Channel.Num).
+	Channel uint32
 	// Type discriminates Payload.
-	Type PacketType `json:"type"`
+	Type PacketType
 	// Seq orders packets within the channel.
-	Seq int `json:"seq"`
+	Seq int
 	// Rows is the number of result rows carried (Results packets), used
 	// for throughput monitoring.
-	Rows int `json:"rows"`
-	// Payload is the serialized body: an rql batch frame (length-prefixed
-	// binary columns with a per-frame term dictionary) for Results
-	// packets, a JSON document for every control packet.
-	Payload []byte `json:"payload"`
+	Rows int
+	// Payload is the raw body: an rql batch frame (length-prefixed binary
+	// columns with a per-frame term dictionary) for Results packets, a
+	// JSON document for every control packet.
+	Payload []byte
 	// TraceID and SpanID propagate the root's trace context: when the
 	// root ships a subplan with a trace ID, the destination binds it to
 	// the channel (Manager.BindTrace) and every upstream packet carries
 	// it, so remote execution is attributable to the root span that
 	// dispatched it.
-	TraceID string `json:"traceId,omitempty"`
-	SpanID  string `json:"spanId,omitempty"`
+	TraceID string
+	SpanID  string
 	// Gossip is an opaque membership-gossip blob piggybacked on the
 	// packet (Manager.GossipSource/OnGossip): liveness updates ride the
 	// result traffic that is flowing anyway, so detection spreads at
 	// data-plane rates without extra messages. Dropped with the packet
 	// when the dedupe window rejects a replay — gossip merges are
 	// monotone, so losing a replayed copy is harmless.
-	Gossip []byte `json:"gossip,omitempty"`
+	Gossip []byte
+	// WireBytes is the accounted size of the message that delivered the
+	// packet (network.Message.Size), set by the root's manager and not on
+	// the wire: the executor prices the reply leg with exactly what the
+	// network charged.
+	WireBytes int
 }
 
 // seenWindow bounds the out-of-order acceptance window: packets this far
@@ -118,8 +128,10 @@ const seenWindow = 4096
 
 // Channel is the root-side view of one deployed channel.
 type Channel struct {
-	// ID is the root-locally unique channel id.
-	ID string
+	// ID is the root-locally unique channel id, "<Root>#<Num>"; only Num
+	// travels on the wire.
+	ID  string
+	Num uint32
 	// Root manages the channel; Dest is the remote peer.
 	Root, Dest pattern.PeerID
 	// Tenant and Priority are the QoS headers the channel was opened
@@ -137,6 +149,8 @@ type Channel struct {
 	failed bool
 	// rowsReceived counts result rows for throughput observation.
 	rowsReceived int
+	// onPacket, if set, receives every accepted packet.
+	onPacket func(Packet)
 }
 
 // Failed reports whether the channel observed a failure (destination down
@@ -200,17 +214,6 @@ func (c *Channel) accept(seq int) (ok bool, forced int) {
 	return true, forced
 }
 
-// openReq is the wire body of a channel-open request. Tenant and
-// Priority are the QoS headers of the execution deploying the channel:
-// the destination accounts accepted channels per tenant, and serving
-// peers apply the same admission class the root charged at its facade.
-type openReq struct {
-	ChannelID string         `json:"channelId"`
-	Root      pattern.PeerID `json:"root"`
-	Tenant    string         `json:"tenant,omitempty"`
-	Priority  int            `json:"priority,omitempty"`
-}
-
 // Manager is one peer's channel endpoint: it opens channels as root,
 // accepts them as destination, dispatches inbound packets to per-channel
 // callbacks, and ships packets upstream when acting as a destination.
@@ -238,19 +241,20 @@ type Manager struct {
 	Events *obs.EventLog
 
 	mu       sync.Mutex
-	nextID   int
-	channels map[string]*Channel                  // channels rooted here
-	onPacket map[string]func(Packet)              // root-side packet callbacks
-	inbound  map[string]pattern.PeerID            // channelID -> root (dest side)
-	outSeq   map[string]int                       // channelID -> last sent seq (dest side)
-	trace    map[string]traceBinding              // channelID -> trace context (dest side)
+	nextNum  uint32
+	channels map[uint32]*Channel                  // channels rooted here, by number
+	inbound  map[string]*inbound                  // channelID -> dest-side state
 	onOpen   func(id string, root pattern.PeerID) // dest-side accept hook
 	stats    ManagerStats
 }
 
-// traceBinding is the dest-side trace context stamped onto every
-// upstream packet of a channel.
-type traceBinding struct {
+// inbound is the destination's view of a channel a remote root opened:
+// where its packets go, the last sequence number sent, and the trace
+// context stamped onto every upstream packet.
+type inbound struct {
+	root            pattern.PeerID
+	num             uint32
+	seq             int
 	traceID, spanID string
 }
 
@@ -289,11 +293,8 @@ func NewManager(self pattern.PeerID, net *network.Network) *Manager {
 	m := &Manager{
 		self:     self,
 		net:      net,
-		channels: map[string]*Channel{},
-		onPacket: map[string]func(Packet){},
-		inbound:  map[string]pattern.PeerID{},
-		outSeq:   map[string]int{},
-		trace:    map[string]traceBinding{},
+		channels: map[uint32]*Channel{},
+		inbound:  map[string]*inbound{},
 	}
 	net.AddNode(self)
 	net.Handle(self, "chan.open", m.handleOpen)
@@ -328,7 +329,9 @@ func (m *Manager) BindTrace(channelID, traceID, spanID string) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.trace[channelID] = traceBinding{traceID: traceID, spanID: spanID}
+	if in := m.inbound[channelID]; in != nil {
+		in.traceID, in.spanID = traceID, spanID
+	}
 }
 
 // OnOpen registers a destination-side hook invoked when a remote root
@@ -350,23 +353,18 @@ func (m *Manager) Open(dest pattern.PeerID, onPacket func(Packet)) (*Channel, er
 // admit per class before any subplan work arrives.
 func (m *Manager) OpenAs(dest pattern.PeerID, tenant string, priority int, onPacket func(Packet)) (*Channel, error) {
 	m.mu.Lock()
-	m.nextID++
-	id := fmt.Sprintf("%s#%d", m.self, m.nextID)
+	m.nextNum++
+	num := m.nextNum
 	m.mu.Unlock()
 
-	body, err := json.Marshal(openReq{ChannelID: id, Root: m.self, Tenant: tenant, Priority: priority})
-	if err != nil {
-		return nil, fmt.Errorf("channel: marshal open: %w", err)
-	}
+	body := AppendOpen(nil, OpenRequest{Channel: num, Tenant: tenant, Priority: priority})
 	if _, err := m.net.CallWithin(m.self, dest, "chan.open", body, m.DeadlineMS); err != nil {
 		return nil, fmt.Errorf("channel: open to %s: %w", dest, err)
 	}
-	ch := &Channel{ID: id, Root: m.self, Dest: dest, Tenant: tenant, Priority: priority}
+	ch := &Channel{ID: ID(m.self, num), Num: num, Root: m.self, Dest: dest,
+		Tenant: tenant, Priority: priority, onPacket: onPacket}
 	m.mu.Lock()
-	m.channels[id] = ch
-	if onPacket != nil {
-		m.onPacket[id] = onPacket
-	}
+	m.channels[num] = ch
 	m.stats.ChannelsOpened++
 	m.mu.Unlock()
 	return ch, nil
@@ -380,11 +378,9 @@ func (m *Manager) Close(ch *Channel) {
 	ch.mu.Lock()
 	ch.closed = true
 	ch.mu.Unlock()
-	body, _ := json.Marshal(openReq{ChannelID: ch.ID, Root: m.self})
-	_ = m.net.SendWithin(m.self, ch.Dest, "chan.close", body, m.DeadlineMS) // best effort
+	_ = m.net.SendWithin(m.self, ch.Dest, "chan.close", AppendClose(nil, ch.Num), m.DeadlineMS) // best effort
 	m.mu.Lock()
-	delete(m.channels, ch.ID)
-	delete(m.onPacket, ch.ID)
+	delete(m.channels, ch.Num)
 	m.stats.ChannelsClosed++
 	m.mu.Unlock()
 }
@@ -401,8 +397,12 @@ func (m *Manager) MarkFailed(ch *Channel) {
 func (m *Manager) Channel(id string) (*Channel, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ch, ok := m.channels[id]
-	return ch, ok
+	for _, ch := range m.channels {
+		if ch.ID == id {
+			return ch, true
+		}
+	}
+	return nil, false
 }
 
 // OpenChannels returns ids of channels rooted at this peer, sorted.
@@ -410,8 +410,8 @@ func (m *Manager) OpenChannels() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.channels))
-	for id := range m.channels {
-		out = append(out, id)
+	for _, ch := range m.channels {
+		out = append(out, ch.ID)
 	}
 	sort.Strings(out)
 	return out
@@ -426,48 +426,43 @@ func (m *Manager) OpenChannels() []string {
 // returns.
 func (m *Manager) SendToRoot(channelID string, typ PacketType, rows int, payload []byte) error {
 	m.mu.Lock()
-	root, ok := m.inbound[channelID]
-	var seq int
-	var tb traceBinding
-	if ok {
-		m.outSeq[channelID]++
-		seq = m.outSeq[channelID]
-		tb = m.trace[channelID]
+	in := m.inbound[channelID]
+	var pkt Packet
+	if in != nil {
+		in.seq++
+		pkt = Packet{Channel: in.num, Type: typ, Seq: in.seq, Rows: rows, Payload: payload,
+			TraceID: in.traceID, SpanID: in.spanID}
 		m.stats.PacketsSent++
 		m.stats.PayloadBytesSent += len(payload)
 	}
 	gossipSrc := m.GossipSource
 	m.mu.Unlock()
-	if !ok {
+	if in == nil {
 		return fmt.Errorf("channel: %s: unknown inbound channel %q", m.self, channelID)
 	}
-	var gossip []byte
 	if gossipSrc != nil {
-		if gossip = gossipSrc(); gossip != nil {
+		if pkt.Gossip = gossipSrc(); pkt.Gossip != nil {
 			m.mu.Lock()
 			m.stats.GossipPiggybacked++
 			m.mu.Unlock()
 		}
 	}
-	pkt := Packet{ChannelID: channelID, Type: typ, Seq: seq, Rows: rows, Payload: payload,
-		TraceID: tb.traceID, SpanID: tb.spanID, Gossip: gossip}
-	body, err := json.Marshal(pkt)
-	if err != nil {
-		return fmt.Errorf("channel: marshal packet: %w", err)
-	}
-	if err := m.net.SendWithin(m.self, root, "chan.packet", body, m.DeadlineMS); err != nil {
-		return fmt.Errorf("channel: send to root %s: %w", root, err)
+	if err := m.net.SendWithin(m.self, in.root, "chan.packet", AppendPacket(nil, &pkt), m.DeadlineMS); err != nil {
+		return fmt.Errorf("channel: send to root %s: %w", in.root, err)
 	}
 	return nil
 }
 
 func (m *Manager) handleOpen(msg network.Message) ([]byte, error) {
-	var req openReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
+	req, err := DecodeOpen(msg.Payload)
+	if err != nil {
 		return nil, fmt.Errorf("channel: bad open request: %w", err)
 	}
+	id := ID(msg.From, req.Channel)
 	m.mu.Lock()
-	m.inbound[req.ChannelID] = req.Root
+	if m.inbound[id] == nil {
+		m.inbound[id] = &inbound{root: msg.From, num: req.Channel}
+	}
 	m.stats.ChannelsAccepted++
 	if m.stats.TenantAccepts == nil {
 		m.stats.TenantAccepts = map[string]int{}
@@ -476,23 +471,23 @@ func (m *Manager) handleOpen(msg network.Message) ([]byte, error) {
 	hook := m.onOpen
 	m.mu.Unlock()
 	if hook != nil {
-		hook(req.ChannelID, req.Root)
+		hook(id, msg.From)
 	}
 	return []byte("ok"), nil
 }
 
 func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
-	var pkt Packet
-	if err := json.Unmarshal(msg.Payload, &pkt); err != nil {
+	pkt, err := DecodePacket(msg.Payload)
+	if err != nil {
 		return nil, fmt.Errorf("channel: bad packet: %w", err)
 	}
 	m.mu.Lock()
-	ch := m.channels[pkt.ChannelID]
-	cb := m.onPacket[pkt.ChannelID]
+	ch := m.channels[pkt.Channel]
 	m.mu.Unlock()
 	if ch == nil {
-		return nil, fmt.Errorf("channel: %s: packet for unknown channel %q", m.self, pkt.ChannelID)
+		return nil, fmt.Errorf("channel: %s: packet for unknown channel %q", m.self, ID(m.self, pkt.Channel))
 	}
+	pkt.WireBytes = msg.Size()
 	ch.mu.Lock()
 	ok, forced := ch.accept(pkt.Seq)
 	if !ok {
@@ -507,7 +502,7 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 		// One "dedupe" event per PacketsDuplicate increment — the
 		// event↔counter reconciliation invariant for this plane.
 		m.Events.Emit("channel", "dedupe", string(m.self), pkt.TraceID,
-			obs.A("channel", pkt.ChannelID), obs.A("seq", strconv.Itoa(pkt.Seq)),
+			obs.A("channel", ch.ID), obs.A("seq", strconv.Itoa(pkt.Seq)),
 			obs.A("from", string(msg.From)))
 		return nil, nil
 	}
@@ -528,23 +523,21 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 	}
 	if pkt.Type == PlanChange {
 		m.Events.Emit("channel", "plan-change", string(m.self), pkt.TraceID,
-			obs.A("channel", pkt.ChannelID), obs.A("from", string(msg.From)))
+			obs.A("channel", ch.ID), obs.A("from", string(msg.From)))
 	}
-	if cb != nil {
-		cb(pkt)
+	if ch.onPacket != nil {
+		ch.onPacket(pkt)
 	}
 	return nil, nil
 }
 
 func (m *Manager) handleClose(msg network.Message) ([]byte, error) {
-	var req openReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
+	num, err := DecodeClose(msg.Payload)
+	if err != nil {
 		return nil, fmt.Errorf("channel: bad close request: %w", err)
 	}
 	m.mu.Lock()
-	delete(m.inbound, req.ChannelID)
-	delete(m.outSeq, req.ChannelID)
-	delete(m.trace, req.ChannelID)
+	delete(m.inbound, ID(msg.From, num))
 	m.mu.Unlock()
 	return nil, nil
 }

@@ -1,7 +1,6 @@
 package channel_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -51,14 +50,10 @@ func TestReorderedAndDuplicatedPackets(t *testing.T) {
 	for _, i := range order {
 		seq := i + 1
 		pkt := channel.Packet{
-			ChannelID: ch.ID, Type: channel.Results, Seq: seq,
+			Channel: ch.Num, Type: channel.Results, Seq: seq,
 			Rows: rowsPer, Payload: []byte(fmt.Sprintf("batch-%d", seq)),
 		}
-		body, err := json.Marshal(pkt)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		if err := net.Send("P2", "P1", "chan.packet", body); err != nil {
+		if err := net.Send("P2", "P1", "chan.packet", channel.AppendPacket(nil, &pkt)); err != nil {
 			t.Fatalf("send seq %d: %v", seq, err)
 		}
 	}
@@ -82,9 +77,8 @@ func TestReorderedAndDuplicatedPackets(t *testing.T) {
 	}
 
 	// A replay arriving after the floor passed it must still be dropped.
-	late := channel.Packet{ChannelID: ch.ID, Type: channel.Results, Seq: 5, Rows: rowsPer}
-	body, _ := json.Marshal(late)
-	if err := net.Send("P2", "P1", "chan.packet", body); err != nil {
+	late := channel.Packet{Channel: ch.Num, Type: channel.Results, Seq: 5, Rows: rowsPer}
+	if err := net.Send("P2", "P1", "chan.packet", channel.AppendPacket(nil, &late)); err != nil {
 		t.Fatalf("late replay send: %v", err)
 	}
 	mu.Lock()

@@ -1,7 +1,6 @@
 package exec_test
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -143,17 +142,16 @@ func TestNonBatchResultsPacketFails(t *testing.T) {
 	p1.Engine.Router = nil
 	p4 := peers["P4"]
 	net.Handle("P4", "exec.subplan", func(msg network.Message) ([]byte, error) {
-		var req struct {
-			ChannelID string `json:"channelId"`
-		}
-		if err := json.Unmarshal(msg.Payload, &req); err != nil {
+		req, err := channel.DecodeSubplan(msg.Payload)
+		if err != nil {
 			return nil, err
 		}
+		id := channel.ID(msg.From, req.Channel)
 		body := []byte(`{"vars":["X"],"rows":[]}`)
-		if err := p4.Channels.SendToRoot(req.ChannelID, channel.Results, badRows, body); err != nil {
+		if err := p4.Channels.SendToRoot(id, channel.Results, badRows, body); err != nil {
 			return nil, err
 		}
-		return []byte("ok"), p4.Channels.SendToRoot(req.ChannelID, channel.Done, 0, nil)
+		return []byte("ok"), p4.Channels.SendToRoot(id, channel.Done, 0, nil)
 	})
 	pr, err := p1.PlanQuery(gen.PaperQuery())
 	if err != nil {

@@ -547,7 +547,7 @@ type execution struct {
 
 	mu    sync.Mutex
 	sites map[pattern.PeerID]*siteChan
-	inbox map[string]*remoteResult // channelID -> collector
+	inbox map[uint32]*remoteResult // channel number -> collector
 	// cache single-flights remote dispatches within this execution:
 	// optimized plans repeat the same scan under several union branches,
 	// and with branches racing, the first to ask ships the subplan while
@@ -649,7 +649,7 @@ func newExecution(e *Engine) *execution {
 		store:      rql.NewTermStore(),
 		fetched:    map[string]int{},
 		sites:      map[pattern.PeerID]*siteChan{},
-		inbox:      map[string]*remoteResult{},
+		inbox:      map[uint32]*remoteResult{},
 		cache:      map[string]*cacheEntry{},
 		unanswered: map[string]string{},
 		holeReason: "no peer advertises this pattern",
@@ -1022,26 +1022,6 @@ func largestScanPeer(cm *optimizer.CostModel, j *plan.Join) pattern.PeerID {
 	return best
 }
 
-// subplanReq is the wire body of a shipped subplan. ResumeFrom > 0 asks
-// the destination to skip that many leading rows (a checkpoint from a
-// previous attempt that already reached the root); the destination
-// acknowledges with a PlanChange packet before streaming.
-type subplanReq struct {
-	ChannelID  string `json:"channelId"`
-	Plan       []byte `json:"plan"`
-	ResumeFrom int    `json:"resumeFrom,omitempty"`
-	// TraceID/SpanID propagate the root's trace context: the destination
-	// binds them to the channel, stamps them onto every upstream packet,
-	// records its own execution spans and ships them back in a
-	// TraceSpans packet, parented under SpanID in the root's trace.
-	TraceID string `json:"traceId,omitempty"`
-	SpanID  string `json:"spanId,omitempty"`
-	// Tenant/Priority are the root execution's QoS headers: the serving
-	// peer admits the subplan under this class before evaluating it.
-	Tenant   string `json:"tenant,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-}
-
 // runRemote ships the node to the site peer and gathers its rows through
 // the channel. Identical dispatches from concurrent branches are
 // single-flighted: the first branch ships, the rest wait on its cache
@@ -1392,23 +1372,22 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 	if err != nil {
 		return nil, fmt.Errorf("exec: marshal subplan: %w", err)
 	}
-	req := subplanReq{ChannelID: sc.ch.ID, Plan: data, ResumeFrom: resumeFrom,
+	// A positive resumeFrom asks the destination to skip that many leading
+	// rows; it acknowledges with a PlanChange packet before streaming.
+	req := channel.SubplanRequest{Channel: sc.ch.Num, Plan: data, ResumeFrom: resumeFrom,
 		Tenant: ex.qos.Tenant, Priority: int(ex.qos.Priority)}
 	if sp != nil {
 		req.TraceID = sp.TraceID()
 		req.SpanID = sp.Path()
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("exec: marshal subplan request: %w", err)
-	}
+	msg := network.Message{Kind: "exec.subplan", Payload: channel.AppendSubplan(nil, &req)}
 	// Capture the link before taking any lock: the packet collector prices
 	// reply transfers from this snapshot, and LinkBetween takes the
 	// network's own lock.
 	var link stats.Link
 	if sp != nil {
 		link = e.Net.LinkBetween(e.Self, site)
-		sp.ChargeMS(link.TransferMS(len(body) + len("exec.subplan") + 16))
+		sp.ChargeMS(link.TransferMS(msg.Size()))
 	}
 	// One request/collect cycle at a time per channel: the inbox collector
 	// is keyed by channel id, so concurrent branches targeting the same
@@ -1416,21 +1395,21 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	ex.mu.Lock()
-	ex.inbox[sc.ch.ID] = &remoteResult{site: site, span: sp, link: link}
+	ex.inbox[sc.ch.Num] = &remoteResult{site: site, span: sp, link: link}
 	ex.mu.Unlock()
 	e.record(fact{kind: factShipped, site: site, try: try}, sp)
 	if tm := e.Throughput; tm != nil {
 		tm.Track(site)
 	}
 	//lint:allow locksafe per-site channel serialization is the point of sc.mu, and SendWithin is deadline-bounded so the hold is finite
-	sendErr := e.Net.SendWithin(e.Self, site, "exec.subplan", body, e.DeadlineMS)
+	sendErr := e.Net.SendWithin(e.Self, site, msg.Kind, msg.Payload, e.DeadlineMS)
 	// Delivery is synchronous: by the time Send returns, the remote has
 	// executed and its packets have been dispatched to our collector. Even
 	// a failed send may have let packets through first (e.g. a crash
 	// mid-stream), so always collect what arrived.
 	ex.mu.Lock()
-	res := ex.inbox[sc.ch.ID]
-	delete(ex.inbox, sc.ch.ID)
+	res := ex.inbox[sc.ch.Num]
+	delete(ex.inbox, sc.ch.Num)
 	ex.mu.Unlock()
 	res.watermark = sc.ch.Watermark()
 	if sendErr != nil {
@@ -1475,13 +1454,6 @@ func (ex *execution) channelTo(site pattern.PeerID) (*siteChan, error) {
 	return sc, nil
 }
 
-// packetEnvelopeBytes approximates the on-wire overhead of one channel
-// packet beyond its payload: the JSON envelope fields plus the
-// "chan.packet" message kind and the fixed message header. A constant
-// keeps the per-packet transfer charge deterministic without
-// re-marshaling every packet at the root.
-const packetEnvelopeBytes = 96
-
 func (ex *execution) onPacket(pkt channel.Packet) {
 	// The stats sink is a caller-supplied callback: invoke it only after
 	// ex.mu is released, so a sink that re-enters the engine cannot
@@ -1492,13 +1464,14 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 	resultsRows, resultsSeen := 0, false
 	planChangeAck := false
 	ex.mu.Lock()
-	res, ok := ex.inbox[pkt.ChannelID]
+	res, ok := ex.inbox[pkt.Channel]
 	if ok {
 		// Price the reply leg: every packet that reaches the collector
-		// crossed the site→root link once. The link was captured at
-		// dispatch, so no network lock is touched here.
+		// crossed the site→root link once, at the size the network
+		// accounted. The link was captured at dispatch, so no network lock
+		// is touched here.
 		if res.span != nil {
-			res.span.ChargeMS(res.link.TransferMS(len(pkt.Payload) + packetEnvelopeBytes))
+			res.span.ChargeMS(res.link.TransferMS(pkt.WireBytes))
 		}
 		switch pkt.Type {
 		case channel.Results:
@@ -1611,10 +1584,11 @@ func (ex *execution) closeAll() {
 // this peer (the query-shipping semantics), scans at other peers are
 // fetched recursively, and the rows stream back on the root's channel.
 func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
-	var req subplanReq
-	if err := json.Unmarshal(msg.Payload, &req); err != nil {
+	req, err := channel.DecodeSubplan(msg.Payload)
+	if err != nil {
 		return nil, fmt.Errorf("exec: bad subplan request: %w", err)
 	}
+	chanID := channel.ID(msg.From, req.Channel) // the root sent the request
 	sub, err := plan.Unmarshal(req.Plan)
 	if err != nil {
 		return nil, err
@@ -1638,7 +1612,7 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	// trace ids onto every upstream packet.
 	rsp := obs.RemoteSpan(req.TraceID, req.SpanID, string(e.Self))
 	if rsp != nil {
-		e.Channels.BindTrace(req.ChannelID, req.TraceID, req.SpanID)
+		e.Channels.BindTrace(chanID, req.TraceID, req.SpanID)
 	}
 	// Execute with this peer as root under its own options, but with
 	// data-shipping placement, so the shipped join runs here (terminating
@@ -1667,16 +1641,16 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	}
 	if err != nil {
 		if len(traceRec) > 0 {
-			if serr := e.Channels.SendToRoot(req.ChannelID, channel.TraceSpans, 0, traceRec); serr != nil {
+			if serr := e.Channels.SendToRoot(chanID, channel.TraceSpans, 0, traceRec); serr != nil {
 				return nil, serr
 			}
 		}
-		if serr := e.Channels.SendToRoot(req.ChannelID, channel.Failure, 0, []byte(err.Error())); serr != nil {
+		if serr := e.Channels.SendToRoot(chanID, channel.Failure, 0, []byte(err.Error())); serr != nil {
 			return nil, serr
 		}
 		return []byte("failed"), nil
 	}
-	if err := e.streamBatches(req.ChannelID, rows, req.ResumeFrom, traceRec); err != nil {
+	if err := e.streamBatches(chanID, rows, req.ResumeFrom, traceRec); err != nil {
 		return nil, err
 	}
 	return []byte("ok"), nil

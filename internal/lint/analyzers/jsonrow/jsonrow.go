@@ -1,35 +1,39 @@
-// Package jsonrow forbids JSON (de)serialization of row-carrying types
-// on the data plane. Since the columnar rewrite, result rows travel as
-// length-prefixed binary batch frames (rql.AppendBatch / rql.DecodeBatch)
-// inside channel packets; a stray json.Marshal of an rql.ResultSet, Row
-// or Batch in internal/exec, internal/channel or internal/overlay
-// silently reintroduces the per-row allocation storm the batch plane
-// removed. Control bodies (PlanChange, Stats, trace records, the packet
-// envelope itself) stay JSON — they carry no rows, so the analyzer does
-// not match them. No legitimate row-JSON site remains on the data plane:
-// every path that ships result rows uses batch frames, so a finding here
-// is a bug to fix, not a site to allowlist.
+// Package jsonrow keeps encoding/json off the data plane. Result rows
+// travel as length-prefixed binary batch frames (rql.AppendBatch /
+// rql.DecodeBatch), and the frames ride channel packets and subplan
+// requests whose envelopes are a fixed binary header plus raw bytes
+// (channel.AppendPacket / DecodePacket, AppendSubplan / DecodeSubplan).
+// A json.Marshal or Unmarshal of an rql.ResultSet, Row or Batch, or of a
+// channel.Packet or channel.SubplanRequest, anywhere in the code
+// silently reintroduces the per-row allocation storm or the base64
+// envelope the binary plane removed. What stays JSON is the control
+// bodies that ride inside a packet's raw payload (PlanChange, Stats,
+// trace records) and the plan document inside a subplan request — they
+// carry no rows and are no envelope, so the analyzer does not match them.
+// No legitimate site remains: a finding here is a bug to fix, not a site
+// to allowlist.
 package jsonrow
 
 import (
 	"go/ast"
 	"go/types"
+	"path"
 
 	"sqpeer/internal/lint/analysis"
 )
 
-// rowTypes are the rql types whose presence anywhere in a value's type
-// makes JSON-encoding it a data-plane violation.
-var rowTypes = map[string]bool{
-	"Row":       true,
-	"ResultSet": true,
-	"Batch":     true,
+// planeTypes are the types, by package path tail, whose presence anywhere
+// in a value's type makes JSON-encoding it a data-plane violation: the
+// rql row types and the channel envelopes.
+var planeTypes = map[string]map[string]bool{
+	"rql":     {"Row": true, "ResultSet": true, "Batch": true},
+	"channel": {"Packet": true, "SubplanRequest": true},
 }
 
-// Analyzer flags row-carrying JSON; see the package comment.
+// Analyzer flags data-plane JSON; see the package comment.
 var Analyzer = &analysis.Analyzer{
 	Name: "jsonrow",
-	Doc:  "forbid json.Marshal/Unmarshal of row-carrying rql types (ResultSet, Row, Batch) on the data plane; rows travel as binary batch frames",
+	Doc:  "forbid json.Marshal/Unmarshal of row-carrying rql types (ResultSet, Row, Batch) and channel envelopes (Packet, SubplanRequest); the data plane is binary",
 	Run:  run,
 }
 
@@ -58,9 +62,14 @@ func run(pass *analysis.Pass) (any, error) {
 			if arg == nil {
 				return true
 			}
-			if name := rowTypeIn(pass.TypesInfo.TypeOf(arg), map[types.Type]bool{}, 0); name != "" {
+			switch pkg, name := planeTypeIn(pass.TypesInfo.TypeOf(arg), map[types.Type]bool{}, 0); pkg {
+			case "rql":
 				pass.Reportf(call.Pos(),
 					"json.%s of row-carrying type rql.%s: data-plane rows travel as binary batch frames (rql.AppendBatch/DecodeBatch); JSON is for control packets only",
+					fn.Name(), name)
+			case "channel":
+				pass.Reportf(call.Pos(),
+					"json.%s of data-plane envelope channel.%s: packets and subplan requests travel as a binary header plus raw bytes (channel.AppendPacket/AppendSubplan and their decoders)",
 					fn.Name(), name)
 			}
 			return true
@@ -69,43 +78,46 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// maxDepth bounds the structural walk: row types sit at most a few
+// maxDepth bounds the structural walk: plane types sit at most a few
 // levels down any realistic wire body (pointer → struct → slice → type).
 const maxDepth = 6
 
-// rowTypeIn walks t's structure looking for a named rql row type,
-// returning its name or "". The walk dereferences pointers, slices,
-// arrays, maps and struct fields; the seen set makes recursive types
-// terminate.
-func rowTypeIn(t types.Type, seen map[types.Type]bool, depth int) string {
+// planeTypeIn walks t's structure looking for a named data-plane type,
+// returning its package tail and name, or "", "". The walk dereferences
+// pointers, slices, arrays, maps and struct fields; the seen set makes
+// recursive types terminate.
+func planeTypeIn(t types.Type, seen map[types.Type]bool, depth int) (string, string) {
 	if t == nil || depth > maxDepth || seen[t] {
-		return ""
+		return "", ""
 	}
 	seen[t] = true
 	switch v := t.(type) {
 	case *types.Named:
-		if obj := v.Obj(); obj != nil && obj.Pkg() != nil &&
-			analysis.PkgPathTail(obj.Pkg().Path(), "rql") && rowTypes[obj.Name()] {
-			return obj.Name()
+		if obj := v.Obj(); obj != nil && obj.Pkg() != nil {
+			// The last path element: sqpeer/internal/rql and a fixture's
+			// bare "rql" both match.
+			if pkg := path.Base(obj.Pkg().Path()); planeTypes[pkg][obj.Name()] {
+				return pkg, obj.Name()
+			}
 		}
-		return rowTypeIn(v.Underlying(), seen, depth+1)
+		return planeTypeIn(v.Underlying(), seen, depth+1)
 	case *types.Pointer:
-		return rowTypeIn(v.Elem(), seen, depth+1)
+		return planeTypeIn(v.Elem(), seen, depth+1)
 	case *types.Slice:
-		return rowTypeIn(v.Elem(), seen, depth+1)
+		return planeTypeIn(v.Elem(), seen, depth+1)
 	case *types.Array:
-		return rowTypeIn(v.Elem(), seen, depth+1)
+		return planeTypeIn(v.Elem(), seen, depth+1)
 	case *types.Map:
-		if name := rowTypeIn(v.Key(), seen, depth+1); name != "" {
-			return name
+		if pkg, name := planeTypeIn(v.Key(), seen, depth+1); pkg != "" {
+			return pkg, name
 		}
-		return rowTypeIn(v.Elem(), seen, depth+1)
+		return planeTypeIn(v.Elem(), seen, depth+1)
 	case *types.Struct:
 		for i := 0; i < v.NumFields(); i++ {
-			if name := rowTypeIn(v.Field(i).Type(), seen, depth+1); name != "" {
-				return name
+			if pkg, name := planeTypeIn(v.Field(i).Type(), seen, depth+1); pkg != "" {
+				return pkg, name
 			}
 		}
 	}
-	return ""
+	return "", ""
 }

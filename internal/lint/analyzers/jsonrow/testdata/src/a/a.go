@@ -1,11 +1,13 @@
 // Package a exercises the jsonrow analyzer: JSON touching row-carrying
-// rql types is flagged — directly, through pointers, slices, and struct
-// embedding — while control-plane JSON stays legal.
+// rql types or the channel envelopes is flagged — directly, through
+// pointers, slices, and struct embedding — while control-plane JSON
+// stays legal.
 package a
 
 import (
 	"encoding/json"
 
+	"channel"
 	"rql"
 )
 
@@ -34,6 +36,19 @@ func bad(rs *rql.ResultSet, rows []rql.Row, b rql.Batch, m map[string]rql.Row) {
 	_ = json.Unmarshal(nil, &batches) // want `json\.Unmarshal of row-carrying type rql\.Batch`
 }
 
+// resendLog holds envelopes one level down: no rows anywhere, so only
+// the envelope rule flags it.
+type resendLog struct {
+	Pending []*channel.Packet
+}
+
+func badEnvelope(p channel.Packet, payload []byte) {
+	_, _ = json.Marshal(p)           // want `json\.Marshal of data-plane envelope channel\.Packet`
+	_, _ = json.Marshal(resendLog{}) // want `json\.Marshal of data-plane envelope channel\.Packet`
+	var req channel.SubplanRequest
+	_ = json.Unmarshal(payload, &req) // want `json\.Unmarshal of data-plane envelope channel\.SubplanRequest`
+}
+
 func clean(pc planChange, payload []byte) {
 	_, _ = json.Marshal(pc) // control packets stay JSON
 	var got planChange
@@ -43,4 +58,6 @@ func clean(pc planChange, payload []byte) {
 		Payload   []byte
 	}
 	_, _ = json.Marshal(envelope{Payload: payload}) // opaque payload bytes are fine
+	var info channel.PlanChangeInfo
+	_ = json.Unmarshal(payload, &info) // control bodies inside a packet stay JSON
 }

@@ -3,7 +3,7 @@ package network
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,22 +12,32 @@ import (
 
 // The in-process Network is the substrate every experiment runs on, but a
 // deployment can expose any node over a real socket: a Gateway serves one
-// node's message handlers over TCP with a length-prefixed JSON framing,
-// and a Client lets an out-of-process party call them. Traffic entering
-// through a gateway is accounted on the Network like any other message.
+// node's message handlers over TCP, and a Client lets an out-of-process
+// party call them. Traffic entering through a gateway is accounted on the
+// Network like any other message.
+//
+// A frame is a 4-byte big-endian length and a body. A request body is the
+// sender and the message kind, each a uvarint length plus its bytes,
+// followed by the raw payload. A reply body opens with a status byte:
+// replyOK is followed by the raw reply payload; replyErr by a flag byte
+// (errDelivery: the error wraps a DeliveryError; errTransient: that error
+// is transient), the DeliveryError's reason as a uvarint-length string,
+// and the error text. The client rebuilds the DeliveryError, so
+// network.Transient and errors.As work across the socket as they do
+// in-process.
 
-// frame is the wire request: one message addressed to the gateway's node.
-type frame struct {
-	From    NodeID `json:"from"`
-	Kind    string `json:"kind"`
-	Payload []byte `json:"payload"`
-}
+const (
+	replyOK byte = iota
+	replyErr
+)
 
-// frameReply is the wire response.
-type frameReply struct {
-	Payload []byte `json:"payload,omitempty"`
-	Err     string `json:"err,omitempty"`
-}
+const (
+	errDelivery byte = 1 << iota
+	errTransient
+)
+
+// errBadFrame reports a frame body whose header is short or malformed.
+var errBadFrame = errors.New("network: malformed frame")
 
 // Gateway serves one node's handlers over TCP.
 type Gateway struct {
@@ -111,21 +121,78 @@ func (g *Gateway) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
-		var req frame
-		if err := readFrame(r, &req); err != nil {
+		body, err := readFrame(r)
+		if err != nil {
 			return // EOF or broken peer
 		}
-		var reply frameReply
-		payload, err := g.net.Call(req.From, g.node, req.Kind, req.Payload)
+		from, rest, err := cutString(body)
 		if err != nil {
-			reply.Err = err.Error()
-		} else {
-			reply.Payload = payload
+			return // malformed request: drop the connection
 		}
-		if err := writeFrame(w, reply); err != nil {
+		kind, payload, err := cutString(rest)
+		if err != nil {
+			return
+		}
+		reply, err := g.net.Call(NodeID(from), g.node, kind, payload)
+		if err := writeFrame(w, encodeReply(reply, err)); err != nil {
 			return
 		}
 	}
+}
+
+// encodeReply encodes a handler's reply, or its error, as a reply body.
+func encodeReply(payload []byte, err error) []byte {
+	if err == nil {
+		return append([]byte{replyOK}, payload...)
+	}
+	var flags byte
+	var reason string
+	var de *DeliveryError
+	if errors.As(err, &de) {
+		flags, reason = errDelivery, de.Reason
+		if de.Transient {
+			flags |= errTransient
+		}
+	}
+	return append(appendString([]byte{replyErr, flags}, reason), err.Error()...)
+}
+
+// decodeReply is encodeReply's inverse: the reply payload, or the remote
+// error with its DeliveryError class restored.
+func decodeReply(body []byte) ([]byte, error) {
+	if len(body) == 0 {
+		return nil, errBadFrame
+	}
+	if body[0] == replyOK {
+		return body[1:], nil
+	}
+	if body[0] != replyErr || len(body) < 2 {
+		return nil, errBadFrame
+	}
+	flags := body[1]
+	reason, text, err := cutString(body[2:])
+	if err != nil {
+		return nil, err
+	}
+	if flags&errDelivery == 0 {
+		return nil, fmt.Errorf("network: remote: %s", text)
+	}
+	return nil, fmt.Errorf("network: remote: %w", &DeliveryError{
+		Reason: reason, Transient: flags&errTransient != 0, Detail: string(text)})
+}
+
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// cutString splits a uvarint-length-prefixed string off the front of b,
+// checking the length against b before slicing.
+func cutString(b []byte) (string, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return "", nil, errBadFrame
+	}
+	return string(b[k : k+int(n)]), b[k+int(n):], nil
 }
 
 // Client is a TCP connection to a remote node's gateway. It is safe for
@@ -151,17 +218,15 @@ func DialTCP(addr string) (*Client, error) {
 func (c *Client) Call(from NodeID, kind string, payload []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := writeFrame(c.w, frame{From: from, Kind: kind, Payload: payload}); err != nil {
+	req := appendString(appendString(nil, string(from)), kind)
+	if err := writeFrame(c.w, append(req, payload...)); err != nil {
 		return nil, fmt.Errorf("network: send frame: %w", err)
 	}
-	var reply frameReply
-	if err := readFrame(c.r, &reply); err != nil {
+	body, err := readFrame(c.r)
+	if err != nil {
 		return nil, fmt.Errorf("network: read reply: %w", err)
 	}
-	if reply.Err != "" {
-		return nil, fmt.Errorf("network: remote: %s", reply.Err)
-	}
-	return reply.Payload, nil
+	return decodeReply(body)
 }
 
 // Close tears the connection down.
@@ -171,11 +236,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 // prefix from allocating unbounded memory.
 const maxFrameSize = 16 << 20
 
-func writeFrame(w *bufio.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
+func writeFrame(w *bufio.Writer, body []byte) error {
 	if len(body) > maxFrameSize {
 		return fmt.Errorf("frame of %d bytes exceeds limit", len(body))
 	}
@@ -190,18 +251,18 @@ func writeFrame(w *bufio.Writer, v any) error {
 	return w.Flush()
 }
 
-func readFrame(r *bufio.Reader, v any) error {
+func readFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrameSize {
-		return fmt.Errorf("frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return err
+		return nil, err
 	}
-	return json.Unmarshal(body, v)
+	return body, nil
 }

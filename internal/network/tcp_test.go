@@ -1,6 +1,8 @@
 package network_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -60,6 +62,86 @@ func TestGatewayPropagatesHandlerErrors(t *testing.T) {
 	}
 	if _, err := c.Call("x", "nosuch", nil); err == nil {
 		t.Error("unknown kind accepted over tcp")
+	}
+}
+
+// TestGatewayKeepsDeliveryErrorClass checks that a handler's
+// DeliveryError crosses the socket with its class intact: the retry gate
+// (network.Transient) and errors.As see the same reason and transient bit
+// a caller of the in-process network would.
+func TestGatewayKeepsDeliveryErrorClass(t *testing.T) {
+	n := network.New()
+	n.AddNode("A")
+	n.Handle("A", "busy", func(network.Message) ([]byte, error) {
+		return nil, fmt.Errorf("serving: %w", &network.DeliveryError{
+			Reason: network.ReasonOverload, Transient: true, Detail: "shed at A"})
+	})
+	n.Handle("A", "plain", func(network.Message) ([]byte, error) {
+		return nil, fmt.Errorf("plain failure")
+	})
+	g, err := network.ServeTCP(n, "A", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	c, err := network.DialTCP(g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	cases := []struct {
+		kind      string
+		reason    string
+		transient bool
+	}{
+		{"busy", network.ReasonOverload, true},
+		{"nosuch", network.ReasonNoHandler, false}, // permanent: raised by the network itself
+	}
+	for _, tc := range cases {
+		_, err := c.Call("x", tc.kind, nil)
+		var de *network.DeliveryError
+		if !errors.As(err, &de) {
+			t.Fatalf("%s: error %v lost its DeliveryError over tcp", tc.kind, err)
+		}
+		if de.Reason != tc.reason || de.Transient != tc.transient || network.Transient(err) != tc.transient {
+			t.Errorf("%s: got reason %q transient %v (Transient()=%v), want %q %v",
+				tc.kind, de.Reason, de.Transient, network.Transient(err), tc.reason, tc.transient)
+		}
+	}
+	_, err = c.Call("x", "plain", nil)
+	var de *network.DeliveryError
+	if err == nil || errors.As(err, &de) || !strings.Contains(err.Error(), "plain failure") {
+		t.Errorf("plain handler error = %v; want its text and no DeliveryError", err)
+	}
+}
+
+// TestGatewayBinaryPayloadRoundTrip sends every byte value through the
+// gateway and back: payloads are raw bytes on the wire, not text.
+func TestGatewayBinaryPayloadRoundTrip(t *testing.T) {
+	n := network.New()
+	n.AddNode("A")
+	n.Handle("A", "mirror", func(m network.Message) ([]byte, error) { return m.Payload, nil })
+	g, err := network.ServeTCP(n, "A", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	c, err := network.DialTCP(g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := make([]byte, 0, 512)
+	for i := 0; i < 512; i++ {
+		payload = append(payload, byte(i*7+i/256))
+	}
+	reply, err := c.Call("x", "mirror", payload)
+	if err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	if !bytes.Equal(reply, payload) {
+		t.Errorf("binary payload changed over tcp:\n got %x\nwant %x", reply, payload)
 	}
 }
 
