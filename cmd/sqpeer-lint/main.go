@@ -11,7 +11,7 @@
 //	errclass       errors compared with errors.Is, never ==/!= or strings
 //	locksafe       no blocking ops while a sync (RW)Mutex is held
 //	obsspan        obs spans closed on every return path
-//	jsonrow        no JSON of row-carrying rql types on the data plane
+//	jsonrow        no JSON of rows, envelopes or query-path bodies on the query path
 //
 // Interprocedural tier (cross-package function summaries, see
 // internal/lint/summary):
@@ -80,7 +80,7 @@ var scope = map[string]func(string) bool{
 	"walltime":      isInternal,
 	"seededrand":    isInternal,
 	"obsspan":       isInternal,
-	"jsonrow":       isDataPlane,
+	"jsonrow":       isQueryPath,
 	"lockorder":     isInternal,
 	"bufsafe":       isInternal,
 	"goroleak":      isInternal,
@@ -92,14 +92,18 @@ func isInternal(pkgPath string) bool {
 		!strings.Contains(pkgPath, "/internal/lint")
 }
 
-// isDataPlane scopes jsonrow to the packages that move rows between
-// peers: only there does JSON-encoding a row type reintroduce the wire
-// format the batch plane replaced. Facade users (harness, examples,
-// tests elsewhere) may JSON rows for artifacts and goldens freely.
-func isDataPlane(pkgPath string) bool {
-	return strings.HasSuffix(pkgPath, "/internal/exec") ||
-		strings.HasSuffix(pkgPath, "/internal/channel") ||
-		strings.HasSuffix(pkgPath, "/internal/overlay")
+// isQueryPath scopes jsonrow to the packages that carry a query between
+// peers — rows, envelopes, plans, routing bodies and statistics: only
+// there does JSON reintroduce the wire formats the binary codecs
+// replaced. Facade users (harness, examples, tests elsewhere) may JSON
+// these types for artifacts and goldens freely.
+func isQueryPath(pkgPath string) bool {
+	for _, p := range []string{"exec", "channel", "overlay", "peer", "plan", "pattern", "stats"} {
+		if strings.HasSuffix(pkgPath, "/internal/"+p) {
+			return true
+		}
+	}
+	return false
 }
 
 // isDeadlineScope is isInternal minus the transport implementation.

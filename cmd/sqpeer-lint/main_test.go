@@ -55,7 +55,7 @@ func TestInterproceduralTierMarked(t *testing.T) {
 }
 
 // TestScopeFunctions pins the package scoping of the interprocedural
-// tier and of the data-plane jsonrow check.
+// tier and of the query-path jsonrow check.
 func TestScopeFunctions(t *testing.T) {
 	cases := []struct {
 		analyzer, pkg string
@@ -72,7 +72,12 @@ func TestScopeFunctions(t *testing.T) {
 		{"jsonrow", "sqpeer/internal/exec", true},
 		{"jsonrow", "sqpeer/internal/channel", true},
 		{"jsonrow", "sqpeer/internal/overlay", true},
+		{"jsonrow", "sqpeer/internal/peer", true},
+		{"jsonrow", "sqpeer/internal/plan", true},
+		{"jsonrow", "sqpeer/internal/pattern", true},
+		{"jsonrow", "sqpeer/internal/stats", true},
 		{"jsonrow", "sqpeer/internal/harness", false},
+		{"jsonrow", "sqpeer/internal/membership", false},
 	}
 	for _, c := range cases {
 		accept, ok := scope[c.analyzer]

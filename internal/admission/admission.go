@@ -455,6 +455,9 @@ func newOverload(q QoS, scope, reason string, afterMS float64, hopeless bool) *O
 		Transient: true,
 		Detail:    e.Error(),
 	}
+	if !hopeless {
+		e.cause.RetryAfterMS = afterMS
+	}
 	return e
 }
 
@@ -470,14 +473,23 @@ func (e *OverloadError) Error() string {
 func (e *OverloadError) Unwrap() error { return e.cause }
 
 // RetryAfterHint extracts an overload rejection's retry-after from an
-// error chain. ok is false when the chain holds no OverloadError or
-// the rejection is Hopeless (retrying cannot succeed in budget).
+// error chain. ok is false when the chain holds no rejection or the
+// rejection is Hopeless (retrying cannot succeed in budget). A rejection
+// that crossed a socket arrives as its DeliveryError cause alone; the
+// hint then comes from the cause's RetryAfterMS.
 func RetryAfterHint(err error) (afterMS float64, ok bool) {
 	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Hopeless {
-		return 0, false
+	if errors.As(err, &oe) {
+		if oe.Hopeless {
+			return 0, false
+		}
+		return oe.RetryAfterMS, true
 	}
-	return oe.RetryAfterMS, true
+	var de *network.DeliveryError
+	if errors.As(err, &de) && de.Reason == network.ReasonOverload && de.RetryAfterMS > 0 {
+		return de.RetryAfterMS, true
+	}
+	return 0, false
 }
 
 // IsOverload reports whether the chain contains an admission

@@ -3,6 +3,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"sqpeer/internal/network"
@@ -247,4 +248,61 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestRetryAfterHintCrossesGateway: a rejection raised by a remote
+// peer's admission controller and read through the TCP gateway keeps its
+// retry-after hint, so the executor's retry loop waits out the remote's
+// hint instead of falling back to blind backoff. A hopeless rejection
+// crosses without one.
+func TestRetryAfterHintCrossesGateway(t *testing.T) {
+	clk := &stepClock{}
+	c := NewController(Config{RatePerSec: 100, Burst: 1, Clock: clk.now})
+	n := network.New()
+	n.AddNode("A")
+	var mu sync.Mutex // the handler runs on the gateway's goroutine
+	var local error
+	n.Handle("A", "work", func(m network.Message) ([]byte, error) {
+		deadline := 0.0
+		if string(m.Payload) == "tight" {
+			deadline = 1 // below the 10 ms hint: hopeless
+		}
+		err := c.AdmitQuery(QoS{Tenant: "t"}, deadline)
+		mu.Lock()
+		local = err
+		mu.Unlock()
+		return nil, err
+	})
+	g, err := network.ServeTCP(n, "A", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	cl, err := network.DialTCP(g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if _, err := cl.Call("x", "work", nil); err != nil {
+		t.Fatalf("first call within burst: %v", err)
+	}
+	_, err = cl.Call("x", "work", nil)
+	mu.Lock()
+	want, wantOK := RetryAfterHint(local)
+	mu.Unlock()
+	if !wantOK || want <= 0 {
+		t.Fatalf("in-process hint = %v, %v; want a positive hint", want, wantOK)
+	}
+	if got, ok := RetryAfterHint(err); !ok || got != want {
+		t.Errorf("hint over tcp = %v, %v; want %v, true (error %v)", got, ok, want, err)
+	}
+	if !network.Transient(err) {
+		t.Errorf("remote overload %v is not transient over tcp", err)
+	}
+	if _, err := cl.Call("x", "work", []byte("tight")); err == nil {
+		t.Fatal("hopeless call admitted")
+	} else if got, ok := RetryAfterHint(err); ok {
+		t.Errorf("hopeless rejection crossed with hint %v", got)
+	}
 }

@@ -30,7 +30,8 @@ const (
 	// Failure reports that the destination cannot contribute (peer
 	// failure, unresolvable subplan).
 	Failure
-	// Stats carries statistics useful for query optimization.
+	// Stats carries statistics useful for query optimization (a binary
+	// stats.MarshalPeerStats body).
 	Stats
 	// Done marks the end of the destination's result stream.
 	Done
@@ -96,7 +97,8 @@ type Packet struct {
 	Rows int
 	// Payload is the raw body: an rql batch frame (length-prefixed binary
 	// columns with a per-frame term dictionary) for Results packets, a
-	// JSON document for every control packet.
+	// stats.MarshalPeerStats body for Stats packets, failure text for
+	// Failure packets, and a JSON document for the other control packets.
 	Payload []byte
 	// TraceID and SpanID propagate the root's trace context: when the
 	// root ships a subplan with a trace ID, the destination binds it to

@@ -326,6 +326,25 @@ func (e *Engine) ExecuteAnnotated(p *plan.Plan) (*Result, error) {
 // untagged Low-priority query — indistinguishable from the historical
 // behaviour unless an admission controller is configured somewhere.
 func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission.QoS) (*Result, error) {
+	rows, comp, err := e.ExecuteBatch(p, span, qos)
+	if err != nil {
+		return nil, err
+	}
+	if rows != nil && p.Query != nil && len(p.Query.Projections) > 0 {
+		rows = rows.Project(p.Query.Projections)
+	}
+	// The facade boundary: batches become the public ResultSet.
+	return &Result{Rows: rows.ResultSet(), Completeness: comp}, nil
+}
+
+// ExecuteBatch is ExecuteAnnotatedQoS stopped short of the facade: it
+// returns the answer as the executor's batch over every variable the
+// plan binds, unprojected, with its completeness annotation. A nil batch
+// means nothing was answerable. The peer facade finishes the answer on
+// it — WHERE filters, then projection, then LIMIT — so a filter on a
+// variable outside SELECT still sees its bindings, and the rows become
+// row maps once, at the end.
+func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (*rql.Batch, Completeness, error) {
 	if span == nil && e.Tracer != nil {
 		tr := e.Tracer.StartTrace("execute@"+string(e.Self), string(e.Self))
 		span = tr.Root()
@@ -355,7 +374,7 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 				ids[i] = h.Patterns[0].ID
 			}
 			if !e.AllowPartial {
-				return nil, &HoleError{PatternIDs: ids}
+				return nil, Completeness{}, &HoleError{PatternIDs: ids}
 			}
 			reason := "no peer advertises this pattern"
 			if lastFailure != nil {
@@ -372,10 +391,7 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 					// Nothing answerable at all: an empty, fully-annotated
 					// partial result.
 					e.record(fact{kind: factPartialAnswer}, nil)
-					return &Result{
-						Rows:         rql.NewResultSet(),
-						Completeness: Completeness{Complete: false, Unanswered: sortUnanswered(unanswered)},
-					}, nil
+					return nil, Completeness{Complete: false, Unanswered: sortUnanswered(unanswered)}, nil
 				}
 				current = &plan.Plan{Root: pruned, Query: current.Query}
 			}
@@ -416,19 +432,15 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 			for _, u := range runtimeUn {
 				note(u.PatternID, u.Reason)
 			}
-			if current.Query != nil && len(current.Query.Projections) > 0 {
-				rel = rel.Project(current.Query.Projections)
-			}
-			// The facade boundary: batches become the public ResultSet.
-			res := &Result{Rows: rel.ResultSet(), Completeness: Completeness{Complete: len(unanswered) == 0, Unanswered: sortUnanswered(unanswered)}}
+			comp := Completeness{Complete: len(unanswered) == 0, Unanswered: sortUnanswered(unanswered)}
 			if len(unanswered) > 0 {
 				e.record(fact{kind: factPartialAnswer}, nil)
 			}
-			return res, nil
+			return rel, comp, nil
 		}
 		pf, ok := failureOf(err)
 		if !ok || e.Router == nil || attempt >= maxReplans {
-			return nil, err
+			return nil, Completeness{}, err
 		}
 		// ubQL adaptation: discard intermediates, drop the obsolete peer
 		// from our routing knowledge, replan, restart.
@@ -448,7 +460,7 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 				current = replanned
 				continue
 			}
-			return nil, fmt.Errorf("exec: adaptation after %v: %w", err, rerr)
+			return nil, Completeness{}, fmt.Errorf("exec: adaptation after %v: %w", err, rerr)
 		}
 		e.record(fact{kind: factReplan, trigger: "failure", obsolete: string(pf.Peer)}, span)
 		current = replanned
@@ -1508,9 +1520,8 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 			statsReceived = true
 			statsSite = res.site
 			if ex.engine.StatsSink != nil {
-				var ps stats.PeerStats
-				if err := json.Unmarshal(pkt.Payload, &ps); err == nil && ps.Peer != "" {
-					sinkStats = &ps
+				if ps, err := stats.UnmarshalPeerStats(pkt.Payload); err == nil && ps.Peer != "" {
+					sinkStats = ps
 				}
 			}
 		case channel.TraceSpans:
@@ -1742,7 +1753,7 @@ func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int
 	}
 	if e.StatsProvider != nil {
 		if ps := e.StatsProvider(); ps != nil {
-			if payload, err := json.Marshal(ps); err == nil {
+			if payload, err := stats.MarshalPeerStats(ps); err == nil {
 				if err := e.Channels.SendToRoot(channelID, channel.Stats, 0, payload); err != nil {
 					return err
 				}

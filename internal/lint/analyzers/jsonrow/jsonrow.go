@@ -1,4 +1,4 @@
-// Package jsonrow keeps encoding/json off the data plane. Result rows
+// Package jsonrow keeps encoding/json off the query path. Result rows
 // travel as length-prefixed binary batch frames (rql.AppendBatch /
 // rql.DecodeBatch), and the frames ride channel packets and subplan
 // requests whose envelopes are a fixed binary header plus raw bytes
@@ -6,10 +6,18 @@
 // A json.Marshal or Unmarshal of an rql.ResultSet, Row or Batch, or of a
 // channel.Packet or channel.SubplanRequest, anywhere in the code
 // silently reintroduces the per-row allocation storm or the base64
-// envelope the binary plane removed. What stays JSON is the control
-// bodies that ride inside a packet's raw payload (PlanChange, Stats,
-// trace records) and the plan document inside a subplan request — they
-// carry no rows and are no envelope, so the analyzer does not match them.
+// envelope the binary plane removed.
+//
+// The per-query control bodies are binary too: the routing request and
+// its annotated reply (pattern.MarshalQuery / MarshalAnnotated), the
+// plan inside a subplan request (plan.Marshal) and the per-site
+// statistics payload (stats.MarshalPeerStats). JSON of a
+// pattern.QueryPattern, pattern.Annotated or stats.PeerStats is flagged
+// when the encoded value is one of them (through pointers, slices,
+// arrays and maps), not when one sits in a field of a larger struct: an
+// advertisement carries its peer's statistics by design, and
+// advertisements are set-up traffic that stays JSON. So do the control
+// bodies off the happy path (plan-change acks, trace records).
 // No legitimate site remains: a finding here is a bug to fix, not a site
 // to allowlist.
 package jsonrow
@@ -30,10 +38,17 @@ var planeTypes = map[string]map[string]bool{
 	"channel": {"Packet": true, "SubplanRequest": true},
 }
 
-// Analyzer flags data-plane JSON; see the package comment.
+// bodyTypes are the query-path bodies with a binary codec, by package
+// path tail; JSON-encoding a value of one of them is a violation.
+var bodyTypes = map[string]map[string]bool{
+	"pattern": {"QueryPattern": true, "Annotated": true},
+	"stats":   {"PeerStats": true},
+}
+
+// Analyzer flags query-path JSON; see the package comment.
 var Analyzer = &analysis.Analyzer{
 	Name: "jsonrow",
-	Doc:  "forbid json.Marshal/Unmarshal of row-carrying rql types (ResultSet, Row, Batch) and channel envelopes (Packet, SubplanRequest); the data plane is binary",
+	Doc:  "forbid json.Marshal/Unmarshal of row-carrying rql types (ResultSet, Row, Batch), channel envelopes (Packet, SubplanRequest) and query-path bodies (pattern.QueryPattern, pattern.Annotated, stats.PeerStats); the query path is binary",
 	Run:  run,
 }
 
@@ -62,7 +77,8 @@ func run(pass *analysis.Pass) (any, error) {
 			if arg == nil {
 				return true
 			}
-			switch pkg, name := planeTypeIn(pass.TypesInfo.TypeOf(arg), map[types.Type]bool{}, 0); pkg {
+			t := pass.TypesInfo.TypeOf(arg)
+			switch pkg, name := planeTypeIn(t, map[types.Type]bool{}, 0); pkg {
 			case "rql":
 				pass.Reportf(call.Pos(),
 					"json.%s of row-carrying type rql.%s: data-plane rows travel as binary batch frames (rql.AppendBatch/DecodeBatch); JSON is for control packets only",
@@ -71,6 +87,12 @@ func run(pass *analysis.Pass) (any, error) {
 				pass.Reportf(call.Pos(),
 					"json.%s of data-plane envelope channel.%s: packets and subplan requests travel as a binary header plus raw bytes (channel.AppendPacket/AppendSubplan and their decoders)",
 					fn.Name(), name)
+			default:
+				if bpkg, bname := bodyTypeOf(t, 0); bpkg != "" {
+					pass.Reportf(call.Pos(),
+						"json.%s of query-path body %s.%s: routing requests and replies, plans and statistics payloads travel as binary codecs (pattern.MarshalQuery/MarshalAnnotated, plan.Marshal, stats.MarshalPeerStats)",
+						fn.Name(), bpkg, bname)
+				}
 			}
 			return true
 		})
@@ -118,6 +140,35 @@ func planeTypeIn(t types.Type, seen map[types.Type]bool, depth int) (string, str
 				return pkg, name
 			}
 		}
+	}
+	return "", ""
+}
+
+// bodyTypeOf reports the query-path body type t is, looking through
+// pointers, slices, arrays and map values but not into struct fields.
+func bodyTypeOf(t types.Type, depth int) (string, string) {
+	if t == nil || depth > maxDepth {
+		return "", ""
+	}
+	switch v := t.(type) {
+	case *types.Named:
+		if obj := v.Obj(); obj != nil && obj.Pkg() != nil {
+			if pkg := path.Base(obj.Pkg().Path()); bodyTypes[pkg][obj.Name()] {
+				return pkg, obj.Name()
+			}
+		}
+		if _, ok := v.Underlying().(*types.Struct); ok {
+			return "", ""
+		}
+		return bodyTypeOf(v.Underlying(), depth+1)
+	case *types.Pointer:
+		return bodyTypeOf(v.Elem(), depth+1)
+	case *types.Slice:
+		return bodyTypeOf(v.Elem(), depth+1)
+	case *types.Array:
+		return bodyTypeOf(v.Elem(), depth+1)
+	case *types.Map:
+		return bodyTypeOf(v.Elem(), depth+1)
 	}
 	return "", ""
 }

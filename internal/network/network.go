@@ -76,6 +76,11 @@ type DeliveryError struct {
 	Transient bool
 	// Detail is the human-readable description.
 	Detail string
+	// RetryAfterMS is an overload rejection's retry-after hint on the
+	// logical clock (ReasonOverload only; 0 when the rejection carries
+	// no usable hint). It rides the error over the TCP gateway, where the
+	// admission layer's typed error cannot travel.
+	RetryAfterMS float64
 }
 
 // Error renders the failure.

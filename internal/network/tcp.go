@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
+
+	"sqpeer/internal/wire"
 )
 
 // The in-process Network is the substrate every experiment runs on, but a
@@ -21,10 +24,12 @@ import (
 // followed by the raw payload. A reply body opens with a status byte:
 // replyOK is followed by the raw reply payload; replyErr by a flag byte
 // (errDelivery: the error wraps a DeliveryError; errTransient: that error
-// is transient), the DeliveryError's reason as a uvarint-length string,
-// and the error text. The client rebuilds the DeliveryError, so
-// network.Transient and errors.As work across the socket as they do
-// in-process.
+// is transient; errHint: a retry-after hint follows), the DeliveryError's
+// reason as a uvarint-length string, the hint as 8 big-endian bytes of
+// its float64 bits when errHint is set, and the error text. The client
+// rebuilds the DeliveryError, so network.Transient, errors.As and an
+// overload rejection's retry-after hint work across the socket as they
+// do in-process.
 
 const (
 	replyOK byte = iota
@@ -34,6 +39,7 @@ const (
 const (
 	errDelivery byte = 1 << iota
 	errTransient
+	errHint
 )
 
 // errBadFrame reports a frame body whose header is short or malformed.
@@ -125,13 +131,11 @@ func (g *Gateway) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF or broken peer
 		}
-		from, rest, err := cutString(body)
-		if err != nil {
+		r := wire.NewReader(body)
+		from, kind := r.Str(), r.Str()
+		payload := r.Rest()
+		if r.Err() != nil {
 			return // malformed request: drop the connection
-		}
-		kind, payload, err := cutString(rest)
-		if err != nil {
-			return
 		}
 		reply, err := g.net.Call(NodeID(from), g.node, kind, payload)
 		if err := writeFrame(w, encodeReply(reply, err)); err != nil {
@@ -147,52 +151,50 @@ func encodeReply(payload []byte, err error) []byte {
 	}
 	var flags byte
 	var reason string
+	var hint uint64
 	var de *DeliveryError
 	if errors.As(err, &de) {
 		flags, reason = errDelivery, de.Reason
 		if de.Transient {
 			flags |= errTransient
 		}
+		if de.RetryAfterMS != 0 {
+			flags |= errHint
+			hint = math.Float64bits(de.RetryAfterMS)
+		}
 	}
-	return append(appendString([]byte{replyErr, flags}, reason), err.Error()...)
+	out := wire.AppendStr([]byte{replyErr, flags}, reason)
+	if flags&errHint != 0 {
+		out = binary.BigEndian.AppendUint64(out, hint)
+	}
+	return append(out, err.Error()...)
 }
 
 // decodeReply is encodeReply's inverse: the reply payload, or the remote
-// error with its DeliveryError class restored.
+// error with its DeliveryError class and retry-after hint restored.
 func decodeReply(body []byte) ([]byte, error) {
-	if len(body) == 0 {
-		return nil, errBadFrame
-	}
-	if body[0] == replyOK {
+	if len(body) > 0 && body[0] == replyOK {
 		return body[1:], nil
 	}
-	if body[0] != replyErr || len(body) < 2 {
+	r := wire.NewReader(body)
+	if r.U8() != replyErr {
 		return nil, errBadFrame
 	}
-	flags := body[1]
-	reason, text, err := cutString(body[2:])
-	if err != nil {
-		return nil, err
+	flags := r.U8()
+	reason := r.Str()
+	var hint float64
+	if flags&errHint != 0 {
+		hint = math.Float64frombits(r.U64())
+	}
+	text := r.Rest()
+	if r.Err() != nil {
+		return nil, errBadFrame
 	}
 	if flags&errDelivery == 0 {
 		return nil, fmt.Errorf("network: remote: %s", text)
 	}
 	return nil, fmt.Errorf("network: remote: %w", &DeliveryError{
-		Reason: reason, Transient: flags&errTransient != 0, Detail: string(text)})
-}
-
-func appendString(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
-}
-
-// cutString splits a uvarint-length-prefixed string off the front of b,
-// checking the length against b before slicing.
-func cutString(b []byte) (string, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)-k) {
-		return "", nil, errBadFrame
-	}
-	return string(b[k : k+int(n)]), b[k+int(n):], nil
+		Reason: reason, Transient: flags&errTransient != 0, Detail: string(text), RetryAfterMS: hint})
 }
 
 // Client is a TCP connection to a remote node's gateway. It is safe for
@@ -218,7 +220,7 @@ func DialTCP(addr string) (*Client, error) {
 func (c *Client) Call(from NodeID, kind string, payload []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	req := appendString(appendString(nil, string(from)), kind)
+	req := wire.AppendStr(wire.AppendStr(nil, string(from)), kind)
 	if err := writeFrame(c.w, append(req, payload...)); err != nil {
 		return nil, fmt.Errorf("network: send frame: %w", err)
 	}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"sqpeer/internal/plan"
 	"sqpeer/internal/rdf"
 	"sqpeer/internal/rql"
+	"sqpeer/internal/wire"
 )
 
 // DefaultTTL bounds how many hops a partial plan may be forwarded in the
@@ -179,38 +181,71 @@ func (a *Adhoc) ExpandNeighborhood(id pattern.PeerID, depth int) (int, error) {
 // otherwise forward it onward.
 func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
 	return func(msg network.Message) ([]byte, error) {
-		var req planReq
-		if err := json.Unmarshal(msg.Payload, &req); err != nil {
+		req, err := decodePlanReq(msg.Payload)
+		if err != nil {
 			return nil, fmt.Errorf("overlay: %s: bad plan request: %w", p.ID, err)
 		}
+		chanID := channel.ID(msg.From, req.Channel) // the forwarding peer opened it
 		partial, err := plan.Unmarshal(req.Plan)
 		if err != nil {
 			return nil, err
 		}
 		rows, rerr := a.resolveAndRun(p, partial, req.Visited, req.TTL)
 		if rerr != nil {
-			if serr := p.Channels.SendToRoot(req.ChannelID, channel.Failure, 0, []byte(rerr.Error())); serr != nil {
+			if serr := p.Channels.SendToRoot(chanID, channel.Failure, 0, []byte(rerr.Error())); serr != nil {
 				return nil, serr
 			}
 			return []byte("failed"), nil
 		}
 		payload := rql.AppendBatch(nil, rql.BatchOf(rows))
-		if err := p.Channels.SendToRoot(req.ChannelID, channel.Results, rows.Len(), payload); err != nil {
+		if err := p.Channels.SendToRoot(chanID, channel.Results, rows.Len(), payload); err != nil {
 			return nil, err
 		}
-		if err := p.Channels.SendToRoot(req.ChannelID, channel.Done, 0, nil); err != nil {
+		if err := p.Channels.SendToRoot(chanID, channel.Done, 0, nil); err != nil {
 			return nil, err
 		}
 		return []byte("ok"), nil
 	}
 }
 
-// planReq is the wire form of a forwarded partial plan.
+// planReq is a forwarded partial plan (DESIGN §12, "Wire format"): a
+// format byte, the forwarding peer's channel number (fixed 4 bytes, as
+// in the channel envelopes), the remaining TTL, the peers already
+// visited (a count, then each id length-prefixed), then the plan.Marshal
+// bytes raw. The forwarding peer is the message's sender, so the request
+// does not carry it.
 type planReq struct {
-	ChannelID string           `json:"channelId"`
-	Plan      []byte           `json:"plan"`
-	Visited   []pattern.PeerID `json:"visited"`
-	TTL       int              `json:"ttl"`
+	Channel uint32
+	TTL     int
+	Visited []pattern.PeerID
+	// Plan is the plan.Marshal body; on decode it aliases the message.
+	Plan []byte
+}
+
+const planReqFormat byte = 1
+
+func appendPlanReq(dst []byte, req *planReq) []byte {
+	dst = binary.BigEndian.AppendUint32(append(dst, planReqFormat), req.Channel)
+	dst = wire.AppendUvarint(dst, req.TTL)
+	dst = wire.AppendUvarint(dst, len(req.Visited))
+	for _, id := range req.Visited {
+		dst = wire.AppendStr(dst, string(id))
+	}
+	return append(dst, req.Plan...)
+}
+
+func decodePlanReq(b []byte) (planReq, error) {
+	r := wire.NewReader(b)
+	r.Format(planReqFormat)
+	req := planReq{Channel: r.U32(), TTL: r.Uv()}
+	if n := r.Count(1); n > 0 {
+		req.Visited = make([]pattern.PeerID, n)
+		for i := range req.Visited {
+			req.Visited[i] = pattern.PeerID(r.Str())
+		}
+	}
+	req.Plan = r.Rest()
+	return req, r.Err()
 }
 
 // Query answers an RQL query at a peer using the ad-hoc discipline
@@ -327,10 +362,7 @@ func (a *Adhoc) forwardTo(p *peer.Peer, cand pattern.PeerID, filled *plan.Plan, 
 	if err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(planReq{ChannelID: ch.ID, Plan: data, Visited: visited, TTL: ttl})
-	if err != nil {
-		return nil, err
-	}
+	body := appendPlanReq(nil, &planReq{Channel: ch.Num, TTL: ttl, Visited: visited, Plan: data})
 	if err := p.Net.SendWithin(p.ID, cand, "adhoc.plan", body, a.DeadlineMS); err != nil {
 		p.Channels.MarkFailed(ch)
 		return nil, fmt.Errorf("overlay: forward to %s failed: %w", cand, err)

@@ -6,7 +6,6 @@
 package overlay
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -70,17 +69,17 @@ func (h *Hybrid) AddSuperPeer(id pattern.PeerID) (*peer.Peer, error) {
 // the other super-peers (the backbone discovery of §3.1).
 func (h *Hybrid) backboneRouteHandler(sp *peer.Peer) network.Handler {
 	return func(msg network.Message) ([]byte, error) {
-		var q pattern.QueryPattern
-		if err := json.Unmarshal(msg.Payload, &q); err != nil {
+		q, err := pattern.UnmarshalQuery(msg.Payload)
+		if err != nil {
 			return nil, fmt.Errorf("overlay: super-peer %s: bad routing request: %w", sp.ID, err)
 		}
-		ann := sp.Router.Route(&q)
+		ann := sp.Router.Route(q)
 		if !ann.Complete() {
 			for _, other := range h.SuperPeerIDs() {
 				if other == sp.ID {
 					continue
 				}
-				remote, err := sp.RequestRouting(other, &q)
+				remote, err := sp.RequestRouting(other, q)
 				if err != nil {
 					continue // dead sibling: use what we have
 				}

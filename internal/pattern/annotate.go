@@ -1,7 +1,6 @@
 package pattern
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,13 +12,13 @@ import (
 // rewritten (specialized) patterns each peer should evaluate.
 type Annotated struct {
 	// Query is the routed query pattern.
-	Query *QueryPattern `json:"query"`
+	Query *QueryPattern
 	// Peers maps a path pattern id to the peers annotated on it, sorted.
-	Peers map[string][]PeerID `json:"peers"`
+	Peers map[string][]PeerID
 	// Rewrites maps "patternID/peerID" to the specialized path patterns
 	// that peer should evaluate for the pattern (per-peer query rewriting
 	// under subsumption).
-	Rewrites map[string][]PathPattern `json:"rewrites"`
+	Rewrites map[string][]PathPattern
 }
 
 // NewAnnotated builds an empty annotation for the query (step 1 of the
@@ -148,29 +147,4 @@ func (a *Annotated) String() string {
 		parts = append(parts, fmt.Sprintf("%s → [%s]", p.ID, strings.Join(names, " ")))
 	}
 	return strings.Join(parts, "; ")
-}
-
-// MarshalAnnotated serializes the annotation for shipment in channel
-// packets.
-func MarshalAnnotated(a *Annotated) ([]byte, error) {
-	data, err := json.Marshal(a)
-	if err != nil {
-		return nil, fmt.Errorf("pattern: marshal annotated pattern: %w", err)
-	}
-	return data, nil
-}
-
-// UnmarshalAnnotated parses an annotation serialized by MarshalAnnotated.
-func UnmarshalAnnotated(data []byte) (*Annotated, error) {
-	var a Annotated
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("pattern: unmarshal annotated pattern: %w", err)
-	}
-	if a.Peers == nil {
-		a.Peers = map[string][]PeerID{}
-	}
-	if a.Rewrites == nil {
-		a.Rewrites = map[string][]PathPattern{}
-	}
-	return &a, nil
 }

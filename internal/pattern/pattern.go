@@ -67,12 +67,12 @@ func (p PathPattern) SharesVar(q PathPattern) bool {
 type QueryPattern struct {
 	// SchemaName identifies the community schema (SON) the pattern is
 	// expressed against.
-	SchemaName string `json:"schemaName"`
+	SchemaName string
 	// Patterns are the path patterns, in query order; the first is the
 	// root of the join tree the query-processing algorithm walks.
-	Patterns []PathPattern `json:"patterns"`
+	Patterns []PathPattern
 	// Projections are the variables whose bindings the query returns.
-	Projections []string `json:"projections"`
+	Projections []string
 }
 
 // Pattern returns the path pattern with the given id.

@@ -556,17 +556,16 @@ func (p *Peer) handleAdvPull(network.Message) ([]byte, error) {
 // query pattern with its cluster knowledge and replies (the first phase
 // of hybrid evaluation, §3.1).
 func (p *Peer) handleQueryRoute(msg network.Message) ([]byte, error) {
-	var q pattern.QueryPattern
-	if err := json.Unmarshal(msg.Payload, &q); err != nil {
+	q, err := pattern.UnmarshalQuery(msg.Payload)
+	if err != nil {
 		return nil, fmt.Errorf("peer %s: bad routing request: %w", p.ID, err)
 	}
-	ann := p.Router.Route(&q)
-	return pattern.MarshalAnnotated(ann)
+	return pattern.MarshalAnnotated(p.Router.Route(q))
 }
 
 // RequestRouting asks a (super-)peer to annotate the query pattern.
 func (p *Peer) RequestRouting(from pattern.PeerID, q *pattern.QueryPattern) (*pattern.Annotated, error) {
-	body, err := json.Marshal(q)
+	body, err := pattern.MarshalQuery(q)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: marshal query pattern: %w", p.ID, err)
 	}
@@ -685,8 +684,9 @@ func (p *Peer) planWith(q *pattern.QueryPattern, opts optimizer.Options, span *o
 
 // Ask answers an RQL query end-to-end: compile, route (via the super-peer
 // in hybrid mode), generate and optimize the plan, execute it with this
-// peer as root, and apply WHERE filters and projections. Runs under the
-// peer's configured default QoS.
+// peer as root, and finish the answer on the executor's batch — WHERE
+// filters, then projection, then LIMIT. Runs under the peer's configured
+// default QoS.
 func (p *Peer) Ask(rqlText string) (*rql.ResultSet, error) {
 	res, err := p.AskAnnotatedAs(rqlText, p.qos)
 	if err != nil {
@@ -732,15 +732,15 @@ func (p *Peer) AskAnnotatedAs(rqlText string, qos admission.QoS) (*exec.Result, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Engine.ExecuteAnnotatedQoS(pr.Optimized, qsp, qos)
+	rows, comp, err := p.Engine.ExecuteBatch(pr.Optimized, qsp, qos)
 	if err != nil {
 		return nil, err
 	}
-	filtered, err := rql.ApplyFilters(res.Rows, c.Query.Where)
+	answer, err := c.Answer(rows)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = filtered.Project(c.Pattern.Projections).Limit(c.Query.Limit)
+	res := &exec.Result{Rows: answer, Completeness: comp}
 	p.finishQuery(qsp, qos, startMS, res)
 	return res, nil
 }

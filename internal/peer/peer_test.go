@@ -10,6 +10,7 @@ import (
 	"sqpeer/internal/pattern"
 	"sqpeer/internal/peer"
 	"sqpeer/internal/rdf"
+	"sqpeer/internal/rql"
 	"sqpeer/internal/rvl"
 )
 
@@ -190,6 +191,80 @@ WHERE Y like "*y0" USING NAMESPACE n1 = &` + gen.PaperNS + `&`)
 	// Parse errors surface.
 	if _, err := p1.Ask("garbage"); err == nil {
 		t.Error("garbage query accepted")
+	}
+}
+
+// TestAskWhereOnVariableOutsideSelect: a WHERE condition may name a
+// FROM variable the SELECT list drops. The facade filters before it
+// projects, so the answer equals centralized evaluation over the union
+// of the bases (projecting first left the filter no binding to test, and
+// every row failed).
+func TestAskWhereOnVariableOutsideSelect(t *testing.T) {
+	net := network.New()
+	bases := gen.PaperBases(3)
+	union := rdf.NewBase()
+	var peers []*peer.Peer
+	for _, id := range []pattern.PeerID{"P1", "P2", "P3", "P4"} {
+		peers = append(peers, newPeer(t, net, id, bases[id], peer.SimplePeer))
+		union.AddAll(bases[id].Triples())
+	}
+	for _, a := range peers {
+		for _, b := range peers {
+			if a != b {
+				a.Learn(b.Advertisement())
+			}
+		}
+	}
+	for _, q := range []string{
+		`SELECT X FROM {X;n1:C1}n1:prop1{Y}, {Y}n1:prop2{Z} WHERE Y like "*y0"`,
+		`SELECT Z, X FROM {X;n1:C1}n1:prop1{Y}, {Y}n1:prop2{Z} WHERE Y like "*y1" LIMIT 2`,
+	} {
+		q += ` USING NAMESPACE n1 = &` + gen.PaperNS + `&`
+		c, err := rql.ParseAndAnalyze(q, gen.PaperSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rql.Eval(c, union)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatalf("%s: central answer is empty; the test needs rows", q)
+		}
+		got, err := peers[0].Ask(q)
+		if err != nil {
+			t.Fatalf("Ask: %v", err)
+		}
+		if fmt.Sprint(got.Vars) != fmt.Sprint(c.Pattern.Projections) {
+			t.Errorf("%s: answer vars %v, want %v", q, got.Vars, c.Pattern.Projections)
+		}
+		if c.Query.Limit == 0 {
+			if g, w := strings.Join(got.Sorted(), "\n"), strings.Join(want.Sorted(), "\n"); g != w {
+				t.Errorf("%s:\ngot  %d rows:\n%s\nwant %d rows:\n%s", q, got.Len(), g, want.Len(), w)
+			}
+			continue
+		}
+		// Under LIMIT, which rows survive depends on row order, which
+		// differs between plans: check the count, and that every row is
+		// in the unlimited central answer.
+		unlimited := *c.Query
+		unlimited.Limit = 0
+		full, err := rql.Eval(&rql.Compiled{Query: &unlimited, Pattern: c.Pattern, Schema: c.Schema}, union)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() {
+			t.Errorf("%s: %d rows, want %d", q, got.Len(), want.Len())
+		}
+		inFull := map[string]bool{}
+		for _, r := range full.Sorted() {
+			inFull[r] = true
+		}
+		for _, r := range got.Sorted() {
+			if !inFull[r] {
+				t.Errorf("%s: row %s is not in the central answer", q, r)
+			}
+		}
 	}
 }
 

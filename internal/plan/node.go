@@ -2,8 +2,8 @@
 // an algebra of peer-located scans, unions (horizontal distribution) and
 // joins (vertical distribution), possibly containing holes (`@?`) for path
 // patterns no known peer covers; the Query-Processing Algorithm that
-// compiles an annotated query pattern into such a plan; and a JSON wire
-// form so plans can travel between peers in channel packets.
+// compiles an annotated query pattern into such a plan; and a binary wire
+// form so plans can travel between peers.
 package plan
 
 import (
@@ -36,9 +36,9 @@ type Node interface {
 // patterns pushed to the same peer, which joins them locally.
 type Scan struct {
 	// Patterns are the path patterns the peer evaluates and joins locally.
-	Patterns []pattern.PathPattern `json:"patterns"`
+	Patterns []pattern.PathPattern
 	// Peer executes the subquery; HolePeer marks a hole.
-	Peer pattern.PeerID `json:"peer"`
+	Peer pattern.PeerID
 }
 
 // NewScan builds a single-pattern scan at a peer.
@@ -85,7 +85,7 @@ func (s *Scan) clone() Node {
 // Union is the n-ary union of subplans — horizontal distribution: the same
 // path pattern answered by several peers, results merged for completeness.
 type Union struct {
-	Inputs []Node `json:"inputs"`
+	Inputs []Node
 }
 
 // NewUnion builds a union, flattening nested unions, deduplicating
@@ -134,7 +134,7 @@ func (u *Union) clone() Node {
 // different path patterns of the query combined on their shared variables
 // for correctness.
 type Join struct {
-	Inputs []Node `json:"inputs"`
+	Inputs []Node
 }
 
 // NewJoin builds a join, flattening nested joins and collapsing a single
@@ -180,9 +180,9 @@ func joinNodes(ns []Node) string {
 // answers (carrying projections and the join tree).
 type Plan struct {
 	// Root is the plan tree.
-	Root Node `json:"-"`
+	Root Node
 	// Query is the originating query pattern.
-	Query *pattern.QueryPattern `json:"query"`
+	Query *pattern.QueryPattern
 }
 
 // String renders the plan tree.

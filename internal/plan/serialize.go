@@ -1,107 +1,165 @@
 package plan
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"sqpeer/internal/pattern"
+	"sqpeer/internal/wire"
 )
 
-// wireNode is the tagged JSON form of a plan node.
-type wireNode struct {
-	Kind     string                `json:"kind"` // "scan" | "union" | "join"
-	Patterns []pattern.PathPattern `json:"patterns,omitempty"`
-	Peer     pattern.PeerID        `json:"peer,omitempty"`
-	Inputs   []wireNode            `json:"inputs,omitempty"`
-}
+// Binary plan body (DESIGN §12, "Wire format"), the raw body of an
+// exec.subplan request and of the ad-hoc overlay's forwarded plan. It is
+// a wire.Encode body, so every string is a reference into the body's
+// sorted string table:
+//
+//	plan    format, table, query flag (0 none, 1 a query pattern follows), root node
+//	scan    1, peer, n ≥ 1, n path patterns
+//	union   2, n ≥ 1, n nodes
+//	join    3, n ≥ 1, n nodes
+//
+// Nodes decode as written: a decoded tree is the tree that was encoded,
+// node for node, so a decodable body re-encodes to the same bytes.
 
-type wirePlan struct {
-	Root  wireNode              `json:"root"`
-	Query *pattern.QueryPattern `json:"query"`
-}
+const planFormat byte = 1
 
-func toWire(n Node) (wireNode, error) {
-	switch v := n.(type) {
-	case *Scan:
-		return wireNode{Kind: "scan", Patterns: v.Patterns, Peer: v.Peer}, nil
-	case *Union:
-		w := wireNode{Kind: "union"}
-		for _, in := range v.Inputs {
-			cw, err := toWire(in)
-			if err != nil {
-				return wireNode{}, err
-			}
-			w.Inputs = append(w.Inputs, cw)
-		}
-		return w, nil
-	case *Join:
-		w := wireNode{Kind: "join"}
-		for _, in := range v.Inputs {
-			cw, err := toWire(in)
-			if err != nil {
-				return wireNode{}, err
-			}
-			w.Inputs = append(w.Inputs, cw)
-		}
-		return w, nil
-	default:
-		return wireNode{}, fmt.Errorf("plan: cannot serialize node type %T", n)
-	}
-}
+const (
+	kindScan byte = 1 + iota
+	kindUnion
+	kindJoin
+)
 
-func fromWire(w wireNode) (Node, error) {
-	switch w.Kind {
-	case "scan":
-		if len(w.Patterns) == 0 {
-			return nil, fmt.Errorf("plan: wire scan has no patterns")
-		}
-		return &Scan{Patterns: w.Patterns, Peer: w.Peer}, nil
-	case "union", "join":
-		inputs := make([]Node, 0, len(w.Inputs))
-		for _, cw := range w.Inputs {
-			c, err := fromWire(cw)
-			if err != nil {
-				return nil, err
-			}
-			inputs = append(inputs, c)
-		}
-		if len(inputs) == 0 {
-			return nil, fmt.Errorf("plan: wire %s has no inputs", w.Kind)
-		}
-		if w.Kind == "union" {
-			return NewUnion(inputs...), nil
-		}
-		return NewJoin(inputs...), nil
-	default:
-		return nil, fmt.Errorf("plan: unknown wire node kind %q", w.Kind)
-	}
-}
+// MaxWireDepth bounds plan nesting on the wire. Plans the generator and
+// optimizer build alternate joins and unions a few levels deep; the
+// bound keeps a hostile body from recursing the decoder without limit.
+// Marshal refuses a deeper plan, so both sides agree.
+const MaxWireDepth = 64
 
-// Marshal serializes a plan for shipment in channel packets.
+var (
+	errDepth = fmt.Errorf("%w: plan nested past depth %d", wire.ErrMalformed, MaxWireDepth)
+	errKind  = fmt.Errorf("%w: unknown plan node kind", wire.ErrMalformed)
+	errEmpty = fmt.Errorf("%w: empty plan node", wire.ErrMalformed)
+	errFlag  = fmt.Errorf("%w: bad query flag", wire.ErrMalformed)
+)
+
+// Marshal serializes a plan for shipment to another peer.
 func Marshal(p *Plan) ([]byte, error) {
 	if p == nil || p.Root == nil {
 		return nil, fmt.Errorf("plan: cannot marshal empty plan")
 	}
-	root, err := toWire(p.Root)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.Marshal(wirePlan{Root: root, Query: p.Query})
+	data, err := wire.Encode(planFormat, func(w *wire.Writer) {
+		if p.Query == nil {
+			w.Byte(0)
+		} else {
+			w.Byte(1)
+			pattern.WriteQuery(w, p.Query)
+		}
+		writeNode(w, p.Root, 0)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("plan: marshal: %w", err)
 	}
 	return data, nil
 }
 
+func writeNode(w *wire.Writer, n Node, depth int) {
+	if depth >= MaxWireDepth {
+		w.Fail(errDepth)
+		return
+	}
+	var kind byte
+	var inputs []Node
+	switch v := n.(type) {
+	case *Scan:
+		if len(v.Patterns) == 0 {
+			w.Fail(errEmpty)
+			return
+		}
+		w.Byte(kindScan)
+		w.Str(string(v.Peer))
+		w.Uv(len(v.Patterns))
+		for _, pp := range v.Patterns {
+			pattern.WritePath(w, pp)
+		}
+		return
+	case *Union:
+		kind, inputs = kindUnion, v.Inputs
+	case *Join:
+		kind, inputs = kindJoin, v.Inputs
+	default:
+		w.Fail(fmt.Errorf("plan: cannot serialize node type %T", n))
+		return
+	}
+	if len(inputs) == 0 {
+		w.Fail(errEmpty)
+		return
+	}
+	w.Byte(kind)
+	w.Uv(len(inputs))
+	for _, in := range inputs {
+		writeNode(w, in, depth+1)
+	}
+}
+
 // Unmarshal parses a plan serialized by Marshal.
 func Unmarshal(data []byte) (*Plan, error) {
-	var w wirePlan
-	if err := json.Unmarshal(data, &w); err != nil {
+	r := wire.NewReader(data)
+	r.Format(planFormat)
+	r.Table()
+	p := &Plan{}
+	switch r.U8() {
+	case 0:
+	case 1:
+		p.Query = pattern.ReadQuery(&r)
+	default:
+		r.Fail(errFlag)
+	}
+	p.Root = readNode(&r, 0)
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("plan: unmarshal: %w", err)
 	}
-	root, err := fromWire(w.Root)
-	if err != nil {
-		return nil, err
+	return p, nil
+}
+
+func readNode(r *wire.Reader, depth int) Node {
+	if depth >= MaxWireDepth {
+		r.Fail(errDepth)
+		return nil
 	}
-	return &Plan{Root: root, Query: w.Query}, nil
+	kind := r.U8()
+	if r.Err() != nil {
+		return nil
+	}
+	switch kind {
+	case kindScan:
+		s := &Scan{Peer: pattern.PeerID(r.Ref())}
+		n := r.Count(pattern.PathMinBytes)
+		if n == 0 {
+			r.Fail(errEmpty)
+			return nil
+		}
+		s.Patterns = make([]pattern.PathPattern, n)
+		for i := range s.Patterns {
+			s.Patterns[i] = pattern.ReadPath(r)
+		}
+		return s
+	case kindUnion, kindJoin:
+		n := r.Count(1)
+		if n == 0 {
+			r.Fail(errEmpty)
+			return nil
+		}
+		inputs := make([]Node, n)
+		for i := range inputs {
+			if inputs[i] = readNode(r, depth+1); r.Err() != nil {
+				return nil
+			}
+		}
+		if kind == kindUnion {
+			return &Union{Inputs: inputs}
+		}
+		return &Join{Inputs: inputs}
+	default:
+		r.Fail(errKind)
+		return nil
+	}
 }

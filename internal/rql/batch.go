@@ -549,6 +549,20 @@ func (b *Batch) Project(vars []string) *Batch {
 	return out
 }
 
+// Limit returns the first n rows (0 means no limit) — the columnar
+// ResultSet.Limit. The result shares b's columns and dictionary.
+func (b *Batch) Limit(n int) *Batch {
+	if n <= 0 || b.Len() <= n {
+		return b
+	}
+	out := &Batch{Vars: b.Vars, Cols: make([][]int32, len(b.Cols)), rows: n}
+	out.adoptDict(b)
+	for i, col := range b.Cols {
+		out.Cols[i] = col[:n:n]
+	}
+	return out
+}
+
 // Concat appends batches in order over the merged schema WITHOUT
 // deduplicating. It is the collector's reassembly of one result stream:
 // the destination streams disjoint slices of an already-deduplicated

@@ -145,6 +145,22 @@ func Eval(c *Compiled, base *rdf.Base) (*ResultSet, error) {
 	return filtered.Project(c.Pattern.Projections).Limit(c.Query.Limit), nil
 }
 
+// Answer finishes the query's answer on the batch a distributed
+// execution returned: WHERE filters first, over every variable the plan
+// bound, then projection onto the SELECT list (in order, deduplicating),
+// then LIMIT, and one conversion to the row-map form at the end — the
+// order Eval applies on row maps. A nil batch is the empty answer.
+func (c *Compiled) Answer(b *Batch) (*ResultSet, error) {
+	if b == nil {
+		b = NewBatch()
+	}
+	filtered, err := b.Filter(c.Query.Where)
+	if err != nil {
+		return nil, err
+	}
+	return filtered.Project(c.Pattern.Projections).Limit(c.Query.Limit).ResultSet(), nil
+}
+
 // ApplyFilters applies WHERE conditions to a result set, returning the
 // surviving rows. Unbound variables in a condition make the row fail.
 func ApplyFilters(rs *ResultSet, conds []Condition) (*ResultSet, error) {
@@ -153,16 +169,9 @@ func ApplyFilters(rs *ResultSet, conds []Condition) (*ResultSet, error) {
 	}
 	out := NewResultSet(rs.Vars...)
 	for _, r := range rs.Rows {
-		keep := true
-		for _, c := range conds {
-			ok, err := evalCondition(r, c)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				keep = false
-				break
-			}
+		keep, err := evalConditions(r, conds)
+		if err != nil {
+			return nil, err
 		}
 		if keep {
 			out.Add(r)
@@ -171,7 +180,74 @@ func ApplyFilters(rs *ResultSet, conds []Condition) (*ResultSet, error) {
 	return out, nil
 }
 
-func evalCondition(r Row, c Condition) (bool, error) {
+// Filter is ApplyFilters on the columnar form: the rows of b that satisfy
+// every condition, over b's variables and dictionary. The conditions are
+// evaluated by the same code, reading bindings from the columns.
+func (b *Batch) Filter(conds []Condition) (*Batch, error) {
+	if len(conds) == 0 {
+		return b, nil
+	}
+	out := NewBatch(b.Vars...)
+	out.adoptDict(b)
+	row := &batchRow{b: b}
+	ids := make([]int32, len(b.Vars))
+	for r := 0; r < b.rows; r++ {
+		row.r = r
+		keep, err := evalConditions(row, conds)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			for c := range b.Cols {
+				ids[c] = b.Cols[c][r]
+			}
+			out.appendIDs(ids)
+		}
+	}
+	return out, nil
+}
+
+// binding is one row seen by the condition evaluator: a Row map, or a
+// row of a Batch.
+type binding interface {
+	lookup(v string) (rdf.Term, bool)
+}
+
+func (r Row) lookup(v string) (rdf.Term, bool) {
+	t, ok := r[v]
+	return t, ok
+}
+
+// batchRow is row r of a batch.
+type batchRow struct {
+	b *Batch
+	r int
+}
+
+func (br *batchRow) lookup(v string) (rdf.Term, bool) {
+	for c, name := range br.b.Vars {
+		if name == v {
+			if id := br.b.Cols[c][br.r]; id >= 0 {
+				return br.b.Dict[id], true
+			}
+			return rdf.Term{}, false
+		}
+	}
+	return rdf.Term{}, false
+}
+
+// evalConditions reports whether the row satisfies every condition.
+func evalConditions(r binding, conds []Condition) (bool, error) {
+	for _, c := range conds {
+		ok, err := evalCondition(r, c)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+func evalCondition(r binding, c Condition) (bool, error) {
 	left, ok := resolveOperand(r, c.Left)
 	if !ok {
 		return false, nil
@@ -207,10 +283,9 @@ func evalCondition(r Row, c Condition) (bool, error) {
 	}
 }
 
-func resolveOperand(r Row, o Operand) (rdf.Term, bool) {
+func resolveOperand(r binding, o Operand) (rdf.Term, bool) {
 	if o.IsVar() {
-		t, ok := r[o.Var]
-		return t, ok
+		return r.lookup(o.Var)
 	}
 	return o.Lit, true
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -317,6 +318,95 @@ func TestPropertyPlanSerializationRoundTrips(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyFacadeFinishesLikeCentralEval: random SELECT lists (any
+// non-empty subset of the FROM variables, in any order), WHERE conditions
+// on any FROM variable and LIMITs, asked at a peer of a random system,
+// answer as rql.Eval does over the union of the bases. Without LIMIT the
+// answers are equal; under LIMIT, which rows survive depends on row
+// order, so the count must match and every row must be in the unlimited
+// central answer.
+func TestPropertyFacadeFinishesLikeCentralEval(t *testing.T) {
+	schema := gen.PaperSchema()
+	vars := []string{"X", "Y", "Z"}
+	prop := func(seed int64) bool {
+		peers, merged := randomSystem(seed)
+		rng := rand.New(rand.NewSource(seed))
+		sel := rng.Perm(len(vars))[:1+rng.Intn(len(vars))]
+		names := make([]string, len(sel))
+		for i, v := range sel {
+			names[i] = vars[v]
+		}
+		var conds []string
+		for i := rng.Intn(3); i > 0; i-- {
+			conds = append(conds, fmt.Sprintf(`%s like "*r%d"`, vars[rng.Intn(len(vars))], rng.Intn(8)))
+		}
+		text := "SELECT " + strings.Join(names, ", ") + " FROM {X;n1:C1}n1:prop1{Y}, {Y}n1:prop2{Z}"
+		if len(conds) > 0 {
+			text += " WHERE " + strings.Join(conds, " AND ")
+		}
+		limit := rng.Intn(4)
+		if limit > 0 {
+			text += fmt.Sprintf(" LIMIT %d", limit)
+		}
+		text += " USING NAMESPACE n1 = &" + gen.PaperNS + "&"
+		c, err := rql.ParseAndAnalyze(text, schema)
+		if err != nil {
+			t.Logf("%s: %v", text, err)
+			return false
+		}
+		want, err := rql.Eval(c, merged)
+		if err != nil {
+			return false
+		}
+		got, err := anyPeer(peers).Ask(text)
+		if err != nil {
+			// A pattern no peer provides is a hole; the central answer
+			// must then be empty too.
+			var he *exec.HoleError
+			if errors.As(err, &he) && want.Len() == 0 {
+				return true
+			}
+			t.Logf("%s: %v", text, err)
+			return false
+		}
+		if fmt.Sprint(got.Vars) != fmt.Sprint(names) {
+			t.Logf("%s: vars %v", text, got.Vars)
+			return false
+		}
+		if limit == 0 {
+			if fmt.Sprint(got.Sorted()) != fmt.Sprint(want.Sorted()) {
+				t.Logf("%s:\ngot  %v\nwant %v", text, got.Sorted(), want.Sorted())
+				return false
+			}
+			return true
+		}
+		unlimited := *c.Query
+		unlimited.Limit = 0
+		full, err := rql.Eval(&rql.Compiled{Query: &unlimited, Pattern: c.Pattern, Schema: schema}, merged)
+		if err != nil {
+			return false
+		}
+		inFull := map[string]bool{}
+		for _, r := range full.Sorted() {
+			inFull[r] = true
+		}
+		for _, r := range got.Sorted() {
+			if !inFull[r] {
+				t.Logf("%s: row %s not in the central answer", text, r)
+				return false
+			}
+		}
+		if got.Len() != want.Len() {
+			t.Logf("%s: %d rows, want %d", text, got.Len(), want.Len())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
