@@ -18,11 +18,14 @@ import (
 	"sqpeer/internal/pattern"
 )
 
-// PacketType discriminates channel packet contents.
+// PacketType discriminates packet contents.
 type PacketType int
 
 const (
-	// Results carries (a batch of) query result rows.
+	// Results carries (a batch of) query result rows. The last Results
+	// packet of a request's stream is marked Final and carries the
+	// stream's trailers (statistics, span record): it is the end-of-stream
+	// marker, so a site's happy path costs one packet per frame.
 	Results PacketType = iota
 	// PlanChange carries a replacement (sub)plan during run-time
 	// adaptation.
@@ -30,15 +33,11 @@ const (
 	// Failure reports that the destination cannot contribute (peer
 	// failure, unresolvable subplan).
 	Failure
-	// Stats carries statistics useful for query optimization (a binary
-	// stats.MarshalPeerStats body).
-	Stats
-	// Done marks the end of the destination's result stream.
-	Done
 	// TraceSpans carries the destination's serialized execution-span
-	// subtree (obs.SpanRecord) back to the root — a statistics-class
-	// packet in the paper's taxonomy (§2.4), shipped only when the root
-	// propagated a trace ID in the subplan request.
+	// subtree (obs.SpanRecord) back to the root on the failure path, where
+	// no final Results packet follows — a statistics-class packet in the
+	// paper's taxonomy (§2.4), shipped only when the root propagated a
+	// trace ID in the subplan request.
 	TraceSpans
 )
 
@@ -51,10 +50,6 @@ func (t PacketType) String() string {
 		return "plan-change"
 	case Failure:
 		return "failure"
-	case Stats:
-		return "stats"
-	case Done:
-		return "done"
 	case TraceSpans:
 		return "trace-spans"
 	default:
@@ -81,30 +76,42 @@ type PlanChangeInfo struct {
 // Packet is one unit of channel traffic. Its wire form is a fixed header
 // plus the raw payload (AppendPacket/DecodePacket).
 //
-// Aliasing rule: a delivered packet's Payload and Gossip alias the
-// message that carried it. Each send allocates its body once, at the
-// exact size, and never reuses it, so a receiver may keep either slice
-// as long as it likes; a receiver that mutates one must copy it first.
+// Aliasing rule: a delivered packet's Payload, Gossip, Stats and Spans
+// alias the message that carried it. Each send allocates its body once,
+// at the exact size, and never reuses it, so a receiver may keep any of
+// them as long as it likes; a receiver that mutates one must copy it
+// first.
 type Packet struct {
 	// Channel is the channel's number at its root (Channel.Num).
 	Channel uint32
 	// Type discriminates Payload.
 	Type PacketType
+	// Final marks the last packet of the stream answering one request: a
+	// flag bit in the wire's type byte. Only a final packet carries the
+	// Stats and Spans trailers.
+	Final bool
 	// Seq orders packets within the channel.
 	Seq int
 	// Rows is the number of result rows carried (Results packets), used
 	// for throughput monitoring.
 	Rows int
 	// Payload is the raw body: an rql batch frame (length-prefixed binary
-	// columns with a per-frame term dictionary) for Results packets, a
-	// stats.MarshalPeerStats body for Stats packets, failure text for
-	// Failure packets, and a JSON document for the other control packets.
+	// columns with a per-frame term dictionary) for Results packets,
+	// failure text for Failure packets, and a JSON document for the other
+	// control packets.
 	Payload []byte
+	// Stats is the serving peer's statistics (a stats.MarshalPeerStats
+	// body) riding the final packet: paper §2.4's "statistics useful for
+	// query optimization", at no extra message.
+	Stats []byte
+	// Spans is the destination's serialized span subtree (obs.SpanRecord)
+	// riding the final packet when the root shipped a trace context.
+	Spans []byte
 	// TraceID and SpanID propagate the root's trace context: when the
 	// root ships a subplan with a trace ID, the destination binds it to
-	// the channel (Manager.BindTrace) and every upstream packet carries
-	// it, so remote execution is attributable to the root span that
-	// dispatched it.
+	// its inbound record (Inbound.BindTrace) and every upstream packet
+	// carries it, so remote execution is attributable to the root span
+	// that dispatched it.
 	TraceID string
 	SpanID  string
 	// Gossip is an opaque membership-gossip blob piggybacked on the
@@ -136,7 +143,7 @@ type Channel struct {
 	Num uint32
 	// Root manages the channel; Dest is the remote peer.
 	Root, Dest pattern.PeerID
-	// Tenant and Priority are the QoS headers the channel was opened
+	// Tenant and Priority are the QoS headers the channel was deployed
 	// under (empty/zero for untagged executions).
 	Tenant   string
 	Priority int
@@ -216,17 +223,25 @@ func (c *Channel) accept(seq int) (ok bool, forced int) {
 	return true, forced
 }
 
-// Manager is one peer's channel endpoint: it opens channels as root,
-// accepts them as destination, dispatches inbound packets to per-channel
-// callbacks, and ships packets upstream when acting as a destination.
+// Manager is one peer's channel endpoint: it deploys channels as root,
+// accepts requests on them as destination, dispatches inbound packets to
+// per-channel callbacks, and ships packets upstream when acting as a
+// destination.
+//
+// A channel costs no message of its own (paper §2.4: the root deploys
+// the channel together with the subplan it ships). The root deploys it
+// locally (Deploy); the request that carries the work — exec.subplan or
+// adhoc.plan — names its number, and the destination accepts it on
+// receipt (Accept) for as long as it handles that request; the last
+// Results packet, marked Final, ends the stream; and the root retires
+// the channel locally (Close).
 type Manager struct {
 	self pattern.PeerID
 	net  *network.Network
 
-	// DeadlineMS, when positive, bounds every channel delivery (opens and
-	// packets) on the simulated clock: a leg slower than this fails with a
-	// transient error instead of blocking the sender (see
-	// network.SendWithin).
+	// DeadlineMS, when positive, bounds every upstream packet delivery on
+	// the simulated clock: a leg slower than this fails with a transient
+	// error instead of blocking the sender (see network.SendWithin).
 	DeadlineMS float64
 
 	// GossipSource, when set, is polled before each upstream packet; a
@@ -245,19 +260,8 @@ type Manager struct {
 	mu       sync.Mutex
 	nextNum  uint32
 	channels map[uint32]*Channel                  // channels rooted here, by number
-	inbound  map[string]*inbound                  // channelID -> dest-side state
 	onOpen   func(id string, root pattern.PeerID) // dest-side accept hook
 	stats    ManagerStats
-}
-
-// inbound is the destination's view of a channel a remote root opened:
-// where its packets go, the last sequence number sent, and the trace
-// context stamped onto every upstream packet.
-type inbound struct {
-	root            pattern.PeerID
-	num             uint32
-	seq             int
-	traceID, spanID string
 }
 
 // ManagerStats is the manager's packet accounting: the seq-window and
@@ -270,38 +274,37 @@ type ManagerStats struct {
 	PacketsSent      int
 	PayloadBytesSent int
 	// PacketsAccepted / PacketsDuplicate count root-side packet
-	// arrivals split by the dedupe verdict; WindowForced counts floor
+	// arrivals split by the dedupe verdict (a packet for a channel the
+	// root has retired counts as a duplicate); WindowForced counts floor
 	// slots the bounded seen-window skipped without a contiguous fill.
 	PacketsAccepted  int
 	PacketsDuplicate int
 	WindowForced     int
-	// ChannelsOpened counts root-side opens; ChannelsAccepted dest-side
-	// accepts; ChannelsClosed root-side closes.
+	// ChannelsOpened counts root-side deploys; ChannelsAccepted dest-side
+	// accepts, one per request received (the request is the open);
+	// ChannelsClosed root-side retirements.
 	ChannelsOpened   int
 	ChannelsAccepted int
 	ChannelsClosed   int
 	// GossipPiggybacked counts upstream packets that carried a membership
 	// gossip blob.
 	GossipPiggybacked int
-	// TenantAccepts splits dest-side accepts by the open request's
-	// tenant header (untagged opens count under ""), the per-tenant
+	// TenantAccepts splits dest-side accepts by the request's tenant
+	// header (untagged requests count under ""), the per-tenant
 	// serving-load view the fairness metrics draw on.
 	TenantAccepts map[string]int
 }
 
 // NewManager wires a manager for peer self into the network, registering
-// the chan.* message handlers.
+// the chan.packet handler.
 func NewManager(self pattern.PeerID, net *network.Network) *Manager {
 	m := &Manager{
 		self:     self,
 		net:      net,
 		channels: map[uint32]*Channel{},
-		inbound:  map[string]*inbound{},
 	}
 	net.AddNode(self)
-	net.Handle(self, "chan.open", m.handleOpen)
 	net.Handle(self, "chan.packet", m.handlePacket)
-	net.Handle(self, "chan.close", m.handleClose)
 	return m
 }
 
@@ -322,73 +325,48 @@ func (m *Manager) Stats() ManagerStats {
 	return snap
 }
 
-// BindTrace attaches a trace context to an inbound channel (this peer is
-// the destination): every subsequent upstream packet carries the trace
-// and span IDs. Unbinding happens automatically at channel close.
-func (m *Manager) BindTrace(channelID, traceID, spanID string) {
-	if traceID == "" {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if in := m.inbound[channelID]; in != nil {
-		in.traceID, in.spanID = traceID, spanID
-	}
-}
-
-// OnOpen registers a destination-side hook invoked when a remote root
-// opens a channel to this peer.
+// OnOpen registers a destination-side hook invoked when this peer
+// accepts a request on a remote root's channel.
 func (m *Manager) OnOpen(fn func(id string, root pattern.PeerID)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.onOpen = fn
 }
 
-// Open deploys a channel from this peer (the root) to dest. onPacket, if
-// non-nil, receives every packet the destination sends back.
-func (m *Manager) Open(dest pattern.PeerID, onPacket func(Packet)) (*Channel, error) {
-	return m.OpenAs(dest, "", 0, onPacket)
-}
-
-// OpenAs is Open with QoS headers: the deploying execution's tenant and
-// priority ride the open request so the destination can account and
-// admit per class before any subplan work arrives.
-func (m *Manager) OpenAs(dest pattern.PeerID, tenant string, priority int, onPacket func(Packet)) (*Channel, error) {
+// Deploy allocates a channel from this peer (the root) to dest and
+// registers it, sending nothing: the first request shipped on it names
+// its number. Tenant and priority are the deploying execution's QoS
+// headers. onPacket, if non-nil, receives every packet the destination
+// sends back.
+func (m *Manager) Deploy(dest pattern.PeerID, tenant string, priority int, onPacket func(Packet)) *Channel {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.nextNum++
 	num := m.nextNum
-	m.mu.Unlock()
-
-	body := AppendOpen(nil, OpenRequest{Channel: num, Tenant: tenant, Priority: priority})
-	if _, err := m.net.CallWithin(m.self, dest, "chan.open", body, m.DeadlineMS); err != nil {
-		return nil, fmt.Errorf("channel: open to %s: %w", dest, err)
-	}
 	ch := &Channel{ID: ID(m.self, num), Num: num, Root: m.self, Dest: dest,
 		Tenant: tenant, Priority: priority, onPacket: onPacket}
-	m.mu.Lock()
 	m.channels[num] = ch
 	m.stats.ChannelsOpened++
-	m.mu.Unlock()
-	return ch, nil
+	return ch
 }
 
-// Close tears the channel down, notifying the destination (best effort:
-// a dead destination is fine). The notification is deadline-bounded like
-// every other channel delivery — a gray destination must not be able to
-// hang the cleanup path past DeadlineMS.
+// Close retires a channel at its root. It sends nothing: the destination
+// holds state for a channel only while it handles a request on it, and
+// delivery is synchronous, so no destination state outlives the request
+// that ended. A packet that still arrives for a retired number is
+// dropped as a duplicate.
 func (m *Manager) Close(ch *Channel) {
 	ch.mu.Lock()
 	ch.closed = true
 	ch.mu.Unlock()
-	_ = m.net.SendWithin(m.self, ch.Dest, "chan.close", AppendClose(nil, ch.Num), m.DeadlineMS) // best effort
 	m.mu.Lock()
 	delete(m.channels, ch.Num)
 	m.stats.ChannelsClosed++
 	m.mu.Unlock()
 }
 
-// MarkFailed records a channel failure at the root (e.g. the open
-// succeeded but a later send to the destination errored).
+// MarkFailed records a channel failure at the root (e.g. a send to the
+// destination errored).
 func (m *Manager) MarkFailed(ch *Channel) {
 	ch.mu.Lock()
 	ch.failed = true
@@ -419,63 +397,80 @@ func (m *Manager) OpenChannels() []string {
 	return out
 }
 
-// SendToRoot ships a packet upstream on an inbound channel (this peer is
-// the destination). The packet's sequence number is assigned here, before
-// the wire, so a duplicated delivery carries the same Seq and the root
-// can suppress it (at-least-once transport, exactly-once packets). The
-// send is synchronous — the simulated transport delivers before
-// returning — so a pooled payload buffer may be recycled as soon as this
-// returns.
-func (m *Manager) SendToRoot(channelID string, typ PacketType, rows int, payload []byte) error {
-	m.mu.Lock()
-	in := m.inbound[channelID]
-	var pkt Packet
-	if in != nil {
-		in.seq++
-		pkt = Packet{Channel: in.num, Type: typ, Seq: in.seq, Rows: rows, Payload: payload,
-			TraceID: in.traceID, SpanID: in.spanID}
-		m.stats.PacketsSent++
-		m.stats.PayloadBytesSent += len(payload)
-	}
-	gossipSrc := m.GossipSource
-	m.mu.Unlock()
-	if in == nil {
-		return fmt.Errorf("channel: %s: unknown inbound channel %q", m.self, channelID)
-	}
-	if gossipSrc != nil {
-		if pkt.Gossip = gossipSrc(); pkt.Gossip != nil {
-			m.mu.Lock()
-			m.stats.GossipPiggybacked++
-			m.mu.Unlock()
-		}
-	}
-	if err := m.net.SendWithin(m.self, in.root, "chan.packet", AppendPacket(nil, &pkt), m.DeadlineMS); err != nil {
-		return fmt.Errorf("channel: send to root %s: %w", in.root, err)
-	}
-	return nil
+// Inbound is the destination's record of a remote root's channel for
+// the duration of one request on it: where its packets go, the last
+// sequence number sent, and the trace context stamped onto every
+// upstream packet. The handler that accepted the request owns it and
+// drops it when it returns; it is not safe for concurrent sends.
+type Inbound struct {
+	m               *Manager
+	root            pattern.PeerID
+	num             uint32
+	seq             int
+	traceID, spanID string
 }
 
-func (m *Manager) handleOpen(msg network.Message) ([]byte, error) {
-	req, err := DecodeOpen(msg.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("channel: bad open request: %w", err)
-	}
-	id := ID(msg.From, req.Channel)
+// Accept creates the destination's record of channel num rooted at root
+// on receipt of a request naming it; the request handler calls it once
+// admission has passed, so a rejected request leaves no record. seqBase
+// is the root channel's watermark when the request was shipped: this
+// request's packets are numbered from seqBase+1, continuing the channel's
+// sequence across the requests it carries, so a replayed request's
+// packets land at or below the root's floor and are dropped there.
+// tenant is the request's QoS header, counted in TenantAccepts.
+func (m *Manager) Accept(root pattern.PeerID, num uint32, seqBase int, tenant string) *Inbound {
 	m.mu.Lock()
-	if m.inbound[id] == nil {
-		m.inbound[id] = &inbound{root: msg.From, num: req.Channel}
-	}
 	m.stats.ChannelsAccepted++
 	if m.stats.TenantAccepts == nil {
 		m.stats.TenantAccepts = map[string]int{}
 	}
-	m.stats.TenantAccepts[req.Tenant]++
+	m.stats.TenantAccepts[tenant]++
 	hook := m.onOpen
 	m.mu.Unlock()
+	in := &Inbound{m: m, root: root, num: num, seq: seqBase}
 	if hook != nil {
-		hook(id, msg.From)
+		hook(in.ID(), root)
 	}
-	return []byte("ok"), nil
+	return in
+}
+
+// ID is the channel's root-locally unique id.
+func (in *Inbound) ID() string { return ID(in.root, in.num) }
+
+// BindTrace attaches the root's trace context: every subsequent upstream
+// packet carries the trace and span IDs. An empty traceID binds nothing.
+func (in *Inbound) BindTrace(traceID, spanID string) {
+	if traceID != "" {
+		in.traceID, in.spanID = traceID, spanID
+	}
+}
+
+// Send ships p upstream to the channel's root. Its channel number,
+// sequence number, trace context and gossip are stamped here; the
+// sequence number is assigned before the wire, so a duplicated delivery
+// carries the same Seq and the root can suppress it (at-least-once
+// transport, exactly-once packets). The send is synchronous — the
+// simulated transport delivers before returning — so a pooled payload
+// buffer may be recycled as soon as this returns.
+func (in *Inbound) Send(p Packet) error {
+	m := in.m
+	in.seq++
+	p.Channel, p.Seq = in.num, in.seq
+	p.TraceID, p.SpanID = in.traceID, in.spanID
+	if m.GossipSource != nil {
+		p.Gossip = m.GossipSource()
+	}
+	m.mu.Lock()
+	m.stats.PacketsSent++
+	m.stats.PayloadBytesSent += len(p.Payload)
+	if p.Gossip != nil {
+		m.stats.GossipPiggybacked++
+	}
+	m.mu.Unlock()
+	if err := m.net.SendWithin(m.self, in.root, "chan.packet", AppendPacket(nil, &p), m.DeadlineMS); err != nil {
+		return fmt.Errorf("channel: send to root %s: %w", in.root, err)
+	}
+	return nil
 }
 
 func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
@@ -487,26 +482,15 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 	ch := m.channels[pkt.Channel]
 	m.mu.Unlock()
 	if ch == nil {
-		return nil, fmt.Errorf("channel: %s: packet for unknown channel %q", m.self, ID(m.self, pkt.Channel))
+		// The root has retired this channel: whatever still arrives for it
+		// is a late replay of a stream that already ended.
+		return m.dropDuplicate(msg.From, &pkt)
 	}
-	pkt.WireBytes = msg.Size()
 	ch.mu.Lock()
 	ok, forced := ch.accept(pkt.Seq)
 	if !ok {
-		// Duplicate delivery (at-least-once transport): the destination
-		// stamped this sequence number once; drop the replay. A late
-		// arrival reordered by a delay spike is NOT a duplicate — accept
-		// tells them apart via the bounded seen-window.
 		ch.mu.Unlock()
-		m.mu.Lock()
-		m.stats.PacketsDuplicate++
-		m.mu.Unlock()
-		// One "dedupe" event per PacketsDuplicate increment — the
-		// event↔counter reconciliation invariant for this plane.
-		m.Events.Emit("channel", "dedupe", string(m.self), pkt.TraceID,
-			obs.A("channel", ch.ID), obs.A("seq", strconv.Itoa(pkt.Seq)),
-			obs.A("from", string(msg.From)))
-		return nil, nil
+		return m.dropDuplicate(msg.From, &pkt)
 	}
 	if pkt.Type == Results {
 		ch.rowsReceived += pkt.Rows
@@ -515,6 +499,7 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 		ch.failed = true
 	}
 	ch.mu.Unlock()
+	pkt.WireBytes = msg.Size()
 	m.mu.Lock()
 	m.stats.PacketsAccepted++
 	m.stats.WindowForced += forced
@@ -533,13 +518,20 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 	return nil, nil
 }
 
-func (m *Manager) handleClose(msg network.Message) ([]byte, error) {
-	num, err := DecodeClose(msg.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("channel: bad close request: %w", err)
-	}
+// dropDuplicate drops a replayed packet (at-least-once transport): the
+// destination stamped its sequence number once, or the root has already
+// retired its channel. It is never an error, because the sender would
+// take that for a failed delivery and retry. A late arrival reordered by
+// a delay spike is NOT a duplicate — Channel.accept tells them apart via
+// the bounded seen-window.
+func (m *Manager) dropDuplicate(from pattern.PeerID, pkt *Packet) ([]byte, error) {
 	m.mu.Lock()
-	delete(m.inbound, ID(msg.From, num))
+	m.stats.PacketsDuplicate++
 	m.mu.Unlock()
+	// One "dedupe" event per PacketsDuplicate increment — the
+	// event↔counter reconciliation invariant for this plane.
+	m.Events.Emit("channel", "dedupe", string(m.self), pkt.TraceID,
+		obs.A("channel", ID(m.self, pkt.Channel)), obs.A("seq", strconv.Itoa(pkt.Seq)),
+		obs.A("from", string(from)))
 	return nil, nil
 }

@@ -1,6 +1,7 @@
 package channel_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -18,36 +19,43 @@ func managers(t testing.TB, net *network.Network, ids ...pattern.PeerID) map[pat
 	return out
 }
 
+// accept is the destination's side of a request naming ch: what a
+// subplan handler does on receipt.
+func accept(m *channel.Manager, ch *channel.Channel) *channel.Inbound {
+	return m.Accept(ch.Root, ch.Num, ch.Watermark(), ch.Tenant)
+}
+
 func TestOpenSendReceive(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
 
 	var mu sync.Mutex
 	var got []channel.Packet
-	ch, err := ms["P1"].Open("P2", func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
 	if ch.Root != "P1" || ch.Dest != "P2" {
 		t.Errorf("channel ends = %s → %s", ch.Root, ch.Dest)
 	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Results, 3, []byte("rows")); err != nil {
-		t.Fatalf("SendToRoot: %v", err)
+	in := accept(ms["P2"], ch)
+	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 3, Payload: []byte("rows")}); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Done, 0, nil); err != nil {
-		t.Fatalf("SendToRoot done: %v", err)
+	if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Stats: []byte("s"), Spans: []byte("t")}); err != nil {
+		t.Fatalf("Send final: %v", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 2 {
 		t.Fatalf("received %d packets", len(got))
 	}
-	if got[0].Type != channel.Results || got[0].Rows != 3 || string(got[0].Payload) != "rows" {
+	if got[0].Type != channel.Results || got[0].Rows != 3 || string(got[0].Payload) != "rows" || got[0].Final {
 		t.Errorf("packet 0 = %+v", got[0])
+	}
+	if !got[1].Final || string(got[1].Stats) != "s" || string(got[1].Spans) != "t" {
+		t.Errorf("final packet = %+v", got[1])
 	}
 	if got[0].Seq != 1 || got[1].Seq != 2 {
 		t.Errorf("sequence numbers = %d, %d", got[0].Seq, got[1].Seq)
@@ -57,27 +65,46 @@ func TestOpenSendReceive(t *testing.T) {
 	}
 }
 
-func TestOpenToDeadPeerFails(t *testing.T) {
+// Deploying a channel sends nothing: the request that names it is the
+// open. A second request on the channel continues its sequence numbers
+// from the watermark it was shipped with.
+func TestDeploySendsNothingAndSeqContinues(t *testing.T) {
 	net := network.New()
-	ms := managers(t, net, "P1", "P3")
-	net.Fail("P3")
-	if _, err := ms["P1"].Open("P3", nil); err == nil {
-		t.Fatal("Open to failed peer succeeded — Figure 7's failed channel scenario requires an error")
+	ms := managers(t, net, "P1", "P2")
+	var seqs []int
+	ch := ms["P1"].Deploy("P2", "gold", 2, func(p channel.Packet) { seqs = append(seqs, p.Seq) })
+	if c := net.Counters(); c.Messages != 0 {
+		t.Fatalf("Deploy sent %d messages, want 0", c.Messages)
+	}
+	for req := 0; req < 2; req++ {
+		in := accept(ms["P2"], ch)
+		for i := 0; i < 2; i++ {
+			if err := in.Send(channel.Packet{Type: channel.Results, Final: i == 1}); err != nil {
+				t.Fatalf("request %d send %d: %v", req, i, err)
+			}
+		}
+	}
+	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(seqs, want) {
+		t.Errorf("sequence numbers = %v, want %v", seqs, want)
+	}
+	st := ms["P2"].Stats()
+	if st.ChannelsAccepted != 2 || st.TenantAccepts["gold"] != 2 {
+		t.Errorf("accepts = %d, per tenant %v; want 2 under gold", st.ChannelsAccepted, st.TenantAccepts)
+	}
+	if o := ms["P1"].Stats().ChannelsOpened; o != 1 {
+		t.Errorf("ChannelsOpened = %d, want 1", o)
 	}
 }
 
 func TestFailurePacketMarksChannel(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
-	ch, err := ms["P1"].Open("P2", nil)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	ch := ms["P1"].Deploy("P2", "", 0, nil)
 	if ch.Failed() {
 		t.Error("fresh channel reported failed")
 	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Failure, 0, []byte("peer overloaded")); err != nil {
-		t.Fatalf("SendToRoot: %v", err)
+	if err := accept(ms["P2"], ch).Send(channel.Packet{Type: channel.Failure, Payload: []byte("peer overloaded")}); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 	if !ch.Failed() {
 		t.Error("Failure packet did not mark the channel")
@@ -91,10 +118,9 @@ func TestFailurePacketMarksChannel(t *testing.T) {
 func TestCloseChannel(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
-	ch, err := ms["P1"].Open("P2", nil)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	called := 0
+	ch := ms["P1"].Deploy("P2", "", 0, func(channel.Packet) { called++ })
+	in := accept(ms["P2"], ch)
 	if got := ms["P1"].OpenChannels(); len(got) != 1 || got[0] != ch.ID {
 		t.Errorf("OpenChannels = %v", got)
 	}
@@ -105,9 +131,20 @@ func TestCloseChannel(t *testing.T) {
 	if got := ms["P1"].OpenChannels(); len(got) != 0 {
 		t.Errorf("OpenChannels after close = %v", got)
 	}
-	// Destination side forgot the channel: sends now fail.
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Results, 1, nil); err == nil {
-		t.Error("SendToRoot on closed channel succeeded")
+	// Retiring is local: nothing crosses the wire. A packet that still
+	// arrives for the retired number is dropped as a duplicate, and the
+	// sender sees no error (it would take one for a failed delivery).
+	if c := net.Counters(); c.Messages != 0 {
+		t.Errorf("Close sent %d messages, want 0", c.Messages)
+	}
+	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 1, Final: true}); err != nil {
+		t.Errorf("late packet for a retired channel returned %v to its sender", err)
+	}
+	if called != 0 {
+		t.Error("late packet reached the retired channel's callback")
+	}
+	if d := ms["P1"].Stats().PacketsDuplicate; d != 1 {
+		t.Errorf("PacketsDuplicate = %d, want 1", d)
 	}
 }
 
@@ -119,10 +156,11 @@ func TestOnOpenHook(t *testing.T) {
 	ms["P2"].OnOpen(func(id string, root pattern.PeerID) {
 		hookID, hookRoot = id, root
 	})
-	ch, err := ms["P1"].Open("P2", nil)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	ch := ms["P1"].Deploy("P2", "", 0, nil)
+	if hookID != "" {
+		t.Errorf("OnOpen fired on deploy with %q", hookID)
 	}
+	accept(ms["P2"], ch)
 	if hookID != ch.ID || hookRoot != "P1" {
 		t.Errorf("OnOpen got (%q, %s)", hookID, hookRoot)
 	}
@@ -131,14 +169,8 @@ func TestOnOpenHook(t *testing.T) {
 func TestChannelIDsUniquePerRoot(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2", "P3")
-	a, err := ms["P1"].Open("P2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ms["P1"].Open("P3", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := ms["P1"].Deploy("P2", "", 0, nil)
+	b := ms["P1"].Deploy("P3", "", 0, nil)
 	if a.ID == b.ID {
 		t.Errorf("duplicate channel ids: %s", a.ID)
 	}
@@ -150,18 +182,25 @@ func TestChannelIDsUniquePerRoot(t *testing.T) {
 	}
 }
 
-func TestSendToRootUnknownChannel(t *testing.T) {
+// A packet for a number the root never deployed (or already retired) is
+// dropped and counted as a duplicate, never returned as an error: the
+// sender would retry on an error.
+func TestPacketForUnknownChannelIsDuplicate(t *testing.T) {
 	net := network.New()
-	ms := managers(t, net, "P2")
-	if err := ms["P2"].SendToRoot("nope", channel.Results, 0, nil); err == nil {
-		t.Error("unknown inbound channel accepted")
+	ms := managers(t, net, "P1", "P2")
+	pkt := channel.Packet{Channel: 99, Type: channel.Results, Seq: 1, Final: true}
+	if err := net.Send("P2", "P1", "chan.packet", channel.AppendPacket(nil, &pkt)); err != nil {
+		t.Errorf("packet for an unknown channel: %v", err)
+	}
+	if d := ms["P1"].Stats().PacketsDuplicate; d != 1 {
+		t.Errorf("PacketsDuplicate = %d, want 1", d)
 	}
 }
 
 func TestPacketTypeNames(t *testing.T) {
 	names := map[channel.PacketType]string{
 		channel.Results: "results", channel.PlanChange: "plan-change",
-		channel.Failure: "failure", channel.Stats: "stats", channel.Done: "done",
+		channel.Failure: "failure", channel.TraceSpans: "trace-spans",
 	}
 	for typ, want := range names {
 		if typ.String() != want {
@@ -173,9 +212,9 @@ func TestPacketTypeNames(t *testing.T) {
 func TestPacketsCountedOnNetwork(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
-	ch, _ := ms["P1"].Open("P2", nil)
+	ch := ms["P1"].Deploy("P2", "", 0, nil)
 	net.ResetCounters()
-	_ = ms["P2"].SendToRoot(ch.ID, channel.Results, 10, make([]byte, 500))
+	_ = accept(ms["P2"], ch).Send(channel.Packet{Type: channel.Results, Rows: 10, Payload: make([]byte, 500)})
 	c := net.Counters()
 	if c.PerKind["chan.packet"] != 1 {
 		t.Errorf("PerKind = %v", c.PerKind)
@@ -212,14 +251,11 @@ func TestGossipPiggybackOnPackets(t *testing.T) {
 		seen = append(seen, gossip{from, string(blob)})
 	}
 
-	ch, err := ms["P1"].Open("P2", nil)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Results, 1, []byte("r")); err != nil {
+	in := accept(ms["P2"], ms["P1"].Deploy("P2", "", 0, nil))
+	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 1, Payload: []byte("r")}); err != nil {
 		t.Fatalf("send 1: %v", err)
 	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Done, 0, nil); err != nil {
+	if err := in.Send(channel.Packet{Type: channel.Results, Final: true}); err != nil {
 		t.Fatalf("send 2: %v", err)
 	}
 

@@ -28,19 +28,17 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []channel.Packet
-	ch, err := ms["P1"].Open("P2", func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	in := accept(ms["P2"], ch)
+	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 3, Payload: []byte("rows")}); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Results, 3, []byte("rows")); err != nil {
-		t.Fatalf("SendToRoot: %v", err)
-	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Done, 0, nil); err != nil {
-		t.Fatalf("SendToRoot done: %v", err)
+	if err := in.Send(channel.Packet{Type: channel.Results, Final: true}); err != nil {
+		t.Fatalf("Send final: %v", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -67,38 +65,36 @@ func TestHealedLinkDedupeSurvivesGap(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []channel.Packet
-	ch, err := ms["P1"].Open("P2", func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Results, 3, []byte("pre")); err != nil {
+	in := accept(ms["P2"], ch)
+	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 3, Payload: []byte("pre")}); err != nil {
 		t.Fatalf("pre-partition send: %v", err)
 	}
 
 	net.Partition("P1", "P2")
 	for i := 0; i < 2; i++ {
-		if err := ms["P2"].SendToRoot(ch.ID, channel.Results, 10, []byte("lost")); err == nil {
+		if err := in.Send(channel.Packet{Type: channel.Results, Rows: 10, Payload: []byte("lost")}); err == nil {
 			t.Fatal("send across a cut link must fail")
 		}
 	}
 
 	net.Heal("P1", "P2")
 	net.SetInjector(dupInjector{}) // at-least-once transport after the heal
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Results, 4, []byte("post")); err != nil {
+	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 4, Payload: []byte("post")}); err != nil {
 		t.Fatalf("healed link must deliver again: %v", err)
 	}
-	if err := ms["P2"].SendToRoot(ch.ID, channel.Done, 0, nil); err != nil {
-		t.Fatalf("done after heal: %v", err)
+	if err := in.Send(channel.Packet{Type: channel.Results, Final: true}); err != nil {
+		t.Fatalf("final packet after heal: %v", err)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 3 {
-		t.Fatalf("callback saw %d packets, want 3 (pre, post, done; duplicates suppressed)", len(got))
+		t.Fatalf("callback saw %d packets, want 3 (pre, post, final; duplicates suppressed)", len(got))
 	}
 	if got[1].Seq != 4 {
 		t.Errorf("post-heal packet resumed at seq %d, want 4 (seqs 2-3 burned by the cut)", got[1].Seq)

@@ -34,18 +34,15 @@ func TestReorderedAndDuplicatedPackets(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{} // seq -> callback invocations
 	rows := 0
-	ch, err := ms["P1"].Open("P2", func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
 		mu.Lock()
 		seen[p.Seq]++
 		rows += p.Rows
 		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
 
 	// Hand-stamp packets 1..packets and deliver them in a seeded shuffle,
-	// bypassing SendToRoot's sequencing — this IS the reordered wire.
+	// bypassing Inbound.Send's sequencing — this IS the reordered wire.
 	order := rand.New(rand.NewSource(seed)).Perm(packets)
 	for _, i := range order {
 		seq := i + 1

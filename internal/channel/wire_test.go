@@ -30,21 +30,26 @@ func TestPacketHeaderWidthIndependentOfChannelNumber(t *testing.T) {
 }
 
 func TestEnvelopesRoundTrip(t *testing.T) {
-	p := channel.Packet{Channel: 7, Type: channel.Done, Seq: 1 << 20, Rows: 0,
-		Payload: []byte(`{"k":"remote"}`), TraceID: "T3", SpanID: "/q/dispatch@P2/stream",
-		Gossip: []byte{0, 1, 2, 255}}
-	got, err := channel.DecodePacket(channel.AppendPacket(nil, &p))
-	if err != nil || !reflect.DeepEqual(got, p) {
-		t.Errorf("packet round trip = %+v, %v; want %+v", got, err, p)
+	for _, p := range []channel.Packet{
+		{Channel: 7, Type: channel.PlanChange, Seq: 1 << 20, Rows: 0,
+			Payload: []byte(`{"reason":"resume-honored"}`), TraceID: "T3", SpanID: "/q/dispatch@P2/stream",
+			Gossip: []byte{0, 1, 2, 255}},
+		{Channel: 1 << 31, Type: channel.Results, Final: true, Seq: 3, Rows: 2,
+			Payload: []byte("frame"), Stats: []byte("stats body"), Spans: []byte(`{"k":"remote"}`),
+			TraceID: "T3", SpanID: "/q/s"},
+		{Channel: 8, Type: channel.Results, Final: true, Seq: 1, Stats: []byte{1}}, // no span record
+	} {
+		got, err := channel.DecodePacket(channel.AppendPacket(nil, &p))
+		if err != nil || !reflect.DeepEqual(got, p) {
+			t.Errorf("packet round trip = %+v, %v; want %+v", got, err, p)
+		}
 	}
-	o := channel.OpenRequest{Channel: 1 << 31, Tenant: "gold", Priority: 2}
-	if got, err := channel.DecodeOpen(channel.AppendOpen(nil, o)); err != nil || got != o {
-		t.Errorf("open round trip = %+v, %v; want %+v", got, err, o)
+	// Trailers travel only on a final packet.
+	notFinal := channel.Packet{Channel: 1, Type: channel.Results, Seq: 1, Stats: []byte("s"), Spans: []byte("t")}
+	if got, err := channel.DecodePacket(channel.AppendPacket(nil, &notFinal)); err != nil || got.Stats != nil || got.Spans != nil {
+		t.Errorf("non-final packet kept its trailers: %+v, %v", got, err)
 	}
-	if got, err := channel.DecodeClose(channel.AppendClose(nil, 42)); err != nil || got != 42 {
-		t.Errorf("close round trip = %d, %v", got, err)
-	}
-	s := channel.SubplanRequest{Channel: 12, ResumeFrom: 40, Priority: 1, Tenant: "t",
+	s := channel.SubplanRequest{Channel: 12, SeqBase: 9, ResumeFrom: 40, Priority: 1, Tenant: "t",
 		TraceID: "T1", SpanID: "/q/a", Plan: []byte(`{"root":{}}`)}
 	if got, err := channel.DecodeSubplan(channel.AppendSubplan(nil, &s)); err != nil || !reflect.DeepEqual(got, s) {
 		t.Errorf("subplan round trip = %+v, %v; want %+v", got, err, s)
@@ -52,43 +57,41 @@ func TestEnvelopesRoundTrip(t *testing.T) {
 }
 
 // Every proper prefix of a header is rejected with ErrBadEnvelope, and so
-// are a foreign format byte and trailing bytes after a body-less header.
+// are a foreign format byte and length claims past the end of the input,
+// the final packet's trailers included.
 func TestEnvelopeRejectsShortAndCorruptHeaders(t *testing.T) {
-	p := channel.Packet{Channel: 5, Type: channel.Results, Seq: 300, Rows: 2,
-		TraceID: "T1", SpanID: "/s", Gossip: []byte("g")}
-	wire := channel.AppendPacket(nil, &p) // no payload: the header is the whole body
-	for n := 0; n < len(wire); n++ {
-		if _, err := channel.DecodePacket(wire[:n]); !errors.Is(err, channel.ErrBadEnvelope) {
-			t.Errorf("packet prefix of %d/%d bytes: err = %v", n, len(wire), err)
+	for _, p := range []channel.Packet{
+		{Channel: 5, Type: channel.Results, Seq: 300, Rows: 2, TraceID: "T1", SpanID: "/s", Gossip: []byte("g")},
+		{Channel: 5, Type: channel.Results, Final: true, Seq: 300, Rows: 2, Gossip: []byte("g"),
+			Stats: []byte("st"), Spans: []byte("sp")},
+	} {
+		wire := channel.AppendPacket(nil, &p) // no payload: the header is the whole body
+		for n := 0; n < len(wire); n++ {
+			if _, err := channel.DecodePacket(wire[:n]); !errors.Is(err, channel.ErrBadEnvelope) {
+				t.Errorf("packet (final %v) prefix of %d/%d bytes: err = %v", p.Final, n, len(wire), err)
+			}
 		}
 	}
-	open := channel.AppendOpen(nil, channel.OpenRequest{Channel: 1, Tenant: "x", Priority: 1})
-	for n := 0; n < len(open); n++ {
-		if _, err := channel.DecodeOpen(open[:n]); !errors.Is(err, channel.ErrBadEnvelope) {
-			t.Errorf("open prefix of %d bytes: err = %v", n, err)
-		}
-	}
-	sub := channel.AppendSubplan(nil, &channel.SubplanRequest{Channel: 1, Tenant: "x", TraceID: "T", SpanID: "/s"})
+	sub := channel.AppendSubplan(nil, &channel.SubplanRequest{Channel: 1, SeqBase: 2, Tenant: "x", TraceID: "T", SpanID: "/s"})
 	for n := 0; n < len(sub); n++ {
 		if _, err := channel.DecodeSubplan(sub[:n]); !errors.Is(err, channel.ErrBadEnvelope) {
 			t.Errorf("subplan prefix of %d bytes: err = %v", n, err)
 		}
 	}
-	bad := [][]byte{
-		append([]byte{9}, wire[1:]...),             // unknown format
-		append(channel.AppendClose(nil, 3), 0),     // trailing byte
-		append(append([]byte{}, open...), 1, 2),    // trailing bytes
-		{1, 0, 1, 1, 0, 0, 0, 5, 0xff, 0xff, 0x7f}, // trace id claims 2 MiB of a 3-byte rest
-	}
-	for i, b := range bad {
-		_, e1 := channel.DecodePacket(b)
-		_, e2 := channel.DecodeOpen(b)
-		_, e3 := channel.DecodeClose(b)
-		if !errors.Is(e1, channel.ErrBadEnvelope) && !errors.Is(e2, channel.ErrBadEnvelope) &&
-			!errors.Is(e3, channel.ErrBadEnvelope) {
-			t.Errorf("corrupt body %d accepted", i)
+	for i, b := range badPackets {
+		if _, err := channel.DecodePacket(b); !errors.Is(err, channel.ErrBadEnvelope) {
+			t.Errorf("corrupt packet %d accepted: err = %v", i, err)
 		}
 	}
+}
+
+// badPackets are chan.packet bodies every decoder must refuse.
+var badPackets = [][]byte{
+	{9, 0, 1, 1, 0, 0, 0, 5, 0, 0, 0},                         // unknown format
+	{2, 0, 1, 1, 0, 0, 0, 5, 0xff, 0xff, 0x7f},                // trace id claims 2 MiB of a 3-byte rest
+	{2, 0x80, 1, 1, 0, 0, 0, 5, 0, 0, 0, 0x10, 's', 't'},      // stats trailer claims 16 bytes of 2
+	{2, 0x80, 1, 1, 0, 0, 0, 5, 0, 0, 0, 1, 's', 0x04, 'x'},   // span trailer claims 4 bytes of 1
+	{2, 0x80, 1, 1, 0, 0, 0, 5, 0, 0, 0, 0x80, 0x80, 0x80, 4}, // stats trailer of 8 MiB
 }
 
 // A Results packet decodes with zero allocations: payload and gossip
@@ -105,7 +108,7 @@ func TestPacketDecodeAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("decoding a Results packet allocates %.1f times, want 0", allocs)
 	}
-	huge := []byte{1, 0, 1, 1, 0, 0, 0, 5, 0x80, 0x80, 0x80, 0x80, 0x10} // trace id of 4 GiB
+	huge := []byte{2, 0, 1, 1, 0, 0, 0, 5, 0x80, 0x80, 0x80, 0x80, 0x10} // trace id of 4 GiB
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := channel.DecodePacket(huge); err == nil {
 			t.Fatal("4 GiB length claim accepted")
@@ -170,15 +173,32 @@ func (f tapFunc) Intercept(m network.Message) network.Fault {
 	return network.Fault{}
 }
 
-// FuzzPacketEnvelope decodes arbitrary bytes as every data-plane
-// envelope (never panicking; a body that decodes re-encodes to itself),
+// FuzzPacketEnvelope decodes arbitrary bytes as both data-plane
+// envelopes (never panicking; a body that decodes re-encodes to itself),
 // and checks that Decode(Append(p)) returns every field of a packet and
-// of a subplan request built from the fuzzer's values. The corpus is
-// seeded with the packets and subplan requests of a real traced query.
+// of a subplan request built from the fuzzer's values: the type byte's
+// high bit is the final flag, a final packet carries the trace and span
+// strings as its Stats and Spans trailers, and rows is the subplan's
+// sequence base. The corpus is seeded with the packets and subplan
+// requests of a real traced query (final packets with both trailers
+// among them), with those final packets' flag cleared, and with trailers
+// whose length claims run past the input.
 func FuzzPacketEnvelope(f *testing.F) {
 	subplans, packets := realEnvelopes(f)
 	for _, b := range append(packets, subplans...) {
 		f.Add(b, uint8(channel.Results), 1, 2, uint32(3), "T1", "/q/s", []byte("g"))
+	}
+	for _, b := range packets {
+		if p, err := channel.DecodePacket(b); err == nil && p.Final {
+			// The same bytes with the final flag cleared: the trailers
+			// now read as the payload's first bytes.
+			plain := bytes.Clone(b)
+			plain[1] &^= 0x80
+			f.Add(plain, uint8(channel.Results), 1, 2, uint32(3), "", "", []byte(nil))
+		}
+	}
+	for _, b := range badPackets {
+		f.Add(b, uint8(channel.Results)|0x80, 4, 0, uint32(5), "stats", "", []byte(nil))
 	}
 	f.Add([]byte{}, uint8(channel.TraceSpans), -1, 1<<40, uint32(1<<32-1), "", "", []byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte, typ uint8, seq, rows int, num uint32, trace, span string, gossip []byte) {
@@ -192,12 +212,6 @@ func FuzzPacketEnvelope(f *testing.F) {
 				t.Fatalf("subplan %x re-encodes as %x", data, again)
 			}
 		}
-		if o, err := channel.DecodeOpen(data); err == nil {
-			if again := channel.AppendOpen(nil, o); !bytes.Equal(again, data) {
-				t.Fatalf("open %x re-encodes as %x", data, again)
-			}
-		}
-		_, _ = channel.DecodeClose(data)
 
 		if len(gossip) == 0 {
 			gossip = nil // the decoder reports an absent blob as nil
@@ -206,15 +220,26 @@ func FuzzPacketEnvelope(f *testing.F) {
 		if len(body) == 0 {
 			body = nil
 		}
-		p := channel.Packet{Channel: num, Type: channel.PacketType(typ), Seq: seq, Rows: rows,
-			Payload: body, TraceID: trace, SpanID: span, Gossip: gossip}
+		p := channel.Packet{Channel: num, Type: channel.PacketType(typ & 0x7f), Final: typ&0x80 != 0,
+			Seq: seq, Rows: rows, Payload: body, TraceID: trace, SpanID: span, Gossip: gossip}
+		if p.Final {
+			p.Stats, p.Spans = blob(trace), blob(span)
+		}
 		if got, err := channel.DecodePacket(channel.AppendPacket(nil, &p)); err != nil || !reflect.DeepEqual(got, p) {
 			t.Fatalf("packet round trip = %+v, %v; want %+v", got, err, p)
 		}
-		s := channel.SubplanRequest{Channel: num, ResumeFrom: seq, Priority: rows,
+		s := channel.SubplanRequest{Channel: num, SeqBase: rows, ResumeFrom: seq, Priority: int(typ),
 			Tenant: string(gossip), TraceID: trace, SpanID: span, Plan: body}
 		if got, err := channel.DecodeSubplan(channel.AppendSubplan(nil, &s)); err != nil || !reflect.DeepEqual(got, s) {
 			t.Fatalf("subplan round trip = %+v, %v; want %+v", got, err, s)
 		}
 	})
+}
+
+// blob is s as the decoder reports a length-prefixed blob: nil when empty.
+func blob(s string) []byte {
+	if s == "" {
+		return nil
+	}
+	return []byte(s)
 }

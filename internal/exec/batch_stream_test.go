@@ -57,9 +57,10 @@ func TestBatchResumeAtBatchBoundary(t *testing.T) {
 	p1 := peers["P1"]
 	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 2
-	p1.Engine.BatchSize = batchSize
-	// Drop P4's second chan.packet: the first batch frame (batchSize rows)
-	// reaches the root, the second dies on the wire.
+	// The serving peer's BatchSize sets its frames. Drop P4's second
+	// chan.packet: the first batch frame (batchSize rows) reaches the
+	// root, the second dies on the wire.
+	peers["P4"].Engine.BatchSize = batchSize
 	net.SetInjector(faults.NewScript(&faults.ScriptRule{
 		From: "P4", Kind: "chan.packet", After: 1, Count: 1,
 		Fault: network.Fault{Drop: true},
@@ -146,12 +147,9 @@ func TestNonBatchResultsPacketFails(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		id := channel.ID(msg.From, req.Channel)
+		in := p4.Channels.Accept(msg.From, req.Channel, req.SeqBase, req.Tenant)
 		body := []byte(`{"vars":["X"],"rows":[]}`)
-		if err := p4.Channels.SendToRoot(id, channel.Results, badRows, body); err != nil {
-			return nil, err
-		}
-		return []byte("ok"), p4.Channels.SendToRoot(id, channel.Done, 0, nil)
+		return []byte("ok"), in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: badRows, Payload: body})
 	})
 	pr, err := p1.PlanQuery(gen.PaperQuery())
 	if err != nil {

@@ -103,8 +103,8 @@ type Options struct {
 	Parallelism int
 	// DeadlineMS, when positive, bounds each dispatch leg on the simulated
 	// clock: a delivery slower than this (hung or gray-failed peer) fails
-	// with a transient error instead of wedging a pool token. Channel
-	// opens are bounded separately via Channels.DeadlineMS.
+	// with a transient error instead of wedging a pool token. Upstream
+	// packets are bounded separately via Channels.DeadlineMS.
 	DeadlineMS float64
 	// MaxRetries is how many times a transiently-failed dispatch is
 	// retried (with exponential backoff from retryBackoffMS) before the
@@ -176,11 +176,13 @@ type Engine struct {
 	// the engine tracks per-peer row rates during collection and, after a
 	// completed round, replans around peers the monitor flags.
 	Throughput *optimizer.ThroughputMonitor
-	// StatsProvider, when set, supplies this peer's current statistics,
-	// piggybacked as a Stats packet on every answered subplan (paper
-	// §2.4: packets "can also contain ... statistics useful for query
-	// optimization").
-	StatsProvider func() *stats.PeerStats
+	// StatsProvider, when set, supplies this peer's current statistics as
+	// an encoded stats.MarshalPeerStats body, piggybacked as the Stats
+	// trailer of the final packet of every answered subplan (paper §2.4:
+	// packets "can also contain ... statistics useful for query
+	// optimization"). The provider may hand back the same body for as
+	// long as the statistics are unchanged; the engine never mutates it.
+	StatsProvider func() []byte
 	// StatsSink, when set, receives statistics arriving on channels this
 	// engine roots, keeping the local catalog fresh.
 	StatsSink func(*stats.PeerStats)
@@ -592,15 +594,13 @@ type execution struct {
 	cancelOnce sync.Once
 }
 
-// siteChan is the per-peer channel slot: single-flight open, then a mutex
-// serializing dispatches so concurrent branches targeting the same peer
-// share one channel (the paper deploys exactly one channel per
+// siteChan is the per-peer channel slot: the deployed channel plus a
+// mutex serializing dispatches, so concurrent branches targeting the same
+// peer share one channel (the paper deploys exactly one channel per
 // contributing peer) without interleaving their request/collect cycles.
 type siteChan struct {
-	opened chan struct{}
-	ch     *channel.Channel
-	err    error
-	mu     sync.Mutex
+	ch *channel.Channel
+	mu sync.Mutex
 }
 
 // cacheEntry is a single-flight memo: done closes when the owning branch
@@ -1348,21 +1348,15 @@ func (ex *execution) recordComplete(site pattern.PeerID, n plan.Node, rows, wate
 	}}, nil)
 }
 
-// resetSite drops a site's channel slot — every dispatch failure either
-// recorded an open error or marked the channel failed, so the retry must
-// open a fresh channel rather than reuse the slot.
+// resetSite retires a site's channel slot — every dispatch failure marked
+// the channel failed, so the retry must deploy a fresh channel rather
+// than reuse the slot.
 func (ex *execution) resetSite(site pattern.PeerID) {
 	ex.mu.Lock()
 	sc, ok := ex.sites[site]
-	if ok {
-		delete(ex.sites, site)
-	}
+	delete(ex.sites, site)
 	ex.mu.Unlock()
-	if !ok {
-		return
-	}
-	<-sc.opened
-	if sc.err == nil {
+	if ok {
 		ex.engine.Channels.Close(sc.ch)
 	}
 }
@@ -1375,37 +1369,41 @@ func (ex *execution) resetSite(site pattern.PeerID) {
 // and the remote's shipped span record is grafted under it.
 func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom int, sp *obs.Span) (*remoteResult, error) {
 	e := ex.engine
-	sc, err := ex.channelTo(site)
-	if err != nil {
-		return nil, &PeerFailure{Peer: site, Err: err}
-	}
+	sc := ex.channelTo(site)
 	sub := &plan.Plan{Root: n, Query: nil}
 	data, err := plan.Marshal(sub)
 	if err != nil {
 		return nil, fmt.Errorf("exec: marshal subplan: %w", err)
 	}
-	// A positive resumeFrom asks the destination to skip that many leading
-	// rows; it acknowledges with a PlanChange packet before streaming.
-	req := channel.SubplanRequest{Channel: sc.ch.Num, Plan: data, ResumeFrom: resumeFrom,
-		Tenant: ex.qos.Tenant, Priority: int(ex.qos.Priority)}
-	if sp != nil {
-		req.TraceID = sp.TraceID()
-		req.SpanID = sp.Path()
-	}
-	msg := network.Message{Kind: "exec.subplan", Payload: channel.AppendSubplan(nil, &req)}
 	// Capture the link before taking any lock: the packet collector prices
 	// reply transfers from this snapshot, and LinkBetween takes the
 	// network's own lock.
 	var link stats.Link
 	if sp != nil {
 		link = e.Net.LinkBetween(e.Self, site)
-		sp.ChargeMS(link.TransferMS(msg.Size()))
 	}
 	// One request/collect cycle at a time per channel: the inbox collector
-	// is keyed by channel id, so concurrent branches targeting the same
-	// peer take turns on its channel.
+	// is keyed by channel number, and the request's sequence base is the
+	// channel's watermark, so concurrent branches targeting the same peer
+	// take turns on its channel.
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	// The request deploys the channel at the destination. A positive
+	// resumeFrom asks the destination to skip that many leading rows; it
+	// acknowledges with a PlanChange packet before streaming. SeqBase
+	// continues the channel's numbering, so the packets of a replayed
+	// request land at or below the watermark and are dropped as
+	// duplicates.
+	req := channel.SubplanRequest{Channel: sc.ch.Num, SeqBase: sc.ch.Watermark(), Plan: data,
+		ResumeFrom: resumeFrom, Tenant: ex.qos.Tenant, Priority: int(ex.qos.Priority)}
+	if sp != nil {
+		req.TraceID = sp.TraceID()
+		req.SpanID = sp.Path()
+	}
+	msg := network.Message{Kind: "exec.subplan", Payload: channel.AppendSubplan(nil, &req)}
+	if sp != nil {
+		sp.ChargeMS(link.TransferMS(msg.Size()))
+	}
 	ex.mu.Lock()
 	ex.inbox[sc.ch.Num] = &remoteResult{site: site, span: sp, link: link}
 	ex.mu.Unlock()
@@ -1434,36 +1432,28 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 	}
 	if !res.done {
 		e.Channels.MarkFailed(sc.ch)
-		return res, &PeerFailure{Peer: site, Err: fmt.Errorf("result stream ended without done packet")}
+		return res, &PeerFailure{Peer: site, Err: fmt.Errorf("result stream ended without a final packet")}
 	}
 	return res, nil
 }
 
-// channelTo returns (opening if necessary) the execution's channel slot
-// for a peer — one channel per peer, as in the paper. The open itself is
-// single-flighted so racing branches share the one channel.
-func (ex *execution) channelTo(site pattern.PeerID) (*siteChan, error) {
+// channelTo returns (deploying if necessary) the execution's channel slot
+// for a peer — one channel per peer, as in the paper. Deploying is local:
+// the first subplan shipped on the channel opens it at the destination.
+func (ex *execution) channelTo(site pattern.PeerID) *siteChan {
+	e := ex.engine
 	ex.mu.Lock()
 	sc, ok := ex.sites[site]
 	if !ok {
-		sc = &siteChan{opened: make(chan struct{})}
+		sc = &siteChan{ch: e.Channels.Deploy(site, ex.qos.Tenant, int(ex.qos.Priority),
+			func(pkt channel.Packet) { ex.onPacket(pkt) })}
 		ex.sites[site] = sc
-		ex.mu.Unlock()
-		e := ex.engine
-		sc.ch, sc.err = e.Channels.OpenAs(site, ex.qos.Tenant, int(ex.qos.Priority),
-			func(pkt channel.Packet) { ex.onPacket(pkt) })
-		if sc.err == nil {
-			e.record(fact{kind: factChannelOpened}, nil)
-		}
-		close(sc.opened)
-	} else {
-		ex.mu.Unlock()
-		<-sc.opened
 	}
-	if sc.err != nil {
-		return nil, sc.err
+	ex.mu.Unlock()
+	if !ok {
+		e.record(fact{kind: factChannelOpened}, nil)
 	}
-	return sc, nil
+	return sc
 }
 
 func (ex *execution) onPacket(pkt channel.Packet) {
@@ -1503,6 +1493,28 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 			if tm := e.Throughput; tm != nil {
 				tm.Observe(res.site, pkt.Rows)
 			}
+			if !pkt.Final {
+				break
+			}
+			// The final packet ends the stream and carries its trailers:
+			// the serving peer's statistics and, when the root shipped a
+			// trace context, the remote span record.
+			res.done = true
+			if len(pkt.Stats) > 0 {
+				statsReceived = true
+				statsSite = res.site
+				if e.StatsSink != nil {
+					if ps, err := stats.UnmarshalPeerStats(pkt.Stats); err == nil && ps.Peer != "" {
+						sinkStats = ps
+					}
+				}
+			}
+			if len(pkt.Spans) > 0 && res.span != nil {
+				var rec obs.SpanRecord
+				if err := json.Unmarshal(pkt.Spans, &rec); err == nil {
+					res.span.Graft(&rec)
+				}
+			}
 		case channel.PlanChange:
 			var pc channel.PlanChangeInfo
 			if err := json.Unmarshal(pkt.Payload, &pc); err != nil {
@@ -1516,14 +1528,6 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 				res.restarted = true
 			}
 			planChangeAck = true
-		case channel.Stats:
-			statsReceived = true
-			statsSite = res.site
-			if ex.engine.StatsSink != nil {
-				if ps, err := stats.UnmarshalPeerStats(pkt.Payload); err == nil && ps.Peer != "" {
-					sinkStats = ps
-				}
-			}
 		case channel.TraceSpans:
 			var rec obs.SpanRecord
 			if err := json.Unmarshal(pkt.Payload, &rec); err == nil && res.span != nil {
@@ -1531,16 +1535,6 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 			}
 		case channel.Failure:
 			res.err = fmt.Errorf("exec: remote failure: %s", pkt.Payload)
-		case channel.Done:
-			res.done = true
-			// A Done payload is the remote's piggybacked span record (see
-			// streamBatches); empty when the remote had no trace context.
-			if len(pkt.Payload) > 0 && res.span != nil {
-				var rec obs.SpanRecord
-				if err := json.Unmarshal(pkt.Payload, &rec); err == nil {
-					res.span.Graft(&rec)
-				}
-			}
 		}
 	}
 	ex.mu.Unlock()
@@ -1570,24 +1564,16 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 	}
 }
 
+// closeAll retires the execution's channels at this root. Retiring is
+// local — no destination holds state past the request it handled — so
+// the order does not matter.
 func (ex *execution) closeAll() {
 	ex.mu.Lock()
-	ids := make([]pattern.PeerID, 0, len(ex.sites))
-	for id := range ex.sites {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sites := make([]*siteChan, 0, len(ids))
-	for _, id := range ids {
-		sites = append(sites, ex.sites[id])
-	}
+	sites := ex.sites
 	ex.sites = map[pattern.PeerID]*siteChan{}
 	ex.mu.Unlock()
 	for _, sc := range sites {
-		<-sc.opened
-		if sc.err == nil {
-			ex.engine.Channels.Close(sc.ch)
-		}
+		ex.engine.Channels.Close(sc.ch)
 	}
 }
 
@@ -1599,7 +1585,6 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exec: bad subplan request: %w", err)
 	}
-	chanID := channel.ID(msg.From, req.Channel) // the root sent the request
 	sub, err := plan.Unmarshal(req.Plan)
 	if err != nil {
 		return nil, err
@@ -1617,13 +1602,17 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		return nil, aerr
 	}
 	defer e.Admission.Done()
+	// The request is the channel's open: accept it now that admission
+	// passed. The record lives for this handler only — the final packet
+	// ends the stream, and delivery is synchronous.
+	in := e.Channels.Accept(msg.From, req.Channel, req.SeqBase, req.Tenant) // the root sent the request
 	// Rebuild the root's trace context, if it shipped one: every span this
 	// peer opens hangs off a remote@<self> span that is serialized and
-	// shipped back on the channel, and the channel binding stamps the
-	// trace ids onto every upstream packet.
+	// shipped back on the channel, and the inbound record stamps the trace
+	// ids onto every upstream packet.
 	rsp := obs.RemoteSpan(req.TraceID, req.SpanID, string(e.Self))
 	if rsp != nil {
-		e.Channels.BindTrace(chanID, req.TraceID, req.SpanID)
+		in.BindTrace(req.TraceID, req.SpanID)
 	}
 	// Execute with this peer as root under its own options, but with
 	// data-shipping placement, so the shipped join runs here (terminating
@@ -1652,16 +1641,16 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	}
 	if err != nil {
 		if len(traceRec) > 0 {
-			if serr := e.Channels.SendToRoot(chanID, channel.TraceSpans, 0, traceRec); serr != nil {
+			if serr := in.Send(channel.Packet{Type: channel.TraceSpans, Payload: traceRec}); serr != nil {
 				return nil, serr
 			}
 		}
-		if serr := e.Channels.SendToRoot(chanID, channel.Failure, 0, []byte(err.Error())); serr != nil {
+		if serr := in.Send(channel.Packet{Type: channel.Failure, Payload: []byte(err.Error())}); serr != nil {
 			return nil, serr
 		}
 		return []byte("failed"), nil
 	}
-	if err := e.streamBatches(chanID, rows, req.ResumeFrom, traceRec); err != nil {
+	if err := e.streamBatches(in, rows, req.ResumeFrom, traceRec); err != nil {
 		return nil, err
 	}
 	return []byte("ok"), nil
@@ -1671,18 +1660,21 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 type wireFrame struct {
 	payload []byte // pooled; the sender returns it after the send
 	rows    int
+	last    bool
 }
 
 // streamBatches ships the answer upstream as length-prefixed binary batch
 // frames (BatchSize rows each, per-frame compacted term dictionary,
-// pooled encode buffers) followed by a Done marker. A positive resumeFrom
-// is the root's checkpoint: when it is a valid prefix of this evaluation
-// the stream starts after it (acked with a "resume-honored" plan-change
-// packet); otherwise the checkpoint is rejected ("checkpoint-invalid") and
-// the stream restarts from row 0 so the root discards its stale prefix.
-// At least one Results packet is always sent so the root learns the
-// schema. A non-empty traceRec (the serialized remote span subtree) rides
-// the Done marker.
+// pooled encode buffers). The last frame is the Final packet that ends
+// the stream: it carries the serving peer's statistics and a non-empty
+// traceRec (the serialized remote span subtree) as trailers, so on the
+// happy path neither costs a packet of its own. At least one Results
+// packet is always sent, so the root learns the schema and the stream
+// has a final packet. A positive resumeFrom is the root's checkpoint:
+// when it is a valid prefix of this evaluation the stream starts after
+// it (acked with a "resume-honored" plan-change packet); otherwise the
+// checkpoint is rejected ("checkpoint-invalid") and the stream restarts
+// from row 0 so the root discards its stale prefix.
 //
 // Encoding is pipelined with backpressure: a producer goroutine slices
 // and encodes ahead of the sender through a channel holding at most
@@ -1691,7 +1683,7 @@ type wireFrame struct {
 // result being materialized on the wire at once. The first send error
 // stops the producer via the abort channel; remaining frames are drained
 // back to the buffer pool.
-func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int, traceRec []byte) error {
+func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, resumeFrom int, traceRec []byte) error {
 	batch := e.BatchSize
 	if batch <= 0 {
 		batch = defaultBatchSize
@@ -1710,26 +1702,26 @@ func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int
 		if err != nil {
 			return fmt.Errorf("exec: marshal plan-change: %w", err)
 		}
-		if err := e.Channels.SendToRoot(channelID, channel.PlanChange, 0, payload); err != nil {
+		if err := in.Send(channel.Packet{Type: channel.PlanChange, Payload: payload}); err != nil {
 			return err
 		}
+	}
+	var statsBody []byte
+	if e.StatsProvider != nil {
+		statsBody = e.StatsProvider()
 	}
 	frames := make(chan wireFrame, streamWindow)
 	abort := make(chan struct{})
 	go func() {
 		defer close(frames)
 		sl := rql.NewSlicer(rows)
-		sent := false
-		for start := start0; !sent || start < rows.Len(); start += batch {
-			end := start + batch
-			if end > rows.Len() {
-				end = rows.Len()
-			}
+		for start, last := start0, false; !last; start += batch {
+			end := min(start+batch, rows.Len())
+			last = end >= rows.Len()
 			part := sl.Slice(start, end)
 			payload := rql.AppendBatch(rql.GetWireBuf(), part)
 			select {
-			case frames <- wireFrame{payload: payload, rows: part.Len()}:
-				sent = true
+			case frames <- wireFrame{payload: payload, rows: part.Len(), last: last}:
 			case <-abort:
 				rql.PutWireBuf(payload)
 				return
@@ -1739,7 +1731,11 @@ func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int
 	var sendErr error
 	for f := range frames {
 		if sendErr == nil {
-			sendErr = e.Channels.SendToRoot(channelID, channel.Results, f.rows, f.payload)
+			pkt := channel.Packet{Type: channel.Results, Rows: f.rows, Payload: f.payload}
+			if f.last {
+				pkt.Final, pkt.Stats, pkt.Spans = true, statsBody, traceRec
+			}
+			sendErr = in.Send(pkt)
 			if sendErr != nil {
 				// Stop the producer: the root's checkpoint is the contiguous
 				// prefix that made it, and a retry resumes from there.
@@ -1748,22 +1744,5 @@ func (e *Engine) streamBatches(channelID string, rows *rql.Batch, resumeFrom int
 		}
 		rql.PutWireBuf(f.payload)
 	}
-	if sendErr != nil {
-		return sendErr
-	}
-	if e.StatsProvider != nil {
-		if ps := e.StatsProvider(); ps != nil {
-			if payload, err := stats.MarshalPeerStats(ps); err == nil {
-				if err := e.Channels.SendToRoot(channelID, channel.Stats, 0, payload); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	// The span record rides the Done marker's otherwise-empty payload: on
-	// the happy path tracing adds zero extra packets (and zero extra
-	// per-message latency) — only bytes on a packet that was going to be
-	// sent anyway. The failure path, where no Done follows, ships it as a
-	// standalone TraceSpans packet instead.
-	return e.Channels.SendToRoot(channelID, channel.Done, 0, traceRec)
+	return sendErr
 }

@@ -307,9 +307,10 @@ func TestResultStreamingBatches(t *testing.T) {
 	if rows.Len() != 7 {
 		t.Fatalf("rows = %d", rows.Len())
 	}
-	// 7 rows in 2-row batches = 4 Results packets + 1 Stats + 1 Done.
-	if got := net.Counters().PerKind["chan.packet"]; got != 6 {
-		t.Errorf("chan.packet count = %d, want 6 (4 batches + stats + done)", got)
+	// 7 rows in 2-row batches = 4 Results packets; the last is final and
+	// carries the statistics.
+	if got := net.Counters().PerKind["chan.packet"]; got != 4 {
+		t.Errorf("chan.packet count = %d, want 4 (4 batches, the last final)", got)
 	}
 	// The piggybacked statistics refreshed P1's catalog entry for P2.
 	if p1.Catalog.Card("P2", gen.N1("prop1")) != 7 {

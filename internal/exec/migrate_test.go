@@ -136,9 +136,10 @@ func TestResumeRetryKeepsCheckpointedRows(t *testing.T) {
 	p1 := peers["P1"]
 	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 2
-	p1.Engine.BatchSize = 1
-	// Drop exactly one packet: P4's second result row. The retry resumes
-	// after row 1.
+	// P4 streams one row per frame (the serving peer's BatchSize sets its
+	// frames). Drop exactly one packet: P4's second result row. The retry
+	// resumes after row 1.
+	peers["P4"].Engine.BatchSize = 1
 	net.SetInjector(faults.NewScript(&faults.ScriptRule{
 		From: "P4", Kind: "chan.packet", After: 1, Count: 1,
 		Fault: network.Fault{Drop: true},

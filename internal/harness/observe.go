@@ -213,7 +213,7 @@ func runObserveScenario(seed int64, plane bool) observeRun {
 	peers := map[pattern.PeerID]*peer.Peer{}
 	for _, id := range ids {
 		p, err := peer.New(planeCfg(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: bases[id], Options: exec.Options{Parallelism: 1, DeadlineMS: 200}, Membership: mopts()}), net)
+			Base: bases[id], Options: exec.Options{Parallelism: 1, DeadlineMS: 200, BatchSize: 1}, Membership: mopts()}), net)
 		if err != nil {
 			panic(err)
 		}

@@ -160,12 +160,14 @@ func claimOverload() *Report {
 // holding a root lease for rootHoldMS, demands rootHoldMS/stepMS
 // concurrent slots — 2× the root's pool. Servers are sized so bronze
 // work (watermarked to one slot) gets squeezed while gold's full
-// allocation rides out the same load.
+// allocation rides out the same load. Both holds are set against the
+// simulated time a query and a subplan take (two messages per site), so
+// the measured factor stays about 4× and the calm passes stay calm.
 const (
 	rootMaxConcurrent = 6
-	rootHoldMS        = 7200.0
+	rootHoldMS        = 2400.0
 	serverConcurrent  = 3
-	serverHoldMS      = 150.0
+	serverHoldMS      = 80.0
 	burstEvery        = 12
 	// fairRatePerSec is the per-tenant bucket refill in the rate-bound
 	// fairness pass: low enough that the Zipf-hot tenant is capped while

@@ -39,7 +39,7 @@ func runRecoverControlled(mode string) recoverModeRun {
 	p1 := peers["P1"]
 	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 1
-	p1.Engine.BatchSize = 1
+	peers["P4"].Engine.BatchSize = 1 // the serving peer sets its frames
 	p1.Engine.DisableMigration = mode == "restart"
 	net.SetInjector(faults.NewScript(&faults.ScriptRule{
 		From: "P4", Kind: "chan.packet", After: 1,

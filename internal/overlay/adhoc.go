@@ -185,23 +185,23 @@ func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
 		if err != nil {
 			return nil, fmt.Errorf("overlay: %s: bad plan request: %w", p.ID, err)
 		}
-		chanID := channel.ID(msg.From, req.Channel) // the forwarding peer opened it
 		partial, err := plan.Unmarshal(req.Plan)
 		if err != nil {
 			return nil, err
 		}
+		// The request deploys the forwarding peer's channel here. It
+		// carries one request, so its packets are numbered from 1.
+		in := p.Channels.Accept(msg.From, req.Channel, 0, "")
 		rows, rerr := a.resolveAndRun(p, partial, req.Visited, req.TTL)
 		if rerr != nil {
-			if serr := p.Channels.SendToRoot(chanID, channel.Failure, 0, []byte(rerr.Error())); serr != nil {
+			if serr := in.Send(channel.Packet{Type: channel.Failure, Payload: []byte(rerr.Error())}); serr != nil {
 				return nil, serr
 			}
 			return []byte("failed"), nil
 		}
+		// One final Results packet: the rows and the end of the stream.
 		payload := rql.AppendBatch(nil, rql.BatchOf(rows))
-		if err := p.Channels.SendToRoot(chanID, channel.Results, rows.Len(), payload); err != nil {
-			return nil, err
-		}
-		if err := p.Channels.SendToRoot(chanID, channel.Done, 0, nil); err != nil {
+		if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: rows.Len(), Payload: payload}); err != nil {
 			return nil, err
 		}
 		return []byte("ok"), nil
@@ -348,15 +348,12 @@ func (a *Adhoc) forwardCandidates(p *peer.Peer, filled *plan.Plan, seen map[patt
 	return out
 }
 
-// forwardTo ships the partial plan to the candidate over a channel and
-// waits for its verdict (synchronous delivery resolves the whole chain
-// within the Send).
+// forwardTo ships the partial plan to the candidate over a channel the
+// request itself deploys, and waits for its verdict (synchronous delivery
+// resolves the whole chain within the Send).
 func (a *Adhoc) forwardTo(p *peer.Peer, cand pattern.PeerID, filled *plan.Plan, visited []pattern.PeerID, ttl int) (*rql.ResultSet, error) {
 	collector := &adhocCollector{}
-	ch, err := p.Channels.Open(cand, collector.onPacket)
-	if err != nil {
-		return nil, fmt.Errorf("overlay: channel to %s failed: %w", cand, err)
-	}
+	ch := p.Channels.Deploy(cand, "", 0, collector.onPacket)
 	defer p.Channels.Close(ch)
 	data, err := plan.Marshal(filled)
 	if err != nil {
@@ -402,10 +399,9 @@ func (c *adhocCollector) onPacket(pkt channel.Packet) {
 		} else {
 			c.rows = c.rows.Union(rs)
 		}
+		c.done = c.done || pkt.Final
 	case channel.Failure:
 		c.err = fmt.Errorf("overlay: remote failure: %s", pkt.Payload)
-	case channel.Done:
-		c.done = true
 	}
 }
 

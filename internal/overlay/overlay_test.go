@@ -492,3 +492,56 @@ func TestAdhocForwardSkipsDeadCandidate(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridFanoutTwoMessagesPerSite pins the folded channel protocol on
+// a 64-site hybrid fanout: the query costs its routing call and reply
+// plus, per site, one exec.subplan request and one chan.packet (each site
+// answers in a single frame), and no chan.open or chan.close message.
+func TestHybridFanoutTwoMessagesPerSite(t *testing.T) {
+	const sites = 64
+	syn := gen.NewSynthetic(2, false)
+	net := network.New()
+	h := overlay.NewHybrid(net, syn.Schema)
+	if _, err := h.AddSuperPeer("S0"); err != nil {
+		t.Fatal(err)
+	}
+	// A 32×32 grid of property groups × chain slices, as the benchmark's
+	// fanout: the 2-pattern query meets 2 rows × 32 columns = 64 sites,
+	// each holding one property of its chain slice. Peers off those rows
+	// hold nothing and stay out.
+	for id, base := range syn.Bases(32*32, 2*sites, gen.Mixed) {
+		if base.Len() == 0 {
+			continue
+		}
+		if _, err := h.AddSimplePeer(id, base, "S0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.AddSimplePeer("C0", rdf.NewBase(), "S0"); err != nil {
+		t.Fatal(err)
+	}
+	net.ResetCounters()
+	rows, err := h.Query("C0", syn.RQL(1, 2))
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if rows.Len() != 2*sites {
+		t.Fatalf("%d rows, want %d (every chain)", rows.Len(), 2*sites)
+	}
+	c := net.Counters()
+	if got := c.PerKind["exec.subplan"]; got != sites {
+		t.Errorf("exec.subplan messages = %d, want %d (one per site)", got, sites)
+	}
+	if got := c.PerKind["chan.packet"]; got != sites {
+		t.Errorf("chan.packet messages = %d, want %d (one final packet per site)", got, sites)
+	}
+	for _, kind := range []string{"chan.open", "chan.open.reply", "chan.close"} {
+		if got := c.PerKind[kind]; got != 0 {
+			t.Errorf("%s messages = %d, want 0", kind, got)
+		}
+	}
+	if want := 2*sites + 2; c.Messages != want {
+		t.Errorf("query cost %d messages, want %d (2 per site + the routing call and reply): %v",
+			c.Messages, want, c.PerKind)
+	}
+}

@@ -3,6 +3,7 @@ package peer_test
 import (
 	"testing"
 
+	"sqpeer/internal/channel"
 	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/membership"
@@ -156,12 +157,10 @@ func TestGossipRidesChannelTraffic(t *testing.T) {
 	// Seed a death verdict at the destination; it must reach the root on
 	// the result packets of an ordinary exchange.
 	dest.Membership.Merge([]membership.Entry{{Peer: "ghost", Status: membership.StatusDead, Incarnation: 5}})
-	ch, err := root.Channels.Open("P2", nil)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := dest.Channels.SendToRoot(ch.ID, 0, 1, []byte(`{}`)); err != nil {
-		t.Fatalf("SendToRoot: %v", err)
+	ch := root.Channels.Deploy("P2", "", 0, nil)
+	in := dest.Channels.Accept(ch.Root, ch.Num, ch.Watermark(), "")
+	if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: 1, Payload: []byte(`{}`)}); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 	if st, ok := root.Membership.StatusOf("ghost"); !ok || st != membership.StatusDead {
 		t.Fatalf("gossip did not ride the packet: %v %v", st, ok)

@@ -201,6 +201,11 @@ type Peer struct {
 	// (copy-on-write), so handing the same pointer out repeatedly is safe.
 	statsCache *stats.PeerStats
 	statsGen   uint64
+	// statsBody is statsBodyOf's encoded form, memoized by the same
+	// generation (through the memoized pointer) for the Stats trailer
+	// the engine sends on every answered subplan.
+	statsBody   []byte
+	statsBodyOf *stats.PeerStats
 }
 
 // New builds and wires a peer into the network.
@@ -244,7 +249,7 @@ func New(cfg Config, net *network.Network) (*Peer, error) {
 	p.Engine.Options = cfg.Options
 	p.Engine.Cost = optimizer.NewCostModel(p.Catalog)
 	p.Engine.Router = p.Router
-	p.Engine.StatsProvider = p.selfStats
+	p.Engine.StatsProvider = p.selfStatsBody
 	p.Engine.StatsSink = p.Catalog.PutPeer
 	p.Channels.DeadlineMS = cfg.DeadlineMS
 	if cfg.Quarantine {
@@ -378,8 +383,8 @@ func (ls localSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.T
 // selfStats collects the peer's own statistics, memoized against the
 // base's mutation generation. The engine piggybacks these on every
 // answered subplan (paper §2.4), so without the cache a full base scan
-// ran per dispatched Stats packet — on large bases that recomputation,
-// not row movement, dominated distributed execution time.
+// ran per answered subplan — on large bases that recomputation, not row
+// movement, dominated distributed execution time.
 func (p *Peer) selfStats() *stats.PeerStats {
 	gen := p.Base.Gen()
 	p.mu.Lock()
@@ -394,6 +399,28 @@ func (p *Peer) selfStats() *stats.PeerStats {
 	p.statsCache, p.statsGen = ps, gen
 	p.mu.Unlock()
 	return ps
+}
+
+// selfStatsBody is selfStats encoded (stats.MarshalPeerStats), memoized
+// for as long as selfStats hands back the same statistics: every
+// subplan answered at one base generation appends the same bytes. Nil
+// if the statistics cannot be encoded.
+func (p *Peer) selfStatsBody() []byte {
+	ps := p.selfStats()
+	p.mu.Lock()
+	body, of := p.statsBody, p.statsBodyOf
+	p.mu.Unlock()
+	if of == ps {
+		return body
+	}
+	body, err := stats.MarshalPeerStats(ps)
+	if err != nil {
+		return nil
+	}
+	p.mu.Lock()
+	p.statsBody, p.statsBodyOf = body, ps
+	p.mu.Unlock()
+	return body
 }
 
 // Advertisement returns the peer's current advertisement (active-schema

@@ -309,3 +309,57 @@ func TestAdvertisementStatsCarryLoad(t *testing.T) {
 		t.Errorf("advertised card = %d", adv.Stats.Card(gen.N1("prop1")))
 	}
 }
+
+// TestStatsTrailerEncodedOncePerGeneration: the statistics a serving
+// peer piggybacks on every answered subplan are encoded once per base
+// generation. The subplans P4 answers for one query share one encoded
+// body; a base update re-encodes it, and the root's catalog learns the
+// new figures from the next answer.
+func TestStatsTrailerEncodedOncePerGeneration(t *testing.T) {
+	net := network.New()
+	bases := gen.PaperBases(3)
+	var peers []*peer.Peer
+	for _, id := range []pattern.PeerID{"P1", "P2", "P3", "P4"} {
+		peers = append(peers, newPeer(t, net, id, bases[id], peer.SimplePeer))
+	}
+	for _, a := range peers {
+		for _, b := range peers {
+			if a != b {
+				a.Learn(b.Advertisement())
+			}
+		}
+	}
+	p1, p4 := peers[0], peers[3]
+	var bodies [][]byte
+	provide := p4.Engine.StatsProvider
+	p4.Engine.StatsProvider = func() []byte {
+		b := provide()
+		bodies = append(bodies, b)
+		return b
+	}
+	ask := func() [][]byte {
+		bodies = nil
+		if _, err := p1.Ask(gen.PaperRQL); err != nil {
+			t.Fatalf("Ask: %v", err)
+		}
+		if len(bodies) < 2 {
+			t.Fatalf("P4 answered %d subplans, want several", len(bodies))
+		}
+		for _, b := range bodies[1:] {
+			if &b[0] != &bodies[0][0] {
+				t.Fatal("P4 re-encoded its statistics between subplans at one base generation")
+			}
+		}
+		return bodies
+	}
+	before := ask()[0]
+	card := p1.Catalog.Card("P4", gen.N1("prop1"))
+	p4.Base.Add(rdf.Statement("http://d/P4#extra", gen.N1("prop1"), "http://ics.forth.gr/data/shared#y0"))
+	after := ask()[0]
+	if &after[0] == &before[0] {
+		t.Fatal("a base update did not re-encode the statistics")
+	}
+	if got := p1.Catalog.Card("P4", gen.N1("prop1")); got != card+1 {
+		t.Errorf("root catalog prop1 card for P4 = %d after the update, want %d", got, card+1)
+	}
+}

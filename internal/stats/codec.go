@@ -9,10 +9,10 @@ import (
 	"sqpeer/internal/wire"
 )
 
-// Binary statistics payload (DESIGN §12, "Wire format"): the body of the
-// Stats packet a serving peer sends after every answered subplan. It is
-// a wire.Encode body, so the property IRIs the three maps share are
-// written once, in the body's sorted string table:
+// Binary statistics payload (DESIGN §12, "Wire format"): the Stats
+// trailer of the final packet a serving peer sends for every answered
+// subplan. It is a wire.Encode body, so the property IRIs the three maps
+// share are written once, in the body's sorted string table:
 //
 //	format, table, peer,
 //	  property cards, distinct subjects, distinct objects (each: n, n × (IRI key, count)),
@@ -24,7 +24,7 @@ import (
 
 const statsFormat byte = 1
 
-// MarshalPeerStats encodes ps as a Stats packet payload.
+// MarshalPeerStats encodes ps as a Stats trailer body.
 func MarshalPeerStats(ps *PeerStats) ([]byte, error) {
 	if ps == nil {
 		return nil, fmt.Errorf("stats: cannot marshal nil peer stats")

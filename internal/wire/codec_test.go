@@ -29,7 +29,7 @@ type bodies struct {
 // realBodies runs the paper query over a traced four-peer system that
 // routes through a super-peer and returns what crossed the wire: the
 // plans inside exec.subplan requests, the query.route request and its
-// reply, and the Stats payloads of chan.packet.
+// reply, and the Stats trailers of final chan.packet bodies.
 func realBodies(t testing.TB) bodies {
 	schema := gen.PaperSchema()
 	bases := gen.PaperBases(2)
@@ -53,8 +53,8 @@ func realBodies(t testing.TB) bodies {
 			if err != nil {
 				t.Fatalf("packet: %v", err)
 			}
-			if p.Type == channel.Stats {
-				out.stats = append(out.stats, bytes.Clone(p.Payload))
+			if len(p.Stats) > 0 {
+				out.stats = append(out.stats, bytes.Clone(p.Stats))
 			}
 		}
 	}))
