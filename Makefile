@@ -13,10 +13,10 @@ test:
 	$(GO) test ./...
 
 # Static analysis: the toolchain's standard passes (go vet: copylocks,
-# printf, ...) plus the eleven SQPeer invariant analyzers — seven
+# printf, ...) plus the ten SQPeer invariant analyzers — seven
 # intraprocedural (walltime, seededrand, maporder, errclass, locksafe,
-# obsspan, jsonrow) and four interprocedural (lockorder, bufsafe,
-# deadlinebound, goroleak) — see DESIGN.md §9. Zero un-allowlisted
+# obsspan, jsonrow) and three interprocedural (lockorder, deadlinebound,
+# goroleak) — see DESIGN.md §9. Zero un-allowlisted
 # diagnostics is a merge gate. The per-analyzer cost report lands in
 # lint-report.txt.
 lint:

@@ -1,4 +1,4 @@
-// Command sqpeer-lint is the repo's static-analysis gate: eleven
+// Command sqpeer-lint is the repo's static-analysis gate: ten
 // SQPeer-specific analyzers enforcing the determinism, logical-clock,
 // failure-domain, concurrency and observability invariants of DESIGN.md
 // §9 over the packages matched by its arguments (default ./...).
@@ -17,8 +17,6 @@
 // internal/lint/summary):
 //
 //	lockorder      mutex acquisition-order graph must be acyclic
-//	bufsafe        pooled wire-buffer lifecycle (double-put, use-after-put,
-//	               put-of-escaped)
 //	deadlinebound  RPC paths must carry deadlines (CallWithin/SendWithin)
 //	goroleak       every spawned goroutine needs a bounded exit
 //
@@ -39,7 +37,6 @@ import (
 	"strings"
 
 	"sqpeer/internal/lint/analysis"
-	"sqpeer/internal/lint/analyzers/bufsafe"
 	"sqpeer/internal/lint/analyzers/deadlinebound"
 	"sqpeer/internal/lint/analyzers/errclass"
 	"sqpeer/internal/lint/analyzers/goroleak"
@@ -64,7 +61,6 @@ var analyzers = []*analysis.Analyzer{
 	obsspan.Analyzer,
 	jsonrow.Analyzer,
 	lockorder.Analyzer,
-	bufsafe.Analyzer,
 	deadlinebound.Analyzer,
 	goroleak.Analyzer,
 }
@@ -82,7 +78,6 @@ var scope = map[string]func(string) bool{
 	"obsspan":       isInternal,
 	"jsonrow":       isQueryPath,
 	"lockorder":     isInternal,
-	"bufsafe":       isInternal,
 	"goroleak":      isInternal,
 	"deadlinebound": isDeadlineScope,
 }

@@ -16,7 +16,6 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		"obsspan",
 		"jsonrow",
 		"lockorder",
-		"bufsafe",
 		"deadlinebound",
 		"goroleak",
 	}
@@ -37,13 +36,12 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 	}
 }
 
-// TestInterproceduralTierMarked ensures the four summary-backed
+// TestInterproceduralTierMarked ensures the three summary-backed
 // analyzers request the index (and only they do): a missing flag means
 // a pass with a nil Summaries and a silently inert analyzer.
 func TestInterproceduralTierMarked(t *testing.T) {
 	needs := map[string]bool{
 		"lockorder":     true,
-		"bufsafe":       true,
 		"deadlinebound": true,
 		"goroleak":      true,
 	}
@@ -64,7 +62,6 @@ func TestScopeFunctions(t *testing.T) {
 		{"lockorder", "sqpeer/internal/exec", true},
 		{"lockorder", "sqpeer/internal/lint/summary", false},
 		{"lockorder", "sqpeer/cmd/sqpeer-lint", false},
-		{"bufsafe", "sqpeer/internal/rql", true},
 		{"goroleak", "sqpeer/internal/network", true},
 		{"deadlinebound", "sqpeer/internal/network", false},
 		{"deadlinebound", "sqpeer/internal/exec", true},

@@ -73,6 +73,16 @@ type PlanChangeInfo struct {
 	Subplan []byte `json:"subplan,omitempty"`
 }
 
+// Frame is a payload that writes itself into a packet body: a sender
+// sets Packet.Frame instead of Payload, and the body is sized from
+// WireLen and the frame appended after the header (AppendPacket), so
+// the frame is written once, into the body the wire carries.
+// *rql.Batch implements it.
+type Frame interface {
+	WireLen() int
+	AppendWire(dst []byte) []byte
+}
+
 // Packet is one unit of channel traffic. Its wire form is a fixed header
 // plus the raw payload (AppendPacket/DecodePacket).
 //
@@ -100,6 +110,10 @@ type Packet struct {
 	// failure text for Failure packets, and a JSON document for the other
 	// control packets.
 	Payload []byte
+	// Frame, when set on the send side, is the payload in place of
+	// Payload: the packet body is built around it in one exact-size
+	// allocation. A delivered packet carries its payload in Payload.
+	Frame Frame
 	// Stats is the serving peer's statistics (a stats.MarshalPeerStats
 	// body) riding the final packet: paper §2.4's "statistics useful for
 	// query optimization", at no extra message.
@@ -126,6 +140,15 @@ type Packet struct {
 	// the wire: the executor prices the reply leg with exactly what the
 	// network charged.
 	WireBytes int
+}
+
+// payloadLen is the size of p's payload on the wire: its Frame's, if it
+// has one.
+func (p *Packet) payloadLen() int {
+	if p.Frame != nil {
+		return p.Frame.WireLen()
+	}
+	return len(p.Payload)
 }
 
 // seenWindow bounds the out-of-order acceptance window: packets this far
@@ -449,9 +472,8 @@ func (in *Inbound) BindTrace(traceID, spanID string) {
 // sequence number, trace context and gossip are stamped here; the
 // sequence number is assigned before the wire, so a duplicated delivery
 // carries the same Seq and the root can suppress it (at-least-once
-// transport, exactly-once packets). The send is synchronous — the
-// simulated transport delivers before returning — so a pooled payload
-// buffer may be recycled as soon as this returns.
+// transport, exactly-once packets). The body is built here, outside the
+// manager's lock, with p's Frame (if any) encoded straight into it.
 func (in *Inbound) Send(p Packet) error {
 	m := in.m
 	in.seq++
@@ -460,14 +482,16 @@ func (in *Inbound) Send(p Packet) error {
 	if m.GossipSource != nil {
 		p.Gossip = m.GossipSource()
 	}
+	payloadLen := p.payloadLen()
+	body := appendPacket(nil, &p, payloadLen)
 	m.mu.Lock()
 	m.stats.PacketsSent++
-	m.stats.PayloadBytesSent += len(p.Payload)
+	m.stats.PayloadBytesSent += payloadLen
 	if p.Gossip != nil {
 		m.stats.GossipPiggybacked++
 	}
 	m.mu.Unlock()
-	if err := m.net.SendWithin(m.self, in.root, "chan.packet", AppendPacket(nil, &p), m.DeadlineMS); err != nil {
+	if err := m.net.SendWithin(m.self, in.root, "chan.packet", body, m.DeadlineMS); err != nil {
 		return fmt.Errorf("channel: send to root %s: %w", in.root, err)
 	}
 	return nil

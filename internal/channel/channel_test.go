@@ -8,6 +8,7 @@ import (
 	"sqpeer/internal/channel"
 	"sqpeer/internal/network"
 	"sqpeer/internal/pattern"
+	"sqpeer/internal/rql"
 )
 
 func managers(t testing.TB, net *network.Network, ids ...pattern.PeerID) map[pattern.PeerID]*channel.Manager {
@@ -214,13 +215,22 @@ func TestPacketsCountedOnNetwork(t *testing.T) {
 	ms := managers(t, net, "P1", "P2")
 	ch := ms["P1"].Deploy("P2", "", 0, nil)
 	net.ResetCounters()
-	_ = accept(ms["P2"], ch).Send(channel.Packet{Type: channel.Results, Rows: 10, Payload: make([]byte, 500)})
+	in := accept(ms["P2"], ch)
+	_ = in.Send(channel.Packet{Type: channel.Results, Rows: 10, Payload: make([]byte, 500)})
 	c := net.Counters()
 	if c.PerKind["chan.packet"] != 1 {
 		t.Errorf("PerKind = %v", c.PerKind)
 	}
 	if c.Bytes < 500 {
 		t.Errorf("Bytes = %d, payload not accounted", c.Bytes)
+	}
+	// A Frame counts as payload at its encoded size.
+	frame := testBatch()
+	if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: frame.Len(), Frame: frame}); err != nil {
+		t.Fatalf("send frame: %v", err)
+	}
+	if got, want := ms["P2"].Stats().PayloadBytesSent, 500+len(rql.AppendBatch(nil, frame)); got != want {
+		t.Errorf("PayloadBytesSent = %d, want %d", got, want)
 	}
 }
 

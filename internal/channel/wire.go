@@ -44,11 +44,19 @@ func ID(root pattern.PeerID, num uint32) string {
 }
 
 // AppendPacket appends p's chan.packet body to dst, growing dst once to
-// the exact size. WireBytes is not on the wire, and neither are Stats
+// the exact size. A Frame is the payload: the body is sized from its
+// WireLen and the frame appended straight after the header, so its bytes
+// are written once. WireBytes is not on the wire, and neither are Stats
 // and Spans unless p is Final.
 func AppendPacket(dst []byte, p *Packet) []byte {
+	return appendPacket(dst, p, p.payloadLen())
+}
+
+// appendPacket is AppendPacket with the payload size already known
+// (Inbound.Send also counts it), so a frame is sized once per send.
+func appendPacket(dst []byte, p *Packet, payloadLen int) []byte {
 	n := 1 + 1 + wire.UvarintLen(p.Seq) + wire.UvarintLen(p.Rows) + 4 +
-		wire.StrLen(len(p.TraceID)) + wire.StrLen(len(p.SpanID)) + wire.StrLen(len(p.Gossip)) + len(p.Payload)
+		wire.StrLen(len(p.TraceID)) + wire.StrLen(len(p.SpanID)) + wire.StrLen(len(p.Gossip)) + payloadLen
 	typ := byte(p.Type) &^ finalFlag
 	if p.Final {
 		typ |= finalFlag
@@ -65,6 +73,9 @@ func AppendPacket(dst []byte, p *Packet) []byte {
 	if p.Final {
 		dst = wire.AppendStr(dst, p.Stats)
 		dst = wire.AppendStr(dst, p.Spans)
+	}
+	if p.Frame != nil {
+		return p.Frame.AppendWire(dst)
 	}
 	return append(dst, p.Payload...)
 }

@@ -13,6 +13,8 @@ import (
 	"sqpeer/internal/obs"
 	"sqpeer/internal/pattern"
 	"sqpeer/internal/peer"
+	"sqpeer/internal/rdf"
+	"sqpeer/internal/rql"
 )
 
 // TestPacketHeaderWidthIndependentOfChannelNumber: the channel number is
@@ -42,6 +44,19 @@ func TestEnvelopesRoundTrip(t *testing.T) {
 		got, err := channel.DecodePacket(channel.AppendPacket(nil, &p))
 		if err != nil || !reflect.DeepEqual(got, p) {
 			t.Errorf("packet round trip = %+v, %v; want %+v", got, err, p)
+		}
+	}
+	// A Frame is written straight into the body: the bytes equal the same
+	// packet carrying the encoded frame as its Payload, final or not.
+	frame := testBatch()
+	for _, final := range []bool{false, true} {
+		p := channel.Packet{Channel: 3, Type: channel.Results, Final: final, Seq: 2, Rows: frame.Len(),
+			Stats: []byte("st"), Spans: []byte("sp"), TraceID: "T", SpanID: "/s", Gossip: []byte("g")}
+		withPayload := p
+		withPayload.Payload = rql.AppendBatch(nil, frame)
+		p.Frame = frame
+		if got, want := channel.AppendPacket(nil, &p), channel.AppendPacket(nil, &withPayload); !bytes.Equal(got, want) {
+			t.Errorf("final %v: Frame packet encodes as %x, Payload packet as %x", final, got, want)
 		}
 	}
 	// Trailers travel only on a final packet.
@@ -83,6 +98,14 @@ func TestEnvelopeRejectsShortAndCorruptHeaders(t *testing.T) {
 			t.Errorf("corrupt packet %d accepted: err = %v", i, err)
 		}
 	}
+}
+
+// testBatch is a two-row Results frame with an unbound cell.
+func testBatch() *rql.Batch {
+	rs := rql.NewResultSet("X", "Y")
+	rs.Add(rql.Row{"X": rdf.NewIRI("http://example.org/a"), "Y": rdf.NewLiteral("b")})
+	rs.Add(rql.Row{"X": rdf.NewIRI("http://example.org/c")})
+	return rql.BatchOf(rs)
 }
 
 // badPackets are chan.packet bodies every decoder must refuse.

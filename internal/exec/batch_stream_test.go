@@ -168,15 +168,15 @@ func TestNonBatchResultsPacketFails(t *testing.T) {
 	}
 }
 
-// TestBackpressureWindowBoundsStream sanity-checks the windowed streamer
-// on a result far larger than its four-frame window: one frame per row,
-// and the answer still arrives complete and exactly once.
-func TestBackpressureWindowBoundsStream(t *testing.T) {
+// TestOneFramePerRowStream streams every serving peer's answer one row
+// per frame, each frame encoded into its packet body as it is sent, and
+// checks the answer still arrives complete and exactly once.
+func TestOneFramePerRowStream(t *testing.T) {
 	peers, _ := paperSystem(t, 8)
 	p1 := peers["P1"]
 	p1.Engine.Parallelism = 1
 	for _, p := range peers {
-		p.Engine.BatchSize = 1 // one frame per row: stream length >> window
+		p.Engine.BatchSize = 1 // one frame per row
 	}
 	pr, err := p1.PlanQuery(gen.PaperQuery())
 	if err != nil {
@@ -188,9 +188,9 @@ func TestBackpressureWindowBoundsStream(t *testing.T) {
 	}
 	want := groundTruth(t, peers, gen.PaperRQL)
 	if !sameRows(rows, want) {
-		t.Fatalf("windowed stream diverged:\n got %v\nwant %v", rows.Sorted(), want.Sorted())
+		t.Fatalf("one-frame-per-row stream diverged:\n got %v\nwant %v", rows.Sorted(), want.Sorted())
 	}
 	if m := p1.Engine.Metrics(); m.Retries != 0 || m.Replans != 0 {
-		t.Errorf("fault-free windowed run should not retry or replan: %+v", m)
+		t.Errorf("fault-free one-frame-per-row run should not retry or replan: %+v", m)
 	}
 }

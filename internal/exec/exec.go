@@ -140,10 +140,6 @@ const (
 	retryBackoffMS = 10
 	// defaultBatchSize is the Results frame size when BatchSize is 0.
 	defaultBatchSize = 256
-	// streamWindow bounds the encoded-but-unsent frames when streaming
-	// batches upstream: the encoder blocks once this many wait, so a slow
-	// channel applies backpressure instead of buffering the whole result.
-	streamWindow = 4
 )
 
 // Engine executes distributed plans at one peer. The same engine serves
@@ -1656,33 +1652,25 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
-// wireFrame is one encoded Results frame awaiting its send slot.
-type wireFrame struct {
-	payload []byte // pooled; the sender returns it after the send
-	rows    int
-	last    bool
-}
-
 // streamBatches ships the answer upstream as length-prefixed binary batch
-// frames (BatchSize rows each, per-frame compacted term dictionary,
-// pooled encode buffers). The last frame is the Final packet that ends
-// the stream: it carries the serving peer's statistics and a non-empty
-// traceRec (the serialized remote span subtree) as trailers, so on the
-// happy path neither costs a packet of its own. At least one Results
-// packet is always sent, so the root learns the schema and the stream
-// has a final packet. A positive resumeFrom is the root's checkpoint:
-// when it is a valid prefix of this evaluation the stream starts after
-// it (acked with a "resume-honored" plan-change packet); otherwise the
-// checkpoint is rejected ("checkpoint-invalid") and the stream restarts
-// from row 0 so the root discards its stale prefix.
+// frames (BatchSize rows each, per-frame compacted term dictionary). The
+// last frame is the Final packet that ends the stream: it carries the
+// serving peer's statistics and a non-empty traceRec (the serialized
+// remote span subtree) as trailers, so on the happy path neither costs a
+// packet of its own. At least one Results packet is always sent, so the
+// root learns the schema and the stream has a final packet. A positive
+// resumeFrom is the root's checkpoint: when it is a valid prefix of this
+// evaluation the stream starts after it (acked with a "resume-honored"
+// plan-change packet); otherwise the checkpoint is rejected
+// ("checkpoint-invalid") and the stream restarts from row 0 so the root
+// discards its stale prefix.
 //
-// Encoding is pipelined with backpressure: a producer goroutine slices
-// and encodes ahead of the sender through a channel holding at most
-// streamWindow frames, so a slow (or high-latency) channel bounds how
-// much encoded-but-unsent data exists at any moment instead of the whole
-// result being materialized on the wire at once. The first send error
-// stops the producer via the abort channel; remaining frames are drained
-// back to the buffer pool.
+// Each frame is sliced, then encoded straight into its packet body by
+// the send (channel.Packet.Frame), before the next is cut: at most one
+// encoded-but-unsent frame exists, and a slow channel holds back the
+// slicing itself. The first send error ends the stream: the root's
+// checkpoint is the contiguous prefix that made it, and a retry resumes
+// from there.
 func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, resumeFrom int, traceRec []byte) error {
 	batch := e.BatchSize
 	if batch <= 0 {
@@ -1710,39 +1698,18 @@ func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, resumeFrom 
 	if e.StatsProvider != nil {
 		statsBody = e.StatsProvider()
 	}
-	frames := make(chan wireFrame, streamWindow)
-	abort := make(chan struct{})
-	go func() {
-		defer close(frames)
-		sl := rql.NewSlicer(rows)
-		for start, last := start0, false; !last; start += batch {
-			end := min(start+batch, rows.Len())
-			last = end >= rows.Len()
-			part := sl.Slice(start, end)
-			payload := rql.AppendBatch(rql.GetWireBuf(), part)
-			select {
-			case frames <- wireFrame{payload: payload, rows: part.Len(), last: last}:
-			case <-abort:
-				rql.PutWireBuf(payload)
-				return
-			}
+	sl := rql.NewSlicer(rows)
+	for start, last := start0, false; !last; start += batch {
+		end := min(start+batch, rows.Len())
+		last = end >= rows.Len()
+		part := sl.Slice(start, end)
+		pkt := channel.Packet{Type: channel.Results, Rows: part.Len(), Frame: part}
+		if last {
+			pkt.Final, pkt.Stats, pkt.Spans = true, statsBody, traceRec
 		}
-	}()
-	var sendErr error
-	for f := range frames {
-		if sendErr == nil {
-			pkt := channel.Packet{Type: channel.Results, Rows: f.rows, Payload: f.payload}
-			if f.last {
-				pkt.Final, pkt.Stats, pkt.Spans = true, statsBody, traceRec
-			}
-			sendErr = in.Send(pkt)
-			if sendErr != nil {
-				// Stop the producer: the root's checkpoint is the contiguous
-				// prefix that made it, and a retry resumes from there.
-				close(abort)
-			}
+		if err := in.Send(pkt); err != nil {
+			return err
 		}
-		rql.PutWireBuf(f.payload)
 	}
-	return sendErr
+	return nil
 }

@@ -1,12 +1,12 @@
 // Package callgraph builds the package-level call graph the
 // interprocedural lint tier (internal/lint/summary and the lockorder/
-// bufsafe/deadlinebound/goroleak analyzers) is computed over. A Graph
+// deadlinebound/goroleak analyzers) is computed over. A Graph
 // covers one type-checked package: one node per declared function or
 // method, each carrying its resolved static call sites. Calls through
 // plain function values (fields, parameters, locals) have no static
-// callee and appear as dynamic sites; the summary layer models the two
-// shapes it needs (callbacks that are spawned or that put buffers)
-// through parameter effects instead of chasing values.
+// callee and appear as dynamic sites; the summary layer models the one
+// shape it needs (callbacks that are spawned) through parameter effects
+// instead of chasing values.
 //
 // Nodes are keyed by the stable full name of their *types.Func (e.g.
 // "sqpeer/internal/exec.(*Engine).run"), which is also the key format of

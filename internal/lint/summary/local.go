@@ -18,16 +18,12 @@ import (
 
 // localFacts are the directly observed effects of one function body.
 type localFacts struct {
-	acquires      []string   // lock IDs acquired outside function literals
-	lockEdges     []LockEdge // direct held→acquired edges (literals included)
-	netOps        []NetOp    // direct unbounded network.Call/Send sites
-	calls         []callFact // static call sites with context
-	runsForever   bool
-	spawnsParams  []int
-	putsParams    []int // always empty locally; filled via PutWireBuf propagation
-	escapesParams []int
-	returnsParams []int
-	returnsCalls  []string // callee keys of `return f(...)` results
+	acquires     []string   // lock IDs acquired outside function literals
+	lockEdges    []LockEdge // direct held→acquired edges (literals included)
+	netOps       []NetOp    // direct unbounded network.Call/Send sites
+	calls        []callFact // static call sites with context
+	runsForever  bool
+	spawnsParams []int
 }
 
 // callFact is one static call site with the context propagation needs.
@@ -50,7 +46,7 @@ type paramArg struct {
 type walker struct {
 	pkg    *callgraph.SourcePkg
 	lf     *localFacts
-	params map[types.Object]int // tracked ([]byte or func-typed) parameters
+	params map[types.Object]int // tracked (func-typed) parameters
 	inLit  bool
 }
 
@@ -64,7 +60,7 @@ func collectLocal(pkg *callgraph.SourcePkg, node *callgraph.Func) *localFacts {
 	sig := node.Obj.Type().(*types.Signature)
 	for i := 0; i < sig.Params().Len(); i++ {
 		p := sig.Params().At(i)
-		if isByteSlice(p.Type()) || isFuncType(p.Type()) {
+		if isFuncType(p.Type()) {
 			w.params[p] = i
 		}
 	}
@@ -96,32 +92,12 @@ func (w *walker) scanStmts(stmts []ast.Stmt, held map[string]bool) {
 			w.scanExpr(s.Call, map[string]bool{})
 		case *ast.GoStmt:
 			w.scanSpawn(s)
-		case *ast.SendStmt:
-			w.scanExpr(s.Chan, held)
-			w.markParamEscapes(s.Value)
-			w.scanExpr(s.Value, held)
 		case *ast.AssignStmt:
-			for i, r := range s.Rhs {
-				if len(s.Lhs) == len(s.Rhs) && !isLocalIdent(w.pkg.Info, s.Lhs[i]) {
-					w.markParamEscapes(r)
-				}
+			for _, r := range s.Rhs {
 				w.scanExpr(r, held)
 			}
 			for _, l := range s.Lhs {
 				w.scanExpr(l, held)
-			}
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				r = ast.Unparen(r)
-				if idx, ok := w.paramIndex(r); ok {
-					w.lf.returnsParams = appendIntOnce(w.lf.returnsParams, idx)
-				}
-				if call, ok := r.(*ast.CallExpr); ok {
-					if callee := callgraph.CalleeOf(w.pkg.Info, call); callee != nil {
-						w.lf.returnsCalls = append(w.lf.returnsCalls, callgraph.FuncKey(callee))
-					}
-				}
-				w.scanExpr(r, held)
 			}
 		case *ast.IfStmt:
 			if s.Init != nil {
@@ -171,11 +147,6 @@ func (w *walker) scanStmts(stmts []ast.Stmt, held map[string]bool) {
 		case *ast.SelectStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
-					if comm, ok := cc.Comm.(*ast.SendStmt); ok {
-						// A send case transfers ownership just like a
-						// statement-level send.
-						w.markParamEscapes(comm.Value)
-					}
 					if cc.Comm != nil {
 						w.scanStmts([]ast.Stmt{cc.Comm}, clone(held))
 					}
@@ -214,8 +185,6 @@ func (w *walker) scanSpawn(s *ast.GoStmt) {
 		w.scanExpr(fun, map[string]bool{})
 	}
 	for _, a := range s.Call.Args {
-		// The goroutine owns what it is handed.
-		w.markParamEscapes(a)
 		w.scanExpr(a, map[string]bool{})
 	}
 }
@@ -230,8 +199,8 @@ func (w *walker) scanLit(lit *ast.FuncLit) {
 	w.inLit = saved
 }
 
-// scanExpr records the calls, lock events and escapes inside one
-// expression evaluated with the given held set.
+// scanExpr records the calls and lock events inside one expression
+// evaluated with the given held set.
 func (w *walker) scanExpr(expr ast.Expr, held map[string]bool) {
 	if expr == nil {
 		return
@@ -241,12 +210,6 @@ func (w *walker) scanExpr(expr ast.Expr, held map[string]bool) {
 		case *ast.FuncLit:
 			w.scanLit(e)
 			return false
-		case *ast.CompositeLit:
-			// A parameter folded into a composite value escapes the
-			// scalar dataflow this walk tracks; be conservative.
-			for _, el := range e.Elts {
-				w.markParamEscapes(el)
-			}
 		case *ast.CallExpr:
 			if id, op, ok := w.lockOp(e); ok {
 				// A lock op in expression position (rare) is applied to a
@@ -378,22 +341,6 @@ func unboundedNetOp(pkg *callgraph.SourcePkg, callee *types.Func) (string, bool)
 	return name, true
 }
 
-// markParamEscapes records tracked parameters referenced anywhere in
-// expr as escaping.
-func (w *walker) markParamEscapes(expr ast.Expr) {
-	if expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if idx, ok := w.paramIndex(id); ok {
-				w.lf.escapesParams = appendIntOnce(w.lf.escapesParams, idx)
-			}
-		}
-		return true
-	})
-}
-
 // paramIndex resolves an expression to a tracked parameter's index.
 func (w *walker) paramIndex(e ast.Expr) (int, bool) {
 	id, ok := ast.Unparen(e).(*ast.Ident)
@@ -477,32 +424,6 @@ func loopHasExit(loop *ast.ForStmt) bool {
 		walk(st, true)
 	}
 	return exit
-}
-
-// isLocalIdent reports whether e is a plain identifier bound to a local
-// variable (assignments to those do not constitute escapes).
-func isLocalIdent(info *types.Info, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if id.Name == "_" {
-		return true
-	}
-	if info.Defs[id] != nil {
-		return true
-	}
-	v, ok := info.Uses[id].(*types.Var)
-	return ok && v.Pkg() != nil && v.Parent() != v.Pkg().Scope() && !v.IsField()
-}
-
-func isByteSlice(t types.Type) bool {
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
 }
 
 func isFuncType(t types.Type) bool {

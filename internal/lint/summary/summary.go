@@ -1,6 +1,6 @@
 // Package summary is the interprocedural tier of sqpeer-lint: per-
 // function summaries of the concurrency- and lifecycle-relevant effects
-// the four interprocedural analyzers (lockorder, bufsafe, deadlinebound,
+// the three interprocedural analyzers (lockorder, deadlinebound,
 // goroleak) reason about, propagated to a fixed point across the
 // package-level call graph (internal/lint/callgraph).
 //
@@ -17,10 +17,7 @@
 //   - SpawnsParams — func-typed parameters the function launches as
 //     goroutines (directly or by forwarding to a spawning callee), so
 //     helpers spawned through callbacks are checked at the call site
-//     that supplies the concrete function;
-//   - PutsParams / EscapesParams / ReturnsParams / ReturnsPooled — the
-//     pooled wire-buffer lifecycle effects of []byte parameters and
-//     results (rql.GetWireBuf / PutWireBuf and their wrappers).
+//     that supplies the concrete function.
 //
 // Summaries are local facts plus derived facts. Local facts come from a
 // single AST walk per function; derived facts are computed by iterating
@@ -115,18 +112,6 @@ type FuncSummary struct {
 	// SpawnsParams lists indices of func-typed parameters launched as
 	// goroutines.
 	SpawnsParams []int
-	// PutsParams lists indices of []byte parameters handed (transitively)
-	// to rql.PutWireBuf.
-	PutsParams []int
-	// EscapesParams lists indices of []byte parameters stored beyond the
-	// call: channel sends, field/global/composite stores.
-	EscapesParams []int
-	// ReturnsParams lists indices of parameters returned as-is (buffer
-	// identity passes through, e.g. rql.AppendBatch).
-	ReturnsParams []int
-	// ReturnsPooled marks functions whose result is a pooled buffer
-	// (rql.GetWireBuf or a wrapper around it).
-	ReturnsPooled bool
 }
 
 // Index is the cross-package summary store the analyzers consult.
@@ -210,7 +195,6 @@ func summarizePackage(ix *Index, pkg *callgraph.SourcePkg) map[string]*FuncSumma
 		local[k] = collectLocal(pkg, node)
 		sums[k] = &FuncSummary{}
 	}
-	applyIntrinsics(pkg.Path, sums)
 
 	// lookup resolves a callee summary: same-package first (the in-flight
 	// map, so recursion converges), then the cross-package index.
@@ -267,15 +251,6 @@ func derive(s *FuncSummary, lf *localFacts, lookup func(string) *FuncSummary) bo
 	for _, p := range lf.spawnsParams {
 		grewInt(&s.SpawnsParams, p)
 	}
-	for _, p := range lf.putsParams {
-		grewInt(&s.PutsParams, p)
-	}
-	for _, p := range lf.escapesParams {
-		grewInt(&s.EscapesParams, p)
-	}
-	for _, p := range lf.returnsParams {
-		grewInt(&s.ReturnsParams, p)
-	}
 	for _, op := range lf.netOps {
 		if !hasNetOp(s.Unbounded, op.Site) {
 			s.Unbounded = append(s.Unbounded, op)
@@ -320,47 +295,14 @@ func derive(s *FuncSummary, lf *localFacts, lookup func(string) *FuncSummary) bo
 			s.Unbounded = append(s.Unbounded, NetOp{Op: op.Op, Site: c.site, Via: via})
 			changed = true
 		}
-		// Parameter effects forward through passthrough argument positions.
+		// Spawned parameters forward through passthrough argument positions.
 		for _, pa := range c.paramArgs {
 			if containsInt(cs.SpawnsParams, pa.argIdx) {
 				grewInt(&s.SpawnsParams, pa.paramIdx)
 			}
-			if containsInt(cs.PutsParams, pa.argIdx) {
-				grewInt(&s.PutsParams, pa.paramIdx)
-			}
-			if containsInt(cs.EscapesParams, pa.argIdx) {
-				grewInt(&s.EscapesParams, pa.paramIdx)
-			}
-		}
-	}
-	for _, rc := range lf.returnsCalls {
-		if cs := lookup(rc); cs != nil && cs.ReturnsPooled && !s.ReturnsPooled {
-			s.ReturnsPooled = true
-			changed = true
 		}
 	}
 	return changed
-}
-
-// applyIntrinsics seeds the wire-buffer pool contract on the rql
-// package's own API (real path sqpeer/internal/rql or the fixture path
-// rql): GetWireBuf mints pooled buffers, PutWireBuf retires its
-// argument, AppendBatch grows and returns the buffer it was handed.
-// Their bodies implement the pool rather than call it, so these facts
-// cannot be derived from the walk.
-func applyIntrinsics(pkgPath string, sums map[string]*FuncSummary) {
-	if !callgraph.PathTail(pkgPath, "rql") {
-		return
-	}
-	if s, ok := sums[pkgPath+".GetWireBuf"]; ok {
-		s.ReturnsPooled = true
-	}
-	if s, ok := sums[pkgPath+".PutWireBuf"]; ok && !containsInt(s.PutsParams, 0) {
-		s.PutsParams = insertInt(s.PutsParams, 0)
-	}
-	if s, ok := sums[pkgPath+".AppendBatch"]; ok && !containsInt(s.ReturnsParams, 0) {
-		s.ReturnsParams = insertInt(s.ReturnsParams, 0)
-	}
 }
 
 func containsStr(xs []string, v string) bool {

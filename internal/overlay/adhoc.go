@@ -200,8 +200,7 @@ func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
 			return []byte("failed"), nil
 		}
 		// One final Results packet: the rows and the end of the stream.
-		payload := rql.AppendBatch(nil, rql.BatchOf(rows))
-		if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: rows.Len(), Payload: payload}); err != nil {
+		if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: rows.Len(), Frame: rql.BatchOf(rows)}); err != nil {
 			return nil, err
 		}
 		return []byte("ok"), nil

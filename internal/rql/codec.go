@@ -9,122 +9,65 @@
 // stored as id+1 so the unbound sentinel (-1) encodes as 0. Terms appear
 // once in the dictionary no matter how many rows reference them, so the
 // frame size tracks distinct terms plus one or two bytes per cell.
-// Encoders append into pooled buffers (GetWireBuf/PutWireBuf): the
-// simulated transport delivers synchronously, so a sender can return its
-// buffer to the pool as soon as the send completes.
+// WireLen sizes a frame exactly, so a sender can allocate a packet body
+// once and append the frame straight into it (AppendWire).
 package rql
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"sqpeer/internal/rdf"
+	"sqpeer/internal/wire"
 )
 
 // batchMagic is the frame's leading version byte.
 const batchMagic = 0xB7
 
-// wirePool recycles encode buffers across batches and queries.
-var wirePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// maxPooledCap caps the capacity of buffers returned to the pool. One
-// pathological giant batch would otherwise pin its frame-sized buffer in
-// the pool forever, and every later borrower would hold megabytes to
-// encode kilobytes.
-const maxPooledCap = 1 << 20
-
-// pooledTrackCap bounds the double-put tracking set. Entries are removed
-// on Get, so the set normally mirrors the pool's population; it can only
-// grow stale when the GC drops pool victims, and resetting it then costs
-// nothing but a brief window without double-put detection.
-const pooledTrackCap = 4096
-
-// pooledBufs tracks the backing arrays currently resting in wirePool, by
-// the address of their first element. PutWireBuf consults it to drop a
-// second put of the same array: pooling one array twice hands the same
-// bytes to two independent encoders, which silently corrupts frames.
-var pooledBufs struct {
-	mu  sync.Mutex
-	set map[*byte]struct{}
-}
-
-// GetWireBuf returns an empty pooled buffer to encode a batch into.
-func GetWireBuf() []byte {
-	b := (*wirePool.Get().(*[]byte))[:0]
-	if cap(b) > 0 {
-		pooledBufs.mu.Lock()
-		delete(pooledBufs.set, &b[:1][0])
-		pooledBufs.mu.Unlock()
-	}
-	return b
-}
-
-// PutWireBuf returns a buffer obtained from GetWireBuf to the pool. The
-// caller must not retain the slice afterwards. Degenerate (zero-cap) and
-// oversized buffers are dropped rather than pooled, as is a buffer whose
-// backing array is already in the pool — a double put would alias two
-// future borrowers onto the same bytes.
-func PutWireBuf(buf []byte) {
-	if cap(buf) == 0 || cap(buf) > maxPooledCap {
-		return
-	}
-	buf = buf[:0]
-	key := &buf[:1][0]
-	pooledBufs.mu.Lock()
-	if pooledBufs.set == nil {
-		pooledBufs.set = make(map[*byte]struct{})
-	}
-	if _, dup := pooledBufs.set[key]; dup {
-		pooledBufs.mu.Unlock()
-		return
-	}
-	if len(pooledBufs.set) >= pooledTrackCap {
-		pooledBufs.set = make(map[*byte]struct{})
-	}
-	pooledBufs.set[key] = struct{}{}
-	pooledBufs.mu.Unlock()
-	wirePool.Put(&buf)
-}
-
-// appendUstring appends a uvarint-length-prefixed string.
-func appendUstring(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // AppendBatch appends the binary frame of b to dst and returns the
 // extended slice.
 func AppendBatch(dst []byte, b *Batch) []byte {
 	dst = append(dst, batchMagic)
-	dst = binary.AppendUvarint(dst, uint64(len(b.Vars)))
+	dst = wire.AppendUvarint(dst, len(b.Vars))
 	for _, v := range b.Vars {
-		dst = appendUstring(dst, v)
+		dst = wire.AppendStr(dst, v)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(b.Dict)))
+	dst = wire.AppendUvarint(dst, len(b.Dict))
 	for _, t := range b.Dict {
 		dst = append(dst, byte(t.Kind))
-		dst = appendUstring(dst, t.Value)
-		dst = appendUstring(dst, string(t.Datatype))
+		dst = wire.AppendStr(dst, t.Value)
+		dst = wire.AppendStr(dst, string(t.Datatype))
 	}
-	dst = binary.AppendUvarint(dst, uint64(b.Len()))
+	dst = wire.AppendUvarint(dst, b.Len())
 	for _, col := range b.Cols {
 		for _, id := range col {
-			dst = binary.AppendUvarint(dst, uint64(id+1))
+			dst = wire.AppendUvarint(dst, int(id+1))
 		}
 	}
 	return dst
 }
 
-// EncodeBatch renders b's frame into a fresh buffer. Hot paths use
-// AppendBatch with a pooled buffer instead.
-func EncodeBatch(b *Batch) []byte {
-	return AppendBatch(nil, b)
+// AppendWire is AppendBatch as a method: with WireLen it makes a batch a
+// channel.Packet frame.
+func (b *Batch) AppendWire(dst []byte) []byte { return AppendBatch(dst, b) }
+
+// WireLen is the exact size of b's frame, len(AppendBatch(nil, b)).
+func (b *Batch) WireLen() int {
+	n := 1 + wire.UvarintLen(len(b.Vars))
+	for _, v := range b.Vars {
+		n += wire.StrLen(len(v))
+	}
+	n += wire.UvarintLen(len(b.Dict))
+	for _, t := range b.Dict {
+		n += 1 + wire.StrLen(len(t.Value)) + wire.StrLen(len(t.Datatype))
+	}
+	n += wire.UvarintLen(b.Len())
+	for _, col := range b.Cols {
+		for _, id := range col {
+			n += wire.UvarintLen(int(id + 1))
+		}
+	}
+	return n
 }
 
 // frameReader walks a frame with sticky error state. str is the frame
@@ -200,7 +143,7 @@ func (r *frameReader) ustring() string {
 
 // DecodeBatch parses a frame produced by AppendBatch. The input buffer
 // is not retained: the frame is copied into one string whose slices back
-// every decoded term, so pooled receive buffers stay recyclable.
+// every decoded term, so the batch never aliases the message it came in.
 func DecodeBatch(data []byte) (*Batch, error) {
 	r := &frameReader{buf: data, str: string(data)}
 	if m := r.byte(); r.err == nil && m != batchMagic {

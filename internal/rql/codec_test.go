@@ -20,28 +20,32 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for i, rs := range cases {
 		b := BatchOf(rs)
-		buf := GetWireBuf()
-		buf = AppendBatch(buf, b)
+		buf := AppendBatch(nil, b)
+		if n := b.WireLen(); n != len(buf) {
+			t.Fatalf("case %d: WireLen %d, frame is %d bytes", i, n, len(buf))
+		}
+		if got := b.AppendWire([]byte{0xAA}); !bytes.Equal(got[1:], buf) || got[0] != 0xAA {
+			t.Fatalf("case %d: AppendWire differs from AppendBatch", i)
+		}
 		dec, err := DecodeBatch(buf)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		sortedEqual(t, "case round-trip", dec.ResultSet(), rs)
-		PutWireBuf(buf)
 	}
 }
 
 func TestCodecDeterministic(t *testing.T) {
 	rs := rsOf([]string{"X"}, Row{"X": termI("a")}, Row{"X": termI("b")})
-	a := EncodeBatch(BatchOf(rs))
-	b := EncodeBatch(BatchOf(rs))
+	a := AppendBatch(nil, BatchOf(rs))
+	b := AppendBatch(nil, BatchOf(rs))
 	if !bytes.Equal(a, b) {
 		t.Fatal("same batch encoded to different bytes")
 	}
 }
 
 func TestCodecRejectsCorruptFrames(t *testing.T) {
-	good := EncodeBatch(BatchOf(rsOf([]string{"X", "Y"},
+	good := AppendBatch(nil, BatchOf(rsOf([]string{"X", "Y"},
 		Row{"X": termI("a"), "Y": termI("b")},
 		Row{"X": termI("c")},
 	)))
@@ -58,7 +62,7 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 	bad = append(bad, huge)
 	// Dictionary id out of range.
 	b := BatchOf(rsOf([]string{"X"}, Row{"X": termI("a")}))
-	enc := EncodeBatch(b)
+	enc := AppendBatch(nil, b)
 	enc[len(enc)-1] = 0x09 // id 8 with a 1-term dictionary
 	bad = append(bad, enc)
 	for i, frame := range bad {
@@ -82,7 +86,7 @@ func FuzzBatchCodec(f *testing.F) {
 		),
 	}
 	for _, rs := range seeds {
-		f.Add(EncodeBatch(BatchOf(rs)))
+		f.Add(AppendBatch(nil, BatchOf(rs)))
 	}
 	f.Add([]byte{batchMagic})
 	f.Add([]byte{batchMagic, 0x02, 0x01, 'X', 0x01, 'Y'})
@@ -91,12 +95,21 @@ func FuzzBatchCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// WireLen sizes every Results body: it must be exact for
+		// whatever decodes.
+		if n, enc := b.WireLen(), AppendBatch(nil, b); n != len(enc) {
+			t.Fatalf("WireLen %d, frame is %d bytes", n, len(enc))
+		}
 		// Whatever decoded must survive the facade round trip.
 		rs := b.ResultSet()
 		if rs.Len() != b.Len() {
 			t.Fatalf("facade lost rows: %d vs %d", rs.Len(), b.Len())
 		}
-		re := EncodeBatch(BatchOf(rs))
+		rb := BatchOf(rs)
+		re := AppendBatch(nil, rb)
+		if n := rb.WireLen(); n != len(re) {
+			t.Fatalf("WireLen %d, re-encoded frame is %d bytes", n, len(re))
+		}
 		b2, err := DecodeBatch(re)
 		if err != nil {
 			t.Fatalf("re-encode failed to decode: %v", err)
