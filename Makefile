@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test lint check bench perf-smoke clean
+.PHONY: build test lint check bench fuzz perf-smoke clean
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,16 @@ check: lint
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The fuzzers CI runs, each for CI's 20 s, in CI's order: the triple
+# store, the data-plane envelopes, Results batch frames and the
+# query-path bodies (about 80 s in all). New findings land in each
+# package's testdata/fuzz, where go test replays them.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzBaseOps$$' -fuzztime=20s ./internal/rdf
+	$(GO) test -run='^$$' -fuzz='^FuzzPacketEnvelope$$' -fuzztime=20s ./internal/channel
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchCodec$$' -fuzztime=20s ./internal/rql
+	$(GO) test -run='^$$' -fuzz='^FuzzQueryCodecs$$' -fuzztime=20s ./internal/wire
 
 # Benchmark smoke: every perfbench workload for one second at seed 1,
 # untraced and traced, then faulty_fanout untraced at seeds 2 and 3: the

@@ -77,7 +77,7 @@ type PlanChangeInfo struct {
 // sets Packet.Frame instead of Payload, and the body is sized from
 // WireLen and the frame appended after the header (AppendPacket), so
 // the frame is written once, into the body the wire carries.
-// *rql.Batch implements it.
+// *rql.Frame implements it.
 type Frame interface {
 	WireLen() int
 	AppendWire(dst []byte) []byte
@@ -121,13 +121,6 @@ type Packet struct {
 	// Spans is the destination's serialized span subtree (obs.SpanRecord)
 	// riding the final packet when the root shipped a trace context.
 	Spans []byte
-	// TraceID and SpanID propagate the root's trace context: when the
-	// root ships a subplan with a trace ID, the destination binds it to
-	// its inbound record (Inbound.BindTrace) and every upstream packet
-	// carries it, so remote execution is attributable to the root span
-	// that dispatched it.
-	TraceID string
-	SpanID  string
 	// Gossip is an opaque membership-gossip blob piggybacked on the
 	// packet (Manager.GossipSource/OnGossip): liveness updates ride the
 	// result traffic that is flowing anyway, so detection spreads at
@@ -170,6 +163,11 @@ type Channel struct {
 	// under (empty/zero for untagged executions).
 	Tenant   string
 	Priority int
+	// TraceID is the deploying query's trace id ("" when untraced). The
+	// root knows which span dispatched each channel, so packets carry no
+	// trace context: the channel's plan-change and dedupe events take
+	// the trace id from here.
+	TraceID string
 
 	mu sync.Mutex
 	// floor is the contiguous watermark: every sequence number <= floor
@@ -359,15 +357,15 @@ func (m *Manager) OnOpen(fn func(id string, root pattern.PeerID)) {
 // Deploy allocates a channel from this peer (the root) to dest and
 // registers it, sending nothing: the first request shipped on it names
 // its number. Tenant and priority are the deploying execution's QoS
-// headers. onPacket, if non-nil, receives every packet the destination
-// sends back.
-func (m *Manager) Deploy(dest pattern.PeerID, tenant string, priority int, onPacket func(Packet)) *Channel {
+// headers and traceID its trace id ("" when untraced). onPacket, if
+// non-nil, receives every packet the destination sends back.
+func (m *Manager) Deploy(dest pattern.PeerID, tenant string, priority int, traceID string, onPacket func(Packet)) *Channel {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextNum++
 	num := m.nextNum
 	ch := &Channel{ID: ID(m.self, num), Num: num, Root: m.self, Dest: dest,
-		Tenant: tenant, Priority: priority, onPacket: onPacket}
+		Tenant: tenant, Priority: priority, TraceID: traceID, onPacket: onPacket}
 	m.channels[num] = ch
 	m.stats.ChannelsOpened++
 	return ch
@@ -421,16 +419,14 @@ func (m *Manager) OpenChannels() []string {
 }
 
 // Inbound is the destination's record of a remote root's channel for
-// the duration of one request on it: where its packets go, the last
-// sequence number sent, and the trace context stamped onto every
-// upstream packet. The handler that accepted the request owns it and
-// drops it when it returns; it is not safe for concurrent sends.
+// the duration of one request on it: where its packets go and the last
+// sequence number sent. The handler that accepted the request owns it
+// and drops it when it returns; it is not safe for concurrent sends.
 type Inbound struct {
-	m               *Manager
-	root            pattern.PeerID
-	num             uint32
-	seq             int
-	traceID, spanID string
+	m    *Manager
+	root pattern.PeerID
+	num  uint32
+	seq  int
 }
 
 // Accept creates the destination's record of channel num rooted at root
@@ -460,25 +456,16 @@ func (m *Manager) Accept(root pattern.PeerID, num uint32, seqBase int, tenant st
 // ID is the channel's root-locally unique id.
 func (in *Inbound) ID() string { return ID(in.root, in.num) }
 
-// BindTrace attaches the root's trace context: every subsequent upstream
-// packet carries the trace and span IDs. An empty traceID binds nothing.
-func (in *Inbound) BindTrace(traceID, spanID string) {
-	if traceID != "" {
-		in.traceID, in.spanID = traceID, spanID
-	}
-}
-
 // Send ships p upstream to the channel's root. Its channel number,
-// sequence number, trace context and gossip are stamped here; the
-// sequence number is assigned before the wire, so a duplicated delivery
-// carries the same Seq and the root can suppress it (at-least-once
-// transport, exactly-once packets). The body is built here, outside the
-// manager's lock, with p's Frame (if any) encoded straight into it.
+// sequence number and gossip are stamped here; the sequence number is
+// assigned before the wire, so a duplicated delivery carries the same
+// Seq and the root can suppress it (at-least-once transport,
+// exactly-once packets). The body is built here, outside the manager's
+// lock, with p's Frame (if any) encoded straight into it.
 func (in *Inbound) Send(p Packet) error {
 	m := in.m
 	in.seq++
 	p.Channel, p.Seq = in.num, in.seq
-	p.TraceID, p.SpanID = in.traceID, in.spanID
 	if m.GossipSource != nil {
 		p.Gossip = m.GossipSource()
 	}
@@ -508,13 +495,13 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 	if ch == nil {
 		// The root has retired this channel: whatever still arrives for it
 		// is a late replay of a stream that already ended.
-		return m.dropDuplicate(msg.From, &pkt)
+		return m.dropDuplicate(msg.From, &pkt, "")
 	}
 	ch.mu.Lock()
 	ok, forced := ch.accept(pkt.Seq)
 	if !ok {
 		ch.mu.Unlock()
-		return m.dropDuplicate(msg.From, &pkt)
+		return m.dropDuplicate(msg.From, &pkt, ch.TraceID)
 	}
 	if pkt.Type == Results {
 		ch.rowsReceived += pkt.Rows
@@ -533,7 +520,7 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 		onGossip(msg.From, pkt.Gossip)
 	}
 	if pkt.Type == PlanChange {
-		m.Events.Emit("channel", "plan-change", string(m.self), pkt.TraceID,
+		m.Events.Emit("channel", "plan-change", string(m.self), ch.TraceID,
 			obs.A("channel", ch.ID), obs.A("from", string(msg.From)))
 	}
 	if ch.onPacket != nil {
@@ -547,14 +534,15 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 // retired its channel. It is never an error, because the sender would
 // take that for a failed delivery and retry. A late arrival reordered by
 // a delay spike is NOT a duplicate — Channel.accept tells them apart via
-// the bounded seen-window.
-func (m *Manager) dropDuplicate(from pattern.PeerID, pkt *Packet) ([]byte, error) {
+// the bounded seen-window. trace is the channel's trace id, "" for a
+// retired channel.
+func (m *Manager) dropDuplicate(from pattern.PeerID, pkt *Packet, trace string) ([]byte, error) {
 	m.mu.Lock()
 	m.stats.PacketsDuplicate++
 	m.mu.Unlock()
 	// One "dedupe" event per PacketsDuplicate increment — the
 	// event↔counter reconciliation invariant for this plane.
-	m.Events.Emit("channel", "dedupe", string(m.self), pkt.TraceID,
+	m.Events.Emit("channel", "dedupe", string(m.self), trace,
 		obs.A("channel", ID(m.self, pkt.Channel)), obs.A("seq", strconv.Itoa(pkt.Seq)),
 		obs.A("from", string(from)))
 	return nil, nil

@@ -8,7 +8,6 @@ import (
 	"sqpeer/internal/channel"
 	"sqpeer/internal/network"
 	"sqpeer/internal/pattern"
-	"sqpeer/internal/rql"
 )
 
 func managers(t testing.TB, net *network.Network, ids ...pattern.PeerID) map[pattern.PeerID]*channel.Manager {
@@ -32,7 +31,7 @@ func TestOpenSendReceive(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []channel.Packet
-	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, "", func(p channel.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
@@ -73,7 +72,7 @@ func TestDeploySendsNothingAndSeqContinues(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
 	var seqs []int
-	ch := ms["P1"].Deploy("P2", "gold", 2, func(p channel.Packet) { seqs = append(seqs, p.Seq) })
+	ch := ms["P1"].Deploy("P2", "gold", 2, "", func(p channel.Packet) { seqs = append(seqs, p.Seq) })
 	if c := net.Counters(); c.Messages != 0 {
 		t.Fatalf("Deploy sent %d messages, want 0", c.Messages)
 	}
@@ -100,7 +99,7 @@ func TestDeploySendsNothingAndSeqContinues(t *testing.T) {
 func TestFailurePacketMarksChannel(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
-	ch := ms["P1"].Deploy("P2", "", 0, nil)
+	ch := ms["P1"].Deploy("P2", "", 0, "", nil)
 	if ch.Failed() {
 		t.Error("fresh channel reported failed")
 	}
@@ -120,7 +119,7 @@ func TestCloseChannel(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
 	called := 0
-	ch := ms["P1"].Deploy("P2", "", 0, func(channel.Packet) { called++ })
+	ch := ms["P1"].Deploy("P2", "", 0, "", func(channel.Packet) { called++ })
 	in := accept(ms["P2"], ch)
 	if got := ms["P1"].OpenChannels(); len(got) != 1 || got[0] != ch.ID {
 		t.Errorf("OpenChannels = %v", got)
@@ -157,7 +156,7 @@ func TestOnOpenHook(t *testing.T) {
 	ms["P2"].OnOpen(func(id string, root pattern.PeerID) {
 		hookID, hookRoot = id, root
 	})
-	ch := ms["P1"].Deploy("P2", "", 0, nil)
+	ch := ms["P1"].Deploy("P2", "", 0, "", nil)
 	if hookID != "" {
 		t.Errorf("OnOpen fired on deploy with %q", hookID)
 	}
@@ -170,8 +169,8 @@ func TestOnOpenHook(t *testing.T) {
 func TestChannelIDsUniquePerRoot(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2", "P3")
-	a := ms["P1"].Deploy("P2", "", 0, nil)
-	b := ms["P1"].Deploy("P3", "", 0, nil)
+	a := ms["P1"].Deploy("P2", "", 0, "", nil)
+	b := ms["P1"].Deploy("P3", "", 0, "", nil)
 	if a.ID == b.ID {
 		t.Errorf("duplicate channel ids: %s", a.ID)
 	}
@@ -213,7 +212,7 @@ func TestPacketTypeNames(t *testing.T) {
 func TestPacketsCountedOnNetwork(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
-	ch := ms["P1"].Deploy("P2", "", 0, nil)
+	ch := ms["P1"].Deploy("P2", "", 0, "", nil)
 	net.ResetCounters()
 	in := accept(ms["P2"], ch)
 	_ = in.Send(channel.Packet{Type: channel.Results, Rows: 10, Payload: make([]byte, 500)})
@@ -225,11 +224,11 @@ func TestPacketsCountedOnNetwork(t *testing.T) {
 		t.Errorf("Bytes = %d, payload not accounted", c.Bytes)
 	}
 	// A Frame counts as payload at its encoded size.
-	frame := testBatch()
-	if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: frame.Len(), Frame: frame}); err != nil {
+	frame, enc := testFrame(t)
+	if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: testBatch().Len(), Frame: frame}); err != nil {
 		t.Fatalf("send frame: %v", err)
 	}
-	if got, want := ms["P2"].Stats().PayloadBytesSent, 500+len(rql.AppendBatch(nil, frame)); got != want {
+	if got, want := ms["P2"].Stats().PayloadBytesSent, 500+len(enc); got != want {
 		t.Errorf("PayloadBytesSent = %d, want %d", got, want)
 	}
 }
@@ -261,7 +260,7 @@ func TestGossipPiggybackOnPackets(t *testing.T) {
 		seen = append(seen, gossip{from, string(blob)})
 	}
 
-	in := accept(ms["P2"], ms["P1"].Deploy("P2", "", 0, nil))
+	in := accept(ms["P2"], ms["P1"].Deploy("P2", "", 0, "", nil))
 	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 1, Payload: []byte("r")}); err != nil {
 		t.Fatalf("send 1: %v", err)
 	}

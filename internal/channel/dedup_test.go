@@ -28,7 +28,7 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []channel.Packet
-	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, "", func(p channel.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
@@ -65,7 +65,7 @@ func TestHealedLinkDedupeSurvivesGap(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []channel.Packet
-	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, "", func(p channel.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()

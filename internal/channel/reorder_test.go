@@ -34,7 +34,7 @@ func TestReorderedAndDuplicatedPackets(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{} // seq -> callback invocations
 	rows := 0
-	ch := ms["P1"].Deploy("P2", "", 0, func(p channel.Packet) {
+	ch := ms["P1"].Deploy("P2", "", 0, "", func(p channel.Packet) {
 		mu.Lock()
 		seen[p.Seq]++
 		rows += p.Rows

@@ -17,17 +17,19 @@ import (
 // a fixed 4 bytes: a message's size never depends on which number its
 // root happened to give the channel.
 //
-//	chan.packet   format, type|final, seq, rows, channel, trace id, span id, gossip[, stats, spans] | payload
+//	chan.packet   format, type|final, seq, rows, channel, gossip[, stats, spans] | payload
 //	exec.subplan  format, channel, seq base, resumeFrom, priority, tenant, trace id, span id | plan
 //
 // The type byte's high bit is the final flag; only a final packet has
 // the two trailers (the Stats body and the span record). The subplan
 // request is also the channel's open: there is no chan.open or
 // chan.close message. The root is the message's sender (or, for
-// chan.packet, its receiver), so no message carries it.
+// chan.packet, its receiver), so no message carries it. Only the
+// request carries the trace context: the root records the trace id of
+// each channel it deploys, so packets need none.
 
 // wireFormat tags the layout above; a decoder rejects any other value.
-const wireFormat byte = 2
+const wireFormat byte = 3
 
 // finalFlag is the type byte's final-packet bit.
 const finalFlag byte = 0x80
@@ -55,8 +57,7 @@ func AppendPacket(dst []byte, p *Packet) []byte {
 // appendPacket is AppendPacket with the payload size already known
 // (Inbound.Send also counts it), so a frame is sized once per send.
 func appendPacket(dst []byte, p *Packet, payloadLen int) []byte {
-	n := 1 + 1 + wire.UvarintLen(p.Seq) + wire.UvarintLen(p.Rows) + 4 +
-		wire.StrLen(len(p.TraceID)) + wire.StrLen(len(p.SpanID)) + wire.StrLen(len(p.Gossip)) + payloadLen
+	n := 1 + 1 + wire.UvarintLen(p.Seq) + wire.UvarintLen(p.Rows) + 4 + wire.StrLen(len(p.Gossip)) + payloadLen
 	typ := byte(p.Type) &^ finalFlag
 	if p.Final {
 		typ |= finalFlag
@@ -67,8 +68,6 @@ func appendPacket(dst []byte, p *Packet, payloadLen int) []byte {
 	dst = wire.AppendUvarint(dst, p.Seq)
 	dst = wire.AppendUvarint(dst, p.Rows)
 	dst = binary.BigEndian.AppendUint32(dst, p.Channel)
-	dst = wire.AppendStr(dst, p.TraceID)
-	dst = wire.AppendStr(dst, p.SpanID)
 	dst = wire.AppendStr(dst, p.Gossip)
 	if p.Final {
 		dst = wire.AppendStr(dst, p.Stats)
@@ -81,8 +80,7 @@ func appendPacket(dst []byte, p *Packet, payloadLen int) []byte {
 }
 
 // DecodePacket parses a chan.packet body. Payload, Gossip and the
-// trailers alias b; nothing is allocated unless the packet carries trace
-// ids.
+// trailers alias b; nothing is allocated.
 func DecodePacket(b []byte) (Packet, error) {
 	r := wire.NewReader(b)
 	r.Format(wireFormat)
@@ -91,8 +89,6 @@ func DecodePacket(b []byte) (Packet, error) {
 	p.Seq = r.Uv()
 	p.Rows = r.Uv()
 	p.Channel = r.U32()
-	p.TraceID = r.Str()
-	p.SpanID = r.Str()
 	p.Gossip = r.Blob()
 	if p.Final {
 		p.Stats = r.Blob()

@@ -34,11 +34,9 @@ func TestPacketHeaderWidthIndependentOfChannelNumber(t *testing.T) {
 func TestEnvelopesRoundTrip(t *testing.T) {
 	for _, p := range []channel.Packet{
 		{Channel: 7, Type: channel.PlanChange, Seq: 1 << 20, Rows: 0,
-			Payload: []byte(`{"reason":"resume-honored"}`), TraceID: "T3", SpanID: "/q/dispatch@P2/stream",
-			Gossip: []byte{0, 1, 2, 255}},
+			Payload: []byte(`{"reason":"resume-honored"}`), Gossip: []byte{0, 1, 2, 255}},
 		{Channel: 1 << 31, Type: channel.Results, Final: true, Seq: 3, Rows: 2,
-			Payload: []byte("frame"), Stats: []byte("stats body"), Spans: []byte(`{"k":"remote"}`),
-			TraceID: "T3", SpanID: "/q/s"},
+			Payload: []byte("frame"), Stats: []byte("stats body"), Spans: []byte(`{"k":"remote"}`)},
 		{Channel: 8, Type: channel.Results, Final: true, Seq: 1, Stats: []byte{1}}, // no span record
 	} {
 		got, err := channel.DecodePacket(channel.AppendPacket(nil, &p))
@@ -48,12 +46,12 @@ func TestEnvelopesRoundTrip(t *testing.T) {
 	}
 	// A Frame is written straight into the body: the bytes equal the same
 	// packet carrying the encoded frame as its Payload, final or not.
-	frame := testBatch()
+	frame, enc := testFrame(t)
 	for _, final := range []bool{false, true} {
-		p := channel.Packet{Channel: 3, Type: channel.Results, Final: final, Seq: 2, Rows: frame.Len(),
-			Stats: []byte("st"), Spans: []byte("sp"), TraceID: "T", SpanID: "/s", Gossip: []byte("g")}
+		p := channel.Packet{Channel: 3, Type: channel.Results, Final: final, Seq: 2, Rows: testBatch().Len(),
+			Stats: []byte("st"), Spans: []byte("sp"), Gossip: []byte("g")}
 		withPayload := p
-		withPayload.Payload = rql.AppendBatch(nil, frame)
+		withPayload.Payload = enc
 		p.Frame = frame
 		if got, want := channel.AppendPacket(nil, &p), channel.AppendPacket(nil, &withPayload); !bytes.Equal(got, want) {
 			t.Errorf("final %v: Frame packet encodes as %x, Payload packet as %x", final, got, want)
@@ -76,7 +74,7 @@ func TestEnvelopesRoundTrip(t *testing.T) {
 // the final packet's trailers included.
 func TestEnvelopeRejectsShortAndCorruptHeaders(t *testing.T) {
 	for _, p := range []channel.Packet{
-		{Channel: 5, Type: channel.Results, Seq: 300, Rows: 2, TraceID: "T1", SpanID: "/s", Gossip: []byte("g")},
+		{Channel: 5, Type: channel.Results, Seq: 300, Rows: 2, Gossip: []byte("g")},
 		{Channel: 5, Type: channel.Results, Final: true, Seq: 300, Rows: 2, Gossip: []byte("g"),
 			Stats: []byte("st"), Spans: []byte("sp")},
 	} {
@@ -108,13 +106,24 @@ func testBatch() *rql.Batch {
 	return rql.BatchOf(rs)
 }
 
+// testFrame lays testBatch out for the wire and returns its encoding.
+func testFrame(t *testing.T) (*rql.Frame, []byte) {
+	t.Helper()
+	f, err := rql.NewFrame(testBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, f.AppendWire(nil)
+}
+
 // badPackets are chan.packet bodies every decoder must refuse.
 var badPackets = [][]byte{
-	{9, 0, 1, 1, 0, 0, 0, 5, 0, 0, 0},                         // unknown format
-	{2, 0, 1, 1, 0, 0, 0, 5, 0xff, 0xff, 0x7f},                // trace id claims 2 MiB of a 3-byte rest
-	{2, 0x80, 1, 1, 0, 0, 0, 5, 0, 0, 0, 0x10, 's', 't'},      // stats trailer claims 16 bytes of 2
-	{2, 0x80, 1, 1, 0, 0, 0, 5, 0, 0, 0, 1, 's', 0x04, 'x'},   // span trailer claims 4 bytes of 1
-	{2, 0x80, 1, 1, 0, 0, 0, 5, 0, 0, 0, 0x80, 0x80, 0x80, 4}, // stats trailer of 8 MiB
+	{9, 0, 1, 1, 0, 0, 0, 5, 0},                         // unknown format
+	{2, 0, 1, 1, 0, 0, 0, 5, 0},                         // the previous format, which carried trace ids
+	{3, 0, 1, 1, 0, 0, 0, 5, 0xff, 0xff, 0x7f},          // gossip claims 2 MiB of a 3-byte rest
+	{3, 0x80, 1, 1, 0, 0, 0, 5, 0, 0x10, 's', 't'},      // stats trailer claims 16 bytes of 2
+	{3, 0x80, 1, 1, 0, 0, 0, 5, 0, 1, 's', 0x04, 'x'},   // span trailer claims 4 bytes of 1
+	{3, 0x80, 1, 1, 0, 0, 0, 5, 0, 0x80, 0x80, 0x80, 4}, // stats trailer of 8 MiB
 }
 
 // A Results packet decodes with zero allocations: payload and gossip
@@ -131,7 +140,7 @@ func TestPacketDecodeAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("decoding a Results packet allocates %.1f times, want 0", allocs)
 	}
-	huge := []byte{2, 0, 1, 1, 0, 0, 0, 5, 0x80, 0x80, 0x80, 0x80, 0x10} // trace id of 4 GiB
+	huge := []byte{3, 0, 1, 1, 0, 0, 0, 5, 0x80, 0x80, 0x80, 0x80, 0x10} // gossip of 4 GiB
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := channel.DecodePacket(huge); err == nil {
 			t.Fatal("4 GiB length claim accepted")
@@ -201,8 +210,9 @@ func (f tapFunc) Intercept(m network.Message) network.Fault {
 // and checks that Decode(Append(p)) returns every field of a packet and
 // of a subplan request built from the fuzzer's values: the type byte's
 // high bit is the final flag, a final packet carries the trace and span
-// strings as its Stats and Spans trailers, and rows is the subplan's
-// sequence base. The corpus is seeded with the packets and subplan
+// strings as its Stats and Spans trailers (packets carry no trace
+// context; the subplan request carries them as its trace and span ids),
+// and rows is the subplan's sequence base. The corpus is seeded with the packets and subplan
 // requests of a real traced query (final packets with both trailers
 // among them), with those final packets' flag cleared, and with trailers
 // whose length claims run past the input.
@@ -244,7 +254,7 @@ func FuzzPacketEnvelope(f *testing.F) {
 			body = nil
 		}
 		p := channel.Packet{Channel: num, Type: channel.PacketType(typ & 0x7f), Final: typ&0x80 != 0,
-			Seq: seq, Rows: rows, Payload: body, TraceID: trace, SpanID: span, Gossip: gossip}
+			Seq: seq, Rows: rows, Payload: body, Gossip: gossip}
 		if p.Final {
 			p.Stats, p.Spans = blob(trace), blob(span)
 		}

@@ -1365,7 +1365,7 @@ func (ex *execution) resetSite(site pattern.PeerID) {
 // and the remote's shipped span record is grafted under it.
 func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom int, sp *obs.Span) (*remoteResult, error) {
 	e := ex.engine
-	sc := ex.channelTo(site)
+	sc := ex.channelTo(site, sp.TraceID())
 	sub := &plan.Plan{Root: n, Query: nil}
 	data, err := plan.Marshal(sub)
 	if err != nil {
@@ -1436,12 +1436,13 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 // channelTo returns (deploying if necessary) the execution's channel slot
 // for a peer — one channel per peer, as in the paper. Deploying is local:
 // the first subplan shipped on the channel opens it at the destination.
-func (ex *execution) channelTo(site pattern.PeerID) *siteChan {
+// trace is the query's trace id, recorded on the channel for its events.
+func (ex *execution) channelTo(site pattern.PeerID, trace string) *siteChan {
 	e := ex.engine
 	ex.mu.Lock()
 	sc, ok := ex.sites[site]
 	if !ok {
-		sc = &siteChan{ch: e.Channels.Deploy(site, ex.qos.Tenant, int(ex.qos.Priority),
+		sc = &siteChan{ch: e.Channels.Deploy(site, ex.qos.Tenant, int(ex.qos.Priority), trace,
 			func(pkt channel.Packet) { ex.onPacket(pkt) })}
 		ex.sites[site] = sc
 	}
@@ -1604,12 +1605,8 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 	in := e.Channels.Accept(msg.From, req.Channel, req.SeqBase, req.Tenant) // the root sent the request
 	// Rebuild the root's trace context, if it shipped one: every span this
 	// peer opens hangs off a remote@<self> span that is serialized and
-	// shipped back on the channel, and the inbound record stamps the trace
-	// ids onto every upstream packet.
+	// shipped back on the channel's final packet.
 	rsp := obs.RemoteSpan(req.TraceID, req.SpanID, string(e.Self))
-	if rsp != nil {
-		in.BindTrace(req.TraceID, req.SpanID)
-	}
 	// Execute with this peer as root under its own options, but with
 	// data-shipping placement, so the shipped join runs here (terminating
 	// the recursion). The shadow's facts fold into this engine's counters.
@@ -1703,7 +1700,13 @@ func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, resumeFrom 
 		end := min(start+batch, rows.Len())
 		last = end >= rows.Len()
 		part := sl.Slice(start, end)
-		pkt := channel.Packet{Type: channel.Results, Rows: part.Len(), Frame: part}
+		frame, err := rql.NewFrame(part)
+		if err != nil {
+			// The root would refuse this frame as malformed: end the
+			// stream with the reason instead.
+			return in.Send(channel.Packet{Type: channel.Failure, Payload: []byte(err.Error())})
+		}
+		pkt := channel.Packet{Type: channel.Results, Rows: part.Len(), Frame: frame}
 		if last {
 			pkt.Final, pkt.Stats, pkt.Spans = true, statsBody, traceRec
 		}

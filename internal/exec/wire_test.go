@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"sqpeer/internal/pattern"
 	"sqpeer/internal/peer"
 	"sqpeer/internal/rdf"
+	"sqpeer/internal/rql"
 )
 
 // wideSystem builds a root C with an empty base and 12 sites holding a
@@ -84,6 +86,73 @@ func TestWireBytesIndependentOfDispatchOrder(t *testing.T) {
 			t.Errorf("run %d (parallelism %d): %d messages / %d bytes, first run %d / %d",
 				i, par, got.Messages, got.Bytes, want.Messages, want.Bytes)
 		}
+	}
+}
+
+// TestSimulatedTimeExactUnderParallelDispatch runs one seeded 12-site
+// fanout at parallelism 8, on two systems built alike, several times
+// each. Concurrent dispatch accounts the sites' deliveries in a
+// different order every run; the simulated time must still read the same
+// bits, so runs and sweeps can compare it exactly.
+func TestSimulatedTimeExactUnderParallelDispatch(t *testing.T) {
+	var want float64
+	for sys := 0; sys < 2; sys++ {
+		root, net, query := wideSystem(t)
+		root.Engine.Parallelism = 8
+		for run := 0; run < 3; run++ {
+			net.ResetCounters()
+			if _, err := root.Ask(query); err != nil {
+				t.Fatalf("system %d run %d: %v", sys, run, err)
+			}
+			got := net.Counters().SimulatedMS
+			if sys == 0 && run == 0 {
+				want = got
+			} else if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("system %d run %d: SimulatedMS %v, first run %v", sys, run, got, want)
+			}
+		}
+	}
+}
+
+// TestOverCapAnswerFailsAtSender ships an answer whose strings exceed
+// what one frame may carry: the site must end its stream with a Failure
+// that names the cause, not send a frame the root rejects as malformed.
+// The objects are prefixes of one string, so the test holds one copy.
+func TestOverCapAnswerFailsAtSender(t *testing.T) {
+	syn := gen.NewSynthetic(1, false)
+	net := network.New()
+	long := "http://example.org/big#" + strings.Repeat("x", 1<<20)
+	site := rdf.NewBase()
+	for j := 0; j < 65; j++ {
+		obj := rdf.IRI(long[:len(long)-j])
+		site.Add(rdf.Statement(rdf.IRI(fmt.Sprintf("http://example.org/s#%d", j)), syn.Prop(1), obj))
+		site.Add(rdf.Typing(obj, syn.Class(1)))
+	}
+	var root *peer.Peer
+	peers := []*peer.Peer{}
+	for id, base := range map[pattern.PeerID]*rdf.Base{"C": rdf.NewBase(), "P": site} {
+		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: syn.Schema, Base: base}, net)
+		if err != nil {
+			t.Fatalf("peer.New(%s): %v", id, err)
+		}
+		if id == "C" {
+			root = p
+		}
+		peers = append(peers, p)
+	}
+	for _, a := range peers {
+		for _, b := range peers {
+			if a != b {
+				a.Learn(b.Advertisement())
+			}
+		}
+	}
+	_, err := root.Ask("SELECT V0, V1 FROM {V0}syn:p1{V1} USING NAMESPACE syn = &" + gen.SynNS + "&")
+	if err == nil || !strings.Contains(err.Error(), rql.ErrFrameTooLarge.Error()) {
+		t.Fatalf("over-cap answer: got %v, want a remote failure naming %q", err, rql.ErrFrameTooLarge)
+	}
+	if strings.Contains(err.Error(), "bad results packet") {
+		t.Fatalf("over-cap answer reached the root as a malformed frame: %v", err)
 	}
 }
 

@@ -14,6 +14,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -121,7 +122,9 @@ type Counters struct {
 	// Bytes is the total accounted payload volume.
 	Bytes int
 	// SimulatedMS is the total accounted transfer time over link
-	// latencies and bandwidths (as if messages were sequential).
+	// latencies and bandwidths (as if messages were sequential). The
+	// network sums it in whole nanoseconds, so it does not depend on the
+	// order concurrent deliveries were accounted in.
 	SimulatedMS float64
 	// PerKind counts messages by kind.
 	PerKind map[string]int
@@ -147,6 +150,11 @@ type Network struct {
 
 	cmu      sync.Mutex
 	counters Counters
+	// simNS is the logical clock in nanoseconds. Each latency is rounded
+	// to a whole nanosecond before it is added, so the integer sum, and
+	// with it Counters.SimulatedMS and NowMS, is the same in whatever
+	// order parallel dispatch accounts one run's deliveries.
+	simNS int64
 }
 
 type linkKey struct{ a, b NodeID }
@@ -337,7 +345,7 @@ func (n *Network) account(m Message, latencyMS float64) {
 	c := &n.counters
 	c.Messages++
 	c.Bytes += m.Size()
-	c.SimulatedMS += latencyMS
+	n.simNS += nanos(latencyMS)
 	if c.PerKind == nil {
 		c.PerKind = map[string]int{}
 	}
@@ -482,6 +490,7 @@ func (n *Network) Counters() Counters {
 	n.cmu.Lock()
 	defer n.cmu.Unlock()
 	snap := n.counters
+	snap.SimulatedMS = millis(n.simNS)
 	snap.PerKind = map[string]int{}
 	for k, v := range n.counters.PerKind {
 		snap.PerKind[k] = v
@@ -499,7 +508,7 @@ func (n *Network) Counters() Counters {
 func (n *Network) NowMS() float64 {
 	n.cmu.Lock()
 	defer n.cmu.Unlock()
-	return n.counters.SimulatedMS
+	return millis(n.simNS)
 }
 
 // AdvanceMS advances the logical clock by ms without sending traffic:
@@ -514,12 +523,19 @@ func (n *Network) AdvanceMS(ms float64) {
 	}
 	n.cmu.Lock()
 	defer n.cmu.Unlock()
-	n.counters.SimulatedMS += ms
+	n.simNS += nanos(ms)
 }
+
+// nanos rounds a duration in milliseconds to whole nanoseconds.
+func nanos(ms float64) int64 { return int64(math.Round(ms * 1e6)) }
+
+// millis converts the nanosecond clock back to milliseconds.
+func millis(ns int64) float64 { return float64(ns) / 1e6 }
 
 // ResetCounters zeroes the traffic counters (between experiment runs).
 func (n *Network) ResetCounters() {
 	n.cmu.Lock()
 	defer n.cmu.Unlock()
 	n.counters = Counters{}
+	n.simNS = 0
 }

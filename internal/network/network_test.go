@@ -2,6 +2,7 @@ package network_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -126,6 +127,34 @@ func TestLinkAccounting(t *testing.T) {
 	}
 	if got := n.LinkBetween("A", "B").LatencyMS; got != 100 {
 		t.Errorf("LinkBetween = %f", got)
+	}
+}
+
+// TestSimulatedClockIndependentOfOrder: the logical clock sums whole
+// nanoseconds, so accounting one set of latencies in any order reads the
+// same bits. Parallel dispatch accounts a run's deliveries in a
+// different order each time; a float64 sum would differ in its last
+// digits ((0.1+0.2)+0.3 != 0.1+(0.2+0.3)).
+func TestSimulatedClockIndependentOfOrder(t *testing.T) {
+	latencies := []float64{0.1, 0.2, 0.3, 20.017, 1e-3, 7.000001}
+	var want float64
+	for i := range latencies {
+		n := network.New()
+		for j := range latencies {
+			n.AdvanceMS(latencies[(i+j)%len(latencies)])
+		}
+		got := n.Counters().SimulatedMS
+		if got != n.NowMS() {
+			t.Fatalf("Counters().SimulatedMS %v, NowMS %v", got, n.NowMS())
+		}
+		if i == 0 {
+			want = got
+		} else if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("rotation %d reads %v, rotation 0 %v", i, got, want)
+		}
+	}
+	if want != 27.618001 {
+		t.Fatalf("clock reads %v, want 27.618001", want)
 	}
 }
 

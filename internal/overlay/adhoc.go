@@ -193,6 +193,12 @@ func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
 		// carries one request, so its packets are numbered from 1.
 		in := p.Channels.Accept(msg.From, req.Channel, 0, "")
 		rows, rerr := a.resolveAndRun(p, partial, req.Visited, req.TTL)
+		// Rows too large for one frame fail here, not as a malformed
+		// packet at the forwarding peer.
+		var frame *rql.Frame
+		if rerr == nil {
+			frame, rerr = rql.NewFrame(rql.BatchOf(rows))
+		}
 		if rerr != nil {
 			if serr := in.Send(channel.Packet{Type: channel.Failure, Payload: []byte(rerr.Error())}); serr != nil {
 				return nil, serr
@@ -200,7 +206,7 @@ func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
 			return []byte("failed"), nil
 		}
 		// One final Results packet: the rows and the end of the stream.
-		if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: rows.Len(), Frame: rql.BatchOf(rows)}); err != nil {
+		if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: rows.Len(), Frame: frame}); err != nil {
 			return nil, err
 		}
 		return []byte("ok"), nil
@@ -352,7 +358,7 @@ func (a *Adhoc) forwardCandidates(p *peer.Peer, filled *plan.Plan, seen map[patt
 // resolves the whole chain within the Send).
 func (a *Adhoc) forwardTo(p *peer.Peer, cand pattern.PeerID, filled *plan.Plan, visited []pattern.PeerID, ttl int) (*rql.ResultSet, error) {
 	collector := &adhocCollector{}
-	ch := p.Channels.Deploy(cand, "", 0, collector.onPacket)
+	ch := p.Channels.Deploy(cand, "", 0, "", collector.onPacket)
 	defer p.Channels.Close(ch)
 	data, err := plan.Marshal(filled)
 	if err != nil {

@@ -107,8 +107,9 @@ type floodReq struct {
 
 // encodeFloodReply frames the rows gathered below a peer: the count of
 // peers that processed the query in that subtree (uvarint), then the rows
-// as an rql batch frame.
-func encodeFloodReply(rows *rql.ResultSet, reached int) []byte {
+// as an rql batch frame. Rows too large for one frame fail here, at the
+// sender, rather than as a malformed reply at the receiver.
+func encodeFloodReply(rows *rql.ResultSet, reached int) ([]byte, error) {
 	return rql.AppendBatch(binary.AppendUvarint(nil, uint64(reached)), rql.BatchOf(rows))
 }
 
@@ -136,7 +137,7 @@ func (f *Flooding) queryHandler(p *peer.Peer) network.Handler {
 		f.mu.Lock()
 		if f.seen[p.ID][req.QueryID] {
 			f.mu.Unlock()
-			return encodeFloodReply(rql.NewResultSet(), 0), nil
+			return encodeFloodReply(rql.NewResultSet(), 0)
 		}
 		f.seen[p.ID][req.QueryID] = true
 		f.mu.Unlock()
@@ -166,7 +167,7 @@ func (f *Flooding) queryHandler(p *peer.Peer) network.Handler {
 				reached += subReached
 			}
 		}
-		return encodeFloodReply(rows, reached), nil
+		return encodeFloodReply(rows, reached)
 	}
 }
 

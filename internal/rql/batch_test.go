@@ -155,7 +155,7 @@ func TestBatchZeroVariables(t *testing.T) {
 	if got.Len() != scalar.Len() {
 		t.Fatalf("zero-var project: %d rows, want %d", got.Len(), scalar.Len())
 	}
-	enc := AppendBatch(nil, got)
+	enc := encode(t, got)
 	dec, err := DecodeBatch(enc)
 	if err != nil {
 		t.Fatalf("decode zero-var batch: %v", err)

@@ -250,6 +250,9 @@ func (r *Reader) Blob() []byte {
 // Str reads a length-prefixed string (a copy).
 func (r *Reader) Str() string { return string(r.Blob()) }
 
+// Len is the number of bytes left to read.
+func (r *Reader) Len() int { return len(r.b) }
+
 // Rest returns the raw bytes after the header (nil when empty).
 func (r *Reader) Rest() []byte {
 	if len(r.b) == 0 {
