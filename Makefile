@@ -29,10 +29,25 @@ check: lint
 bench:
 	$(GO) test -bench=. -benchmem
 
-# The fuzzers CI runs, each for CI's 20 s, in CI's order: the triple
-# store, the data-plane envelopes, Results batch frames and the
-# query-path bodies (about 80 s in all). New findings land in each
-# package's testdata/fuzz, where go test replays them.
+# The fuzzers, 20 s each (about 80 s in all); CI's fuzz step runs this
+# target, so this is the one list. New findings land in each package's
+# testdata/fuzz, where go test replays them.
+#
+# - FuzzBaseOps drives rdf.Base and a reference triple set through
+#   decoded Add/Remove/Has sequences and compares every read.
+# - FuzzPacketEnvelope decodes arbitrary bytes as both data-plane
+#   envelopes (packet with its final flag and trailers, subplan request
+#   with its sequence base) and round-trips packets and subplan requests
+#   built from its values.
+# - FuzzBatchCodec decodes arbitrary bytes as a Results batch frame,
+#   checks that every frame that decodes re-encodes to the same bytes
+#   (the front-coded codec is canonical) and that Frame.WireLen (which
+#   sizes every Results packet body) equals the encoded length, and
+#   round-trips the frame through the ResultSet facade.
+# - FuzzQueryCodecs decodes arbitrary bytes as every query-path body
+#   (plan, routing request, annotated reply, statistics payload), checks
+#   that a decodable body re-encodes to itself, and round-trips generated
+#   plans, annotations and statistics.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBaseOps$$' -fuzztime=20s ./internal/rdf
 	$(GO) test -run='^$$' -fuzz='^FuzzPacketEnvelope$$' -fuzztime=20s ./internal/channel

@@ -1,7 +1,7 @@
 // Package channel implements the ubQL-style communication channels SQPeer
 // deploys to execute distributed plans (paper §2.4): each channel has a
 // root node (the peer that launched the execution, which manages the
-// channel under a locally unique id) and a destination node; data packets
+// channel under a locally unique number) and a destination node; data packets
 // flow from the destination to the root and carry query results,
 // "changing plan" information, failure notices, or statistics useful for
 // optimization.
@@ -9,7 +9,6 @@ package channel
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -18,7 +17,8 @@ import (
 	"sqpeer/internal/pattern"
 )
 
-// PacketType discriminates packet contents.
+// PacketType discriminates packet contents. Only the three types below
+// are defined; the root refuses a packet of any other type.
 type PacketType int
 
 const (
@@ -27,50 +27,27 @@ const (
 	// stream's trailers (statistics, span record): it is the end-of-stream
 	// marker, so a site's happy path costs one packet per frame.
 	Results PacketType = iota
-	// PlanChange carries a replacement (sub)plan during run-time
-	// adaptation.
+	// PlanChange carries the destination's answer to a requested resume
+	// offset (PlanChangeInfo).
 	PlanChange
 	// Failure reports that the destination cannot contribute (peer
-	// failure, unresolvable subplan).
+	// failure, unresolvable subplan). It is marked Final and ends the
+	// stream; its Spans trailer carries the destination's span record
+	// when the root shipped a trace context.
 	Failure
-	// TraceSpans carries the destination's serialized execution-span
-	// subtree (obs.SpanRecord) back to the root on the failure path, where
-	// no final Results packet follows — a statistics-class packet in the
-	// paper's taxonomy (§2.4), shipped only when the root propagated a
-	// trace ID in the subplan request.
-	TraceSpans
 )
 
-// String names the packet type.
-func (t PacketType) String() string {
-	switch t {
-	case Results:
-		return "results"
-	case PlanChange:
-		return "plan-change"
-	case Failure:
-		return "failure"
-	case TraceSpans:
-		return "trace-spans"
-	default:
-		return fmt.Sprintf("packet(%d)", int(t))
-	}
-}
-
 // PlanChangeInfo is the wire body of a PlanChange packet (paper §2.4:
-// packets carry "changing plan" information during run-time adaptation).
-// Both directions use it: a root announces that a subplan is migrating or
-// resuming from a checkpoint, and a destination acknowledges — or rejects
-// — a requested resume offset.
+// packets carry "changing plan" information during run-time adaptation):
+// the destination's acknowledgement, or rejection, of the resume offset
+// a retried request asked for.
 type PlanChangeInfo struct {
-	// Reason classifies the change: "migrate", "resume-honored",
-	// "checkpoint-invalid", "hole-filled".
+	// Reason is "resume-honored" (the stream starts after Offset rows) or
+	// "checkpoint-invalid" (the stream restarts from row 0).
 	Reason string `json:"reason"`
-	// Offset is the row checkpoint involved (rows already delivered for
-	// resumes; 0 when the stream restarts from scratch).
+	// Offset is the row checkpoint honored (0 when the stream restarts
+	// from scratch).
 	Offset int `json:"offset,omitempty"`
-	// Subplan, when present, is the serialized replacement subplan.
-	Subplan []byte `json:"subplan,omitempty"`
 }
 
 // Frame is a payload that writes itself into a packet body: a sender
@@ -107,26 +84,27 @@ type Packet struct {
 	Rows int
 	// Payload is the raw body: an rql batch frame (length-prefixed binary
 	// columns with a per-frame term dictionary) for Results packets,
-	// failure text for Failure packets, and a JSON document for the other
-	// control packets.
+	// failure text for Failure packets, and a JSON PlanChangeInfo for
+	// PlanChange packets.
 	Payload []byte
 	// Frame, when set on the send side, is the payload in place of
 	// Payload: the packet body is built around it in one exact-size
 	// allocation. A delivered packet carries its payload in Payload.
 	Frame Frame
 	// Stats is the serving peer's statistics (a stats.MarshalPeerStats
-	// body) riding the final packet: paper §2.4's "statistics useful for
-	// query optimization", at no extra message.
+	// body) riding the final Results packet: paper §2.4's "statistics
+	// useful for query optimization", at no extra message.
 	Stats []byte
 	// Spans is the destination's serialized span subtree (obs.SpanRecord)
-	// riding the final packet when the root shipped a trace context.
+	// riding the final packet, Results or Failure, when the root shipped
+	// a trace context.
 	Spans []byte
 	// Gossip is an opaque membership-gossip blob piggybacked on the
 	// packet (Manager.GossipSource/OnGossip): liveness updates ride the
 	// result traffic that is flowing anyway, so detection spreads at
 	// data-plane rates without extra messages. Dropped with the packet
-	// when the dedupe window rejects a replay — gossip merges are
-	// monotone, so losing a replayed copy is harmless.
+	// when the root drops a replay — gossip merges are monotone, so
+	// losing a replayed copy is harmless.
 	Gossip []byte
 	// WireBytes is the accounted size of the message that delivered the
 	// packet (network.Message.Size), set by the root's manager and not on
@@ -144,25 +122,12 @@ func (p *Packet) payloadLen() int {
 	return len(p.Payload)
 }
 
-// seenWindow bounds the out-of-order acceptance window: packets this far
-// behind the highest accepted sequence number are treated as replays. The
-// destination assigns sequence numbers densely, so a gap wider than this
-// can only come from a duplicated delivery of something long since
-// processed — and bounding the window keeps the seen-set small.
-const seenWindow = 4096
-
-// Channel is the root-side view of one deployed channel.
+// Channel is the root-side view of one deployed channel: its number,
+// its sequence floor and the callback its accepted packets go to.
 type Channel struct {
-	// ID is the root-locally unique channel id, "<Root>#<Num>"; only Num
-	// travels on the wire.
-	ID  string
+	// Num is the channel's number at its root; the requests that ship
+	// work on the channel name it, and its packets carry it back.
 	Num uint32
-	// Root manages the channel; Dest is the remote peer.
-	Root, Dest pattern.PeerID
-	// Tenant and Priority are the QoS headers the channel was deployed
-	// under (empty/zero for untagged executions).
-	Tenant   string
-	Priority int
 	// TraceID is the deploying query's trace id ("" when untraced). The
 	// root knows which span dispatched each channel, so packets carry no
 	// trace context: the channel's plan-change and dedupe events take
@@ -171,38 +136,10 @@ type Channel struct {
 
 	mu sync.Mutex
 	// floor is the contiguous watermark: every sequence number <= floor
-	// has been accepted exactly once. seen holds accepted numbers above
-	// the floor (out-of-order arrivals waiting for the gap to fill).
-	floor  int
-	seen   map[int]bool
-	closed bool
-	failed bool
-	// rowsReceived counts result rows for throughput observation.
-	rowsReceived int
+	// has been accepted exactly once, and only floor+1 is accepted next.
+	floor int
 	// onPacket, if set, receives every accepted packet.
 	onPacket func(Packet)
-}
-
-// Failed reports whether the channel observed a failure (destination down
-// or Failure packet received).
-func (c *Channel) Failed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failed
-}
-
-// Closed reports whether the channel has been closed by its root.
-func (c *Channel) Closed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// RowsReceived returns the number of result rows that arrived so far.
-func (c *Channel) RowsReceived() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rowsReceived
 }
 
 // Watermark returns the channel's contiguous sequence watermark: every
@@ -212,36 +149,6 @@ func (c *Channel) Watermark() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.floor
-}
-
-// accept decides whether a packet sequence number is new (true) or a
-// replayed duplicate (false), maintaining the bounded seen-window that
-// distinguishes late arrivals from replays. forced counts how many
-// floor slots the bounded window pushed past without a contiguous fill
-// (observability: a nonzero forced rate means the window is too small
-// for the reordering in play). Callers hold c.mu.
-func (c *Channel) accept(seq int) (ok bool, forced int) {
-	if seq <= c.floor || c.seen[seq] {
-		return false, 0 // replay of an already-accepted packet
-	}
-	if c.seen == nil {
-		c.seen = map[int]bool{}
-	}
-	c.seen[seq] = true
-	// Advance the contiguous watermark over any gap that just filled.
-	for c.seen[c.floor+1] {
-		c.floor++
-		delete(c.seen, c.floor)
-	}
-	// Bound the window: force the floor forward so it never trails the
-	// newest accepted number by more than seenWindow. Anything below the
-	// new floor is deemed replayed from then on.
-	for seq-c.floor > seenWindow {
-		c.floor++
-		forced++
-		delete(c.seen, c.floor)
-	}
-	return true, forced
 }
 
 // Manager is one peer's channel endpoint: it deploys channels as root,
@@ -254,8 +161,8 @@ func (c *Channel) accept(seq int) (ok bool, forced int) {
 // locally (Deploy); the request that carries the work — exec.subplan or
 // adhoc.plan — names its number, and the destination accepts it on
 // receipt (Accept) for as long as it handles that request; the last
-// Results packet, marked Final, ends the stream; and the root retires
-// the channel locally (Close).
+// packet, marked Final, ends the stream; and the root retires the
+// channel locally (Close).
 type Manager struct {
 	self pattern.PeerID
 	net  *network.Network
@@ -280,14 +187,12 @@ type Manager struct {
 
 	mu       sync.Mutex
 	nextNum  uint32
-	channels map[uint32]*Channel                  // channels rooted here, by number
-	onOpen   func(id string, root pattern.PeerID) // dest-side accept hook
+	channels map[uint32]*Channel // channels rooted here, by number
 	stats    ManagerStats
 }
 
-// ManagerStats is the manager's packet accounting: the seq-window and
-// dedupe counters that used to live only as per-channel state, published
-// to the obs registry via CollectObs.
+// ManagerStats is the manager's packet accounting, published to the obs
+// registry via CollectObs.
 type ManagerStats struct {
 	// PacketsSent counts upstream packets shipped as destination;
 	// PayloadBytesSent sums their payload sizes, making wire-format
@@ -296,11 +201,9 @@ type ManagerStats struct {
 	PayloadBytesSent int
 	// PacketsAccepted / PacketsDuplicate count root-side packet
 	// arrivals split by the dedupe verdict (a packet for a channel the
-	// root has retired counts as a duplicate); WindowForced counts floor
-	// slots the bounded seen-window skipped without a contiguous fill.
+	// root has retired counts as a duplicate).
 	PacketsAccepted  int
 	PacketsDuplicate int
-	WindowForced     int
 	// ChannelsOpened counts root-side deploys; ChannelsAccepted dest-side
 	// accepts, one per request received (the request is the open);
 	// ChannelsClosed root-side retirements.
@@ -329,9 +232,6 @@ func NewManager(self pattern.PeerID, net *network.Network) *Manager {
 	return m
 }
 
-// Self returns the peer this manager belongs to.
-func (m *Manager) Self() pattern.PeerID { return m.self }
-
 // Stats returns a copy of the manager's packet accounting.
 func (m *Manager) Stats() ManagerStats {
 	m.mu.Lock()
@@ -346,27 +246,17 @@ func (m *Manager) Stats() ManagerStats {
 	return snap
 }
 
-// OnOpen registers a destination-side hook invoked when this peer
-// accepts a request on a remote root's channel.
-func (m *Manager) OnOpen(fn func(id string, root pattern.PeerID)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onOpen = fn
-}
-
-// Deploy allocates a channel from this peer (the root) to dest and
-// registers it, sending nothing: the first request shipped on it names
-// its number. Tenant and priority are the deploying execution's QoS
-// headers and traceID its trace id ("" when untraced). onPacket, if
-// non-nil, receives every packet the destination sends back.
-func (m *Manager) Deploy(dest pattern.PeerID, tenant string, priority int, traceID string, onPacket func(Packet)) *Channel {
+// Deploy allocates a channel rooted at this peer and registers it,
+// sending nothing: the first request shipped on it names its number.
+// traceID is the deploying query's trace id ("" when untraced).
+// onPacket, if non-nil, receives every packet the destination sends
+// back.
+func (m *Manager) Deploy(traceID string, onPacket func(Packet)) *Channel {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextNum++
-	num := m.nextNum
-	ch := &Channel{ID: ID(m.self, num), Num: num, Root: m.self, Dest: dest,
-		Tenant: tenant, Priority: priority, TraceID: traceID, onPacket: onPacket}
-	m.channels[num] = ch
+	ch := &Channel{Num: m.nextNum, TraceID: traceID, onPacket: onPacket}
+	m.channels[ch.Num] = ch
 	m.stats.ChannelsOpened++
 	return ch
 }
@@ -377,45 +267,10 @@ func (m *Manager) Deploy(dest pattern.PeerID, tenant string, priority int, trace
 // that ended. A packet that still arrives for a retired number is
 // dropped as a duplicate.
 func (m *Manager) Close(ch *Channel) {
-	ch.mu.Lock()
-	ch.closed = true
-	ch.mu.Unlock()
 	m.mu.Lock()
 	delete(m.channels, ch.Num)
 	m.stats.ChannelsClosed++
 	m.mu.Unlock()
-}
-
-// MarkFailed records a channel failure at the root (e.g. a send to the
-// destination errored).
-func (m *Manager) MarkFailed(ch *Channel) {
-	ch.mu.Lock()
-	ch.failed = true
-	ch.mu.Unlock()
-}
-
-// Channel returns the root-side channel with the given id.
-func (m *Manager) Channel(id string) (*Channel, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ch := range m.channels {
-		if ch.ID == id {
-			return ch, true
-		}
-	}
-	return nil, false
-}
-
-// OpenChannels returns ids of channels rooted at this peer, sorted.
-func (m *Manager) OpenChannels() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.channels))
-	for _, ch := range m.channels {
-		out = append(out, ch.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Inbound is the destination's record of a remote root's channel for
@@ -444,17 +299,9 @@ func (m *Manager) Accept(root pattern.PeerID, num uint32, seqBase int, tenant st
 		m.stats.TenantAccepts = map[string]int{}
 	}
 	m.stats.TenantAccepts[tenant]++
-	hook := m.onOpen
 	m.mu.Unlock()
-	in := &Inbound{m: m, root: root, num: num, seq: seqBase}
-	if hook != nil {
-		hook(in.ID(), root)
-	}
-	return in
+	return &Inbound{m: m, root: root, num: num, seq: seqBase}
 }
-
-// ID is the channel's root-locally unique id.
-func (in *Inbound) ID() string { return ID(in.root, in.num) }
 
 // Send ships p upstream to the channel's root. Its channel number,
 // sequence number and gossip are stamped here; the sequence number is
@@ -484,10 +331,21 @@ func (in *Inbound) Send(p Packet) error {
 	return nil
 }
 
+// handlePacket is the root's acceptance rule. A packet numbered at or
+// below its channel's floor is a replay: dropped and counted. The one
+// numbered floor+1 is accepted: the floor advances and the packet goes
+// to the channel's callback. Any other number, or a type outside the
+// three defined, is refused with an error to the sender and leaves the
+// floor where it was. A sender stamps its numbers densely and stops at
+// its first failed send, so the accepted packets are always a contiguous
+// prefix of what it sent: the property resume offsets rely on.
 func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 	pkt, err := DecodePacket(msg.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("channel: bad packet: %w", err)
+	}
+	if pkt.Type > Failure {
+		return nil, fmt.Errorf("channel: %s: packet %d has undefined type %d", ID(m.self, pkt.Channel), pkt.Seq, pkt.Type)
 	}
 	m.mu.Lock()
 	ch := m.channels[pkt.Channel]
@@ -498,22 +356,18 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 		return m.dropDuplicate(msg.From, &pkt, "")
 	}
 	ch.mu.Lock()
-	ok, forced := ch.accept(pkt.Seq)
-	if !ok {
+	if floor := ch.floor; pkt.Seq != floor+1 {
 		ch.mu.Unlock()
-		return m.dropDuplicate(msg.From, &pkt, ch.TraceID)
+		if pkt.Seq <= floor {
+			return m.dropDuplicate(msg.From, &pkt, ch.TraceID)
+		}
+		return nil, fmt.Errorf("channel: %s: packet %d out of sequence (watermark %d)", ID(m.self, pkt.Channel), pkt.Seq, floor)
 	}
-	if pkt.Type == Results {
-		ch.rowsReceived += pkt.Rows
-	}
-	if pkt.Type == Failure {
-		ch.failed = true
-	}
+	ch.floor++
 	ch.mu.Unlock()
 	pkt.WireBytes = msg.Size()
 	m.mu.Lock()
 	m.stats.PacketsAccepted++
-	m.stats.WindowForced += forced
 	onGossip := m.OnGossip
 	m.mu.Unlock()
 	if len(pkt.Gossip) > 0 && onGossip != nil {
@@ -521,7 +375,7 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 	}
 	if pkt.Type == PlanChange {
 		m.Events.Emit("channel", "plan-change", string(m.self), ch.TraceID,
-			obs.A("channel", ch.ID), obs.A("from", string(msg.From)))
+			obs.A("channel", ID(m.self, ch.Num)), obs.A("from", string(msg.From)))
 	}
 	if ch.onPacket != nil {
 		ch.onPacket(pkt)
@@ -532,10 +386,8 @@ func (m *Manager) handlePacket(msg network.Message) ([]byte, error) {
 // dropDuplicate drops a replayed packet (at-least-once transport): the
 // destination stamped its sequence number once, or the root has already
 // retired its channel. It is never an error, because the sender would
-// take that for a failed delivery and retry. A late arrival reordered by
-// a delay spike is NOT a duplicate — Channel.accept tells them apart via
-// the bounded seen-window. trace is the channel's trace id, "" for a
-// retired channel.
+// take that for a failed delivery and retry. trace is the channel's
+// trace id, "" for a retired channel.
 func (m *Manager) dropDuplicate(from pattern.PeerID, pkt *Packet, trace string) ([]byte, error) {
 	m.mu.Lock()
 	m.stats.PacketsDuplicate++

@@ -19,10 +19,10 @@ func managers(t testing.TB, net *network.Network, ids ...pattern.PeerID) map[pat
 	return out
 }
 
-// accept is the destination's side of a request naming ch: what a
-// subplan handler does on receipt.
+// accept is the destination's side of an untagged request naming ch,
+// which every test roots at P1: what a subplan handler does on receipt.
 func accept(m *channel.Manager, ch *channel.Channel) *channel.Inbound {
-	return m.Accept(ch.Root, ch.Num, ch.Watermark(), ch.Tenant)
+	return m.Accept("P1", ch.Num, ch.Watermark(), "")
 }
 
 func TestOpenSendReceive(t *testing.T) {
@@ -31,14 +31,11 @@ func TestOpenSendReceive(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []channel.Packet
-	ch := ms["P1"].Deploy("P2", "", 0, "", func(p channel.Packet) {
+	ch := ms["P1"].Deploy("", func(p channel.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
 	})
-	if ch.Root != "P1" || ch.Dest != "P2" {
-		t.Errorf("channel ends = %s → %s", ch.Root, ch.Dest)
-	}
 	in := accept(ms["P2"], ch)
 	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 3, Payload: []byte("rows")}); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -60,8 +57,8 @@ func TestOpenSendReceive(t *testing.T) {
 	if got[0].Seq != 1 || got[1].Seq != 2 {
 		t.Errorf("sequence numbers = %d, %d", got[0].Seq, got[1].Seq)
 	}
-	if ch.RowsReceived() != 3 {
-		t.Errorf("RowsReceived = %d", ch.RowsReceived())
+	if wm := ch.Watermark(); wm != 2 {
+		t.Errorf("Watermark = %d, want 2", wm)
 	}
 }
 
@@ -72,12 +69,12 @@ func TestDeploySendsNothingAndSeqContinues(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
 	var seqs []int
-	ch := ms["P1"].Deploy("P2", "gold", 2, "", func(p channel.Packet) { seqs = append(seqs, p.Seq) })
+	ch := ms["P1"].Deploy("", func(p channel.Packet) { seqs = append(seqs, p.Seq) })
 	if c := net.Counters(); c.Messages != 0 {
 		t.Fatalf("Deploy sent %d messages, want 0", c.Messages)
 	}
 	for req := 0; req < 2; req++ {
-		in := accept(ms["P2"], ch)
+		in := ms["P2"].Accept("P1", ch.Num, ch.Watermark(), "gold")
 		for i := 0; i < 2; i++ {
 			if err := in.Send(channel.Packet{Type: channel.Results, Final: i == 1}); err != nil {
 				t.Fatalf("request %d send %d: %v", req, i, err)
@@ -96,41 +93,13 @@ func TestDeploySendsNothingAndSeqContinues(t *testing.T) {
 	}
 }
 
-func TestFailurePacketMarksChannel(t *testing.T) {
-	net := network.New()
-	ms := managers(t, net, "P1", "P2")
-	ch := ms["P1"].Deploy("P2", "", 0, "", nil)
-	if ch.Failed() {
-		t.Error("fresh channel reported failed")
-	}
-	if err := accept(ms["P2"], ch).Send(channel.Packet{Type: channel.Failure, Payload: []byte("peer overloaded")}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if !ch.Failed() {
-		t.Error("Failure packet did not mark the channel")
-	}
-	ms["P1"].MarkFailed(ch)
-	if !ch.Failed() {
-		t.Error("MarkFailed did not mark the channel")
-	}
-}
-
 func TestCloseChannel(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
 	called := 0
-	ch := ms["P1"].Deploy("P2", "", 0, "", func(channel.Packet) { called++ })
+	ch := ms["P1"].Deploy("", func(channel.Packet) { called++ })
 	in := accept(ms["P2"], ch)
-	if got := ms["P1"].OpenChannels(); len(got) != 1 || got[0] != ch.ID {
-		t.Errorf("OpenChannels = %v", got)
-	}
 	ms["P1"].Close(ch)
-	if !ch.Closed() {
-		t.Error("channel not marked closed")
-	}
-	if got := ms["P1"].OpenChannels(); len(got) != 0 {
-		t.Errorf("OpenChannels after close = %v", got)
-	}
 	// Retiring is local: nothing crosses the wire. A packet that still
 	// arrives for the retired number is dropped as a duplicate, and the
 	// sender sees no error (it would take one for a failed delivery).
@@ -143,48 +112,40 @@ func TestCloseChannel(t *testing.T) {
 	if called != 0 {
 		t.Error("late packet reached the retired channel's callback")
 	}
-	if d := ms["P1"].Stats().PacketsDuplicate; d != 1 {
-		t.Errorf("PacketsDuplicate = %d, want 1", d)
+	st := ms["P1"].Stats()
+	if st.PacketsDuplicate != 1 || st.ChannelsClosed != 1 {
+		t.Errorf("PacketsDuplicate = %d, ChannelsClosed = %d; want 1 each", st.PacketsDuplicate, st.ChannelsClosed)
 	}
 }
 
-func TestOnOpenHook(t *testing.T) {
-	net := network.New()
-	ms := managers(t, net, "P1", "P2")
-	var hookID string
-	var hookRoot pattern.PeerID
-	ms["P2"].OnOpen(func(id string, root pattern.PeerID) {
-		hookID, hookRoot = id, root
-	})
-	ch := ms["P1"].Deploy("P2", "", 0, "", nil)
-	if hookID != "" {
-		t.Errorf("OnOpen fired on deploy with %q", hookID)
-	}
-	accept(ms["P2"], ch)
-	if hookID != ch.ID || hookRoot != "P1" {
-		t.Errorf("OnOpen got (%q, %s)", hookID, hookRoot)
-	}
-}
-
+// Each deploy at one root takes a fresh number, so two channels from
+// the same root never share a callback.
 func TestChannelIDsUniquePerRoot(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2", "P3")
-	a := ms["P1"].Deploy("P2", "", 0, "", nil)
-	b := ms["P1"].Deploy("P3", "", 0, "", nil)
-	if a.ID == b.ID {
-		t.Errorf("duplicate channel ids: %s", a.ID)
+	var got []uint32
+	a := ms["P1"].Deploy("", func(p channel.Packet) { got = append(got, p.Channel) })
+	b := ms["P1"].Deploy("", nil)
+	if a.Num == b.Num {
+		t.Fatalf("duplicate channel numbers: %d", a.Num)
 	}
-	if _, ok := ms["P1"].Channel(a.ID); !ok {
-		t.Error("Channel lookup failed")
+	if id := channel.ID("P1", a.Num); id != "P1#1" {
+		t.Errorf("ID(P1, %d) = %q, want P1#1", a.Num, id)
 	}
-	if _, ok := ms["P1"].Channel("ghost"); ok {
-		t.Error("ghost channel found")
+	if err := ms["P3"].Accept("P1", a.Num, 0, "").Send(channel.Packet{Type: channel.Results, Final: true}); err != nil {
+		t.Fatalf("send on %d: %v", a.Num, err)
+	}
+	if err := ms["P2"].Accept("P1", b.Num, 0, "").Send(channel.Packet{Type: channel.Results, Final: true}); err != nil {
+		t.Fatalf("send on %d: %v", b.Num, err)
+	}
+	if len(got) != 1 || got[0] != a.Num {
+		t.Errorf("channel %d's callback saw packets of channels %v", a.Num, got)
 	}
 }
 
-// A packet for a number the root never deployed (or already retired) is
-// dropped and counted as a duplicate, never returned as an error: the
-// sender would retry on an error.
+// A packet for a number the root never deployed is dropped and counted
+// as a duplicate, never returned as an error: the sender would retry on
+// an error.
 func TestPacketForUnknownChannelIsDuplicate(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
@@ -197,22 +158,10 @@ func TestPacketForUnknownChannelIsDuplicate(t *testing.T) {
 	}
 }
 
-func TestPacketTypeNames(t *testing.T) {
-	names := map[channel.PacketType]string{
-		channel.Results: "results", channel.PlanChange: "plan-change",
-		channel.Failure: "failure", channel.TraceSpans: "trace-spans",
-	}
-	for typ, want := range names {
-		if typ.String() != want {
-			t.Errorf("%d.String() = %q, want %q", typ, typ.String(), want)
-		}
-	}
-}
-
 func TestPacketsCountedOnNetwork(t *testing.T) {
 	net := network.New()
 	ms := managers(t, net, "P1", "P2")
-	ch := ms["P1"].Deploy("P2", "", 0, "", nil)
+	ch := ms["P1"].Deploy("", nil)
 	net.ResetCounters()
 	in := accept(ms["P2"], ch)
 	_ = in.Send(channel.Packet{Type: channel.Results, Rows: 10, Payload: make([]byte, 500)})
@@ -260,7 +209,7 @@ func TestGossipPiggybackOnPackets(t *testing.T) {
 		seen = append(seen, gossip{from, string(blob)})
 	}
 
-	in := accept(ms["P2"], ms["P1"].Deploy("P2", "", 0, "", nil))
+	in := accept(ms["P2"], ms["P1"].Deploy("", nil))
 	if err := in.Send(channel.Packet{Type: channel.Results, Rows: 1, Payload: []byte("r")}); err != nil {
 		t.Fatalf("send 1: %v", err)
 	}

@@ -15,7 +15,6 @@ func (s ManagerStats) CollectObs(g *obs.Gather, labels ...obs.Label) {
 	g.Count("channel_payload_bytes_sent_total", float64(s.PayloadBytesSent), labels...)
 	g.Count("channel_packets_accepted_total", float64(s.PacketsAccepted), labels...)
 	g.Count("channel_packets_duplicate_total", float64(s.PacketsDuplicate), labels...)
-	g.Count("channel_window_forced_total", float64(s.WindowForced), labels...)
 	g.Count("channel_opens_total", float64(s.ChannelsOpened), labels...)
 	g.Count("channel_accepts_total", float64(s.ChannelsAccepted), labels...)
 	g.Count("channel_closes_total", float64(s.ChannelsClosed), labels...)

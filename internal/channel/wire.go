@@ -40,7 +40,7 @@ const finalFlag byte = 0x80
 var ErrBadEnvelope = wire.ErrMalformed
 
 // ID renders the root-locally unique channel id "<root>#<num>" that
-// events, logs and the channel API use for the wire's channel number.
+// events and errors use for the wire's channel number.
 func ID(root pattern.PeerID, num uint32) string {
 	return string(root) + "#" + strconv.FormatUint(uint64(num), 10)
 }

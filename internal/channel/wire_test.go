@@ -233,7 +233,8 @@ func FuzzPacketEnvelope(f *testing.F) {
 	for _, b := range badPackets {
 		f.Add(b, uint8(channel.Results)|0x80, 4, 0, uint32(5), "stats", "", []byte(nil))
 	}
-	f.Add([]byte{}, uint8(channel.TraceSpans), -1, 1<<40, uint32(1<<32-1), "", "", []byte(nil))
+	// 3 is a type byte no packet type defines: the decoder still takes it.
+	f.Add([]byte{}, uint8(3), -1, 1<<40, uint32(1<<32-1), "", "", []byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte, typ uint8, seq, rows int, num uint32, trace, span string, gossip []byte) {
 		if p, err := channel.DecodePacket(data); err == nil {
 			if again := channel.AppendPacket(nil, &p); !bytes.Equal(again, data) {

@@ -97,14 +97,14 @@ func TestCompletenessShedBranchesSortedDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PlanQuery: %v", err)
 	}
-	res, err := p0.Engine.ExecuteAnnotatedQoS(pr.Optimized, nil, admission.QoS{Tenant: "bronze", Priority: admission.Low})
+	_, comp, err := p0.Engine.ExecuteBatch(pr.Optimized, nil, admission.QoS{Tenant: "bronze", Priority: admission.Low})
 	if err != nil {
-		t.Fatalf("ExecuteAnnotatedQoS: %v", err)
+		t.Fatalf("ExecuteBatch: %v", err)
 	}
-	if res.Completeness.Complete {
+	if comp.Complete {
 		t.Fatal("all branches shed: result must be incomplete")
 	}
-	un := res.Completeness.Unanswered
+	un := comp.Unanswered
 	if len(un) != 2 || un[0].PatternID != "Q1" || un[1].PatternID != "Q2" {
 		t.Fatalf("Unanswered = %+v, want deduplicated [Q1 Q2] in sorted order", un)
 	}

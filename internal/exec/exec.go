@@ -144,8 +144,8 @@ const (
 
 // Engine executes distributed plans at one peer. The same engine serves
 // both roles: root of its own queries, and remote evaluator of subplans
-// shipped by other peers (registered under the "exec.subplan" and
-// "exec.collect" message kinds).
+// shipped by other peers (registered under the "exec.subplan" message
+// kind).
 type Engine struct {
 	// Options are the engine's settings.
 	Options
@@ -183,7 +183,7 @@ type Engine struct {
 	// engine roots, keeping the local catalog fresh.
 	StatsSink func(*stats.PeerStats)
 	// Tracer, when set, opens a query trace per Execute call (unless the
-	// caller supplies a parent span via ExecuteAnnotatedQoS): spans for
+	// caller supplies a parent span via ExecuteBatch): spans for
 	// every phase, with trace IDs propagated to remote evaluators in the
 	// subplan request so their execution grafts back into the root's
 	// trace. Nil disables tracing at zero cost — all span operations are
@@ -309,22 +309,10 @@ func (e *Engine) Execute(p *plan.Plan) (*rql.ResultSet, error) {
 // dispatch failures retry before a peer is declared obsolete), the
 // throughput monitor as a replan trigger, and — under AllowPartial —
 // hole pruning instead of failure when replanning cannot cover every
-// pattern.
+// pattern. It runs as an untagged Low-priority query, under a standalone
+// trace when a Tracer is configured.
 func (e *Engine) ExecuteAnnotated(p *plan.Plan) (*Result, error) {
-	return e.ExecuteAnnotatedQoS(p, nil, admission.QoS{})
-}
-
-// ExecuteAnnotatedQoS is ExecuteAnnotated under a caller-supplied trace
-// span and an explicit QoS. The peer layer passes its query span so
-// routing, planning and execution share one trace; with a nil span and a
-// configured Tracer, the engine opens a standalone trace for the call.
-// The tenant and priority ride every channel open and subplan request
-// this execution ships, so serving peers admit (or shed) the work under
-// the same class the root charged at its facade. The zero QoS is an
-// untagged Low-priority query — indistinguishable from the historical
-// behaviour unless an admission controller is configured somewhere.
-func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission.QoS) (*Result, error) {
-	rows, comp, err := e.ExecuteBatch(p, span, qos)
+	rows, comp, err := e.ExecuteBatch(p, nil, admission.QoS{})
 	if err != nil {
 		return nil, err
 	}
@@ -335,13 +323,21 @@ func (e *Engine) ExecuteAnnotatedQoS(p *plan.Plan, span *obs.Span, qos admission
 	return &Result{Rows: rows.ResultSet(), Completeness: comp}, nil
 }
 
-// ExecuteBatch is ExecuteAnnotatedQoS stopped short of the facade: it
-// returns the answer as the executor's batch over every variable the
-// plan binds, unprojected, with its completeness annotation. A nil batch
-// means nothing was answerable. The peer facade finishes the answer on
-// it — WHERE filters, then projection, then LIMIT — so a filter on a
-// variable outside SELECT still sees its bindings, and the rows become
-// row maps once, at the end.
+// ExecuteBatch is ExecuteAnnotated stopped short of the facade, under a
+// caller-supplied trace span and an explicit QoS: it returns the answer
+// as the executor's batch over every variable the plan binds,
+// unprojected, with its completeness annotation. A nil batch means
+// nothing was answerable. The peer facade finishes the answer on it —
+// WHERE filters, then projection, then LIMIT — so a filter on a variable
+// outside SELECT still sees its bindings, and the rows become row maps
+// once, at the end. The peer layer passes its query span so routing,
+// planning and execution share one trace; with a nil span and a
+// configured Tracer, the engine opens a standalone trace for the call.
+// The tenant and priority ride every subplan request this execution
+// ships, so serving peers admit (or shed) the work under the same class
+// the root charged at its facade. The zero QoS is an untagged
+// Low-priority query — indistinguishable from the historical behaviour
+// unless an admission controller is configured somewhere.
 func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (*rql.Batch, Completeness, error) {
 	if span == nil && e.Tracer != nil {
 		tr := e.Tracer.StartTrace("execute@"+string(e.Self), string(e.Self))
@@ -551,13 +547,12 @@ type execution struct {
 	// run one at a time, branches within an attempt race).
 	fetched map[string]int
 	// qos is the tenant/priority the execution runs under: stamped onto
-	// every channel open and subplan request, and consulted for
-	// root-side shedding. Immutable after newExecution's caller sets it.
+	// every subplan request, and consulted for root-side shedding.
+	// Immutable after newExecution's caller sets it.
 	qos admission.QoS
 
 	mu    sync.Mutex
 	sites map[pattern.PeerID]*siteChan
-	inbox map[uint32]*remoteResult // channel number -> collector
 	// cache single-flights remote dispatches within this execution:
 	// optimized plans repeat the same scan under several union branches,
 	// and with branches racing, the first to ask ships the subplan while
@@ -597,6 +592,11 @@ type execution struct {
 type siteChan struct {
 	ch *channel.Channel
 	mu sync.Mutex
+	// res collects the in-flight dispatch's packets: set when the request
+	// ships, taken when it returns, nil in between. Guarded by the
+	// execution's mu, because the channel's callback runs while the
+	// dispatch holds sc.mu.
+	res *remoteResult
 }
 
 // cacheEntry is a single-flight memo: done closes when the owning branch
@@ -636,6 +636,18 @@ type remoteResult struct {
 	watermark int
 }
 
+// graft hangs the remote span record a final packet carried under the
+// dispatch's stream span; a missing or undecodable record is skipped.
+func (res *remoteResult) graft(spans []byte) {
+	if len(spans) == 0 || res.span == nil {
+		return
+	}
+	var rec obs.SpanRecord
+	if err := json.Unmarshal(spans, &rec); err == nil {
+		res.span.Graft(&rec)
+	}
+}
+
 // gathered reassembles the stream's accepted Results payloads into one
 // relation. nil when no Results packet arrived at all — the same "no
 // stream" sentinel the old single-ResultSet field encoded (a destination
@@ -657,7 +669,6 @@ func newExecution(e *Engine) *execution {
 		store:      rql.NewTermStore(),
 		fetched:    map[string]int{},
 		sites:      map[pattern.PeerID]*siteChan{},
-		inbox:      map[uint32]*remoteResult{},
 		cache:      map[string]*cacheEntry{},
 		unanswered: map[string]string{},
 		holeReason: "no peer advertises this pattern",
@@ -1344,9 +1355,8 @@ func (ex *execution) recordComplete(site pattern.PeerID, n plan.Node, rows, wate
 	}}, nil)
 }
 
-// resetSite retires a site's channel slot — every dispatch failure marked
-// the channel failed, so the retry must deploy a fresh channel rather
-// than reuse the slot.
+// resetSite retires a site's channel slot after a failed dispatch, so
+// the retry deploys a fresh channel rather than reuse the slot.
 func (ex *execution) resetSite(site pattern.PeerID) {
 	ex.mu.Lock()
 	sc, ok := ex.sites[site]
@@ -1378,8 +1388,8 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 	if sp != nil {
 		link = e.Net.LinkBetween(e.Self, site)
 	}
-	// One request/collect cycle at a time per channel: the inbox collector
-	// is keyed by channel number, and the request's sequence base is the
+	// One request/collect cycle at a time per channel: the slot holds one
+	// in-flight collector, and the request's sequence base is the
 	// channel's watermark, so concurrent branches targeting the same peer
 	// take turns on its channel.
 	sc.mu.Lock()
@@ -1401,7 +1411,7 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 		sp.ChargeMS(link.TransferMS(msg.Size()))
 	}
 	ex.mu.Lock()
-	ex.inbox[sc.ch.Num] = &remoteResult{site: site, span: sp, link: link}
+	sc.res = &remoteResult{site: site, span: sp, link: link}
 	ex.mu.Unlock()
 	e.record(fact{kind: factShipped, site: site, try: try}, sp)
 	if tm := e.Throughput; tm != nil {
@@ -1414,20 +1424,17 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 	// a failed send may have let packets through first (e.g. a crash
 	// mid-stream), so always collect what arrived.
 	ex.mu.Lock()
-	res := ex.inbox[sc.ch.Num]
-	delete(ex.inbox, sc.ch.Num)
+	res := sc.res
+	sc.res = nil
 	ex.mu.Unlock()
 	res.watermark = sc.ch.Watermark()
 	if sendErr != nil {
-		e.Channels.MarkFailed(sc.ch)
 		return res, &PeerFailure{Peer: site, Err: sendErr}
 	}
 	if res.err != nil {
-		e.Channels.MarkFailed(sc.ch)
 		return res, &PeerFailure{Peer: site, Err: res.err}
 	}
 	if !res.done {
-		e.Channels.MarkFailed(sc.ch)
 		return res, &PeerFailure{Peer: site, Err: fmt.Errorf("result stream ended without a final packet")}
 	}
 	return res, nil
@@ -1442,8 +1449,8 @@ func (ex *execution) channelTo(site pattern.PeerID, trace string) *siteChan {
 	ex.mu.Lock()
 	sc, ok := ex.sites[site]
 	if !ok {
-		sc = &siteChan{ch: e.Channels.Deploy(site, ex.qos.Tenant, int(ex.qos.Priority), trace,
-			func(pkt channel.Packet) { ex.onPacket(pkt) })}
+		sc = &siteChan{}
+		sc.ch = e.Channels.Deploy(trace, func(pkt channel.Packet) { ex.onPacket(sc, pkt) })
 		ex.sites[site] = sc
 	}
 	ex.mu.Unlock()
@@ -1453,7 +1460,10 @@ func (ex *execution) channelTo(site pattern.PeerID, trace string) *siteChan {
 	return sc
 }
 
-func (ex *execution) onPacket(pkt channel.Packet) {
+// onPacket folds one accepted packet into the site slot's in-flight
+// collector. A packet that arrives with no dispatch in flight on the
+// slot is ignored.
+func (ex *execution) onPacket(sc *siteChan, pkt channel.Packet) {
 	// The stats sink is a caller-supplied callback: invoke it only after
 	// ex.mu is released, so a sink that re-enters the engine cannot
 	// deadlock against a packet handler.
@@ -1463,8 +1473,7 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 	resultsRows, resultsSeen := 0, false
 	planChangeAck := false
 	ex.mu.Lock()
-	res, ok := ex.inbox[pkt.Channel]
-	if ok {
+	if res := sc.res; res != nil {
 		// Price the reply leg: every packet that reaches the collector
 		// crossed the site→root link once, at the size the network
 		// accounted. The link was captured at dispatch, so no network lock
@@ -1497,6 +1506,7 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 			// the serving peer's statistics and, when the root shipped a
 			// trace context, the remote span record.
 			res.done = true
+			res.graft(pkt.Spans)
 			if len(pkt.Stats) > 0 {
 				statsReceived = true
 				statsSite = res.site
@@ -1504,12 +1514,6 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 					if ps, err := stats.UnmarshalPeerStats(pkt.Stats); err == nil && ps.Peer != "" {
 						sinkStats = ps
 					}
-				}
-			}
-			if len(pkt.Spans) > 0 && res.span != nil {
-				var rec obs.SpanRecord
-				if err := json.Unmarshal(pkt.Spans, &rec); err == nil {
-					res.span.Graft(&rec)
 				}
 			}
 		case channel.PlanChange:
@@ -1525,13 +1529,12 @@ func (ex *execution) onPacket(pkt channel.Packet) {
 				res.restarted = true
 			}
 			planChangeAck = true
-		case channel.TraceSpans:
-			var rec obs.SpanRecord
-			if err := json.Unmarshal(pkt.Payload, &rec); err == nil && res.span != nil {
-				res.span.Graft(&rec)
-			}
 		case channel.Failure:
+			// The failure ends the stream; its trailer still carries the
+			// remote span record, so the partial remote subtree lands in
+			// the trace.
 			res.err = fmt.Errorf("exec: remote failure: %s", pkt.Payload)
+			res.graft(pkt.Spans)
 		}
 	}
 	ex.mu.Unlock()
@@ -1633,12 +1636,9 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		}
 	}
 	if err != nil {
-		if len(traceRec) > 0 {
-			if serr := in.Send(channel.Packet{Type: channel.TraceSpans, Payload: traceRec}); serr != nil {
-				return nil, serr
-			}
-		}
-		if serr := in.Send(channel.Packet{Type: channel.Failure, Payload: []byte(err.Error())}); serr != nil {
+		// One final Failure packet ends the stream, carrying the partial
+		// remote span record as its trailer.
+		if serr := in.Send(channel.Packet{Type: channel.Failure, Final: true, Payload: []byte(err.Error()), Spans: traceRec}); serr != nil {
 			return nil, serr
 		}
 		return []byte("failed"), nil
@@ -1704,7 +1704,7 @@ func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, resumeFrom 
 		if err != nil {
 			// The root would refuse this frame as malformed: end the
 			// stream with the reason instead.
-			return in.Send(channel.Packet{Type: channel.Failure, Payload: []byte(err.Error())})
+			return in.Send(channel.Packet{Type: channel.Failure, Final: true, Payload: []byte(err.Error()), Spans: traceRec})
 		}
 		pkt := channel.Packet{Type: channel.Results, Rows: part.Len(), Frame: frame}
 		if last {

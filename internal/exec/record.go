@@ -37,8 +37,10 @@ type Metrics struct {
 	// HolesFilled counts `@?` holes converted into dispatched subplans
 	// mid-flight, after advertisement updates made them answerable.
 	HolesFilled int
-	// PlanChanges counts PlanChange packets exchanged (both the
-	// migration/resume announcements and the destination's acks).
+	// PlanChanges counts plan changes: every PlanChange packet received
+	// (a destination's resume ack or checkpoint rejection), every
+	// mid-flight hole fill and every migration. The last two send no
+	// packet of their own.
 	PlanChanges int
 	// Resumes counts dispatch retries that resumed from a row checkpoint
 	// instead of re-streaming from scratch.

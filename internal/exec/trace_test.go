@@ -2,13 +2,20 @@ package exec_test
 
 import (
 	"bytes"
+	"errors"
+	"strings"
+	"sync"
 	"testing"
 
+	"sqpeer/internal/channel"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/obs"
+	"sqpeer/internal/optimizer"
 	"sqpeer/internal/pattern"
 	"sqpeer/internal/peer"
+	"sqpeer/internal/plan"
 )
 
 // tracedPaperSystem is paperSystem with a tracer on P1 only and one
@@ -158,5 +165,67 @@ func TestRegistryUnifiesLayers(t *testing.T) {
 		if got[name] <= 0 {
 			t.Errorf("registry missing activity on %s (snapshot: %v)", name, got)
 		}
+	}
+}
+
+// packetTap decodes every chan.packet the network delivers.
+type packetTap struct {
+	mu      sync.Mutex
+	packets []channel.Packet
+}
+
+func (pt *packetTap) Intercept(m network.Message) network.Fault {
+	if m.Kind == "chan.packet" {
+		if p, err := channel.DecodePacket(m.Payload); err == nil {
+			pt.mu.Lock()
+			pt.packets = append(pt.packets, p)
+			pt.mu.Unlock()
+		}
+	}
+	return network.Fault{}
+}
+
+// A subplan that fails at the serving peer still brings that peer's span
+// subtree home: the peer answers with one Failure packet marked final,
+// whose Spans trailer carries the record, and the root grafts it under
+// the dispatch that shipped the work.
+func TestFailedSubplanGraftsRemoteSpans(t *testing.T) {
+	peers, net, tracer, _ := tracedPaperSystem(t, 2)
+	p1 := peers["P1"]
+	p1.Engine.Router = nil // surface the failure instead of replanning
+	p1.Engine.Cost = nil   // query shipping sends the join to its first remote scan peer, P2
+	p1.Engine.Policy = optimizer.QueryShipping
+	tap := &packetTap{}
+	net.SetInjector(tap)
+	net.Fail("P3") // P2's nested leg to P3 fails
+	q := gen.PaperQuery()
+	j := plan.NewJoin(plan.NewScan(q.Patterns[0], "P2"), plan.NewScan(q.Patterns[1], "P3"))
+	_, err := p1.Engine.Execute(&plan.Plan{Root: j, Query: q})
+	var pf *exec.PeerFailure
+	if !errors.As(err, &pf) || pf.Peer != "P2" {
+		t.Fatalf("want a PeerFailure of P2, got %v", err)
+	}
+	if len(tap.packets) != 1 {
+		t.Fatalf("P2 sent %d packets, want one", len(tap.packets))
+	}
+	if p := tap.packets[0]; p.Type != channel.Failure || !p.Final || len(p.Spans) == 0 {
+		t.Fatalf("P2's packet = type %d, final %v, %d span bytes; want a final Failure with spans",
+			p.Type, p.Final, len(p.Spans))
+	}
+	var remote, nested *obs.ExportSpan
+	layout := tracer.Traces()[0].Layout()
+	for i, es := range layout {
+		switch {
+		case es.Kind == obs.KindRemote && es.Peer == "P2":
+			remote = &layout[i]
+		case es.Kind == obs.KindDispatch && es.Peer == "P3":
+			nested = &layout[i]
+		}
+	}
+	if remote == nil || !strings.Contains(remote.ID, "/dispatch@P2/") {
+		t.Fatalf("P2's remote span is not grafted under P1's dispatch@P2: %+v", remote)
+	}
+	if nested == nil || !strings.HasPrefix(nested.ID, remote.ID+"/") {
+		t.Fatalf("P2's failed dispatch to P3 is missing from the grafted subtree: %+v", nested)
 	}
 }

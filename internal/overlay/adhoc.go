@@ -200,7 +200,7 @@ func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
 			frame, rerr = rql.NewFrame(rql.BatchOf(rows))
 		}
 		if rerr != nil {
-			if serr := in.Send(channel.Packet{Type: channel.Failure, Payload: []byte(rerr.Error())}); serr != nil {
+			if serr := in.Send(channel.Packet{Type: channel.Failure, Final: true, Payload: []byte(rerr.Error())}); serr != nil {
 				return nil, serr
 			}
 			return []byte("failed"), nil
@@ -358,7 +358,7 @@ func (a *Adhoc) forwardCandidates(p *peer.Peer, filled *plan.Plan, seen map[patt
 // resolves the whole chain within the Send).
 func (a *Adhoc) forwardTo(p *peer.Peer, cand pattern.PeerID, filled *plan.Plan, visited []pattern.PeerID, ttl int) (*rql.ResultSet, error) {
 	collector := &adhocCollector{}
-	ch := p.Channels.Deploy(cand, "", 0, "", collector.onPacket)
+	ch := p.Channels.Deploy("", collector.onPacket)
 	defer p.Channels.Close(ch)
 	data, err := plan.Marshal(filled)
 	if err != nil {
@@ -366,7 +366,6 @@ func (a *Adhoc) forwardTo(p *peer.Peer, cand pattern.PeerID, filled *plan.Plan, 
 	}
 	body := appendPlanReq(nil, &planReq{Channel: ch.Num, TTL: ttl, Visited: visited, Plan: data})
 	if err := p.Net.SendWithin(p.ID, cand, "adhoc.plan", body, a.DeadlineMS); err != nil {
-		p.Channels.MarkFailed(ch)
 		return nil, fmt.Errorf("overlay: forward to %s failed: %w", cand, err)
 	}
 	if collector.err != nil {

@@ -157,8 +157,8 @@ func TestGossipRidesChannelTraffic(t *testing.T) {
 	// Seed a death verdict at the destination; it must reach the root on
 	// the result packets of an ordinary exchange.
 	dest.Membership.Merge([]membership.Entry{{Peer: "ghost", Status: membership.StatusDead, Incarnation: 5}})
-	ch := root.Channels.Deploy("P2", "", 0, "", nil)
-	in := dest.Channels.Accept(ch.Root, ch.Num, ch.Watermark(), "")
+	ch := root.Channels.Deploy("", nil)
+	in := dest.Channels.Accept("P1", ch.Num, ch.Watermark(), "")
 	if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: 1, Payload: []byte(`{}`)}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
