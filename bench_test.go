@@ -281,7 +281,8 @@ func BenchmarkFig6Hybrid(b *testing.B) {
 }
 
 // BenchmarkFig7AdHoc measures the interleaved routing/processing path: a
-// partial plan forwarded once before completion.
+// query pattern forwarded once before its annotation completes, then
+// executed at the initiator.
 func BenchmarkFig7AdHoc(b *testing.B) {
 	net := network.New()
 	a := overlay.NewAdhoc(net, gen.PaperSchema())
@@ -297,12 +298,12 @@ func BenchmarkFig7AdHoc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := a.Query("P1", gen.PaperRQL)
+		res, err := a.Query("P1", gen.PaperRQL, overlay.DefaultTTL)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows.Len() != 6 {
-			b.Fatalf("rows = %d", rows.Len())
+		if res.Rows.Len() != 6 {
+			b.Fatalf("rows = %d", res.Rows.Len())
 		}
 	}
 }

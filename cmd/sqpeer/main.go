@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"sqpeer/internal/debugsrv"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/obs"
@@ -244,7 +245,7 @@ func runFullyConnected(net *network.Network, schema *rdf.Schema, bases map[patte
 	if err != nil {
 		return err
 	}
-	printOutcome(rows, net, string(root.ID))
+	printOutcome(rows, nil, net, string(root.ID))
 	return ops.serve()
 }
 
@@ -279,7 +280,7 @@ func runHybrid(net *network.Network, schema *rdf.Schema, bases map[pattern.PeerI
 	if err != nil {
 		return err
 	}
-	printOutcome(rows, net, string(first))
+	printOutcome(rows, nil, net, string(first))
 	return nil
 }
 
@@ -308,11 +309,11 @@ func runAdhoc(net *network.Network, schema *rdf.Schema, bases map[pattern.PeerID
 	}
 	a.Connect(first, prev) // close the ring
 	net.ResetCounters()
-	rows, err := a.Query(first, query)
+	res, err := a.Query(first, query, overlay.DefaultTTL)
 	if err != nil {
 		return err
 	}
-	printOutcome(rows, net, string(first))
+	printOutcome(res.Rows, &res.Completeness, net, string(first))
 	return nil
 }
 
@@ -344,12 +345,23 @@ func runFlood(net *network.Network, schema *rdf.Schema, bases map[pattern.PeerID
 		return err
 	}
 	fmt.Printf("flooding reached %d peers\n", res.PeersReached)
-	printOutcome(res.Rows, net, string(first))
+	printOutcome(res.Rows, nil, net, string(first))
 	return nil
 }
 
-func printOutcome(rows *rql.ResultSet, net *network.Network, root string) {
+// printOutcome prints the answer, its completeness annotation when the
+// mode reports one (ad-hoc: complete, or the unanswered patterns and
+// why), and the traffic the query cost.
+func printOutcome(rows *rql.ResultSet, comp *exec.Completeness, net *network.Network, root string) {
 	fmt.Printf("\nanswer at %s:\n%s", root, rows)
+	if comp != nil && comp.Complete {
+		fmt.Println("completeness: complete")
+	} else if comp != nil {
+		fmt.Println("completeness: partial, unanswered:")
+		for _, u := range comp.Unanswered {
+			fmt.Printf("  %s: %s\n", u.PatternID, u.Reason)
+		}
+	}
 	c := net.Counters()
 	fmt.Printf("\nnetwork: %d messages, %d bytes, %.1f simulated ms\n",
 		c.Messages, c.Bytes, c.SimulatedMS)

@@ -48,6 +48,11 @@ func TestRunDistributions(t *testing.T) {
 		if err := run("hybrid", "", 5, 4, dist, 3, 2, 3, false, false, ""); err != nil {
 			t.Fatalf("hybrid/%s: %v", dist, err)
 		}
+		// The CLI's documented 20-peer ring: under mixed, Q2's and Q3's
+		// holders sit 5–9 hops from the initiator, past the TTL.
+		if err := run("adhoc", "", 20, 8, dist, 4, 3, 5, false, false, ""); err != nil {
+			t.Fatalf("adhoc/%s: %v", dist, err)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Command adhoc replays the paper's Figure-7 scenario on a self-adaptive
 // SON: P1 knows only its neighbors P2 and P3 (both covering Q1) and
-// nobody for Q2, so it generates a partial plan with a hole; the plan is
-// forwarded to P2, which knows P5, completes it, executes it and streams
-// the answer back through the deployed channels. The example then shows
-// k-depth neighborhood expansion and adaptation to a peer failure.
+// nobody for Q2, so its partial plan has a hole; P1 forwards the query
+// pattern to P2, which knows P5 and completes the annotation, and P1
+// executes the completed plan over channels to P2, P3 and P5. The
+// example then shows k-depth neighborhood expansion and adaptation to a
+// peer failure.
 package main
 
 import (
@@ -64,12 +65,12 @@ func main() {
 	fmt.Println(" ", partial)
 
 	fmt.Println("\nforwarding through the SON (interleaved routing/processing)…")
-	rows, err := son.Query("P1", sqpeer.PaperRQL)
+	res, err := son.Query("P1", sqpeer.PaperRQL, sqpeer.DefaultTTL)
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}
-	fmt.Println("complete answer received at P1 (completed and executed by P2):")
-	fmt.Print(rows)
+	fmt.Printf("answer at P1 (plan completed by P2, executed by P1), complete=%t:\n", res.Completeness.Complete)
+	fmt.Print(res.Rows)
 
 	// Alternative: P1 expands its neighborhood to depth 2, learns P5's
 	// advertisement, and can then route the query entirely by itself.
@@ -85,11 +86,11 @@ func main() {
 	// P2's data only.
 	net.Fail("P3")
 	fmt.Println("\nP3 failed; re-asking the query:")
-	rows2, err := son.Query("P1", sqpeer.PaperRQL)
+	res2, err := son.Query("P1", sqpeer.PaperRQL, sqpeer.DefaultTTL)
 	if err != nil {
 		log.Fatalf("query after failure: %v", err)
 	}
-	fmt.Print(rows2)
+	fmt.Print(res2.Rows)
 }
 
 func mustAdd(son *sqpeer.AdhocSON, id sqpeer.PeerID, base *sqpeer.Base, neighbors ...sqpeer.PeerID) {

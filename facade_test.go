@@ -164,9 +164,9 @@ func TestFacadeAdhocAndFlooding(t *testing.T) {
 	if _, err := adhoc.AddPeer("A1", base); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := adhoc.Query("A1", sqpeer.PaperRQL)
-	if err != nil || rows.Len() != 1 {
-		t.Errorf("adhoc facade query: %v rows=%d", err, rows.Len())
+	res, err := adhoc.Query("A1", sqpeer.PaperRQL, sqpeer.DefaultTTL)
+	if err != nil || res.Rows.Len() != 1 || !res.Completeness.Complete {
+		t.Errorf("adhoc facade query: %v %+v", err, res)
 	}
 
 	fnet := sqpeer.NewNetwork()
@@ -174,8 +174,8 @@ func TestFacadeAdhocAndFlooding(t *testing.T) {
 	if _, err := flood.AddPeer("F1", base.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := flood.Query("F1", sqpeer.PaperRQL, 2)
-	if err != nil || res.Rows.Len() != 1 {
+	fres, err := flood.Query("F1", sqpeer.PaperRQL, 2)
+	if err != nil || fres.Rows.Len() != 1 {
 		t.Errorf("flooding facade query: %v", err)
 	}
 }

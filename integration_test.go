@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sqpeer"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/overlay"
@@ -67,28 +68,16 @@ func TestArchitecturesAgreeOnAnswers(t *testing.T) {
 				t.Fatalf("hybrid: %v", err)
 			}
 
-			// Ad-hoc on a line topology.
-			anet := network.New()
-			a := overlay.NewAdhoc(anet, syn.Schema)
-			var prev pattern.PeerID
+			// Ad-hoc on a line topology, every peer with 3-depth
+			// knowledge so the line routes completely.
 			ids := sortedIDs(bases)
-			for _, id := range ids {
-				var nbrs []pattern.PeerID
-				if prev != "" {
-					nbrs = append(nbrs, prev)
-				}
-				if _, err := a.AddPeer(id, bases[id].Clone(), nbrs...); err != nil {
-					t.Fatal(err)
-				}
-				prev = id
-			}
-			// Give every peer 3-depth knowledge so line topologies route.
+			a := adhocLine(t, syn.Schema, bases, ids)
 			for _, id := range ids {
 				if _, err := a.ExpandNeighborhood(id, 3); err != nil {
 					t.Fatal(err)
 				}
 			}
-			adhocRows, err := a.Query(ids[0], query)
+			adhoc, err := a.Query(ids[0], query, overlay.DefaultTTL)
 			if err != nil {
 				t.Fatalf("adhoc: %v", err)
 			}
@@ -97,10 +86,75 @@ func TestArchitecturesAgreeOnAnswers(t *testing.T) {
 			if got := fmt.Sprint(hybridRows.Sorted()); got != want {
 				t.Errorf("hybrid ≠ truth:\n%v\n%v", got, want)
 			}
-			if got := fmt.Sprint(adhocRows.Sorted()); got != want {
-				t.Errorf("adhoc ≠ truth:\n%v\n%v", got, want)
+			if got := fmt.Sprint(adhoc.Rows.Sorted()); got != want || !adhoc.Completeness.Complete {
+				t.Errorf("adhoc ≠ truth (%+v):\n%v\n%v", adhoc.Completeness, got, want)
+			}
+
+			// Without the expansion, the answer depends on how far the
+			// routing request may travel; at every TTL it must be a
+			// subset of the truth, with what it lacks annotated.
+			for _, ttl := range []int{1, 2, overlay.DefaultTTL} {
+				a := adhocLine(t, syn.Schema, bases, ids)
+				res, err := a.Query(ids[0], query, ttl)
+				if err != nil {
+					t.Fatalf("adhoc at TTL %d: %v", ttl, err)
+				}
+				checkPartialSubset(t, fmt.Sprintf("TTL %d", ttl), c, res, truth)
 			}
 		})
+	}
+}
+
+// adhocLine builds an ad-hoc SON over clones of the bases, each peer
+// neighboring its predecessor in ids.
+func adhocLine(t *testing.T, schema *rdf.Schema, bases map[pattern.PeerID]*rdf.Base, ids []pattern.PeerID) *overlay.Adhoc {
+	t.Helper()
+	a := overlay.NewAdhoc(network.New(), schema)
+	var prev []pattern.PeerID
+	for _, id := range ids {
+		if _, err := a.AddPeer(id, bases[id].Clone(), prev...); err != nil {
+			t.Fatal(err)
+		}
+		prev = []pattern.PeerID{id}
+	}
+	return a
+}
+
+// checkPartialSubset is the partial-answer invariant: every row agrees
+// with some row of the truth on each variable it binds; a row leaving a
+// projected variable unbound lacks the path patterns binding it, so the
+// answer must be partial and name each such pattern Unanswered.
+func checkPartialSubset(t *testing.T, label string, c *rql.Compiled, res *exec.Result, truth *rql.ResultSet) {
+	t.Helper()
+	unanswered := map[string]bool{}
+	for _, u := range res.Completeness.Unanswered {
+		unanswered[u.PatternID] = true
+	}
+	if res.Completeness.Complete != (len(unanswered) == 0) {
+		t.Errorf("%s: Complete=%t with unanswered %v", label, res.Completeness.Complete, res.Completeness.Unanswered)
+	}
+	for _, row := range res.Rows.Rows {
+		found := false
+		for _, tr := range truth.Rows {
+			if row.Compatible(tr) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("%s: row %v is in no answer of the truth", label, row)
+		}
+		for _, v := range c.Pattern.Projections {
+			if _, bound := row[v]; bound {
+				continue
+			}
+			for _, pp := range c.Pattern.Patterns {
+				if (pp.SubjectVar == v || pp.ObjectVar == v) && !unanswered[pp.ID] {
+					t.Errorf("%s: row %v lacks %s, but %s is not annotated unanswered (%+v)",
+						label, row, v, pp.ID, res.Completeness)
+				}
+			}
+		}
 	}
 }
 

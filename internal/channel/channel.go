@@ -158,8 +158,8 @@ func (c *Channel) Watermark() int {
 //
 // A channel costs no message of its own (paper §2.4: the root deploys
 // the channel together with the subplan it ships). The root deploys it
-// locally (Deploy); the request that carries the work — exec.subplan or
-// adhoc.plan — names its number, and the destination accepts it on
+// locally (Deploy); the exec.subplan request that carries the work
+// names its number, and the destination accepts it on
 // receipt (Accept) for as long as it handles that request; the last
 // packet, marked Final, ends the stream; and the root retires the
 // channel locally (Close).

@@ -442,11 +442,12 @@ func fig7() *Report {
 	partial, _ := plan.Generate(ann)
 	r.linef("  P1's partial plan: %s", partial)
 	r.check("Q2 is a hole at P1 (Figure 7a)", plan.HasHoles(partial.Root))
-	rows, err := a.Query("P1", gen.PaperRQL)
+	res, err := a.Query("P1", gen.PaperRQL, overlay.DefaultTTL)
 	if err != nil {
 		r.check("interleaved resolution", false)
 		return r
 	}
+	rows := res.Rows
 	c := net.Counters()
 	r.linef("  answer rows=%d  forwards=%d  messages=%d",
 		rows.Len(), c.PerKind["adhoc.plan"], c.Messages)
@@ -456,12 +457,13 @@ func fig7() *Report {
 	// The failed-channel variant: P3 dies, the query still completes.
 	a2, net2 := build()
 	net2.Fail("P3")
-	rows2, err := a2.Query("P1", gen.PaperRQL)
+	res2, err := a2.Query("P1", gen.PaperRQL, overlay.DefaultTTL)
 	if err != nil {
 		r.check("failed-channel recovery", false)
 		return r
 	}
-	r.linef("  with P3 failed: rows=%d (P2's contribution only)", rows2.Len())
+	rows2 := res2.Rows
+	r.linef("  with P3 failed: rows=%d (P2's contribution only) complete=%t", rows2.Len(), res2.Completeness.Complete)
 	r.check("failed channel to P3 tolerated", rows2.Len() == 3)
 
 	// Neighborhood-depth sweep: with depth-2 expansion P1 routes alone.

@@ -1,39 +1,34 @@
 package overlay
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 
-	"sqpeer/internal/channel"
+	"sqpeer/internal/exec"
 	"sqpeer/internal/network"
 	"sqpeer/internal/pattern"
 	"sqpeer/internal/peer"
-	"sqpeer/internal/plan"
 	"sqpeer/internal/rdf"
-	"sqpeer/internal/rql"
 	"sqpeer/internal/wire"
 )
 
-// DefaultTTL bounds how many hops a partial plan may be forwarded in the
-// ad-hoc architecture before giving up.
+// DefaultTTL bounds how many hops a routing request may be forwarded in
+// the ad-hoc architecture before the holes left are answered as missing.
 const DefaultTTL = 6
 
 // Adhoc is a self-adaptive SON (paper §3.2): peers know only their
 // physical neighbors at join time, pull active-schemas to form a semantic
 // neighborhood, and answer queries by interleaving routing and processing
-// — partial plans with holes travel peer-to-peer until some peer can
-// complete and execute them.
+// — a query pattern with holes travels peer-to-peer until the peers it
+// meets have annotated every path pattern, and the initiator then
+// executes the completed plan.
 type Adhoc struct {
 	// Net is the shared transport.
 	Net *network.Network
 	// Schema is the community schema of this SON.
 	Schema *rdf.Schema
-	// DeadlineMS bounds neighbor discovery and plan forwarding on the
-	// simulated clock (0 = none).
-	DeadlineMS float64
 
 	mu    sync.Mutex
 	peers map[pattern.PeerID]*peer.Peer
@@ -54,14 +49,16 @@ func (a *Adhoc) AddPeer(id pattern.PeerID, base *rdf.Base, neighbors ...pattern.
 		return nil, fmt.Errorf("overlay: peer %s already exists", id)
 	}
 	a.mu.Unlock()
-	p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: a.Schema, Base: base}, a.Net)
+	// Holes no peer within the TTL fills become Unanswered patterns.
+	p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: a.Schema, Base: base,
+		Options: exec.Options{AllowPartial: true}}, a.Net)
 	if err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
 	a.peers[id] = p
 	a.mu.Unlock()
-	a.Net.Handle(id, "adhoc.plan", a.planHandler(p))
+	a.Net.Handle(id, "adhoc.plan", planHandler(p))
 	a.Net.Handle(id, "adv.neighbors", func(network.Message) ([]byte, error) {
 		return json.Marshal(p.Neighbors())
 	})
@@ -149,7 +146,7 @@ func (a *Adhoc) ExpandNeighborhood(id pattern.PeerID, depth int) (int, error) {
 	for d := 1; d < depth; d++ {
 		var next []pattern.PeerID
 		for _, f := range frontier {
-			reply, err := a.Net.CallWithin(id, f, "adv.neighbors", nil, a.DeadlineMS)
+			reply, err := a.Net.CallWithin(id, f, "adv.neighbors", nil, p.Engine.DeadlineMS)
 			if err != nil {
 				continue
 			}
@@ -175,245 +172,122 @@ func (a *Adhoc) ExpandNeighborhood(id pattern.PeerID, depth int) (int, error) {
 	return learned, nil
 }
 
-// planHandler registers p's side of the interleaved routing/processing
-// protocol: on receiving a partial plan, merge local routing knowledge;
-// if the plan completes, execute it here and stream the answer upstream;
-// otherwise forward it onward.
-func (a *Adhoc) planHandler(p *peer.Peer) network.Handler {
+// planHandler serves one hop of interleaved routing: the request names
+// the query pattern, the remaining TTL and the peers already visited; the
+// reply is the annotation this hop and the peers it asked could give.
+// No hop plans, executes or sees a row.
+func planHandler(p *peer.Peer) network.Handler {
 	return func(msg network.Message) ([]byte, error) {
 		req, err := decodePlanReq(msg.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("overlay: %s: bad plan request: %w", p.ID, err)
 		}
-		partial, err := plan.Unmarshal(req.Plan)
-		if err != nil {
-			return nil, err
-		}
-		// The request deploys the forwarding peer's channel here. It
-		// carries one request, so its packets are numbered from 1.
-		in := p.Channels.Accept(msg.From, req.Channel, 0, "")
-		rows, rerr := a.resolveAndRun(p, partial, req.Visited, req.TTL)
-		// Rows too large for one frame fail here, not as a malformed
-		// packet at the forwarding peer.
-		var frame *rql.Frame
-		if rerr == nil {
-			frame, rerr = rql.NewFrame(rql.BatchOf(rows))
-		}
-		if rerr != nil {
-			if serr := in.Send(channel.Packet{Type: channel.Failure, Final: true, Payload: []byte(rerr.Error())}); serr != nil {
-				return nil, serr
-			}
-			return []byte("failed"), nil
-		}
-		// One final Results packet: the rows and the end of the stream.
-		if err := in.Send(channel.Packet{Type: channel.Results, Final: true, Rows: rows.Len(), Frame: frame}); err != nil {
-			return nil, err
-		}
-		return []byte("ok"), nil
+		return pattern.MarshalAnnotated(route(p, req.Query, req.Visited, req.TTL))
 	}
 }
 
-// planReq is a forwarded partial plan (DESIGN §12, "Wire format"): a
-// format byte, the forwarding peer's channel number (fixed 4 bytes, as
-// in the channel envelopes), the remaining TTL, the peers already
-// visited (a count, then each id length-prefixed), then the plan.Marshal
-// bytes raw. The forwarding peer is the message's sender, so the request
-// does not carry it.
+// planReq is a forwarded routing request (DESIGN §12, "Wire format"): a
+// format byte, the remaining TTL, the peers already visited (a count,
+// then each id length-prefixed), then the pattern.MarshalQuery body raw.
 type planReq struct {
-	Channel uint32
 	TTL     int
 	Visited []pattern.PeerID
-	// Plan is the plan.Marshal body; on decode it aliases the message.
-	Plan []byte
+	Query   *pattern.QueryPattern
 }
 
-const planReqFormat byte = 1
+const planReqFormat byte = 2
 
-func appendPlanReq(dst []byte, req *planReq) []byte {
-	dst = binary.BigEndian.AppendUint32(append(dst, planReqFormat), req.Channel)
-	dst = wire.AppendUvarint(dst, req.TTL)
+func encodePlanReq(req *planReq) ([]byte, error) {
+	q, err := pattern.MarshalQuery(req.Query)
+	if err != nil {
+		return nil, err
+	}
+	dst := wire.AppendUvarint([]byte{planReqFormat}, req.TTL)
 	dst = wire.AppendUvarint(dst, len(req.Visited))
 	for _, id := range req.Visited {
 		dst = wire.AppendStr(dst, string(id))
 	}
-	return append(dst, req.Plan...)
+	return append(dst, q...), nil
 }
 
 func decodePlanReq(b []byte) (planReq, error) {
 	r := wire.NewReader(b)
 	r.Format(planReqFormat)
-	req := planReq{Channel: r.U32(), TTL: r.Uv()}
+	req := planReq{TTL: r.Uv()}
 	if n := r.Count(1); n > 0 {
 		req.Visited = make([]pattern.PeerID, n)
 		for i := range req.Visited {
 			req.Visited[i] = pattern.PeerID(r.Str())
 		}
 	}
-	req.Plan = r.Rest()
-	return req, r.Err()
+	q := r.Rest()
+	if err := r.Err(); err != nil {
+		return req, err
+	}
+	var err error
+	req.Query, err = pattern.UnmarshalQuery(q)
+	return req, err
 }
 
 // Query answers an RQL query at a peer using the ad-hoc discipline
-// (§3.2): route with local knowledge; execute if the plan is complete;
-// otherwise forward the partial plan along the SON until some peer
-// completes it, with the answer flowing back through the deployed
-// channels.
-func (a *Adhoc) Query(at pattern.PeerID, rqlText string) (*rql.ResultSet, error) {
-	a.mu.Lock()
-	p, ok := a.peers[at]
-	a.mu.Unlock()
+// (§3.2): the peer routes with its own knowledge and forwards the holes
+// along the SON, at most ttl hops deep (DefaultTTL at paper scale),
+// until the annotation is complete; then it plans and executes the query
+// itself, over channels straight to every serving peer, as
+// Peer.AskAnnotated does. Holes no peer within the TTL fills come back as
+// Unanswered patterns of a partial answer.
+func (a *Adhoc) Query(at pattern.PeerID, rqlText string, ttl int) (*exec.Result, error) {
+	p, ok := a.Peer(at)
 	if !ok {
 		return nil, fmt.Errorf("overlay: unknown peer %s", at)
 	}
-	c, err := p.Compile(rqlText)
-	if err != nil {
-		return nil, err
-	}
-	ann := p.Router.Route(c.Pattern)
-	partial, err := plan.Generate(ann)
-	if err != nil {
-		return nil, err
-	}
-	// Defer projections to the initiator: a remote completing peer must
-	// return full rows so WHERE filters on non-projected variables still
-	// see their bindings.
-	partial.Query = &pattern.QueryPattern{
-		SchemaName: c.Pattern.SchemaName,
-		Patterns:   c.Pattern.Patterns,
-	}
-	rows, err := a.resolveAndRun(p, partial, []pattern.PeerID{}, DefaultTTL)
-	if err != nil {
-		return nil, err
-	}
-	filtered, err := rql.ApplyFilters(rows, c.Query.Where)
-	if err != nil {
-		return nil, err
-	}
-	return filtered.Project(c.Pattern.Projections).Limit(c.Query.Limit), nil
+	return p.AskRouted(rqlText, func(q *pattern.QueryPattern) (*pattern.Annotated, error) {
+		return route(p, q, nil, ttl), nil
+	})
 }
 
-// resolveAndRun is one step of interleaved routing and processing at peer
-// p: fill holes with p's knowledge; execute when complete; otherwise
-// forward to candidate peers (plan participants and physical neighbors
-// not yet visited) until one returns a complete answer.
-func (a *Adhoc) resolveAndRun(p *peer.Peer, partial *plan.Plan, visited []pattern.PeerID, ttl int) (*rql.ResultSet, error) {
-	ann := p.Router.Route(partial.Query)
-	filled, _ := plan.FillHoles(partial, ann)
-	if !plan.HasHoles(filled.Root) {
-		rows, err := p.Engine.Execute(filled)
-		if err != nil {
-			return nil, err
-		}
-		return rows, nil
-	}
-	if ttl <= 0 {
-		return nil, fmt.Errorf("overlay: %s: TTL exhausted with unresolved holes %v", p.ID, holeIDs(filled))
+// route is one step of interleaved routing at peer p: annotate the query
+// with p's knowledge; while holes remain and the TTL allows, ask the
+// candidates in turn — the peers p annotated (they answer part of the
+// query, as in Figure 7 where P1 asks P2 and P3), then its physical
+// neighbors, none of them already visited — merging each reply until the
+// annotation is complete. Failed candidates are skipped.
+func route(p *peer.Peer, q *pattern.QueryPattern, visited []pattern.PeerID, ttl int) *pattern.Annotated {
+	ann := p.Router.Route(q)
+	if ann.Complete() || ttl <= 0 {
+		return ann
 	}
 	seen := map[pattern.PeerID]bool{p.ID: true}
 	for _, v := range visited {
 		seen[v] = true
 	}
-	nextVisited := append(append([]pattern.PeerID{}, visited...), p.ID)
-
-	var lastErr error
-	tried := 0
-	for _, cand := range a.forwardCandidates(p, filled, seen) {
-		tried++
-		rows, err := a.forwardTo(p, cand, filled, nextVisited, ttl-1)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return rows, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("overlay: %s: no peer to forward partial plan to (holes %v)", p.ID, holeIDs(filled))
-	}
-	return nil, fmt.Errorf("overlay: partial plan unresolved after %d forwards: %w", tried, lastErr)
-}
-
-// forwardCandidates orders the peers worth forwarding a partial plan to:
-// first the peers already participating in the plan (they answer part of
-// the query, as in Figure 7 where P1 forwards to P2 and P3), then the
-// physical neighbors.
-func (a *Adhoc) forwardCandidates(p *peer.Peer, filled *plan.Plan, seen map[pattern.PeerID]bool) []pattern.PeerID {
-	var out []pattern.PeerID
-	add := func(id pattern.PeerID) {
+	var cands []pattern.PeerID
+	for _, id := range append(ann.AllPeers(), p.Neighbors()...) {
 		if !seen[id] {
 			seen[id] = true
-			out = append(out, id)
+			cands = append(cands, id)
 		}
 	}
-	for _, id := range plan.Peers(filled.Root) {
-		add(id)
+	if len(cands) == 0 {
+		return ann
 	}
-	for _, id := range p.Neighbors() {
-		add(id)
-	}
-	return out
-}
-
-// forwardTo ships the partial plan to the candidate over a channel the
-// request itself deploys, and waits for its verdict (synchronous delivery
-// resolves the whole chain within the Send).
-func (a *Adhoc) forwardTo(p *peer.Peer, cand pattern.PeerID, filled *plan.Plan, visited []pattern.PeerID, ttl int) (*rql.ResultSet, error) {
-	collector := &adhocCollector{}
-	ch := p.Channels.Deploy("", collector.onPacket)
-	defer p.Channels.Close(ch)
-	data, err := plan.Marshal(filled)
+	body, err := encodePlanReq(&planReq{TTL: ttl - 1, Visited: append(visited[:len(visited):len(visited)], p.ID), Query: q})
 	if err != nil {
-		return nil, err
+		return ann
 	}
-	body := appendPlanReq(nil, &planReq{Channel: ch.Num, TTL: ttl, Visited: visited, Plan: data})
-	if err := p.Net.SendWithin(p.ID, cand, "adhoc.plan", body, a.DeadlineMS); err != nil {
-		return nil, fmt.Errorf("overlay: forward to %s failed: %w", cand, err)
-	}
-	if collector.err != nil {
-		return nil, collector.err
-	}
-	if !collector.done {
-		return nil, fmt.Errorf("overlay: %s returned no verdict", cand)
-	}
-	if collector.rows == nil {
-		collector.rows = rql.NewResultSet()
-	}
-	return collector.rows, nil
-}
-
-type adhocCollector struct {
-	mu   sync.Mutex
-	rows *rql.ResultSet
-	err  error
-	done bool
-}
-
-func (c *adhocCollector) onPacket(pkt channel.Packet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch pkt.Type {
-	case channel.Results:
-		b, err := rql.DecodeBatch(pkt.Payload)
+	for _, cand := range cands {
+		reply, err := p.Net.CallWithin(p.ID, cand, "adhoc.plan", body, p.Engine.DeadlineMS)
 		if err != nil {
-			c.err = fmt.Errorf("overlay: bad results packet: %w", err)
-			return
+			continue
 		}
-		rs := b.ResultSet()
-		if c.rows == nil {
-			c.rows = rs
-		} else {
-			c.rows = c.rows.Union(rs)
+		remote, err := pattern.UnmarshalAnnotated(reply)
+		if err != nil {
+			continue
 		}
-		c.done = c.done || pkt.Final
-	case channel.Failure:
-		c.err = fmt.Errorf("overlay: remote failure: %s", pkt.Payload)
+		ann.Merge(remote)
+		if ann.Complete() {
+			break
+		}
 	}
-}
-
-func holeIDs(p *plan.Plan) []string {
-	holes := plan.Holes(p.Root)
-	out := make([]string, len(holes))
-	for i, h := range holes {
-		out[i] = h.Patterns[0].ID
-	}
-	return out
+	return ann
 }

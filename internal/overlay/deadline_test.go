@@ -3,6 +3,7 @@ package overlay_test
 import (
 	"testing"
 
+	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/overlay"
@@ -44,12 +45,13 @@ func TestFloodingDeadlineSkipsSlowNeighbor(t *testing.T) {
 	}
 }
 
-// TestAdhocDeadlineBoundsPlanForwarding: the partial-plan forward (the
-// interleaved routing/processing hop of Figure 7) honors
-// Adhoc.DeadlineMS. P1 can fill Q1 itself but must forward the Q2 hole;
-// when every forward candidate sits behind a gray-failed link the
-// bounded forward gives up instead of stalling, while the zero default
-// resolves the plan as before.
+// TestAdhocDeadlineBoundsPlanForwarding: the routing forward (the
+// interleaved routing/processing hop of Figure 7) honors the initiator's
+// Engine.DeadlineMS, the bound its other control-plane calls use. P1 can
+// fill Q1 itself but must forward the Q2 hole; when every forward
+// candidate sits behind a gray-failed link the bounded forward gives up
+// instead of stalling, and the answer comes back partial with Q2 named,
+// while the zero default resolves the plan as before.
 func TestAdhocDeadlineBoundsPlanForwarding(t *testing.T) {
 	build := func(t *testing.T) (*network.Network, *overlay.Adhoc) {
 		t.Helper()
@@ -67,7 +69,7 @@ func TestAdhocDeadlineBoundsPlanForwarding(t *testing.T) {
 		if _, err := a.AddPeer("P5", propBase("P5", 2, "prop2"), "P2"); err != nil {
 			t.Fatal(err)
 		}
-		// Every peer P1 could forward the partial plan to gray-fails:
+		// Every peer P1 could forward the query pattern to gray-fails:
 		// reachable, but far beyond any useful deadline.
 		slow := stats.Link{LatencyMS: 5000, BandwidthKBps: 1000}
 		net.SetLink("P1", "P2", slow)
@@ -75,20 +77,39 @@ func TestAdhocDeadlineBoundsPlanForwarding(t *testing.T) {
 		return net, a
 	}
 
-	_, a := build(t)
-	a.DeadlineMS = 100 // generous for healthy links, hopeless at 5000ms
-	if _, err := a.Query("P1", gen.PaperRQL); err == nil {
-		t.Fatal("bounded forwards over 5000ms links resolved the plan")
+	net, a := build(t)
+	p1, _ := a.Peer("P1")
+	p1.Engine.DeadlineMS = 100 // generous for healthy links, hopeless at 5000ms
+	net.ResetCounters()
+	res, err := a.Query("P1", gen.PaperRQL, overlay.DefaultTTL)
+	if err != nil {
+		t.Fatalf("bounded Query: %v", err)
+	}
+	if got := net.Counters().PerKind["adhoc.plan"]; got != 2 {
+		t.Errorf("adhoc.plan messages = %d, want the 2 forwards that gave up", got)
+	}
+	if res.Completeness.Complete || !unanswered(res.Completeness, "Q2") {
+		t.Fatalf("bounded forwards over 5000ms links resolved the plan: %+v", res.Completeness)
 	}
 
 	// The zero default keeps forwards unbounded: the same topology
 	// resolves (latency is simulated-clock accounting, not wall time).
 	_, a = build(t)
-	rows, err := a.Query("P1", gen.PaperRQL)
+	res, err = a.Query("P1", gen.PaperRQL, overlay.DefaultTTL)
 	if err != nil {
 		t.Fatalf("unbounded Query: %v", err)
 	}
-	if rows.Len() != 4 {
-		t.Errorf("answer = %d rows, want 4:\n%s", rows.Len(), rows)
+	if res.Rows.Len() != 4 {
+		t.Errorf("answer = %d rows, want 4:\n%s", res.Rows.Len(), res.Rows)
 	}
+}
+
+// unanswered reports whether the annotation names the pattern.
+func unanswered(c exec.Completeness, id string) bool {
+	for _, u := range c.Unanswered {
+		if u.PatternID == id {
+			return true
+		}
+	}
+	return false
 }

@@ -66,7 +66,9 @@ func (h *Hybrid) AddSuperPeer(id pattern.PeerID) (*peer.Peer, error) {
 
 // backboneRouteHandler routes with the super-peer's cluster knowledge
 // and, when the annotation is incomplete, merges annotations pulled from
-// the other super-peers (the backbone discovery of §3.1).
+// the other super-peers (the backbone discovery of §3.1). A request from
+// a sibling super-peer is answered from this cluster alone, so the
+// backbone is one hop deep and two siblings never ask each other back.
 func (h *Hybrid) backboneRouteHandler(sp *peer.Peer) network.Handler {
 	return func(msg network.Message) ([]byte, error) {
 		q, err := pattern.UnmarshalQuery(msg.Payload)
@@ -74,7 +76,7 @@ func (h *Hybrid) backboneRouteHandler(sp *peer.Peer) network.Handler {
 			return nil, fmt.Errorf("overlay: super-peer %s: bad routing request: %w", sp.ID, err)
 		}
 		ann := sp.Router.Route(q)
-		if !ann.Complete() {
+		if _, sibling := h.supers[msg.From]; !ann.Complete() && !sibling {
 			for _, other := range h.SuperPeerIDs() {
 				if other == sp.ID {
 					continue

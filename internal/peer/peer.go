@@ -668,7 +668,7 @@ func (p *Peer) recorderContext(trace string) map[string]any {
 // when attached to one) and compiles the annotation into an optimized
 // distributed plan.
 func (p *Peer) PlanQuery(q *pattern.QueryPattern) (*plan.PlanResult, error) {
-	return p.planWith(q, optimizer.Options{}, nil)
+	return p.planWith(q, nil, nil)
 }
 
 // startQuerySpan opens the per-query trace root when the peer has a
@@ -681,16 +681,25 @@ func (p *Peer) startQuerySpan(op string) *obs.Span {
 	return tr.Root()
 }
 
-func (p *Peer) planWith(q *pattern.QueryPattern, opts optimizer.Options, span *obs.Span) (*plan.PlanResult, error) {
+// RouteFunc stands in for a peer's own routing step: it annotates the
+// query pattern with the peers that answer each path pattern.
+type RouteFunc func(q *pattern.QueryPattern) (*pattern.Annotated, error)
+
+// planWith routes the pattern (through route when given, else locally or
+// through the super-peer), then generates and optimizes the plan.
+func (p *Peer) planWith(q *pattern.QueryPattern, route RouteFunc, span *obs.Span) (*plan.PlanResult, error) {
 	var ann *pattern.Annotated
 	var err error
 	rsp := span.Child(obs.KindRoute, "route")
-	if p.Super != "" {
+	switch {
+	case route != nil:
+		ann, err = route(q)
+	case p.Super != "":
 		if rsp != nil {
 			rsp.Annotate("via", string(p.Super))
 		}
 		ann, err = p.RequestRouting(p.Super, q)
-	} else {
+	default:
 		ann = p.Router.Route(q)
 	}
 	rsp.End()
@@ -704,7 +713,7 @@ func (p *Peer) planWith(q *pattern.QueryPattern, opts optimizer.Options, span *o
 		return nil, err
 	}
 	osp := span.Child(obs.KindOptimize, "optimize")
-	optimized := optimizer.Optimize(pl, opts)
+	optimized := optimizer.Optimize(pl, optimizer.Options{})
 	osp.End()
 	return &plan.PlanResult{Annotated: ann, Raw: pl, Optimized: optimized}, nil
 }
@@ -740,6 +749,18 @@ func (p *Peer) AskAnnotated(rqlText string) (*exec.Result, error) {
 // spent on it. The QoS then rides every channel open and subplan
 // request the execution ships.
 func (p *Peer) AskAnnotatedAs(rqlText string, qos admission.QoS) (*exec.Result, error) {
+	return p.ask(rqlText, qos, nil)
+}
+
+// AskRouted is AskAnnotated with route in place of the peer's own
+// routing step. The ad-hoc SON passes its interleaved routing (§3.2),
+// which completes the annotation across the overlay; planning,
+// execution and the finish then run here as for any other query.
+func (p *Peer) AskRouted(rqlText string, route RouteFunc) (*exec.Result, error) {
+	return p.ask(rqlText, p.qos, route)
+}
+
+func (p *Peer) ask(rqlText string, qos admission.QoS, route RouteFunc) (*exec.Result, error) {
 	if err := p.Admission.AdmitQuery(qos, p.Engine.DeadlineMS); err != nil {
 		return nil, err
 	}
@@ -755,7 +776,7 @@ func (p *Peer) AskAnnotatedAs(rqlText string, qos admission.QoS) (*exec.Result, 
 	if err != nil {
 		return nil, err
 	}
-	pr, err := p.planWith(c.Pattern, optimizer.Options{}, qsp)
+	pr, err := p.planWith(c.Pattern, route, qsp)
 	if err != nil {
 		return nil, err
 	}

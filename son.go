@@ -12,13 +12,18 @@ type (
 	// processing at simple-peers, complete plans guaranteed.
 	HybridSON = overlay.Hybrid
 	// AdhocSON is the self-adaptive architecture: neighbor knowledge
-	// only, partial plans forwarded with interleaved routing/processing.
+	// only; a query pattern with holes is forwarded until the peers it
+	// meets complete its annotation, and the initiator executes the plan.
 	AdhocSON = overlay.Adhoc
 	// FloodingNetwork is the Gnutella-style baseline.
 	FloodingNetwork = overlay.Flooding
 	// FloodResult is a flooded query's outcome.
 	FloodResult = overlay.FloodResult
 )
+
+// DefaultTTL bounds how many hops an ad-hoc SON forwards a routing
+// request at paper scale.
+const DefaultTTL = overlay.DefaultTTL
 
 // NewHybridSON returns an empty hybrid SON over the community schema.
 func NewHybridSON(net *network.Network, schema *rdf.Schema) *HybridSON {

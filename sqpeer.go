@@ -15,7 +15,9 @@
 // shipping) and run-time (replanning around failed peers) optimization.
 // Both the hybrid (super-peer) and ad-hoc (self-adaptive, interleaved
 // routing/processing) architectures of the paper are implemented, plus a
-// Gnutella-style flooding baseline for the evaluation harness.
+// Gnutella-style flooding baseline for the evaluation harness. Both SON
+// architectures answer on the same executor: they differ only in how the
+// query pattern is routed.
 //
 // This package is the public facade: it re-exports the stable surface of
 // the internal packages so applications can depend on a single import.
