@@ -29,7 +29,7 @@ check: lint
 bench:
 	$(GO) test -bench=. -benchmem
 
-# The fuzzers, 20 s each (about 80 s in all); CI's fuzz step runs this
+# The six fuzzers, 20 s each (about 2 min in all); CI's fuzz step runs this
 # target, so this is the one list. New findings land in each package's
 # testdata/fuzz, where go test replays them.
 #
@@ -48,11 +48,19 @@ bench:
 #   (plan, routing request, annotated reply, statistics payload), checks
 #   that a decodable body re-encodes to itself, and round-trips generated
 #   plans, annotations and statistics.
+# - FuzzMembershipMessages feeds arbitrary payloads to a failure
+#   detector's ping, ping-req, sync and push handlers and its gossip
+#   blob; one that does not decode must leave the member view unchanged.
+# - FuzzAdvertisement feeds arbitrary payloads to a peer's advertisement
+#   push handler and routes a query over what it learned; one that does
+#   not decode must leave the routing registry and catalog unchanged.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBaseOps$$' -fuzztime=20s ./internal/rdf
 	$(GO) test -run='^$$' -fuzz='^FuzzPacketEnvelope$$' -fuzztime=20s ./internal/channel
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchCodec$$' -fuzztime=20s ./internal/rql
 	$(GO) test -run='^$$' -fuzz='^FuzzQueryCodecs$$' -fuzztime=20s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzMembershipMessages$$' -fuzztime=20s ./internal/membership
+	$(GO) test -run='^$$' -fuzz='^FuzzAdvertisement$$' -fuzztime=20s ./internal/peer
 
 # Benchmark smoke: every perfbench workload for one second at seed 1,
 # untraced and traced, then faulty_fanout untraced at seeds 2 and 3: the

@@ -50,8 +50,9 @@ type BatchSource interface {
 	// EvalScanBatch evaluates the conjunction of path patterns locally,
 	// returning the joined rows in columnar form. The scan interns into
 	// store — the calling execution's shared dictionary — so the result
-	// composes with the execution's other batches without remapping; a
-	// nil store yields a self-contained batch.
+	// composes with the execution's other batches without remapping; with
+	// a nil store the rows stay in the base's own ids, over its term
+	// snapshot, and nothing is interned.
 	EvalScanBatch(patterns []pattern.PathPattern, store *rql.TermStore) *rql.Batch
 }
 
@@ -531,11 +532,15 @@ func failureOf(err error) (*PeerFailure, bool) {
 // per-execution state.
 type execution struct {
 	engine *Engine
-	// store is the execution's shared term dictionary: scan leaves intern
-	// into it, decoded result frames are rebased onto it, so every batch
-	// this execution composes agrees on ids and the operators above the
-	// leaves never re-intern a term (see rql.TermStore).
-	store *rql.TermStore
+	// store is the execution's shared term dictionary (see rql.TermStore),
+	// made on first use by termStore. A root's scan leaves intern into it
+	// and decoded result frames are rebased onto it, so every batch the
+	// root composes agrees on ids and the operators above the leaves never
+	// re-intern a term. A serving execution's scans answer in its base's
+	// ids instead, which agree with each other already; it makes a store
+	// only when a nested fetch delivers a frame from another peer.
+	store     *rql.TermStore
+	storeOnce sync.Once
 	// attempt is the ExecuteAnnotated restart round this execution runs in
 	// (ledger bookkeeping).
 	attempt int
@@ -666,7 +671,6 @@ var errCancelled = errors.New("exec: execution cancelled")
 func newExecution(e *Engine) *execution {
 	ex := &execution{
 		engine:     e,
-		store:      rql.NewTermStore(),
 		fetched:    map[string]int{},
 		sites:      map[pattern.PeerID]*siteChan{},
 		cache:      map[string]*cacheEntry{},
@@ -678,6 +682,27 @@ func newExecution(e *Engine) *execution {
 		ex.sem = make(chan struct{}, par)
 	}
 	return ex
+}
+
+// termStore returns the execution's shared dictionary, making it on
+// first use.
+func (ex *execution) termStore() *rql.TermStore {
+	ex.storeOnce.Do(func() { ex.store = rql.NewTermStore() })
+	return ex.store
+}
+
+// align rebases the batches onto the execution's store unless their ids
+// already index one term sequence, so the operator combining them needs
+// no remap table. At a root every batch is on the store already; at a
+// serving peer this joins its base-id scans with a nested fetch's frames.
+func (ex *execution) align(bs []*rql.Batch) {
+	if rql.SameDict(bs...) {
+		return
+	}
+	s := ex.termStore()
+	for _, b := range bs {
+		b.Rebase(s)
+	}
 }
 
 // acquire takes a worker token (no-op when sequential); release returns
@@ -885,10 +910,16 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 			e.record(fact{kind: factLocalScan}, nil)
 			// The scan leaf is where rows enter the engine's data plane:
 			// they are born a batch (BatchSource) or become one here, so
-			// every union/join above runs vectorized.
+			// every union/join above runs vectorized. A serving peer
+			// answers in its base's ids (a nil store): the frames it cuts
+			// from them are the same, and no term is interned.
 			var b *rql.Batch
 			if bs, ok := e.Local.(BatchSource); ok {
-				b = bs.EvalScanBatch(v.Patterns, ex.store)
+				var store *rql.TermStore
+				if e.serving == nil {
+					store = ex.termStore()
+				}
+				b = bs.EvalScanBatch(v.Patterns, store)
 			} else {
 				b = rql.BatchOf(e.Local.EvalScan(v.Patterns))
 			}
@@ -905,6 +936,7 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 		}
 		// nil branches (unfilled holes) contribute nothing; all-nil means
 		// the whole union is absent.
+		ex.align(rss)
 		acc := unionAll(rss)
 		if acc == nil && len(rss) == 0 {
 			acc = rql.NewBatch()
@@ -921,6 +953,7 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
+		ex.align(rss)
 		var acc *rql.Batch
 		absent := false
 		for _, rel := range rss {
@@ -1491,7 +1524,7 @@ func (ex *execution) onPacket(sc *siteChan, pkt channel.Packet) {
 			if b, err := rql.DecodeBatch(pkt.Payload); err != nil {
 				res.err = fmt.Errorf("exec: bad results packet: %w", err)
 			} else {
-				res.batches = append(res.batches, b.Rebase(ex.store))
+				res.batches = append(res.batches, b.Rebase(ex.termStore()))
 			}
 			res.rowCount += pkt.Rows
 			resultsRows = pkt.Rows

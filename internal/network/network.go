@@ -14,6 +14,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -491,15 +492,18 @@ func (n *Network) Counters() Counters {
 	defer n.cmu.Unlock()
 	snap := n.counters
 	snap.SimulatedMS = millis(n.simNS)
-	snap.PerKind = map[string]int{}
-	for k, v := range n.counters.PerKind {
-		snap.PerKind[k] = v
-	}
-	snap.PerNodeReceived = map[NodeID]int{}
-	for k, v := range n.counters.PerNodeReceived {
-		snap.PerNodeReceived[k] = v
-	}
+	snap.PerKind = cloneMap(n.counters.PerKind)
+	snap.PerNodeReceived = cloneMap(n.counters.PerNodeReceived)
 	return snap
+}
+
+// cloneMap copies m in one step (maps.Clone sizes the copy up front),
+// returning an empty map for a nil one so snapshots are always writable.
+func cloneMap[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return M{}
+	}
+	return maps.Clone(m)
 }
 
 // NowMS returns the logical clock reading: total simulated transfer

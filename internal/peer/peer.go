@@ -361,9 +361,10 @@ func (ls localSource) EvalScan(patterns []pattern.PathPattern) *rql.ResultSet {
 
 // EvalScanBatch is EvalScan on the columnar plane (exec.BatchSource):
 // each pattern scans straight into a batch — interned into the calling
-// execution's shared dictionary — and multi-pattern subplans join
+// execution's shared dictionary, or left in the base's ids when store is
+// nil, as a serving peer's are — and multi-pattern subplans join
 // vectorized, so local evaluation never materializes row maps and the
-// joins between same-store scans never remap an id.
+// joins between scans on one store or one base never remap an id.
 func (ls localSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.TermStore) *rql.Batch {
 	var acc *rql.Batch
 	for _, pp := range patterns {

@@ -29,7 +29,9 @@ type Pair struct {
 // triples costs O(n log n), a base holds O(log n) runs). Remove deletes
 // in place. Dictionary entries are never reclaimed: a term whose last
 // triple was removed keeps its id, which is what keeps ids — and any
-// TermDict snapshot — stable.
+// TermDict snapshot — stable. Query batches depend on it: a serving
+// peer's scans answer in base ids over a PairIDs snapshot, and those
+// batches must stay valid while the base changes under them.
 //
 // Base is safe for concurrent use.
 type Base struct {
@@ -348,10 +350,14 @@ func (b *Base) Triples() []Triple {
 }
 
 // appendRanges appends every run's non-empty range of order k sharing
-// x's n-prefix.
+// x's n-prefix. A nil out is allocated once, with room for a range in
+// every run, on the first range found.
 func (b *Base) appendRanges(out [][]key, k int, x key, n int) [][]key {
 	for _, ru := range b.runs {
 		if r := equalRange(ru[k], x, n); len(r) > 0 {
+			if out == nil {
+				out = make([][]key, 0, len(b.runs))
+			}
 			out = append(out, r)
 		}
 	}
@@ -502,8 +508,9 @@ func (b *Base) Pairs(p IRI, schema *Schema) []Pair {
 
 // PairIDs is Pairs in id space, for the batch scan leaf: the base ids of
 // each distinct pair's subject (xs) and object (ys), in Pairs' order,
-// with the base's term table (a TermDict snapshot, which the ids index).
-// The columns are int32 to match the batch plane's id columns.
+// with the base's term table (a TermDict snapshot, which the ids index,
+// and which stays valid and unchanged while the base changes). The
+// columns are int32 to match the batch plane's id columns.
 func (b *Base) PairIDs(p IRI, schema *Schema) (xs, ys []int32, terms []Term) {
 	props := subProperties(p, schema)
 	b.mu.RLock()

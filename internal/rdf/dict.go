@@ -3,10 +3,12 @@ package rdf
 import "hash/maphash"
 
 // TermDict is a grow-only term dictionary: each distinct term gets a
-// dense uint32 id in first-insertion order, and ids never change. It is
-// the one dictionary implementation of the data plane: every Base keeps
-// one for its triples, and the executor's shared rql.TermStore wraps one
-// behind a mutex.
+// dense uint32 id in first-insertion order, ids never change, and no
+// entry is ever reclaimed. It is the one dictionary implementation of the
+// data plane: every Base keeps one for its triples, and the executor's
+// shared rql.TermStore wraps one behind a mutex. Batches hold Terms
+// snapshots of either and index them by id long after the dictionary has
+// grown, so making entries reclaimable would have to invalidate them.
 //
 // The inverse index is a linear-probing table of id+1 slots (0 empty)
 // rather than a Go map: each term's hash is computed once at insertion

@@ -35,11 +35,14 @@ type Batch struct {
 	// index is the lazily-built Dict inverse used when interning; nil
 	// (and unused) while the batch is store-backed.
 	index map[rdf.Term]int32
-	// store, when non-nil, is the shared dictionary this batch's ids
-	// live in; Dict is then a prefix snapshot of the store's term
-	// sequence. Two batches on the same store agree on every id, which
-	// is what lets the operators skip dictionary merging entirely.
-	store *TermStore
+	// space, when non-nil, identifies the append-only term sequence this
+	// batch's ids index: a *TermStore, or the *rdf.Base whose dictionary
+	// a base-id scan returned. Dict is then a prefix snapshot of that
+	// sequence. Two batches on the same space agree on every id, which is
+	// what lets the operators skip dictionary merging entirely. Only a
+	// store is ever interned into: a base's term table is written by the
+	// base alone.
+	space any
 }
 
 // TermStore is a grow-only term dictionary shared by every batch of one
@@ -50,7 +53,9 @@ type Batch struct {
 // each term once per execution; batches carry capacity-capped snapshots
 // of the term sequence as their Dict, so ids are stable, snapshots stay
 // immutable while the store grows, and every id-space read path (facade
-// conversion, slicing, encoding) works unchanged.
+// conversion, slicing, encoding) works unchanged. A serving peer's
+// batches need no store: they index their base's own dictionary, which
+// is just as append-only.
 //
 // The dictionary itself is an rdf.TermDict, the probe-table dictionary
 // every rdf.Base also keeps. The mutex makes interning safe across the
@@ -81,7 +86,7 @@ func (s *TermStore) snapshot() []rdf.Term {
 // NewBatch returns an empty store-backed batch over the variables.
 func (s *TermStore) NewBatch(vars ...string) *Batch {
 	b := NewBatch(vars...)
-	b.store = s
+	b.space = s
 	s.mu.Lock()
 	b.Dict = s.snapshot()
 	s.mu.Unlock()
@@ -92,27 +97,57 @@ func (s *TermStore) NewBatch(vars ...string) *Batch {
 // The collector calls this on every decoded wire frame, so one stream
 // pays one dictionary-sized interning pass per frame and everything
 // downstream of it — concatenation, unions, joins — moves ids without
-// touching a term again. Returns b for chaining.
+// touching a term again. Only the terms b's rows reference are interned,
+// in dictionary order: a batch of base ids carries its base's whole
+// dictionary, of which a scan uses a few entries. Returns b for chaining.
 func (b *Batch) Rebase(s *TermStore) *Batch {
-	if b == nil || b.store == s {
+	if b == nil || b.space == s {
 		return b
 	}
+	// m[id] is id's store id + 1; 0 for an id no row references.
 	m := make([]int32, len(b.Dict))
+	for _, col := range b.Cols {
+		for _, id := range col {
+			if id >= 0 {
+				m[id] = 1
+			}
+		}
+	}
 	s.mu.Lock()
-	for i, t := range b.Dict {
-		m[i] = s.intern(t)
+	for i, used := range m {
+		if used != 0 {
+			m[i] = s.intern(b.Dict[i]) + 1
+		}
 	}
 	snap := s.snapshot()
 	s.mu.Unlock()
 	for _, col := range b.Cols {
 		for r, id := range col {
 			if id >= 0 {
-				col[r] = m[id]
+				col[r] = m[id] - 1
 			}
 		}
 	}
-	b.store, b.Dict, b.index = s, snap, nil
+	b.space, b.Dict, b.index = s, snap, nil
 	return b
+}
+
+// SameDict reports whether the batches' ids all index one term sequence
+// (one store, or one base), so any operator over them needs no remap
+// table. Nil batches and batches with an empty dictionary hold no ids
+// and agree with anything.
+func SameDict(batches ...*Batch) bool {
+	var space any
+	for _, b := range batches {
+		if b == nil || len(b.Dict) == 0 {
+			continue
+		}
+		if b.space == nil || (space != nil && b.space != space) {
+			return false
+		}
+		space = b.space
+	}
+	return true
 }
 
 // NewBatch returns an empty batch over the variables.
@@ -130,9 +165,11 @@ func (b *Batch) Len() int {
 
 // Intern returns the dictionary id of t, adding it on first use. On a
 // store-backed batch the store interns and the batch refreshes its Dict
-// snapshot to cover the new id.
+// snapshot to cover the new id. Any other batch interns into its own
+// Dict; a batch of base ids that does so becomes self-contained, since
+// its new ids are not the base's.
 func (b *Batch) Intern(t rdf.Term) int32 {
-	if s := b.store; s != nil {
+	if s, ok := b.space.(*TermStore); ok {
 		s.mu.Lock()
 		id := s.intern(t)
 		if int(id) >= len(b.Dict) {
@@ -153,6 +190,7 @@ func (b *Batch) Intern(t rdf.Term) int32 {
 	id := int32(len(b.Dict))
 	b.Dict = append(b.Dict, t)
 	b.index[t] = id
+	b.space = nil
 	return id
 }
 
@@ -275,7 +313,7 @@ func (d *dedup) admit(ids []int32) bool {
 	return true
 }
 
-// adoptDict shares src's dictionary (and store, if any) with b, making
+// adoptDict shares src's dictionary (and space, if any) with b, making
 // src's ids valid b ids so the caller can skip remapping that input (a
 // nil translation table). Operators adopt the input with the largest
 // dictionary, so across a pipeline of operators each term is hashed and
@@ -289,7 +327,7 @@ func (b *Batch) adoptDict(src *Batch) {
 	if src == nil {
 		return
 	}
-	b.store = src.store
+	b.space = src.space
 	b.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
 }
 
@@ -317,10 +355,11 @@ func (b *Batch) remapFrom(o *Batch) []int32 {
 }
 
 // remapFor returns the translation table for src's ids into b's space,
-// nil when none is needed: batches on the same store already agree on
-// every id.
+// nil when none is needed: batches on the same store, or scanned from
+// the same base, already agree on every id (and b, having adopted the
+// largest input's snapshot, covers src's).
 func (b *Batch) remapFor(src *Batch) []int32 {
-	if b.store != nil && src.store == b.store {
+	if b.space != nil && src.space == b.space {
 		return nil
 	}
 	return b.remapFrom(src)
@@ -618,15 +657,17 @@ func (b *Batch) Slice(start, end int) *Batch {
 
 // Slicer cuts successive wire frames from one source batch. It keeps the
 // source-dictionary-sized remap table across Slice calls, resetting only
-// the entries the previous frame touched — without it a framing loop
-// allocates and zeroes |Dict| ints per frame, which dominates sender-side
-// allocation on large results.
+// the entries of the ids the previous frame's cells hold — without it a
+// framing loop allocates and zeroes |Dict| ints per frame, which
+// dominates sender-side allocation on large results. The source may be
+// a batch of base ids whose Dict is its base's whole dictionary: frame
+// ids are assigned in order of first appearance, so the frame is the
+// same whatever id space the source uses.
 type Slicer struct {
 	src *Batch
 	// remap[id] is the current frame's local id for source id, -1 while
-	// unassigned; touched lists the ids assigned this frame.
-	remap   []int32
-	touched []int32
+	// unassigned.
+	remap []int32
 }
 
 // NewSlicer returns a Slicer over b.
@@ -653,13 +694,16 @@ func (s *Slicer) Slice(start, end int) *Batch {
 	if start >= end {
 		return out
 	}
-	s.touched = s.touched[:0]
+	// Size the frame once: its columns share one backing array, and its
+	// dictionary holds at most one entry per cell.
+	rows := end - start
+	cells := make([]int32, rows*len(b.Cols))
+	out.Dict = make([]rdf.Term, 0, min(len(b.Dict), len(cells)))
 	for c := range b.Cols {
-		col := make([]int32, 0, end-start)
-		for r := start; r < end; r++ {
-			id := b.Cols[c][r]
+		col := cells[c*rows : (c+1)*rows : (c+1)*rows]
+		for i, id := range b.Cols[c][start:end] {
 			if id < 0 {
-				col = append(col, -1)
+				col[i] = -1
 				continue
 			}
 			nid := s.remap[id]
@@ -667,15 +711,19 @@ func (s *Slicer) Slice(start, end int) *Batch {
 				nid = int32(len(out.Dict))
 				out.Dict = append(out.Dict, b.Dict[id])
 				s.remap[id] = nid
-				s.touched = append(s.touched, id)
 			}
-			col = append(col, nid)
+			col[i] = nid
 		}
 		out.Cols[c] = col
 	}
-	for _, id := range s.touched {
-		s.remap[id] = -1
+	// Reset the entries this frame assigned for the next one.
+	for c := range b.Cols {
+		for _, id := range b.Cols[c][start:end] {
+			if id >= 0 {
+				s.remap[id] = -1
+			}
+		}
 	}
-	out.rows = end - start
+	out.rows = rows
 	return out
 }

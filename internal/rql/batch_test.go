@@ -181,14 +181,14 @@ func TestTermStoreSharedPlane(t *testing.T) {
 	)
 	st := NewTermStore()
 	sa, sb := BatchOf(a).Rebase(st), BatchOf(b).Rebase(st)
-	if sa.store != st || sb.store != st {
+	if sa.space != st || sb.space != st {
 		t.Fatalf("rebased batches not store-backed")
 	}
 	sortedEqual(t, "rebase(a)", sa.ResultSet(), a)
 	sortedEqual(t, "rebase(b)", sb.ResultSet(), b)
 
 	join := sa.Join(sb)
-	if join.store != st {
+	if join.space != st {
 		t.Fatalf("same-store join lost the store")
 	}
 	sortedEqual(t, "same-store join", join.ResultSet(), BatchOf(a).Join(BatchOf(b)).ResultSet())
@@ -201,7 +201,7 @@ func TestTermStoreSharedPlane(t *testing.T) {
 
 	// A store-backed slice re-dictionaries to frame-local ids.
 	sl := join.Slice(0, join.Len())
-	if sl.store != nil {
+	if sl.space != nil {
 		t.Fatalf("wire slice must be self-contained")
 	}
 	sortedEqual(t, "slice of store-backed", sl.ResultSet(), join.ResultSet())

@@ -39,23 +39,21 @@ func EvalPathPattern(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern
 	return rs
 }
 
-// EvalPathPatternBatch is EvalPathPattern's columnar twin: the same
-// pairs, the same end-point filters, appended straight into a batch with
-// interned term ids — no per-row map materialization. This is the scan
-// leaf of the batch data plane; the row version above remains the leaf
-// of the centralized evaluator (Eval) and of LocalSources that offer no
-// batch scan.
-func EvalPathPatternBatch(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern) *Batch {
-	return EvalPathPatternBatchInto(nil, base, schema, pat)
-}
-
-// EvalPathPatternBatchInto is EvalPathPatternBatch interning into an
-// execution's shared dictionary (nil store for a self-contained batch).
+// EvalPathPatternBatchInto is EvalPathPattern's columnar twin: the same
+// pairs, the same end-point filters, appended straight into a batch — no
+// per-row map materialization. This is the scan leaf of the batch data
+// plane; the row version above remains the leaf of the centralized
+// evaluator (Eval) and of LocalSources that offer no batch scan.
+//
 // The scan runs in the base's id space: the base merges the property's
-// sorted POS ranges into the two columns as base-local ids, the end-point
-// filters test id sets, and a final pass maps each distinct base id to a
-// batch id once — through a pointer-free remap table, in first-appearance
-// order — so no term is hashed per row.
+// sorted POS ranges into the two columns as base ids and the end-point
+// filters test id sets. With a nil store the batch keeps those ids, and
+// its Dict is the base's capacity-capped term snapshot: no term is
+// hashed or copied, and the batch joins other scans of the same base
+// without a remap table (the base's dictionary is append-only, so its ids
+// stay valid while the base changes). With a store — an execution's
+// shared dictionary — a final pass maps each distinct base id to a store
+// id once, through a pointer-free remap table in first-appearance order.
 func EvalPathPatternBatchInto(store *TermStore, base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern) *Batch {
 	b := NewBatch(pat.SubjectVar, pat.ObjectVar)
 	def, _ := schema.PropertyByName(pat.Property)
@@ -84,30 +82,25 @@ func EvalPathPatternBatchInto(store *TermStore, base *rdf.Base, schema *rdf.Sche
 		xs, ys = xs[:n], ys[:n]
 	}
 	b.Cols[0], b.Cols[1], b.rows = xs, ys, len(xs)
+	if store == nil {
+		b.space, b.Dict = base, terms
+		return b
+	}
 
-	// remap[id] is base id's batch id + 1; 0 while unassigned.
+	// remap[id] is base id's store id + 1; 0 while unassigned.
 	remap := make([]int32, len(terms))
-	intern := func(t rdf.Term) int32 {
-		b.Dict = append(b.Dict, t)
-		return int32(len(b.Dict) - 1)
-	}
-	if store != nil {
-		store.mu.Lock()
-		defer store.mu.Unlock()
-		intern = store.intern
-	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
 	for r := range xs {
 		for _, col := range b.Cols {
 			id := col[r]
 			if remap[id] == 0 {
-				remap[id] = intern(terms[id]) + 1
+				remap[id] = store.intern(terms[id]) + 1
 			}
 			col[r] = remap[id] - 1
 		}
 	}
-	if store != nil {
-		b.store, b.Dict = store, store.snapshot()
-	}
+	b.space, b.Dict = store, store.snapshot()
 	return b
 }
 

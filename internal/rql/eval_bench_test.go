@@ -10,10 +10,12 @@ import (
 	"sqpeer/internal/rql"
 )
 
-// BenchmarkEvalPathPatternBatch times the batch scan leaf into a fresh
-// execution store over a 10⁴-pair property: prop2 alone, and prop1,
-// whose subproperty prop4 contributes a quarter of the pairs, half of
-// them duplicates of prop1 pairs that the scan must drop.
+// BenchmarkEvalPathPatternBatch times the batch scan leaf over a
+// 10⁴-pair property: prop2 alone, and prop1, whose subproperty prop4
+// contributes a quarter of the pairs, half of them duplicates of prop1
+// pairs that the scan must drop. Each scans into a fresh execution store
+// (a root's scan) and with a nil store (a serving peer's scan, which
+// keeps the base's ids).
 func BenchmarkEvalPathPatternBatch(b *testing.B) {
 	schema := gen.PaperSchema()
 	base := rdf.NewBase()
@@ -37,13 +39,21 @@ func BenchmarkEvalPathPatternBatch(b *testing.B) {
 		{"property", gen.PaperQuery().Patterns[1]},      // {Y;C2}prop2{Z;C3}
 		{"subproperties", gen.PaperQuery().Patterns[0]}, // {X;C1}prop1{Y;C2} ∪ prop4
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			rows := 0
-			for i := 0; i < b.N; i++ {
-				rows = rql.EvalPathPatternBatchInto(rql.NewTermStore(), base, schema, c.pat).Len()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-		})
+		for _, st := range []struct {
+			name  string
+			store func() *rql.TermStore
+		}{
+			{"store", rql.NewTermStore},
+			{"base-ids", func() *rql.TermStore { return nil }},
+		} {
+			b.Run(c.name+"/"+st.name, func(b *testing.B) {
+				b.ReportAllocs()
+				rows := 0
+				for i := 0; i < b.N; i++ {
+					rows = rql.EvalPathPatternBatchInto(st.store(), base, schema, c.pat).Len()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
 	}
 }

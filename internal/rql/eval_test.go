@@ -68,7 +68,7 @@ func TestEvalPathPatternBatchMatchesScalar(t *testing.T) {
 	}
 	for _, pat := range pats {
 		want := rql.EvalPathPattern(base, schema, pat)
-		got := rql.EvalPathPatternBatch(base, schema, pat).ResultSet()
+		got := rql.EvalPathPatternBatchInto(nil, base, schema, pat).ResultSet()
 		if gs, ws := strings.Join(got.Sorted(), "\n"), strings.Join(want.Sorted(), "\n"); gs != ws {
 			t.Errorf("pattern %s: batch scan diverges from scalar\nbatch:\n%s\nscalar:\n%s", pat.ID, gs, ws)
 		}
@@ -81,8 +81,9 @@ func TestEvalPathPatternBatchMatchesScalar(t *testing.T) {
 // TestEvalPathPatternBatchIntoStore runs the id-space scan leaf over a
 // base spread across several sorted runs, with pairs reachable through
 // both a property and its subproperty, literal objects under a range
-// filter, and a shared store that already holds terms: every variant must
-// render the row evaluator's rows, once each.
+// filter, and a shared store that already holds terms: the nil-store
+// scan (the base's own ids over its term snapshot) and the store-backed
+// scan must both render the row evaluator's rows, once each.
 func TestEvalPathPatternBatchIntoStore(t *testing.T) {
 	schema := gen.PaperSchema()
 	base := rdf.NewBase()
@@ -118,7 +119,7 @@ func TestEvalPathPatternBatchIntoStore(t *testing.T) {
 			t.Fatalf("pattern %s: empty oracle answer makes the comparison vacuous", pat.ID)
 		}
 		for i, b := range []*rql.Batch{
-			rql.EvalPathPatternBatch(base, schema, pat),
+			rql.EvalPathPatternBatchInto(nil, base, schema, pat),
 			rql.EvalPathPatternBatchInto(store, base, schema, pat),
 		} {
 			if got := strings.Join(b.ResultSet().Sorted(), "\n"); got != want {

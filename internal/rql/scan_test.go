@@ -1,0 +1,146 @@
+package rql
+
+import (
+	"strconv"
+	"strings"
+	"testing"
+
+	"sqpeer/internal/gen"
+	"sqpeer/internal/rdf"
+)
+
+// chainBase holds n prop1 pairs r(3i) → r(3i+1) and n prop2 pairs
+// r(3i+1) → r(3i+2), so the Figure-1 join answers n rows, plus pad
+// unrelated statements of another property.
+func chainBase(n, pad int) *rdf.Base {
+	base := rdf.NewBase()
+	res := func(i int) rdf.IRI { return rdf.IRI("http://d#r" + strconv.Itoa(i)) }
+	for i := 0; i < n; i++ {
+		base.Add(rdf.Statement(res(3*i), gen.N1("prop1"), res(3*i+1)))
+		base.Add(rdf.Statement(res(3*i+1), gen.N1("prop2"), res(3*i+2)))
+	}
+	for i := 0; i < pad; i++ {
+		base.Add(rdf.NewTriple(rdf.NewIRI(rdf.IRI("http://pad#s"+strconv.Itoa(i))), rdf.NewIRI(gen.N1("prop3")), rdf.NewLiteral("pad")))
+	}
+	return base
+}
+
+// Two nil-store scans of one base join in the base's id space: the join
+// adopts the base's term snapshot as it is, with no remap table for the
+// other side and no Term index, however large the base's dictionary.
+func TestBaseIDJoinAdoptsBaseSnapshot(t *testing.T) {
+	schema := gen.PaperSchema()
+	base := chainBase(20, 10_000)
+	q := gen.PaperQuery()
+	s1 := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[0])
+	s2 := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[1])
+	if s1.space != base || s2.space != base {
+		t.Fatalf("nil-store scans are not in the base's id space")
+	}
+	if len(s1.Dict) < 10_000 || &s1.Dict[0] != &s2.Dict[0] {
+		t.Fatalf("scans do not share the base's term snapshot (%d terms)", len(s1.Dict))
+	}
+	if s1.remapFor(s2) != nil || s2.remapFor(s1) != nil {
+		t.Fatalf("same-base scans need a remap table")
+	}
+	join := s1.Join(s2)
+	if join.space != base || join.index != nil || &join.Dict[0] != &s1.Dict[0] {
+		t.Fatalf("join left the base's id space: space %T, index %d entries", join.space, len(join.index))
+	}
+	if join.Len() != 20 {
+		t.Fatalf("join = %d rows, want 20", join.Len())
+	}
+	if p := join.Project(q.Projections); p.space != base || p.index != nil || p.Len() != 20 {
+		t.Fatalf("projection left the base's id space or lost rows (%d)", p.Len())
+	}
+	if u := UnionAll(s1, s1); u.space != base || u.index != nil || u.Len() != 20 {
+		t.Fatalf("union left the base's id space or lost rows (%d)", u.Len())
+	}
+}
+
+// A batch of base ids stays valid while its base changes: the base's
+// dictionary is append-only and its entries are never reclaimed, so
+// growing the term table past its capacity, or removing the very triples
+// the batch scanned, leaves the batch's ids and terms as they were.
+func TestBaseIDBatchSurvivesBaseChanges(t *testing.T) {
+	schema := gen.PaperSchema()
+	base := chainBase(20, 0)
+	q := gen.PaperQuery()
+	scan := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[0])
+	join := scan.Join(EvalPathPatternBatchInto(nil, base, schema, q.Patterns[1]))
+	before := strings.Join(scan.ResultSet().Sorted(), "\n")
+	beforeJoin := strings.Join(join.ResultSet().Sorted(), "\n")
+	terms := &scan.Dict[0]
+
+	res := func(i int) rdf.IRI { return rdf.IRI("http://d#r" + strconv.Itoa(i)) }
+	for i := 0; i < 5_000; i++ {
+		base.Add(rdf.Statement(res(100_000+i), gen.N1("prop1"), res(200_000+i)))
+	}
+	for i := 0; i < 20; i += 2 {
+		base.Remove(rdf.Statement(res(3*i), gen.N1("prop1"), res(3*i+1)))
+	}
+	if fresh := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[0]); &fresh.Dict[0] == terms || fresh.Len() != 5_010 {
+		t.Fatalf("base change not seen: %d prop1 pairs, want 5 010 over a reallocated term table", fresh.Len())
+	}
+	if got := strings.Join(scan.ResultSet().Sorted(), "\n"); got != before {
+		t.Errorf("scan changed with its base:\n%s\nwant:\n%s", got, before)
+	}
+	if got := strings.Join(join.ResultSet().Sorted(), "\n"); got != beforeJoin {
+		t.Errorf("join changed with its base:\n%s\nwant:\n%s", got, beforeJoin)
+	}
+	// A later scan of the changed base still joins the earlier one without
+	// remapping: the earlier snapshot is a prefix of the later one, which
+	// the join adopts.
+	fresh := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[1])
+	if fresh.remapFor(scan) != nil {
+		t.Fatalf("scans of one base before and after a change need a remap table")
+	}
+	across := scan.Join(fresh)
+	if across.space != base || across.index != nil {
+		t.Fatalf("join across the change left the base's id space")
+	}
+	if got := strings.Join(across.ResultSet().Sorted(), "\n"); got != beforeJoin {
+		t.Errorf("join across the change:\n%s\nwant:\n%s", got, beforeJoin)
+	}
+}
+
+// Rebasing a batch of base ids onto a store interns only the terms its
+// rows reference, not its base's whole dictionary, and keeps its rows.
+func TestRebaseBaseIDsInternsReferencedTerms(t *testing.T) {
+	schema := gen.PaperSchema()
+	base := chainBase(20, 10_000)
+	scan := EvalPathPatternBatchInto(nil, base, schema, gen.PaperQuery().Patterns[0])
+	want := strings.Join(scan.ResultSet().Sorted(), "\n")
+	st := NewTermStore()
+	scan.Rebase(st)
+	if scan.space != st || len(scan.Dict) != 40 {
+		t.Fatalf("rebased scan: store-backed %v, %d store terms, want 40", scan.space == st, len(scan.Dict))
+	}
+	if got := strings.Join(scan.ResultSet().Sorted(), "\n"); got != want {
+		t.Errorf("rebase changed rows:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// A batch of base ids that interns a term its base does not hold leaves
+// the base's id space: the base may later give that id to another term,
+// so combining it with a later scan of the base must remap, not share.
+func TestBaseIDBatchInternLeavesBaseSpace(t *testing.T) {
+	schema := gen.PaperSchema()
+	base := chainBase(5, 0)
+	pat := gen.PaperQuery().Patterns[0]
+	scan := EvalPathPatternBatchInto(nil, base, schema, pat)
+	extra := BatchOf(rsOf([]string{"X", "Y"}, Row{"X": termI("http://d#new"), "Y": termI("http://d#r1")}))
+	merged := UnionAll(scan, extra)
+	if merged.space != nil {
+		t.Fatalf("a batch holding a term its base lacks kept the base's id space")
+	}
+	for i := 0; i < 3; i++ {
+		base.Add(rdf.Statement(rdf.IRI("http://d#later"+strconv.Itoa(i)), gen.N1("prop1"), "http://d#r1"))
+	}
+	later := EvalPathPatternBatchInto(nil, base, schema, pat)
+	want := merged.ResultSet().Union(later.ResultSet())
+	got := UnionAll(merged, later).ResultSet()
+	if g, w := strings.Join(got.Sorted(), "\n"), strings.Join(want.Sorted(), "\n"); g != w {
+		t.Errorf("union across the base change:\n%s\nwant:\n%s", g, w)
+	}
+}
