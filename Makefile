@@ -29,7 +29,7 @@ check: lint
 bench:
 	$(GO) test -bench=. -benchmem
 
-# The six fuzzers, 20 s each (about 2 min in all); CI's fuzz step runs this
+# The seven fuzzers, 20 s each (about 2.5 min in all); CI's fuzz step runs this
 # target, so this is the one list. New findings land in each package's
 # testdata/fuzz, where go test replays them.
 #
@@ -44,6 +44,11 @@ bench:
 #   (the front-coded codec is canonical) and that Frame.WireLen (which
 #   sizes every Results packet body) equals the encoded length, and
 #   round-trips the frame through the ResultSet facade.
+# - FuzzBatchOps decodes two small relations, builds each as base ids,
+#   store ids and a decoded frame, and checks that the batch operators
+#   (union, join, concatenation, projection, filter) give the ResultSet
+#   operators' rows over every pairing of id spaces without changing an
+#   input.
 # - FuzzQueryCodecs decodes arbitrary bytes as every query-path body
 #   (plan, routing request, annotated reply, statistics payload), checks
 #   that a decodable body re-encodes to itself, and round-trips generated
@@ -58,6 +63,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBaseOps$$' -fuzztime=20s ./internal/rdf
 	$(GO) test -run='^$$' -fuzz='^FuzzPacketEnvelope$$' -fuzztime=20s ./internal/channel
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchCodec$$' -fuzztime=20s ./internal/rql
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchOps$$' -fuzztime=20s ./internal/rql
 	$(GO) test -run='^$$' -fuzz='^FuzzQueryCodecs$$' -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzMembershipMessages$$' -fuzztime=20s ./internal/membership
 	$(GO) test -run='^$$' -fuzz='^FuzzAdvertisement$$' -fuzztime=20s ./internal/peer

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/peer"
+	"sqpeer/internal/plan"
+	"sqpeer/internal/rql"
 )
 
 // Mixed union branches in one query: Q1 answered completely via P2,
@@ -140,5 +143,51 @@ func TestCompletenessShedBranchesSortedDeduped(t *testing.T) {
 	want := groundTruth(t, peers, gen.PaperRQL)
 	if !sameRows(resHigh.Rows, want) {
 		t.Fatalf("high-priority answer diverged:\n got %v\nwant %v", resHigh.Rows.Sorted(), want.Sorted())
+	}
+}
+
+// An engine without a router keeps its holes in the plan and answers
+// them as absent branches under AllowPartial: the join answers its
+// remaining input, and an all-hole plan answers no rows. Both annotate
+// every hole's pattern.
+func TestRouterlessPartialAnswersHolesAsAbsent(t *testing.T) {
+	peers, _ := paperSystem(t, 3)
+	p1 := peers["P1"]
+	p1.Engine.Router = nil
+	p1.Engine.AllowPartial = true
+	q := gen.PaperQuery()
+	const reason = "no peer advertises this pattern"
+
+	mixed := &plan.Plan{Root: plan.NewJoin(
+		plan.NewUnion(plan.NewScan(q.Patterns[0], "P1"), plan.NewScan(q.Patterns[0], "P2")),
+		plan.NewHole(q.Patterns[1]),
+	), Query: q}
+	rows, comp, err := p1.Engine.ExecuteBatch(mixed, nil, admission.QoS{})
+	if err != nil {
+		t.Fatalf("ExecuteBatch: %v", err)
+	}
+	want := rql.EvalPathPattern(peers["P1"].Base, gen.PaperSchema(), q.Patterns[0]).
+		Union(rql.EvalPathPattern(peers["P2"].Base, gen.PaperSchema(), q.Patterns[0]))
+	if got := rows.ResultSet(); !sameRows(got, want) || want.Len() == 0 {
+		t.Errorf("partial answer:\n%v\nwant Q1's rows:\n%v", got.Sorted(), want.Sorted())
+	}
+	if comp.Complete || !reflect.DeepEqual(comp.Unanswered, []exec.Unanswered{{PatternID: "Q2", Reason: reason}}) {
+		t.Errorf("completeness = %+v, want Q2 unanswered", comp)
+	}
+	if m := p1.Engine.Metrics(); m.PartialAnswers != 1 {
+		t.Errorf("PartialAnswers = %d, want 1", m.PartialAnswers)
+	}
+
+	holes := &plan.Plan{Root: plan.NewJoin(plan.NewHole(q.Patterns[0]), plan.NewHole(q.Patterns[1])), Query: q}
+	rows, comp, err = p1.Engine.ExecuteBatch(holes, nil, admission.QoS{})
+	if err != nil {
+		t.Fatalf("ExecuteBatch(all holes): %v", err)
+	}
+	if rows == nil || rows.Len() != 0 {
+		t.Errorf("all-hole answer = %v, want an empty batch", rows)
+	}
+	wantUn := []exec.Unanswered{{PatternID: "Q1", Reason: reason}, {PatternID: "Q2", Reason: reason}}
+	if comp.Complete || !reflect.DeepEqual(comp.Unanswered, wantUn) {
+		t.Errorf("all-hole completeness = %+v, want Q1 and Q2 unanswered", comp)
 	}
 }

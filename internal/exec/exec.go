@@ -48,11 +48,10 @@ type LocalSource interface {
 // converted into a batch there instead.
 type BatchSource interface {
 	// EvalScanBatch evaluates the conjunction of path patterns locally,
-	// returning the joined rows in columnar form. The scan interns into
-	// store — the calling execution's shared dictionary — so the result
-	// composes with the execution's other batches without remapping; with
-	// a nil store the rows stay in the base's own ids, over its term
-	// snapshot, and nothing is interned.
+	// returning the joined rows in columnar form. The executor passes a
+	// nil store: the rows stay in the base's own ids, over its term
+	// snapshot, and nothing is interned. A non-nil store receives the
+	// answer rebased onto it.
 	EvalScanBatch(patterns []pattern.PathPattern, store *rql.TermStore) *rql.Batch
 }
 
@@ -112,10 +111,11 @@ type Options struct {
 	// peer is declared obsolete and replanned around. 0 — the historical
 	// behaviour — disables retries.
 	MaxRetries int
-	// AllowPartial opts into graceful degradation: when replanning leaves
-	// unresolved holes, the engine prunes them, executes the answerable
-	// remainder, and returns the rows with a Completeness annotation
-	// naming the unanswered patterns — instead of failing the query.
+	// AllowPartial opts into graceful degradation: when the plan (or a
+	// replan) leaves unresolved holes, the engine answers them as absent
+	// branches, executes the answerable remainder, and returns the rows
+	// with a Completeness annotation naming the unanswered patterns —
+	// instead of failing the query.
 	AllowPartial bool
 	// BatchSize caps rows per Results packet when this engine answers
 	// shipped subplans (default 256). Smaller batches mean more packets —
@@ -309,15 +309,15 @@ func (e *Engine) Execute(p *plan.Plan) (*rql.ResultSet, error) {
 // adaptation loop of §2.5 with retry/backoff underneath it (transient
 // dispatch failures retry before a peer is declared obsolete), the
 // throughput monitor as a replan trigger, and — under AllowPartial —
-// hole pruning instead of failure when replanning cannot cover every
-// pattern. It runs as an untagged Low-priority query, under a standalone
+// holes answered as absent branches instead of failure when replanning
+// cannot cover every pattern. It runs as an untagged Low-priority query, under a standalone
 // trace when a Tracer is configured.
 func (e *Engine) ExecuteAnnotated(p *plan.Plan) (*Result, error) {
 	rows, comp, err := e.ExecuteBatch(p, nil, admission.QoS{})
 	if err != nil {
 		return nil, err
 	}
-	if rows != nil && p.Query != nil && len(p.Query.Projections) > 0 {
+	if p.Query != nil && len(p.Query.Projections) > 0 {
 		rows = rows.Project(p.Query.Projections)
 	}
 	// The facade boundary: batches become the public ResultSet.
@@ -327,13 +327,14 @@ func (e *Engine) ExecuteAnnotated(p *plan.Plan) (*Result, error) {
 // ExecuteBatch is ExecuteAnnotated stopped short of the facade, under a
 // caller-supplied trace span and an explicit QoS: it returns the answer
 // as the executor's batch over every variable the plan binds,
-// unprojected, with its completeness annotation. A nil batch means
-// nothing was answerable. The peer facade finishes the answer on it —
-// WHERE filters, then projection, then LIMIT — so a filter on a variable
-// outside SELECT still sees its bindings, and the rows become row maps
-// once, at the end. The peer layer passes its query span so routing,
-// planning and execution share one trace; with a nil span and a
-// configured Tracer, the engine opens a standalone trace for the call.
+// unprojected, with its completeness annotation; the batch is nil only
+// with an error, and empty when nothing was answerable. The peer facade
+// finishes the answer on it — WHERE filters, then projection, then LIMIT
+// — so a filter on a variable outside SELECT still sees its bindings, and
+// the rows become row maps once, at the end. The peer layer passes its
+// query span so routing, planning and execution share one trace; with a
+// nil span and a configured Tracer, the engine opens a standalone trace
+// for the call.
 // The tenant and priority ride every subplan request this execution
 // ships, so serving peers admit (or shed) the work under the same class
 // the root charged at its facade. The zero QoS is an untagged
@@ -346,14 +347,6 @@ func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (
 		defer span.End()
 	}
 	current := p
-	var unanswered []Unanswered
-	unansweredSeen := map[string]bool{}
-	note := func(id, reason string) {
-		if !unansweredSeen[id] {
-			unansweredSeen[id] = true
-			unanswered = append(unanswered, Unanswered{PatternID: id, Reason: reason})
-		}
-	}
 	// fetched maps each dispatched (site, pattern set) to the rows its
 	// first completed dispatch delivered; a later dispatch of the same
 	// pair is re-fetched work (what restarts pay and migration avoids).
@@ -363,37 +356,16 @@ func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (
 	e.mu.Unlock()
 	var lastFailure error
 	for attempt := 0; ; attempt++ {
-		if holes := plan.Holes(current.Root); len(holes) > 0 {
+		// Under AllowPartial, holes stay in the plan: the execution fills
+		// them mid-flight from fresh advertisements (upgrading the
+		// answer's completeness without a restart) or answers them as
+		// absent branches, reported unanswered with the last failure.
+		if holes := plan.Holes(current.Root); len(holes) > 0 && !e.AllowPartial {
 			ids := make([]string, len(holes))
 			for i, h := range holes {
 				ids[i] = h.Patterns[0].ID
 			}
-			if !e.AllowPartial {
-				return nil, Completeness{}, &HoleError{PatternIDs: ids}
-			}
-			reason := "no peer advertises this pattern"
-			if lastFailure != nil {
-				reason = lastFailure.Error()
-			}
-			if e.Router == nil {
-				// Graceful degradation without a router: cut the
-				// unanswerable patterns, record why, execute what remains.
-				pruned, removed := plan.PruneHoles(current.Root)
-				for _, id := range removed {
-					note(id, reason)
-				}
-				if pruned == nil {
-					// Nothing answerable at all: an empty, fully-annotated
-					// partial result.
-					e.record(fact{kind: factPartialAnswer}, nil)
-					return nil, Completeness{Complete: false, Unanswered: sortUnanswered(unanswered)}, nil
-				}
-				current = &plan.Plan{Root: pruned, Query: current.Query}
-			}
-			// With a router, holes stay in the plan: the execution fills
-			// them mid-flight from fresh advertisements (upgrading the
-			// answer's completeness without a restart) or reports them
-			// unanswered with this reason.
+			return nil, Completeness{}, &HoleError{PatternIDs: ids}
 		}
 		rel, runtimeUn, err := e.executeOnce(current, attempt, lastFailure, fetched, span, qos)
 		if err == nil {
@@ -424,11 +396,8 @@ func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (
 			}
 			// These rows are the answer: holes this round could not fill
 			// mid-flight are what the result is missing.
-			for _, u := range runtimeUn {
-				note(u.PatternID, u.Reason)
-			}
-			comp := Completeness{Complete: len(unanswered) == 0, Unanswered: sortUnanswered(unanswered)}
-			if len(unanswered) > 0 {
+			comp := Completeness{Complete: len(runtimeUn) == 0, Unanswered: runtimeUn}
+			if len(runtimeUn) > 0 {
 				e.record(fact{kind: factPartialAnswer}, nil)
 			}
 			return rel, comp, nil
@@ -447,8 +416,8 @@ func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (
 		replanned, rerr := optimizer.Replan(current, map[pattern.PeerID]bool{pf.Peer: true}, e.Router)
 		if rerr != nil {
 			if replanned != nil && e.AllowPartial {
-				// The replan left holes; the loop top prunes them into the
-				// completeness annotation and runs the rest.
+				// The replan left holes; the next round answers them as
+				// absent branches, noted in the completeness annotation.
 				lastFailure = err
 				// On the root span: rsp has Ended.
 				e.record(fact{kind: factReplan, trigger: "failure-partial", obsolete: string(pf.Peer)}, span)
@@ -460,16 +429,6 @@ func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (
 		e.record(fact{kind: factReplan, trigger: "failure", obsolete: string(pf.Peer)}, span)
 		current = replanned
 	}
-}
-
-// sortUnanswered orders a completeness annotation by pattern id. The
-// note() dedupe keeps ids unique, but ids accumulate in discovery order
-// across attempts — a later attempt can add a smaller id after a larger
-// one — so the Completeness contract ("sorted by id") needs this final
-// pass.
-func sortUnanswered(un []Unanswered) []Unanswered {
-	sort.Slice(un, func(i, j int) bool { return un[i].PatternID < un[j].PatternID })
-	return un
 }
 
 // dropFromRouting removes a failed peer from routing's working set: via
@@ -533,12 +492,10 @@ func failureOf(err error) (*PeerFailure, bool) {
 type execution struct {
 	engine *Engine
 	// store is the execution's shared term dictionary (see rql.TermStore),
-	// made on first use by termStore. A root's scan leaves intern into it
-	// and decoded result frames are rebased onto it, so every batch the
-	// root composes agrees on ids and the operators above the leaves never
-	// re-intern a term. A serving execution's scans answer in its base's
-	// ids instead, which agree with each other already; it makes a store
-	// only when a nested fetch delivers a frame from another peer.
+	// made by termStore when the first result frame arrives: every frame
+	// is rebased onto it, so the frames of all sites agree on ids. Local
+	// scans answer in the base's ids, and an operator that combines them
+	// with frames rebases copies of the scans onto this store.
 	store     *rql.TermStore
 	storeOnce sync.Once
 	// attempt is the ExecuteAnnotated restart round this execution runs in
@@ -691,20 +648,6 @@ func (ex *execution) termStore() *rql.TermStore {
 	return ex.store
 }
 
-// align rebases the batches onto the execution's store unless their ids
-// already index one term sequence, so the operator combining them needs
-// no remap table. At a root every batch is on the store already; at a
-// serving peer this joins its base-id scans with a nested fetch's frames.
-func (ex *execution) align(bs []*rql.Batch) {
-	if rql.SameDict(bs...) {
-		return
-	}
-	s := ex.termStore()
-	for _, b := range bs {
-		b.Rebase(s)
-	}
-}
-
 // acquire takes a worker token (no-op when sequential); release returns
 // it. Leaf work — the expensive part of a branch — runs between them.
 func (ex *execution) acquire() {
@@ -745,7 +688,7 @@ func (e *Engine) executeOnce(p *plan.Plan, attempt int, lastFailure error, fetch
 		rows = rql.NewBatch()
 	}
 	ex.mu.Lock()
-	un := make([]Unanswered, 0, len(ex.unanswered))
+	var un []Unanswered // nil when every hole was filled
 	for id, reason := range ex.unanswered {
 		un = append(un, Unanswered{PatternID: id, Reason: reason})
 	}
@@ -888,7 +831,7 @@ func endAll(spans []*obs.Span) {
 // with nil error is the "absent" sentinel: an unfillable hole under
 // AllowPartial contributed nothing, and the parent union/join skips the
 // branch instead of joining against an empty set (which would wrongly
-// annihilate sibling rows — the same collapse semantics as PruneHoles).
+// annihilate sibling rows: the join answers its remaining inputs).
 // sp is the node's own span (the branch span its parent pre-created, or
 // the attempt span at the plan root); nil when tracing is off.
 func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
@@ -910,16 +853,12 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 			e.record(fact{kind: factLocalScan}, nil)
 			// The scan leaf is where rows enter the engine's data plane:
 			// they are born a batch (BatchSource) or become one here, so
-			// every union/join above runs vectorized. A serving peer
-			// answers in its base's ids (a nil store): the frames it cuts
-			// from them are the same, and no term is interned.
+			// every union/join above runs vectorized. The scan answers in
+			// its base's ids (a nil store), at a root as at a serving
+			// peer: no term is interned.
 			var b *rql.Batch
 			if bs, ok := e.Local.(BatchSource); ok {
-				var store *rql.TermStore
-				if e.serving == nil {
-					store = ex.termStore()
-				}
-				b = bs.EvalScanBatch(v.Patterns, store)
+				b = bs.EvalScanBatch(v.Patterns, nil)
 			} else {
 				b = rql.BatchOf(e.Local.EvalScan(v.Patterns))
 			}
@@ -936,7 +875,6 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 		}
 		// nil branches (unfilled holes) contribute nothing; all-nil means
 		// the whole union is absent.
-		ex.align(rss)
 		acc := unionAll(rss)
 		if acc == nil && len(rss) == 0 {
 			acc = rql.NewBatch()
@@ -953,7 +891,6 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.align(rss)
 		var acc *rql.Batch
 		absent := false
 		for _, rel := range rss {
@@ -1229,7 +1166,7 @@ func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) 
 	if plan.HasHoles(filled.Root) {
 		// Decision rule: no alternate peer covers the subtree → migration
 		// cannot help; the caller surfaces the failure and the legacy
-		// restart (or hole pruning) takes over.
+		// restart (or a partial answer) takes over.
 		return nil, false, nil
 	}
 	ex.mu.Lock()

@@ -360,15 +360,14 @@ func (ls localSource) EvalScan(patterns []pattern.PathPattern) *rql.ResultSet {
 }
 
 // EvalScanBatch is EvalScan on the columnar plane (exec.BatchSource):
-// each pattern scans straight into a batch — interned into the calling
-// execution's shared dictionary, or left in the base's ids when store is
-// nil, as a serving peer's are — and multi-pattern subplans join
-// vectorized, so local evaluation never materializes row maps and the
-// joins between scans on one store or one base never remap an id.
+// each pattern scans straight into a batch of the base's ids and
+// multi-pattern subplans join vectorized, so local evaluation never
+// materializes row maps and the joins between scans never remap an id.
+// A non-nil store receives the answer rebased onto it.
 func (ls localSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.TermStore) *rql.Batch {
 	var acc *rql.Batch
 	for _, pp := range patterns {
-		b := rql.EvalPathPatternBatchInto(store, ls.p.Base, ls.p.Schema, pp)
+		b := rql.EvalPathPatternBatch(ls.p.Base, ls.p.Schema, pp)
 		if acc == nil {
 			acc = b
 		} else {
@@ -377,6 +376,9 @@ func (ls localSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.T
 	}
 	if acc == nil {
 		acc = rql.NewBatch()
+	}
+	if store != nil {
+		acc.Rebase(store)
 	}
 	return acc
 }

@@ -235,65 +235,6 @@ func Holes(n Node) []*Scan {
 // partial-plan condition of §2.4 and §3.2.
 func HasHoles(n Node) bool { return len(Holes(n)) > 0 }
 
-// PruneHoles removes every hole scan from the tree, collapsing unions and
-// joins around the removals (graceful degradation: execute the answerable
-// part of a partial plan and annotate the rest as unanswered). It returns
-// the pruned tree — nil when nothing answerable remains — plus the
-// deduplicated, sorted pattern ids that were cut. The input is not
-// mutated. Note that pruning a join input widens the join's semantics:
-// the remaining patterns are answered exactly, the cut ones not at all,
-// which is why callers must surface the removed ids to the user.
-func PruneHoles(n Node) (Node, []string) {
-	removed := map[string]bool{}
-	var rec func(Node) Node
-	rec = func(x Node) Node {
-		switch v := x.(type) {
-		case *Scan:
-			if v.IsHole() {
-				for _, id := range v.PatternIDs() {
-					removed[id] = true
-				}
-				return nil
-			}
-			return v
-		case *Union:
-			var kept []Node
-			for _, c := range v.Inputs {
-				if p := rec(c); p != nil {
-					kept = append(kept, p)
-				}
-			}
-			if len(kept) == 0 {
-				return nil
-			}
-			return NewUnion(kept...)
-		case *Join:
-			var kept []Node
-			for _, c := range v.Inputs {
-				if p := rec(c); p != nil {
-					kept = append(kept, p)
-				}
-			}
-			if len(kept) == 0 {
-				return nil
-			}
-			return NewJoin(kept...)
-		default:
-			return x
-		}
-	}
-	pruned := rec(n)
-	if pruned != nil {
-		pruned = pruned.clone()
-	}
-	ids := make([]string, 0, len(removed))
-	for id := range removed {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return pruned, ids
-}
-
 // Peers returns the distinct peers the plan touches (holes excluded),
 // sorted. One communication channel is deployed per peer (§2.4: "only one
 // channel is of course created" per contributing peer).

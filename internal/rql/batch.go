@@ -10,10 +10,11 @@ import (
 // rows over a fixed variable schema — stored as one dictionary-encoded
 // id column per variable. Terms repeat heavily in SQPeer workloads (join
 // resources appear once per matching pair, IRIs share long namespace
-// prefixes), so each batch carries a small per-batch term dictionary and
-// the columns hold int32 dictionary ids; unbound variables are encoded
-// as -1. Batches are what the executor's data plane moves and operates
-// on; ResultSet remains the public facade, with BatchOf / Batch.ResultSet
+// prefixes), so each batch carries a term dictionary (its own, or a
+// snapshot of the base's or store's term sequence its ids index) and the
+// columns hold int32 dictionary ids; unbound variables are encoded as -1.
+// Batches are what the executor's data plane moves and operates on;
+// ResultSet remains the public facade, with BatchOf / Batch.ResultSet
 // converting at the boundary.
 //
 // Facade contract: a Row binding for a variable outside the set's Vars
@@ -32,30 +33,26 @@ type Batch struct {
 	// rows is the row count, kept explicitly so zero-variable relations
 	// (a projection onto no variables) keep their cardinality.
 	rows int
-	// index is the lazily-built Dict inverse used when interning; nil
-	// (and unused) while the batch is store-backed.
-	index map[rdf.Term]int32
-	// space, when non-nil, identifies the append-only term sequence this
-	// batch's ids index: a *TermStore, or the *rdf.Base whose dictionary
-	// a base-id scan returned. Dict is then a prefix snapshot of that
-	// sequence. Two batches on the same space agree on every id, which is
-	// what lets the operators skip dictionary merging entirely. Only a
-	// store is ever interned into: a base's term table is written by the
-	// base alone.
+	// space identifies the append-only term sequence this batch's ids
+	// index: a *TermStore, or the *rdf.Base whose dictionary a scan
+	// answered in. Dict is then a prefix snapshot of that sequence, and
+	// two batches on one space agree on every id. nil marks a batch whose
+	// Dict is its own — a decoded wire frame, or one cut by a Slicer.
+	// Every batch an operator combines indexes one sequence, so operators
+	// read ids as they are; aligned rebases copies of inputs that
+	// disagree.
 	space any
 }
 
-// TermStore is a grow-only term dictionary shared by every batch of one
-// engine execution. Per-batch dictionaries make wire frames self-
-// contained, but inside one engine they mean each operator re-interns
-// its inputs' terms — on million-row results the repeated dictionary and
-// index rebuilds, not the row work, dominate allocation. A store interns
-// each term once per execution; batches carry capacity-capped snapshots
-// of the term sequence as their Dict, so ids are stable, snapshots stay
-// immutable while the store grows, and every id-space read path (facade
-// conversion, slicing, encoding) works unchanged. A serving peer's
-// batches need no store: they index their base's own dictionary, which
-// is just as append-only.
+// TermStore is a grow-only term dictionary, the id space an execution
+// moves remote answers in. The collector rebases each decoded wire frame
+// onto its execution's store, so the frames of every site agree on ids
+// and the operators above them never look a term up; an execution makes
+// its store when the first frame arrives. Local scans need none: they
+// answer in their base's ids, which are just as append-only. BatchOf
+// interns into a fresh store. Batches carry capacity-capped snapshots of
+// the term sequence as their Dict, so ids are stable and snapshots stay
+// immutable while the store grows.
 //
 // The dictionary itself is an rdf.TermDict, the probe-table dictionary
 // every rdf.Base also keeps. The mutex makes interning safe across the
@@ -83,16 +80,6 @@ func (s *TermStore) snapshot() []rdf.Term {
 	return s.dict.Terms()
 }
 
-// NewBatch returns an empty store-backed batch over the variables.
-func (s *TermStore) NewBatch(vars ...string) *Batch {
-	b := NewBatch(vars...)
-	b.space = s
-	s.mu.Lock()
-	b.Dict = s.snapshot()
-	s.mu.Unlock()
-	return b
-}
-
 // Rebase rewrites b in place into s's id space, making it store-backed.
 // The collector calls this on every decoded wire frame, so one stream
 // pays one dictionary-sized interning pass per frame and everything
@@ -104,6 +91,14 @@ func (b *Batch) Rebase(s *TermStore) *Batch {
 	if b == nil || b.space == s {
 		return b
 	}
+	b.Dict = b.rebaseInto(s, b.Cols)
+	b.space = s
+	return b
+}
+
+// rebaseInto writes b's rows, translated into s's ids, into dst (which
+// may be b.Cols itself) and returns the store snapshot covering them.
+func (b *Batch) rebaseInto(s *TermStore, dst [][]int32) []rdf.Term {
 	// m[id] is id's store id + 1; 0 for an id no row references.
 	m := make([]int32, len(b.Dict))
 	for _, col := range b.Cols {
@@ -121,33 +116,74 @@ func (b *Batch) Rebase(s *TermStore) *Batch {
 	}
 	snap := s.snapshot()
 	s.mu.Unlock()
-	for _, col := range b.Cols {
+	for c, col := range b.Cols {
+		out := dst[c]
 		for r, id := range col {
 			if id >= 0 {
-				col[r] = m[id] - 1
+				id = m[id] - 1
 			}
+			out[r] = id
 		}
 	}
-	b.space, b.Dict, b.index = s, snap, nil
-	return b
+	return snap
 }
 
-// SameDict reports whether the batches' ids all index one term sequence
-// (one store, or one base), so any operator over them needs no remap
-// table. Nil batches and batches with an empty dictionary hold no ids
-// and agree with anything.
-func SameDict(batches ...*Batch) bool {
-	var space any
+// sameSpace reports whether the batches' ids all index one term
+// sequence. Nil batches and batches with an empty dictionary hold no ids
+// and agree with anything; a batch with its own dictionary agrees only
+// when it is the one batch holding ids.
+func sameSpace(batches []*Batch) bool {
+	var first *Batch
 	for _, b := range batches {
 		if b == nil || len(b.Dict) == 0 {
 			continue
 		}
-		if b.space == nil || (space != nil && b.space != space) {
+		if first == nil {
+			first = b
+		} else if b.space == nil || b.space != first.space {
 			return false
 		}
-		space = b.space
 	}
 	return true
+}
+
+// aligned returns the batches on one term sequence: the inputs
+// themselves when they already share one, else copies of them rebased
+// onto the first store among them, or onto a fresh store when none has
+// one. An input is never rewritten: the executor's single-flight cache
+// hands one batch to several branches.
+func aligned(batches []*Batch) []*Batch {
+	if sameSpace(batches) {
+		return batches
+	}
+	var s *TermStore
+	for _, b := range batches {
+		if b == nil {
+			continue
+		}
+		if bs, ok := b.space.(*TermStore); ok {
+			s = bs
+			break
+		}
+	}
+	if s == nil {
+		s = NewTermStore()
+	}
+	out := make([]*Batch, len(batches))
+	for i, b := range batches {
+		if b == nil || b.space == s {
+			out[i] = b
+			continue
+		}
+		c := &Batch{Vars: b.Vars, Cols: make([][]int32, len(b.Cols)), rows: b.rows, space: s}
+		cells := make([]int32, len(b.Cols)*b.rows)
+		for j := range c.Cols {
+			c.Cols[j] = cells[j*b.rows : (j+1)*b.rows : (j+1)*b.rows]
+		}
+		c.Dict = b.rebaseInto(s, c.Cols)
+		out[i] = c
+	}
+	return out
 }
 
 // NewBatch returns an empty batch over the variables.
@@ -163,37 +199,6 @@ func (b *Batch) Len() int {
 	return b.rows
 }
 
-// Intern returns the dictionary id of t, adding it on first use. On a
-// store-backed batch the store interns and the batch refreshes its Dict
-// snapshot to cover the new id. Any other batch interns into its own
-// Dict; a batch of base ids that does so becomes self-contained, since
-// its new ids are not the base's.
-func (b *Batch) Intern(t rdf.Term) int32 {
-	if s, ok := b.space.(*TermStore); ok {
-		s.mu.Lock()
-		id := s.intern(t)
-		if int(id) >= len(b.Dict) {
-			b.Dict = s.snapshot()
-		}
-		s.mu.Unlock()
-		return id
-	}
-	if b.index == nil {
-		b.index = make(map[rdf.Term]int32, len(b.Dict)+16)
-		for i, dt := range b.Dict {
-			b.index[dt] = int32(i)
-		}
-	}
-	if id, ok := b.index[t]; ok {
-		return id
-	}
-	id := int32(len(b.Dict))
-	b.Dict = append(b.Dict, t)
-	b.index[t] = id
-	b.space = nil
-	return id
-}
-
 // appendIDs appends one row of dictionary ids (already in this batch's
 // dictionary space, aligned with Vars).
 func (b *Batch) appendIDs(ids []int32) {
@@ -203,7 +208,8 @@ func (b *Batch) appendIDs(ids []int32) {
 	b.rows++
 }
 
-// BatchOf converts a result set into its columnar form.
+// BatchOf converts a result set into its columnar form, interning its
+// terms into a fresh store in order of first appearance.
 func BatchOf(rs *ResultSet) *Batch {
 	if rs == nil {
 		return NewBatch()
@@ -212,17 +218,20 @@ func BatchOf(rs *ResultSet) *Batch {
 	for i := range b.Cols {
 		b.Cols[i] = make([]int32, 0, len(rs.Rows))
 	}
+	s := NewTermStore()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, r := range rs.Rows {
 		for i, v := range b.Vars {
-			t, ok := r[v]
-			if !ok {
-				b.Cols[i] = append(b.Cols[i], -1)
-				continue
+			id := int32(-1)
+			if t, ok := r[v]; ok {
+				id = s.intern(t)
 			}
-			b.Cols[i] = append(b.Cols[i], b.Intern(t))
+			b.Cols[i] = append(b.Cols[i], id)
 		}
 		b.rows++
 	}
+	b.space, b.Dict = s, s.snapshot()
 	return b
 }
 
@@ -313,16 +322,11 @@ func (d *dedup) admit(ids []int32) bool {
 	return true
 }
 
-// adoptDict shares src's dictionary (and space, if any) with b, making
-// src's ids valid b ids so the caller can skip remapping that input (a
-// nil translation table). Operators adopt the input with the largest
-// dictionary, so across a pipeline of operators each term is hashed and
-// interned once — when it first enters — rather than once per operator.
-// The shared slice is capacity-capped, so b's first dictionary append
-// reallocates instead of scribbling on src's backing array. src is never
-// mutated and its intern index is never shared: parallel sibling
-// branches may adopt the same input concurrently, so b lazily builds its
-// own index if it ever interns (store-backed batches never need one).
+// adoptDict shares src's dictionary and space with b, making src's ids
+// valid b ids. Operators adopt the input with the largest dictionary:
+// their inputs index one term sequence, so its snapshot covers every
+// input's ids. The shared slice is capacity-capped, so nothing b does
+// writes to src's backing array.
 func (b *Batch) adoptDict(src *Batch) {
 	if src == nil {
 		return
@@ -331,8 +335,8 @@ func (b *Batch) adoptDict(src *Batch) {
 	b.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
 }
 
-// adoptee picks the input with the largest dictionary — the one worth
-// adopting wholesale so only the smaller inputs pay interning.
+// adoptee picks the input with the largest dictionary, the snapshot that
+// covers every input's ids.
 func adoptee(batches []*Batch) *Batch {
 	var best *Batch
 	for _, src := range batches {
@@ -341,41 +345,6 @@ func adoptee(batches []*Batch) *Batch {
 		}
 	}
 	return best
-}
-
-// remapFrom interns every term of o's dictionary into b's, returning the
-// o-id → b-id translation table. O(|o.Dict|), independent of row count —
-// the reason dictionary-encoded columns make unions and joins cheap.
-func (b *Batch) remapFrom(o *Batch) []int32 {
-	m := make([]int32, len(o.Dict))
-	for i, t := range o.Dict {
-		m[i] = b.Intern(t)
-	}
-	return m
-}
-
-// remapFor returns the translation table for src's ids into b's space,
-// nil when none is needed: batches on the same store, or scanned from
-// the same base, already agree on every id (and b, having adopted the
-// largest input's snapshot, covers src's).
-func (b *Batch) remapFor(src *Batch) []int32 {
-	if b.space != nil && src.space == b.space {
-		return nil
-	}
-	return b.remapFrom(src)
-}
-
-// remapID translates one id through a remapFrom table, preserving the
-// unbound sentinel. A nil table is the identity: the source's dictionary
-// was adopted, so its ids are already output ids.
-func remapID(m []int32, id int32) int32 {
-	if id < 0 {
-		return -1
-	}
-	if m == nil {
-		return id
-	}
-	return m[id]
 }
 
 // columnsOf maps each requested variable to its column index in b, -1
@@ -396,6 +365,15 @@ func columnsOf(b *Batch, vars []string) []int {
 	return out
 }
 
+// cell is row r's id in column c of b, unbound when c is -1 (b lacks the
+// variable).
+func (b *Batch) cell(c, r int) int32 {
+	if c < 0 {
+		return -1
+	}
+	return b.Cols[c][r]
+}
+
 // Union merges another batch into this one, deduplicating over the union
 // of the variable schemas — the vectorized ResultSet.Union: same merged
 // schema, same first-occurrence-wins order, keyed on dictionary ids
@@ -409,6 +387,7 @@ func (b *Batch) Union(o *Batch) *Batch {
 // executor's n-way plan unions call this instead of folding pairwise,
 // which would re-key the whole accumulated relation once per branch.
 func UnionAll(batches ...*Batch) *Batch {
+	batches = aligned(batches)
 	var vars []string
 	total := 0
 	for _, src := range batches {
@@ -419,8 +398,7 @@ func UnionAll(batches ...*Batch) *Batch {
 		total += src.Len()
 	}
 	out := NewBatch(vars...)
-	adopted := adoptee(batches)
-	out.adoptDict(adopted)
+	out.adoptDict(adoptee(batches))
 	for i := range out.Cols {
 		out.Cols[i] = make([]int32, 0, total)
 	}
@@ -430,18 +408,10 @@ func UnionAll(batches ...*Batch) *Batch {
 		if src == nil {
 			continue
 		}
-		var remap []int32
-		if src != adopted {
-			remap = out.remapFor(src)
-		}
 		cols := columnsOf(src, vars)
 		for r := 0; r < src.rows; r++ {
-			for i := range vars {
-				id := int32(-1)
-				if c := cols[i]; c >= 0 {
-					id = remapID(remap, src.Cols[c][r])
-				}
-				ids[i] = id
+			for i, c := range cols {
+				ids[i] = src.cell(c, r)
 			}
 			d.admit(ids)
 		}
@@ -462,18 +432,12 @@ func (b *Batch) Join(o *Batch) *Batch {
 	if b.Len() == 0 || o.Len() == 0 {
 		return out
 	}
-	build, probe := b, o
+	in := aligned([]*Batch{b, o})
+	build, probe := in[0], in[1]
 	if probe.Len() < build.Len() {
 		build, probe = probe, build
 	}
-	var buildMap, probeMap []int32
-	if len(build.Dict) > len(probe.Dict) {
-		out.adoptDict(build)
-		probeMap = out.remapFor(probe)
-	} else {
-		out.adoptDict(probe)
-		buildMap = out.remapFor(build)
-	}
+	out.adoptDict(adoptee(in))
 	for i := range out.Cols {
 		out.Cols[i] = make([]int32, 0, probe.Len())
 	}
@@ -488,12 +452,8 @@ func (b *Batch) Join(o *Batch) *Batch {
 	next := make([]int32, build.rows)
 	keyIDs := make([]int32, len(shared))
 	for r := 0; r < build.rows; r++ {
-		for i := range shared {
-			id := int32(-1)
-			if c := buildShared[i]; c >= 0 {
-				id = remapID(buildMap, build.Cols[c][r])
-			}
-			keyIDs[i] = id
+		for i, c := range buildShared {
+			keyIDs[i] = build.cell(c, r)
 		}
 		h := hashIDs(keyIDs)
 		if prev, ok := head[h]; ok {
@@ -509,12 +469,8 @@ func (b *Batch) Join(o *Batch) *Batch {
 	ids := make([]int32, len(vars))
 	var matches []int32
 	for r := 0; r < probe.rows; r++ {
-		for i := range shared {
-			id := int32(-1)
-			if c := probeShared[i]; c >= 0 {
-				id = remapID(probeMap, probe.Cols[c][r])
-			}
-			keyIDs[i] = id
+		for i, c := range probeShared {
+			keyIDs[i] = probe.cell(c, r)
 		}
 		br, ok := head[hashIDs(keyIDs)]
 		if !ok {
@@ -524,21 +480,16 @@ func (b *Batch) Join(o *Batch) *Batch {
 		// emit in build-row order exactly like the row-at-a-time join.
 		matches = matches[:0]
 		for ; br >= 0; br = next[br] {
-			if buildKeyEqual(build, buildShared, buildMap, br, keyIDs) {
+			if buildKeyEqual(build, buildShared, br, keyIDs) {
 				matches = append(matches, br)
 			}
 		}
 		for i := len(matches) - 1; i >= 0; i-- {
-			br := matches[i]
+			br := int(matches[i])
 			for i := range vars {
-				id := int32(-1)
-				if c := buildCols[i]; c >= 0 {
-					id = remapID(buildMap, build.Cols[c][br])
-				}
+				id := build.cell(buildCols[i], br)
 				if id < 0 {
-					if c := probeCols[i]; c >= 0 {
-						id = remapID(probeMap, probe.Cols[c][r])
-					}
+					id = probe.cell(probeCols[i], r)
 				}
 				ids[i] = id
 			}
@@ -548,15 +499,11 @@ func (b *Batch) Join(o *Batch) *Batch {
 	return out
 }
 
-// buildKeyEqual reports whether build row r's remapped shared-variable
-// ids equal the probe key — the collision guard behind the hash index.
-func buildKeyEqual(build *Batch, sharedCols []int, m []int32, r int32, want []int32) bool {
+// buildKeyEqual reports whether build row r's shared-variable ids equal
+// the probe key — the collision guard behind the hash index.
+func buildKeyEqual(build *Batch, sharedCols []int, r int32, want []int32) bool {
 	for i, c := range sharedCols {
-		id := int32(-1)
-		if c >= 0 {
-			id = remapID(m, build.Cols[c][r])
-		}
-		if id != want[i] {
+		if build.cell(c, int(r)) != want[i] {
 			return false
 		}
 	}
@@ -568,7 +515,6 @@ func buildKeyEqual(build *Batch, sharedCols []int, m []int32, r int32, want []in
 func (b *Batch) Project(vars []string) *Batch {
 	out := NewBatch(vars...)
 	out.adoptDict(b)
-	var remap []int32 // b's dictionary adopted: ids pass through
 	cols := columnsOf(b, vars)
 	for i := range out.Cols {
 		out.Cols[i] = make([]int32, 0, b.Len())
@@ -576,12 +522,8 @@ func (b *Batch) Project(vars []string) *Batch {
 	d := newDedup(out, b.Len())
 	ids := make([]int32, len(vars))
 	for r := 0; r < b.rows; r++ {
-		for i := range vars {
-			id := int32(-1)
-			if c := cols[i]; c >= 0 {
-				id = remapID(remap, b.Cols[c][r])
-			}
-			ids[i] = id
+		for i, c := range cols {
+			ids[i] = b.cell(c, r)
 		}
 		d.admit(ids)
 	}
@@ -608,6 +550,7 @@ func (b *Batch) Limit(n int) *Batch {
 // relation, so concatenation reproduces exactly what a per-segment Union
 // would — minus the quadratic re-scan of everything already received.
 func Concat(batches ...*Batch) *Batch {
+	batches = aligned(batches)
 	var vars []string
 	total := 0
 	for _, b := range batches {
@@ -618,8 +561,7 @@ func Concat(batches ...*Batch) *Batch {
 		total += b.Len()
 	}
 	out := NewBatch(vars...)
-	adopted := adoptee(batches)
-	out.adoptDict(adopted)
+	out.adoptDict(adoptee(batches))
 	for i := range out.Cols {
 		out.Cols[i] = make([]int32, 0, total)
 	}
@@ -627,32 +569,14 @@ func Concat(batches ...*Batch) *Batch {
 		if b == nil {
 			continue
 		}
-		var remap []int32
-		if b != adopted {
-			remap = out.remapFor(b)
-		}
-		cols := columnsOf(b, vars)
-		for r := 0; r < b.rows; r++ {
-			for i := range vars {
-				id := int32(-1)
-				if c := cols[i]; c >= 0 {
-					id = remapID(remap, b.Cols[c][r])
-				}
-				out.Cols[i] = append(out.Cols[i], id)
+		for i, c := range columnsOf(b, vars) {
+			for r := 0; r < b.rows; r++ {
+				out.Cols[i] = append(out.Cols[i], b.cell(c, r))
 			}
-			out.rows++
 		}
+		out.rows += b.rows
 	}
 	return out
-}
-
-// Slice returns rows [start, end) re-dictionaried to only the terms the
-// slice uses. Wire batches carry a per-batch dictionary, so slicing for
-// the wire must not drag the whole source dictionary along. Callers
-// slicing the same batch repeatedly (the sender's framing loop) should
-// use a Slicer, which reuses the remap table across calls.
-func (b *Batch) Slice(start, end int) *Batch {
-	return NewSlicer(b).Slice(start, end)
 }
 
 // Slicer cuts successive wire frames from one source batch. It keeps the

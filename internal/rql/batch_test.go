@@ -123,13 +123,14 @@ func TestBatchConcatAndSlice(t *testing.T) {
 		Row{"X": termI("a"), "Y": termI("e")},
 	)
 	b := BatchOf(rs)
+	sl := NewSlicer(b)
 	var parts []*Batch
 	for i := 0; i < b.Len(); i += 2 {
 		end := i + 2
 		if end > b.Len() {
 			end = b.Len()
 		}
-		s := b.Slice(i, end)
+		s := sl.Slice(i, end)
 		// Slices must compact the dictionary: no slice needs more terms
 		// than it has cells.
 		if len(s.Dict) > (end-i)*len(s.Vars) {
@@ -139,10 +140,10 @@ func TestBatchConcatAndSlice(t *testing.T) {
 	}
 	back := Concat(parts...)
 	sortedEqual(t, "slice+concat", back.ResultSet(), rs)
-	if got := b.Slice(3, 1); got.Len() != 0 {
+	if got := sl.Slice(3, 1); got.Len() != 0 {
 		t.Fatalf("inverted slice has %d rows", got.Len())
 	}
-	if got := b.Slice(-5, 100); got.Len() != b.Len() {
+	if got := sl.Slice(-5, 100); got.Len() != b.Len() {
 		t.Fatalf("clamped slice has %d rows, want %d", got.Len(), b.Len())
 	}
 }
@@ -167,7 +168,7 @@ func TestBatchZeroVariables(t *testing.T) {
 
 // TestTermStoreSharedPlane pins the shared-dictionary plane to the
 // self-contained one: rebasing inputs onto one store must change no
-// answers while letting same-store operators skip remapping entirely.
+// answers, and same-store operators stay on the store.
 func TestTermStoreSharedPlane(t *testing.T) {
 	a := rsOf([]string{"X", "Y"},
 		Row{"X": termI("a"), "Y": termI("b")},
@@ -196,11 +197,15 @@ func TestTermStoreSharedPlane(t *testing.T) {
 	sortedEqual(t, "same-store project", join.Project([]string{"X", "Z"}).ResultSet(),
 		BatchOf(a).Join(BatchOf(b)).Project([]string{"X", "Z"}).ResultSet())
 
-	// Mixed: one store-backed side, one self-contained side.
-	sortedEqual(t, "mixed join", sa.Join(BatchOf(b)).ResultSet(), BatchOf(a).Join(BatchOf(b)).ResultSet())
+	// Mixed: two stores. The join answers on the first input's store.
+	mixed := sa.Join(BatchOf(b))
+	if mixed.space != st {
+		t.Fatalf("two-store join did not rebase onto the first store")
+	}
+	sortedEqual(t, "mixed join", mixed.ResultSet(), BatchOf(a).Join(BatchOf(b)).ResultSet())
 
 	// A store-backed slice re-dictionaries to frame-local ids.
-	sl := join.Slice(0, join.Len())
+	sl := NewSlicer(join).Slice(0, join.Len())
 	if sl.space != nil {
 		t.Fatalf("wire slice must be self-contained")
 	}
@@ -208,39 +213,43 @@ func TestTermStoreSharedPlane(t *testing.T) {
 }
 
 // TestTermStoreConcurrentIntern exercises the store's lock under the
-// race detector: concurrent rebases and interns must agree — one id per
-// distinct term, every id resolvable through any later snapshot.
+// race detector: concurrent rebases onto one store must agree — one id
+// per distinct term, every id resolvable through any later snapshot.
 func TestTermStoreConcurrentIntern(t *testing.T) {
 	st := NewTermStore()
 	const workers = 8
-	done := make(chan map[string]int32, workers)
+	done := make(chan *Batch, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			ids := map[string]int32{}
-			b := st.NewBatch("X")
+			rs := NewResultSet("X")
 			for i := 0; i < 300; i++ {
-				name := "t" + string(rune('0'+(i+w)%10)) + string(rune('a'+i%26))
-				ids[name] = b.Intern(termI(name))
+				rs.Rows = append(rs.Rows, Row{"X": termI("t" + string(rune('0'+(i+w)%10)) + string(rune('a'+i%26)))})
 			}
-			done <- ids
+			done <- BatchOf(rs).Rebase(st)
 		}(w)
 	}
-	all := map[string]int32{}
+	ids := map[rdf.Term]int32{}
+	var last *Batch
 	for w := 0; w < workers; w++ {
-		for name, id := range <-done {
-			if prev, ok := all[name]; ok && prev != id {
-				t.Fatalf("term %q interned as both %d and %d", name, prev, id)
+		b := <-done
+		for _, id := range b.Cols[0] {
+			term := b.Dict[id]
+			if prev, ok := ids[term]; ok && prev != id {
+				t.Fatalf("term %v interned as both %d and %d", term, prev, id)
 			}
-			all[name] = id
+			ids[term] = id
+		}
+		if last == nil || len(b.Dict) > len(last.Dict) {
+			last = b
 		}
 	}
-	final := st.NewBatch("X")
-	for name, id := range all {
-		if got := final.Intern(termI(name)); got != id {
-			t.Fatalf("term %q re-interned as %d, want %d", name, got, id)
-		}
-		if final.Dict[id] != termI(name) {
-			t.Fatalf("snapshot term at %d = %v, want %q", id, final.Dict[id], name)
+	final := BatchOf(last.ResultSet()).Rebase(st)
+	if len(final.Dict) != len(ids) {
+		t.Fatalf("store holds %d terms, want %d", len(final.Dict), len(ids))
+	}
+	for term, id := range ids {
+		if final.Dict[id] != term {
+			t.Fatalf("snapshot term at %d = %v, want %v", id, final.Dict[id], term)
 		}
 	}
 }

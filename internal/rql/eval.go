@@ -39,7 +39,7 @@ func EvalPathPattern(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern
 	return rs
 }
 
-// EvalPathPatternBatchInto is EvalPathPattern's columnar twin: the same
+// EvalPathPatternBatch is EvalPathPattern's columnar twin: the same
 // pairs, the same end-point filters, appended straight into a batch — no
 // per-row map materialization. This is the scan leaf of the batch data
 // plane; the row version above remains the leaf of the centralized
@@ -47,14 +47,12 @@ func EvalPathPattern(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern
 //
 // The scan runs in the base's id space: the base merges the property's
 // sorted POS ranges into the two columns as base ids and the end-point
-// filters test id sets. With a nil store the batch keeps those ids, and
-// its Dict is the base's capacity-capped term snapshot: no term is
-// hashed or copied, and the batch joins other scans of the same base
-// without a remap table (the base's dictionary is append-only, so its ids
-// stay valid while the base changes). With a store — an execution's
-// shared dictionary — a final pass maps each distinct base id to a store
-// id once, through a pointer-free remap table in first-appearance order.
-func EvalPathPatternBatchInto(store *TermStore, base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern) *Batch {
+// filters test id sets. The batch keeps those ids, and its Dict is the
+// base's capacity-capped term snapshot: no term is hashed or copied, and
+// the batch joins other scans of the same base as it is (the base's
+// dictionary is append-only, so its ids stay valid while the base
+// changes).
+func EvalPathPatternBatch(base *rdf.Base, schema *rdf.Schema, pat pattern.PathPattern) *Batch {
 	b := NewBatch(pat.SubjectVar, pat.ObjectVar)
 	def, _ := schema.PropertyByName(pat.Property)
 
@@ -82,25 +80,7 @@ func EvalPathPatternBatchInto(store *TermStore, base *rdf.Base, schema *rdf.Sche
 		xs, ys = xs[:n], ys[:n]
 	}
 	b.Cols[0], b.Cols[1], b.rows = xs, ys, len(xs)
-	if store == nil {
-		b.space, b.Dict = base, terms
-		return b
-	}
-
-	// remap[id] is base id's store id + 1; 0 while unassigned.
-	remap := make([]int32, len(terms))
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	for r := range xs {
-		for _, col := range b.Cols {
-			id := col[r]
-			if remap[id] == 0 {
-				remap[id] = store.intern(terms[id]) + 1
-			}
-			col[r] = remap[id] - 1
-		}
-	}
-	b.space, b.Dict = store, store.snapshot()
+	b.space, b.Dict = base, terms
 	return b
 }
 

@@ -13,9 +13,9 @@ import (
 // BenchmarkEvalPathPatternBatch times the batch scan leaf over a
 // 10⁴-pair property: prop2 alone, and prop1, whose subproperty prop4
 // contributes a quarter of the pairs, half of them duplicates of prop1
-// pairs that the scan must drop. Each scans into a fresh execution store
-// (a root's scan) and with a nil store (a serving peer's scan, which
-// keeps the base's ids).
+// pairs that the scan must drop. Each scans in the base's ids, as every
+// executor scan does, and rebased onto a fresh store, as an operator
+// does when it combines the scan with result frames.
 func BenchmarkEvalPathPatternBatch(b *testing.B) {
 	schema := gen.PaperSchema()
 	base := rdf.NewBase()
@@ -50,7 +50,11 @@ func BenchmarkEvalPathPatternBatch(b *testing.B) {
 				b.ReportAllocs()
 				rows := 0
 				for i := 0; i < b.N; i++ {
-					rows = rql.EvalPathPatternBatchInto(st.store(), base, schema, c.pat).Len()
+					b := rql.EvalPathPatternBatch(base, schema, c.pat)
+					if s := st.store(); s != nil {
+						b.Rebase(s)
+					}
+					rows = b.Len()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 			})

@@ -68,7 +68,7 @@ func TestEvalPathPatternBatchMatchesScalar(t *testing.T) {
 	}
 	for _, pat := range pats {
 		want := rql.EvalPathPattern(base, schema, pat)
-		got := rql.EvalPathPatternBatchInto(nil, base, schema, pat).ResultSet()
+		got := rql.EvalPathPatternBatch(base, schema, pat).ResultSet()
 		if gs, ws := strings.Join(got.Sorted(), "\n"), strings.Join(want.Sorted(), "\n"); gs != ws {
 			t.Errorf("pattern %s: batch scan diverges from scalar\nbatch:\n%s\nscalar:\n%s", pat.ID, gs, ws)
 		}
@@ -80,10 +80,10 @@ func TestEvalPathPatternBatchMatchesScalar(t *testing.T) {
 
 // TestEvalPathPatternBatchIntoStore runs the id-space scan leaf over a
 // base spread across several sorted runs, with pairs reachable through
-// both a property and its subproperty, literal objects under a range
-// filter, and a shared store that already holds terms: the nil-store
-// scan (the base's own ids over its term snapshot) and the store-backed
-// scan must both render the row evaluator's rows, once each.
+// both a property and its subproperty, and literal objects under a range
+// filter: the scan (the base's own ids over its term snapshot) and the
+// scan rebased onto a store that already holds terms must both render
+// the row evaluator's rows, once each.
 func TestEvalPathPatternBatchIntoStore(t *testing.T) {
 	schema := gen.PaperSchema()
 	base := rdf.NewBase()
@@ -112,15 +112,15 @@ func TestEvalPathPatternBatchIntoStore(t *testing.T) {
 			Property: gen.N1("prop4"), Domain: gen.N1("C5"), Range: gen.N1("C6")},
 	}
 	store := rql.NewTermStore()
-	store.NewBatch("Z").Intern(rdf.NewIRI(res(150)))
+	rql.BatchOf(&rql.ResultSet{Vars: []string{"Z"}, Rows: []rql.Row{{"Z": rdf.NewIRI(res(150))}}}).Rebase(store)
 	for _, pat := range pats {
 		want := strings.Join(rql.EvalPathPattern(base, schema, pat).Sorted(), "\n")
 		if want == "" {
 			t.Fatalf("pattern %s: empty oracle answer makes the comparison vacuous", pat.ID)
 		}
 		for i, b := range []*rql.Batch{
-			rql.EvalPathPatternBatchInto(nil, base, schema, pat),
-			rql.EvalPathPatternBatchInto(store, base, schema, pat),
+			rql.EvalPathPatternBatch(base, schema, pat),
+			rql.EvalPathPatternBatch(base, schema, pat).Rebase(store),
 		} {
 			if got := strings.Join(b.ResultSet().Sorted(), "\n"); got != want {
 				t.Errorf("pattern %s, store-backed %v: batch scan diverges from scalar\nbatch:\n%s\nscalar:\n%s", pat.ID, i == 1, got, want)

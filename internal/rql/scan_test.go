@@ -1,6 +1,7 @@
 package rql
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,35 +26,36 @@ func chainBase(n, pad int) *rdf.Base {
 	return base
 }
 
-// Two nil-store scans of one base join in the base's id space: the join
-// adopts the base's term snapshot as it is, with no remap table for the
-// other side and no Term index, however large the base's dictionary.
+// Two scans of one base join in the base's id space: the inputs already
+// agree, so the join rebases neither and adopts the base's term snapshot
+// as it is, however large the base's dictionary. So do projection and
+// union.
 func TestBaseIDJoinAdoptsBaseSnapshot(t *testing.T) {
 	schema := gen.PaperSchema()
 	base := chainBase(20, 10_000)
 	q := gen.PaperQuery()
-	s1 := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[0])
-	s2 := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[1])
+	s1 := EvalPathPatternBatch(base, schema, q.Patterns[0])
+	s2 := EvalPathPatternBatch(base, schema, q.Patterns[1])
 	if s1.space != base || s2.space != base {
-		t.Fatalf("nil-store scans are not in the base's id space")
+		t.Fatalf("scans are not in the base's id space")
 	}
 	if len(s1.Dict) < 10_000 || &s1.Dict[0] != &s2.Dict[0] {
 		t.Fatalf("scans do not share the base's term snapshot (%d terms)", len(s1.Dict))
 	}
-	if s1.remapFor(s2) != nil || s2.remapFor(s1) != nil {
-		t.Fatalf("same-base scans need a remap table")
+	if in := []*Batch{s1, s2}; &aligned(in)[0] != &in[0] {
+		t.Fatalf("same-base scans were rebased")
 	}
 	join := s1.Join(s2)
-	if join.space != base || join.index != nil || &join.Dict[0] != &s1.Dict[0] {
-		t.Fatalf("join left the base's id space: space %T, index %d entries", join.space, len(join.index))
+	if join.space != base || &join.Dict[0] != &s1.Dict[0] {
+		t.Fatalf("join left the base's id space: space %T", join.space)
 	}
 	if join.Len() != 20 {
 		t.Fatalf("join = %d rows, want 20", join.Len())
 	}
-	if p := join.Project(q.Projections); p.space != base || p.index != nil || p.Len() != 20 {
+	if p := join.Project(q.Projections); p.space != base || p.Len() != 20 {
 		t.Fatalf("projection left the base's id space or lost rows (%d)", p.Len())
 	}
-	if u := UnionAll(s1, s1); u.space != base || u.index != nil || u.Len() != 20 {
+	if u := UnionAll(s1, s1); u.space != base || u.Len() != 20 {
 		t.Fatalf("union left the base's id space or lost rows (%d)", u.Len())
 	}
 }
@@ -66,8 +68,8 @@ func TestBaseIDBatchSurvivesBaseChanges(t *testing.T) {
 	schema := gen.PaperSchema()
 	base := chainBase(20, 0)
 	q := gen.PaperQuery()
-	scan := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[0])
-	join := scan.Join(EvalPathPatternBatchInto(nil, base, schema, q.Patterns[1]))
+	scan := EvalPathPatternBatch(base, schema, q.Patterns[0])
+	join := scan.Join(EvalPathPatternBatch(base, schema, q.Patterns[1]))
 	before := strings.Join(scan.ResultSet().Sorted(), "\n")
 	beforeJoin := strings.Join(join.ResultSet().Sorted(), "\n")
 	terms := &scan.Dict[0]
@@ -79,7 +81,7 @@ func TestBaseIDBatchSurvivesBaseChanges(t *testing.T) {
 	for i := 0; i < 20; i += 2 {
 		base.Remove(rdf.Statement(res(3*i), gen.N1("prop1"), res(3*i+1)))
 	}
-	if fresh := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[0]); &fresh.Dict[0] == terms || fresh.Len() != 5_010 {
+	if fresh := EvalPathPatternBatch(base, schema, q.Patterns[0]); &fresh.Dict[0] == terms || fresh.Len() != 5_010 {
 		t.Fatalf("base change not seen: %d prop1 pairs, want 5 010 over a reallocated term table", fresh.Len())
 	}
 	if got := strings.Join(scan.ResultSet().Sorted(), "\n"); got != before {
@@ -88,15 +90,15 @@ func TestBaseIDBatchSurvivesBaseChanges(t *testing.T) {
 	if got := strings.Join(join.ResultSet().Sorted(), "\n"); got != beforeJoin {
 		t.Errorf("join changed with its base:\n%s\nwant:\n%s", got, beforeJoin)
 	}
-	// A later scan of the changed base still joins the earlier one without
-	// remapping: the earlier snapshot is a prefix of the later one, which
-	// the join adopts.
-	fresh := EvalPathPatternBatchInto(nil, base, schema, q.Patterns[1])
-	if fresh.remapFor(scan) != nil {
-		t.Fatalf("scans of one base before and after a change need a remap table")
+	// A later scan of the changed base still joins the earlier one in
+	// the base's ids: the earlier snapshot is a prefix of the later one,
+	// which the join adopts.
+	fresh := EvalPathPatternBatch(base, schema, q.Patterns[1])
+	if !sameSpace([]*Batch{fresh, scan}) {
+		t.Fatalf("scans of one base before and after a change disagree on ids")
 	}
 	across := scan.Join(fresh)
-	if across.space != base || across.index != nil {
+	if across.space != base {
 		t.Fatalf("join across the change left the base's id space")
 	}
 	if got := strings.Join(across.ResultSet().Sorted(), "\n"); got != beforeJoin {
@@ -109,7 +111,7 @@ func TestBaseIDBatchSurvivesBaseChanges(t *testing.T) {
 func TestRebaseBaseIDsInternsReferencedTerms(t *testing.T) {
 	schema := gen.PaperSchema()
 	base := chainBase(20, 10_000)
-	scan := EvalPathPatternBatchInto(nil, base, schema, gen.PaperQuery().Patterns[0])
+	scan := EvalPathPatternBatch(base, schema, gen.PaperQuery().Patterns[0])
 	want := strings.Join(scan.ResultSet().Sorted(), "\n")
 	st := NewTermStore()
 	scan.Rebase(st)
@@ -121,23 +123,29 @@ func TestRebaseBaseIDsInternsReferencedTerms(t *testing.T) {
 	}
 }
 
-// A batch of base ids that interns a term its base does not hold leaves
-// the base's id space: the base may later give that id to another term,
-// so combining it with a later scan of the base must remap, not share.
+// A union of base ids with a foreign batch leaves the base's id space:
+// the foreign batch's terms are not the base's, and the base may later
+// give the next id to another term. The union answers on the foreign
+// batch's store, leaves both inputs as they were, and still combines
+// with a later scan of the changed base.
 func TestBaseIDBatchInternLeavesBaseSpace(t *testing.T) {
 	schema := gen.PaperSchema()
 	base := chainBase(5, 0)
 	pat := gen.PaperQuery().Patterns[0]
-	scan := EvalPathPatternBatchInto(nil, base, schema, pat)
+	scan := EvalPathPatternBatch(base, schema, pat)
+	scanCols := slices.Clone(scan.Cols[0])
 	extra := BatchOf(rsOf([]string{"X", "Y"}, Row{"X": termI("http://d#new"), "Y": termI("http://d#r1")}))
 	merged := UnionAll(scan, extra)
-	if merged.space != nil {
-		t.Fatalf("a batch holding a term its base lacks kept the base's id space")
+	if merged.space != extra.space {
+		t.Fatalf("a union holding a term its base lacks kept the base's id space")
+	}
+	if scan.space != base || !slices.Equal(scan.Cols[0], scanCols) {
+		t.Fatalf("the union rewrote its base-id input")
 	}
 	for i := 0; i < 3; i++ {
 		base.Add(rdf.Statement(rdf.IRI("http://d#later"+strconv.Itoa(i)), gen.N1("prop1"), "http://d#r1"))
 	}
-	later := EvalPathPatternBatchInto(nil, base, schema, pat)
+	later := EvalPathPatternBatch(base, schema, pat)
 	want := merged.ResultSet().Union(later.ResultSet())
 	got := UnionAll(merged, later).ResultSet()
 	if g, w := strings.Join(got.Sorted(), "\n"), strings.Join(want.Sorted(), "\n"); g != w {
