@@ -36,14 +36,18 @@ bench:
 # - FuzzBaseOps drives rdf.Base and a reference triple set through
 #   decoded Add/Remove/Has sequences and compares every read.
 # - FuzzPacketEnvelope decodes arbitrary bytes as both data-plane
-#   envelopes (packet with its final flag and trailers, subplan request
-#   with its sequence base) and round-trips packets and subplan requests
-#   built from its values.
-# - FuzzBatchCodec decodes arbitrary bytes as a Results batch frame,
+#   envelopes (packet with its final and stamped flags, trailers,
+#   statistics generation and dictionary stamp; subplan request with its
+#   sequence base and dictionary-mirror fields) and as a plan-change body, and round-trips packets, subplan
+#   requests and plan-change bodies built from its values.
+# - FuzzBatchCodec decodes arbitrary bytes as a Results batch frame in
+#   both forms (self-contained, and mirror frames of base ids),
 #   checks that every frame that decodes re-encodes to the same bytes
 #   (the front-coded codec is canonical) and that Frame.WireLen (which
-#   sizes every Results packet body) equals the encoded length, and
-#   round-trips the frame through the ResultSet facade.
+#   sizes every Results packet body) equals the encoded length, that a
+#   mirror frame's ids stay inside the entries it covers and read back
+#   through a table, and round-trips the frame through the ResultSet
+#   facade.
 # - FuzzBatchOps decodes two small relations, builds each as base ids,
 #   store ids and a decoded frame, and checks that the batch operators
 #   (union, join, concatenation, projection, filter) give the ResultSet

@@ -37,17 +37,17 @@ const (
 	Failure
 )
 
-// PlanChangeInfo is the wire body of a PlanChange packet (paper §2.4:
-// packets carry "changing plan" information during run-time adaptation):
-// the destination's acknowledgement, or rejection, of the resume offset
-// a retried request asked for.
+// PlanChangeInfo is the body of a PlanChange packet (paper §2.4: packets
+// carry "changing plan" information during run-time adaptation): the
+// destination's acknowledgement, or rejection, of the resume offset a
+// retried request asked for. Its wire form is AppendPlanChange's.
 type PlanChangeInfo struct {
 	// Reason is "resume-honored" (the stream starts after Offset rows) or
 	// "checkpoint-invalid" (the stream restarts from row 0).
-	Reason string `json:"reason"`
+	Reason string
 	// Offset is the row checkpoint honored (0 when the stream restarts
 	// from scratch).
-	Offset int `json:"offset,omitempty"`
+	Offset int
 }
 
 // Frame is a payload that writes itself into a packet body: a sender
@@ -82,10 +82,11 @@ type Packet struct {
 	// Rows is the number of result rows carried (Results packets), used
 	// for throughput monitoring.
 	Rows int
-	// Payload is the raw body: an rql batch frame (length-prefixed binary
-	// columns with a per-frame term dictionary) for Results packets,
-	// failure text for Failure packets, and a JSON PlanChangeInfo for
-	// PlanChange packets.
+	// Payload is the raw body: an rql batch frame (binary id columns
+	// with either a term dictionary of its own or the slice of the
+	// serving base's dictionary the root does not hold yet) for Results
+	// packets, failure text for Failure packets, and an AppendPlanChange
+	// body for PlanChange packets.
 	Payload []byte
 	// Frame, when set on the send side, is the payload in place of
 	// Payload: the packet body is built around it in one exact-size
@@ -93,8 +94,18 @@ type Packet struct {
 	Frame Frame
 	// Stats is the serving peer's statistics (a stats.MarshalPeerStats
 	// body) riding the final Results packet: paper §2.4's "statistics
-	// useful for query optimization", at no extra message.
+	// useful for query optimization", at no extra message. The serving
+	// peer sends it only when the version the request stated it holds
+	// (SubplanRequest.Stamp and StatsGen) is not the current one.
 	Stats []byte
+	// StatsGen is the generation of the base the Stats body describes; it
+	// is on the wire only with a non-empty Stats trailer.
+	StatsGen uint64
+	// Stamp, on a final packet, is the dictionary stamp (rdf.Base.Stamp)
+	// of the serving peer's base, 0 for none: the Stats body's version
+	// with StatsGen, and what a root states in its next request to ask
+	// for mirror frames (SubplanRequest.Stamp).
+	Stamp uint64
 	// Spans is the destination's serialized span subtree (obs.SpanRecord)
 	// riding the final packet, Results or Failure, when the root shipped
 	// a trace context.

@@ -34,10 +34,14 @@ func TestPacketHeaderWidthIndependentOfChannelNumber(t *testing.T) {
 func TestEnvelopesRoundTrip(t *testing.T) {
 	for _, p := range []channel.Packet{
 		{Channel: 7, Type: channel.PlanChange, Seq: 1 << 20, Rows: 0,
-			Payload: []byte(`{"reason":"resume-honored"}`), Gossip: []byte{0, 1, 2, 255}},
+			Payload: channel.AppendPlanChange(nil, channel.PlanChangeInfo{Reason: "resume-honored", Offset: 3}),
+			Gossip:  []byte{0, 1, 2, 255}},
 		{Channel: 1 << 31, Type: channel.Results, Final: true, Seq: 3, Rows: 2,
 			Payload: []byte("frame"), Stats: []byte("stats body"), Spans: []byte(`{"k":"remote"}`)},
 		{Channel: 8, Type: channel.Results, Final: true, Seq: 1, Stats: []byte{1}}, // no span record
+		{Channel: 9, Type: channel.Results, Final: true, Seq: 2, Stats: []byte("st"),
+			Stamp: 1<<64 - 1, StatsGen: 1 << 40, Spans: []byte("sp")},
+		{Channel: 10, Type: channel.Results, Final: true, Seq: 2, Stamp: 1}, // stamp without stats
 	} {
 		got, err := channel.DecodePacket(channel.AppendPacket(nil, &p))
 		if err != nil || !reflect.DeepEqual(got, p) {
@@ -62,7 +66,8 @@ func TestEnvelopesRoundTrip(t *testing.T) {
 	if got, err := channel.DecodePacket(channel.AppendPacket(nil, &notFinal)); err != nil || got.Stats != nil || got.Spans != nil {
 		t.Errorf("non-final packet kept its trailers: %+v, %v", got, err)
 	}
-	s := channel.SubplanRequest{Channel: 12, SeqBase: 9, ResumeFrom: 40, Priority: 1, Tenant: "t",
+	s := channel.SubplanRequest{Channel: 12, SeqBase: 9, ResumeFrom: 40, Priority: 1,
+		Stamp: 1 << 63, Mirrored: 300, StatsGen: 17, Tenant: "t",
 		TraceID: "T1", SpanID: "/q/a", Plan: []byte(`{"root":{}}`)}
 	if got, err := channel.DecodeSubplan(channel.AppendSubplan(nil, &s)); err != nil || !reflect.DeepEqual(got, s) {
 		t.Errorf("subplan round trip = %+v, %v; want %+v", got, err, s)
@@ -76,7 +81,7 @@ func TestEnvelopeRejectsShortAndCorruptHeaders(t *testing.T) {
 	for _, p := range []channel.Packet{
 		{Channel: 5, Type: channel.Results, Seq: 300, Rows: 2, Gossip: []byte("g")},
 		{Channel: 5, Type: channel.Results, Final: true, Seq: 300, Rows: 2, Gossip: []byte("g"),
-			Stats: []byte("st"), Spans: []byte("sp")},
+			Stats: []byte("st"), Stamp: 3, StatsGen: 300, Spans: []byte("sp")},
 	} {
 		wire := channel.AppendPacket(nil, &p) // no payload: the header is the whole body
 		for n := 0; n < len(wire); n++ {
@@ -85,7 +90,8 @@ func TestEnvelopeRejectsShortAndCorruptHeaders(t *testing.T) {
 			}
 		}
 	}
-	sub := channel.AppendSubplan(nil, &channel.SubplanRequest{Channel: 1, SeqBase: 2, Tenant: "x", TraceID: "T", SpanID: "/s"})
+	sub := channel.AppendSubplan(nil, &channel.SubplanRequest{Channel: 1, SeqBase: 2, Stamp: 5, Mirrored: 200, StatsGen: 6,
+		Tenant: "x", TraceID: "T", SpanID: "/s"})
 	for n := 0; n < len(sub); n++ {
 		if _, err := channel.DecodeSubplan(sub[:n]); !errors.Is(err, channel.ErrBadEnvelope) {
 			t.Errorf("subplan prefix of %d bytes: err = %v", n, err)
@@ -118,12 +124,30 @@ func testFrame(t *testing.T) (*rql.Frame, []byte) {
 
 // badPackets are chan.packet bodies every decoder must refuse.
 var badPackets = [][]byte{
-	{9, 0, 1, 1, 0, 0, 0, 5, 0},                         // unknown format
-	{2, 0, 1, 1, 0, 0, 0, 5, 0},                         // the previous format, which carried trace ids
-	{3, 0, 1, 1, 0, 0, 0, 5, 0xff, 0xff, 0x7f},          // gossip claims 2 MiB of a 3-byte rest
-	{3, 0x80, 1, 1, 0, 0, 0, 5, 0, 0x10, 's', 't'},      // stats trailer claims 16 bytes of 2
-	{3, 0x80, 1, 1, 0, 0, 0, 5, 0, 1, 's', 0x04, 'x'},   // span trailer claims 4 bytes of 1
-	{3, 0x80, 1, 1, 0, 0, 0, 5, 0, 0x80, 0x80, 0x80, 4}, // stats trailer of 8 MiB
+	{9, 0, 1, 1, 0, 0, 0, 5, 0},                                     // unknown format
+	{2, 0, 1, 1, 0, 0, 0, 5, 0},                                     // an earlier format, which carried trace ids
+	{3, 0, 1, 1, 0, 0, 0, 5, 0},                                     // the previous format, whose trailer had no version
+	{4, 0, 1, 1, 0, 0, 0, 5, 0xff, 0xff, 0x7f},                      // gossip claims 2 MiB of a 3-byte rest
+	{4, 0x80, 1, 1, 0, 0, 0, 5, 0, 0x10, 's', 't'},                  // stats trailer claims 16 bytes of 2
+	{4, 0xC0, 1, 1, 0, 0, 0, 5, 0, 1, 's', 0, 0, 0},                 // stamp cut short
+	{4, 0x40, 1, 1, 0, 0, 0, 5, 0},                                  // stamped bit without the final flag
+	{4, 0xC0, 1, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // stamp 0, which re-encodes unstamped
+	{4, 0x80, 1, 1, 0, 0, 0, 5, 0, 0x80, 0x80, 0x80, 4},             // stats trailer of 8 MiB
+}
+
+// A PlanChange body round-trips, and a body with a foreign format byte,
+// a cut-short offset or trailing bytes is refused.
+func TestPlanChangeBody(t *testing.T) {
+	pc := channel.PlanChangeInfo{Reason: "checkpoint-invalid", Offset: 300}
+	body := channel.AppendPlanChange(nil, pc)
+	if got, err := channel.DecodePlanChange(body); err != nil || got != pc {
+		t.Fatalf("round trip = %+v, %v; want %+v", got, err, pc)
+	}
+	for _, bad := range [][]byte{nil, {9}, body[:len(body)-1], append(bytes.Clone(body), 0)} {
+		if _, err := channel.DecodePlanChange(bad); !errors.Is(err, channel.ErrBadEnvelope) {
+			t.Errorf("body %x: err = %v", bad, err)
+		}
+	}
 }
 
 // A Results packet decodes with zero allocations: payload and gossip
@@ -209,7 +233,8 @@ func (f tapFunc) Intercept(m network.Message) network.Fault {
 // envelopes (never panicking; a body that decodes re-encodes to itself),
 // and checks that Decode(Append(p)) returns every field of a packet and
 // of a subplan request built from the fuzzer's values: the type byte's
-// high bit is the final flag, a final packet carries the trace and span
+// high bit is the final flag and its low six bits the type, a final
+// packet carries the fuzzed integers' stamp and the trace and span
 // strings as its Stats and Spans trailers (packets carry no trace
 // context; the subplan request carries them as its trace and span ids),
 // and rows is the subplan's sequence base. The corpus is seeded with the packets and subplan
@@ -246,6 +271,11 @@ func FuzzPacketEnvelope(f *testing.F) {
 				t.Fatalf("subplan %x re-encodes as %x", data, again)
 			}
 		}
+		if pc, err := channel.DecodePlanChange(data); err == nil {
+			if again := channel.AppendPlanChange(nil, pc); !bytes.Equal(again, data) {
+				t.Fatalf("plan-change %x re-encodes as %x", data, again)
+			}
+		}
 
 		if len(gossip) == 0 {
 			gossip = nil // the decoder reports an absent blob as nil
@@ -254,18 +284,29 @@ func FuzzPacketEnvelope(f *testing.F) {
 		if len(body) == 0 {
 			body = nil
 		}
-		p := channel.Packet{Channel: num, Type: channel.PacketType(typ & 0x7f), Final: typ&0x80 != 0,
+		p := channel.Packet{Channel: num, Type: channel.PacketType(typ & 0x3f), Final: typ&0x80 != 0,
 			Seq: seq, Rows: rows, Payload: body, Gossip: gossip}
+		// The fuzzed integers also stand for the dictionary-mirror and
+		// statistics versions, which take any 64-bit value.
+		stamp, gen := uint64(seq)<<32^uint64(num), uint64(rows)
 		if p.Final {
-			p.Stats, p.Spans = blob(trace), blob(span)
+			p.Stats, p.Spans, p.Stamp = blob(trace), blob(span), stamp
+			if len(p.Stats) > 0 {
+				p.StatsGen = gen
+			}
 		}
 		if got, err := channel.DecodePacket(channel.AppendPacket(nil, &p)); err != nil || !reflect.DeepEqual(got, p) {
 			t.Fatalf("packet round trip = %+v, %v; want %+v", got, err, p)
 		}
 		s := channel.SubplanRequest{Channel: num, SeqBase: rows, ResumeFrom: seq, Priority: int(typ),
+			Stamp: stamp, Mirrored: seq, StatsGen: gen,
 			Tenant: string(gossip), TraceID: trace, SpanID: span, Plan: body}
 		if got, err := channel.DecodeSubplan(channel.AppendSubplan(nil, &s)); err != nil || !reflect.DeepEqual(got, s) {
 			t.Fatalf("subplan round trip = %+v, %v; want %+v", got, err, s)
+		}
+		pc := channel.PlanChangeInfo{Reason: trace, Offset: seq}
+		if got, err := channel.DecodePlanChange(channel.AppendPlanChange(nil, pc)); err != nil || got != pc {
+			t.Fatalf("plan-change round trip = %+v, %v; want %+v", got, err, pc)
 		}
 	})
 }

@@ -14,6 +14,7 @@
 package exec
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sqpeer/internal/admission"
 	"sqpeer/internal/channel"
@@ -174,12 +176,14 @@ type Engine struct {
 	// completed round, replans around peers the monitor flags.
 	Throughput *optimizer.ThroughputMonitor
 	// StatsProvider, when set, supplies this peer's current statistics as
-	// an encoded stats.MarshalPeerStats body, piggybacked as the Stats
-	// trailer of the final packet of every answered subplan (paper §2.4:
-	// packets "can also contain ... statistics useful for query
-	// optimization"). The provider may hand back the same body for as
-	// long as the statistics are unchanged; the engine never mutates it.
-	StatsProvider func() []byte
+	// an encoded stats.MarshalPeerStats body plus its version, the stamp
+	// and generation of the base it describes. The body rides as the
+	// Stats trailer of the final packet of an answered subplan (paper
+	// §2.4: packets "can also contain ... statistics useful for query
+	// optimization") whenever the root's request states another version
+	// than this one. The provider may hand back the same body for as long
+	// as the statistics are unchanged; the engine never mutates it.
+	StatsProvider func() (body []byte, stamp, gen uint64)
 	// StatsSink, when set, receives statistics arriving on channels this
 	// engine roots, keeping the local catalog fresh.
 	StatsSink func(*stats.PeerStats)
@@ -220,8 +224,11 @@ type Engine struct {
 	lastLedger []LedgerEntry
 	// serving is set on the shadow engine handleSubplan builds for one
 	// shipped subplan: the shadow records its counters straight into the
-	// engine the subplan arrived at.
+	// engine the subplan arrived at, and uses its dictionary mirrors.
 	serving *Engine
+	// mirror is the engine's dictionary mirrors, made when first needed
+	// (see mirrors).
+	mirror atomic.Pointer[mirrorSet]
 }
 
 // parallelism resolves the engine's effective branch parallelism.
@@ -491,13 +498,6 @@ func failureOf(err error) (*PeerFailure, bool) {
 // per-execution state.
 type execution struct {
 	engine *Engine
-	// store is the execution's shared term dictionary (see rql.TermStore),
-	// made by termStore when the first result frame arrives: every frame
-	// is rebased onto it, so the frames of all sites agree on ids. Local
-	// scans answer in the base's ids, and an operator that combines them
-	// with frames rebases copies of the scans onto this store.
-	store     *rql.TermStore
-	storeOnce sync.Once
 	// attempt is the ExecuteAnnotated restart round this execution runs in
 	// (ledger bookkeeping).
 	attempt int
@@ -553,7 +553,13 @@ type execution struct {
 // contributing peer) without interleaving their request/collect cycles.
 type siteChan struct {
 	ch *channel.Channel
-	mu sync.Mutex
+	// held is what the root held of the site's dictionary and statistics
+	// when the slot was made. Every request on the slot states it, so
+	// what a site ships does not depend on which of the execution's
+	// branches takes the channel first; a retry makes a fresh slot and
+	// states the fresh count.
+	held holding
+	mu   sync.Mutex
 	// res collects the in-flight dispatch's packets: set when the request
 	// ships, taken when it returns, nil in between. Guarded by the
 	// execution's mu, because the channel's callback runs while the
@@ -638,14 +644,8 @@ func newExecution(e *Engine) *execution {
 	if par := e.parallelism(); par > 1 {
 		ex.sem = make(chan struct{}, par)
 	}
+	e.trimMirrors()
 	return ex
-}
-
-// termStore returns the execution's shared dictionary, making it on
-// first use.
-func (ex *execution) termStore() *rql.TermStore {
-	ex.storeOnce.Do(func() { ex.store = rql.NewTermStore() })
-	return ex.store
 }
 
 // acquire takes a worker token (no-op when sequential); release returns
@@ -1200,8 +1200,12 @@ func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) 
 //
 // Retries are checkpointed: rows that reached us before the failure are a
 // contiguous prefix (the destination aborts streaming at its first failed
-// send, and the channel watermark proves contiguity), so the retry asks
-// the destination to resume after them. The destination acknowledges with
+// send, the channel watermark proves contiguity, and the collector keeps
+// no frame after one it could not read), so the retry asks the
+// destination to resume after them. A frame the dictionary mirror
+// refused is retried once more than MaxRetries allows: it fails only
+// because the root's table changed under the request, and the retry
+// states the fresh table. The destination acknowledges with
 // a PlanChange packet — "resume-honored" keeps the prefix, "checkpoint-
 // invalid" discards it and re-streams from scratch.
 func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.Span) (*rql.Batch, error) {
@@ -1211,6 +1215,7 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 	checkpoint := 0        // contiguous row prefix already delivered
 	resumed := false
 	pendingBackoffMS := 0.0 // backoff owed to the next try's span
+	retries := e.MaxRetries
 	var err error
 	for try := 0; ; try++ {
 		// The first try streams under a "stream" span; each retry gets a
@@ -1266,7 +1271,10 @@ func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.S
 			ex.recordComplete(site, n, checkpoint, res.watermark, resumed)
 			return partial, nil
 		}
-		if try >= e.MaxRetries || !network.Transient(err) || ex.cancelled() {
+		if refused(err) && retries == e.MaxRetries {
+			retries++
+		}
+		if try >= retries || !network.Transient(err) || ex.cancelled() {
 			break
 		}
 		wait, hinted := backoff, false
@@ -1327,14 +1335,23 @@ func (ex *execution) recordComplete(site pattern.PeerID, n plan.Node, rows, wate
 
 // resetSite retires a site's channel slot after a failed dispatch, so
 // the retry deploys a fresh channel rather than reuse the slot.
+// A dispatch another branch has in flight on the slot finishes first: the
+// slot's mutex is taken before it is retired.
 func (ex *execution) resetSite(site pattern.PeerID) {
 	ex.mu.Lock()
 	sc, ok := ex.sites[site]
-	delete(ex.sites, site)
 	ex.mu.Unlock()
-	if ok {
-		ex.engine.Channels.Close(sc.ch)
+	if !ok {
+		return
 	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	ex.mu.Lock()
+	if ex.sites[site] == sc {
+		delete(ex.sites, site)
+	}
+	ex.mu.Unlock()
+	ex.engine.Channels.Close(sc.ch)
 }
 
 // dispatch performs one subplan shipment and collects the streamed reply.
@@ -1363,7 +1380,15 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 	// channel's watermark, so concurrent branches targeting the same peer
 	// take turns on its channel.
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
+	// While this dispatch waited, another branch's retry may have retired
+	// the slot (resetSite): ship on the site's current slot instead of a
+	// channel the root no longer listens on.
+	for !ex.holds(site, sc) {
+		sc.mu.Unlock()
+		sc = ex.channelTo(site, sp.TraceID())
+		sc.mu.Lock()
+	}
+	defer func() { sc.mu.Unlock() }()
 	// The request deploys the channel at the destination. A positive
 	// resumeFrom asks the destination to skip that many leading rows; it
 	// acknowledges with a PlanChange packet before streaming. SeqBase
@@ -1371,7 +1396,8 @@ func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom 
 	// request land at or below the watermark and are dropped as
 	// duplicates.
 	req := channel.SubplanRequest{Channel: sc.ch.Num, SeqBase: sc.ch.Watermark(), Plan: data,
-		ResumeFrom: resumeFrom, Tenant: ex.qos.Tenant, Priority: int(ex.qos.Priority)}
+		ResumeFrom: resumeFrom, Tenant: ex.qos.Tenant, Priority: int(ex.qos.Priority),
+		Stamp: sc.held.stamp, Mirrored: sc.held.mirrored, StatsGen: sc.held.stats}
 	if sp != nil {
 		req.TraceID = sp.TraceID()
 		req.SpanID = sp.Path()
@@ -1418,8 +1444,15 @@ func (ex *execution) channelTo(site pattern.PeerID, trace string) *siteChan {
 	e := ex.engine
 	ex.mu.Lock()
 	sc, ok := ex.sites[site]
-	if !ok {
-		sc = &siteChan{}
+	ex.mu.Unlock()
+	if ok {
+		return sc
+	}
+	// Read the mirror's state outside ex.mu: lock order stays one-deep.
+	fresh := &siteChan{held: e.mirrors().holding(site)}
+	ex.mu.Lock()
+	if sc, ok = ex.sites[site]; !ok {
+		sc = fresh
 		sc.ch = e.Channels.Deploy(trace, func(pkt channel.Packet) { ex.onPacket(sc, pkt) })
 		ex.sites[site] = sc
 	}
@@ -1430,99 +1463,131 @@ func (ex *execution) channelTo(site pattern.PeerID, trace string) *siteChan {
 	return sc
 }
 
+// holds reports whether sc is the execution's current slot for site.
+func (ex *execution) holds(site pattern.PeerID, sc *siteChan) bool {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return ex.sites[site] == sc
+}
+
 // onPacket folds one accepted packet into the site slot's in-flight
 // collector. A packet that arrives with no dispatch in flight on the
-// slot is ignored.
+// slot is ignored. A Results frame is decoded into the engine's mirror
+// store outside ex.mu; once one of a dispatch's frames fails (it does not
+// decode, or the mirror refuses it), the dispatch's later frames are
+// neither kept nor counted toward its checkpoint, so the checkpoint is
+// exactly the rows the root holds.
 func (ex *execution) onPacket(sc *siteChan, pkt channel.Packet) {
-	// The stats sink is a caller-supplied callback: invoke it only after
-	// ex.mu is released, so a sink that re-enters the engine cannot
-	// deadlock against a packet handler.
-	var sinkStats *stats.PeerStats
-	var statsSite pattern.PeerID
-	statsReceived := false
-	resultsRows, resultsSeen := 0, false
-	planChangeAck := false
+	e := ex.engine
 	ex.mu.Lock()
-	if res := sc.res; res != nil {
+	res := sc.res
+	if res != nil && res.span != nil {
 		// Price the reply leg: every packet that reaches the collector
 		// crossed the site→root link once, at the size the network
 		// accounted. The link was captured at dispatch, so no network lock
 		// is touched here.
-		if res.span != nil {
-			res.span.ChargeMS(res.link.TransferMS(pkt.WireBytes))
-		}
-		switch pkt.Type {
-		case channel.Results:
-			// Rebase the frame onto the execution's shared dictionary as
-			// it arrives: one interning pass per frame, and reassembly plus
-			// every operator above move ids without touching a term again.
-			// A frame that fails to decode still counts as shipped below.
-			e := ex.engine
-			if b, err := rql.DecodeBatch(pkt.Payload); err != nil {
-				res.err = fmt.Errorf("exec: bad results packet: %w", err)
-			} else {
-				res.batches = append(res.batches, b.Rebase(ex.termStore()))
-			}
+		res.span.ChargeMS(res.link.TransferMS(pkt.WireBytes))
+	}
+	keep := res != nil && pkt.Type == channel.Results && res.err == nil
+	ex.mu.Unlock()
+	if res == nil {
+		return
+	}
+	var frame *rql.Batch
+	var frameErr error
+	if keep {
+		frame, frameErr = e.mirrors().frame(res.site, pkt.Payload)
+	}
+	var pc channel.PlanChangeInfo
+	var pcErr error
+	if pkt.Type == channel.PlanChange {
+		pc, pcErr = channel.DecodePlanChange(pkt.Payload)
+	}
+	// The stats sink is a caller-supplied callback: invoke it only after
+	// ex.mu is released, so a sink that re-enters the engine cannot
+	// deadlock against a packet handler.
+	var sinkStats *stats.PeerStats
+	statsReceived := false
+	ex.mu.Lock()
+	if sc.res != res {
+		// The dispatch ended while the frame was decoded.
+		ex.mu.Unlock()
+		return
+	}
+	switch pkt.Type {
+	case channel.Results:
+		// A frame that fails still counts as shipped (the fact below).
+		switch {
+		case !keep:
+		case frameErr != nil && refused(frameErr):
+			res.err = frameErr
+		case frameErr != nil:
+			res.err = fmt.Errorf("exec: bad results packet: %w", frameErr)
+		default:
+			res.batches = append(res.batches, frame)
 			res.rowCount += pkt.Rows
-			resultsRows = pkt.Rows
-			resultsSeen = true
-			if tm := e.Throughput; tm != nil {
-				tm.Observe(res.site, pkt.Rows)
-			}
-			if !pkt.Final {
-				break
-			}
-			// The final packet ends the stream and carries its trailers:
-			// the serving peer's statistics and, when the root shipped a
-			// trace context, the remote span record.
-			res.done = true
-			res.graft(pkt.Spans)
-			if len(pkt.Stats) > 0 {
-				statsReceived = true
-				statsSite = res.site
-				if e.StatsSink != nil {
-					if ps, err := stats.UnmarshalPeerStats(pkt.Stats); err == nil && ps.Peer != "" {
-						sinkStats = ps
-					}
+		}
+		if tm := e.Throughput; tm != nil {
+			tm.Observe(res.site, pkt.Rows)
+		}
+		if !pkt.Final {
+			break
+		}
+		// The final packet ends the stream and carries its trailers:
+		// the serving peer's statistics, when they moved since the
+		// version the request stated, and, when the root shipped a trace
+		// context, the remote span record.
+		res.done = true
+		res.graft(pkt.Spans)
+		if len(pkt.Stats) > 0 {
+			statsReceived = true
+			if e.StatsSink != nil {
+				if ps, err := stats.UnmarshalPeerStats(pkt.Stats); err == nil && ps.Peer != "" {
+					sinkStats = ps
 				}
 			}
-		case channel.PlanChange:
-			var pc channel.PlanChangeInfo
-			if err := json.Unmarshal(pkt.Payload, &pc); err != nil {
-				res.err = fmt.Errorf("exec: bad plan-change packet: %w", err)
-				break
-			}
-			switch pc.Reason {
-			case "resume-honored":
-				res.resumed = true
-			case "checkpoint-invalid":
-				res.restarted = true
-			}
-			planChangeAck = true
-		case channel.Failure:
-			// The failure ends the stream; its trailer still carries the
-			// remote span record, so the partial remote subtree lands in
-			// the trace.
-			res.err = fmt.Errorf("exec: remote failure: %s", pkt.Payload)
-			res.graft(pkt.Spans)
 		}
+	case channel.PlanChange:
+		if pcErr != nil {
+			res.err = fmt.Errorf("exec: bad plan-change packet: %w", pcErr)
+			break
+		}
+		switch pc.Reason {
+		case "resume-honored":
+			res.resumed = true
+		case "checkpoint-invalid":
+			res.restarted = true
+		}
+	case channel.Failure:
+		// The failure ends the stream; its trailer still carries the
+		// remote span record, so the partial remote subtree lands in
+		// the trace.
+		res.err = fmt.Errorf("exec: remote failure: %s", pkt.Payload)
+		res.graft(pkt.Spans)
 	}
 	ex.mu.Unlock()
-	// Facts and registry counters live behind their own locks: record
-	// them after ex.mu is released so lock order stays one-deep.
-	if planChangeAck {
-		ex.engine.record(fact{kind: factPlanChangeAck}, nil)
+	// Facts, registry counters and the mirror live behind their own
+	// locks: touch them after ex.mu is released so lock order stays
+	// one-deep.
+	if pkt.Type == channel.PlanChange && pcErr == nil {
+		e.record(fact{kind: factPlanChangeAck}, nil)
 	}
-	if resultsSeen {
-		ex.engine.record(fact{kind: factResults, count: resultsRows, bytes: len(pkt.Payload)}, nil)
-		if reg := ex.engine.Obs; reg != nil {
-			reg.Histogram("exec_batch_rows", obs.L("peer", string(ex.engine.Self))).Observe(float64(resultsRows))
+	if pkt.Type == channel.Results {
+		e.record(fact{kind: factResults, count: pkt.Rows, bytes: len(pkt.Payload)}, nil)
+		if reg := e.Obs; reg != nil {
+			reg.Histogram("exec_batch_rows", obs.L("peer", string(e.Self))).Observe(float64(pkt.Rows))
 		}
 	}
+	if pkt.Type == channel.Results && pkt.Final {
+		// Statistics the root could not read stay unapplied, so the next
+		// request asks for them again.
+		applied := statsReceived && (sinkStats != nil || e.StatsSink == nil)
+		e.mirrors().final(res.site, pkt.Stamp, applied, pkt.StatsGen)
+	}
 	if statsReceived {
-		if reg := ex.engine.Obs; reg != nil {
-			peerL := obs.L("peer", string(ex.engine.Self))
-			siteL := obs.L("site", string(statsSite))
+		if reg := e.Obs; reg != nil {
+			peerL := obs.L("peer", string(e.Self))
+			siteL := obs.L("site", string(res.site))
 			reg.Counter("exec_stats_packets_received_total", peerL, siteL).Inc()
 			if sinkStats != nil {
 				reg.Counter("exec_stats_packets_applied_total", peerL, siteL).Inc()
@@ -1530,7 +1595,7 @@ func (ex *execution) onPacket(sc *siteChan, pkt channel.Packet) {
 		}
 	}
 	if sinkStats != nil {
-		ex.engine.StatsSink(sinkStats)
+		e.StatsSink(sinkStats)
 	}
 }
 
@@ -1613,38 +1678,50 @@ func (e *Engine) handleSubplan(msg network.Message) ([]byte, error) {
 		}
 		return []byte("failed"), nil
 	}
-	if err := e.streamBatches(in, rows, req.ResumeFrom, traceRec); err != nil {
+	if err := e.streamBatches(in, rows, &req, traceRec); err != nil {
 		return nil, err
 	}
 	return []byte("ok"), nil
 }
 
-// streamBatches ships the answer upstream as length-prefixed binary batch
-// frames (BatchSize rows each, per-frame compacted term dictionary). The
-// last frame is the Final packet that ends the stream: it carries the
-// serving peer's statistics and a non-empty traceRec (the serialized
-// remote span subtree) as trailers, so on the happy path neither costs a
-// packet of its own. At least one Results packet is always sent, so the
-// root learns the schema and the stream has a final packet. A positive
-// resumeFrom is the root's checkpoint: when it is a valid prefix of this
-// evaluation the stream starts after it (acked with a "resume-honored"
-// plan-change packet); otherwise the checkpoint is rejected
-// ("checkpoint-invalid") and the stream restarts from row 0 so the root
-// discards its stale prefix.
+// streamBatches ships the answer upstream as binary batch frames,
+// BatchSize rows each. An answer in the serving peer's base ids (a
+// scan's, or a join of scans), on the dictionary whose stamp req states,
+// goes out in mirror frames: their columns are the base ids as they are,
+// and the first frame also carries the base's dictionary entries from
+// the count req states the root holds up to the largest id the answer
+// references, front-coded as a continuation of the entry before them.
+// Any other answer, or one whose missing entries would exceed
+// mirrorFallback times the distinct ids it references, goes out in
+// self-contained frames, each with its own compacted term dictionary.
+// The choice is made once, from the whole answer (mirrorOf).
 //
-// Each frame is sliced, then encoded straight into its packet body by
-// the send (channel.Packet.Frame), before the next is cut: at most one
+// The last frame is the Final packet that ends the stream: it carries a
+// non-empty traceRec (the serialized remote span subtree) and, when the
+// version req states is not the current one, the serving peer's
+// statistics as trailers, so on the happy path neither costs a packet of
+// its own. It names the answer's base's stamp when req states another,
+// so the root's next request can ask for mirror frames. At least one Results packet is always sent, so the root
+// learns the schema and the stream has a final packet. A positive
+// req.ResumeFrom is the root's checkpoint: when it is a valid prefix of
+// this evaluation the stream starts after it (acked with a
+// "resume-honored" plan-change packet); otherwise the checkpoint is
+// rejected ("checkpoint-invalid") and the stream restarts from row 0 so
+// the root discards its stale prefix.
+//
+// Each frame is laid out, then encoded straight into its packet body by
+// the send (channel.Packet.Frame), before the next: at most one
 // encoded-but-unsent frame exists, and a slow channel holds back the
-// slicing itself. The first send error ends the stream: the root's
+// framing itself. The first send error ends the stream: the root's
 // checkpoint is the contiguous prefix that made it, and a retry resumes
 // from there.
-func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, resumeFrom int, traceRec []byte) error {
+func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, req *channel.SubplanRequest, traceRec []byte) error {
 	batch := e.BatchSize
 	if batch <= 0 {
 		batch = defaultBatchSize
 	}
 	start0 := 0
-	if resumeFrom > 0 {
+	if resumeFrom := req.ResumeFrom; resumeFrom > 0 {
 		pc := channel.PlanChangeInfo{Reason: "resume-honored", Offset: resumeFrom}
 		if resumeFrom > rows.Len() {
 			// This evaluation produced fewer rows than the root already
@@ -1653,32 +1730,51 @@ func (e *Engine) streamBatches(in *channel.Inbound, rows *rql.Batch, resumeFrom 
 		} else {
 			start0 = resumeFrom
 		}
-		payload, err := json.Marshal(pc)
-		if err != nil {
-			return fmt.Errorf("exec: marshal plan-change: %w", err)
-		}
-		if err := in.Send(channel.Packet{Type: channel.PlanChange, Payload: payload}); err != nil {
+		if err := in.Send(channel.Packet{Type: channel.PlanChange, Payload: channel.AppendPlanChange(nil, pc)}); err != nil {
 			return err
 		}
 	}
+	// stamp is the dictionary stamp the final packet tells the root: the
+	// answer's base's when the request names another (the root then asks
+	// for mirror frames next time), or the statistics' version.
 	var statsBody []byte
-	if e.StatsProvider != nil {
-		statsBody = e.StatsProvider()
+	var stamp, statsGen uint64
+	if base := rows.Base(); base != nil && base.Stamp() != req.Stamp {
+		stamp = base.Stamp()
 	}
-	sl := rql.NewSlicer(rows)
+	if e.StatsProvider != nil {
+		body, bodyStamp, gen := e.StatsProvider()
+		if bodyStamp != req.Stamp || gen+1 != req.StatsGen {
+			statsBody, statsGen = body, gen
+			stamp = cmp.Or(stamp, bodyStamp)
+		}
+	}
+	mirror, prev := mirrorOf(rows, req)
+	var sl *rql.Slicer
+	if mirror == nil {
+		sl = rql.NewSlicer(rows)
+	}
 	for start, last := start0, false; !last; start += batch {
 		end := min(start+batch, rows.Len())
 		last = end >= rows.Len()
-		part := sl.Slice(start, end)
-		frame, err := rql.NewFrame(part)
+		var frame *rql.Frame
+		var err error
+		if mirror != nil {
+			frame, err = rql.NewMirrorFrame(rows, start, end, mirror, prev)
+			// Later frames ship no entries: the root holds them now.
+			mirror = &rql.Mirror{Stamp: mirror.Stamp, Offset: mirror.Offset + len(mirror.Entries)}
+		} else {
+			frame, err = rql.NewFrame(sl.Slice(start, end))
+		}
 		if err != nil {
 			// The root would refuse this frame as malformed: end the
 			// stream with the reason instead.
 			return in.Send(channel.Packet{Type: channel.Failure, Final: true, Payload: []byte(err.Error()), Spans: traceRec})
 		}
-		pkt := channel.Packet{Type: channel.Results, Rows: part.Len(), Frame: frame}
+		pkt := channel.Packet{Type: channel.Results, Rows: end - start, Frame: frame}
 		if last {
-			pkt.Final, pkt.Stats, pkt.Spans = true, statsBody, traceRec
+			pkt.Final, pkt.Spans = true, traceRec
+			pkt.Stats, pkt.StatsGen, pkt.Stamp = statsBody, statsGen, stamp
 		}
 		if err := in.Send(pkt); err != nil {
 			return err

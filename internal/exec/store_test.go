@@ -69,7 +69,7 @@ func TestServingExecutionMakesNoTermStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serving %v: %v", serving, err)
 		}
-		if ex.store != nil {
+		if e.mirror.Load() != nil || (e.serving != nil && e.serving.mirror.Load() != nil) {
 			t.Errorf("serving %v: execution made a TermStore", serving)
 		}
 		if rows.Len() != 5 {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"sqpeer/internal/gen"
@@ -212,7 +213,15 @@ func selectiveSystem(prop1Pairs, joinKeys int) (map[pattern.PeerID]*peer.Peer, *
 		y := func(i int) rdf.IRI {
 			return rdf.IRI(fmt.Sprintf("http://ics.forth.gr/data/shared#y%d", i))
 		}
-		for prop, n := range props {
+		// Load the properties in name order: a base's dictionary order,
+		// which mirror frames ship, must not follow map iteration.
+		names := make([]string, 0, len(props))
+		for prop := range props {
+			names = append(names, prop)
+		}
+		sort.Strings(names)
+		for _, prop := range names {
+			n := props[prop]
 			for i := 0; i < n; i++ {
 				switch prop {
 				case "prop1":

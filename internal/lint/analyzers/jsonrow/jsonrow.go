@@ -10,14 +10,15 @@
 //
 // The per-query control bodies are binary too: the routing request and
 // its annotated reply (pattern.MarshalQuery / MarshalAnnotated), the
-// plan inside a subplan request (plan.Marshal) and the per-site
-// statistics payload (stats.MarshalPeerStats). JSON of a
-// pattern.QueryPattern, pattern.Annotated or stats.PeerStats is flagged
-// when the encoded value is one of them (through pointers, slices,
-// arrays and maps), not when one sits in a field of a larger struct: an
-// advertisement carries its peer's statistics by design, and
-// advertisements are set-up traffic that stays JSON. So do the control
-// bodies off the happy path (plan-change acks, trace records).
+// plan inside a subplan request (plan.Marshal), the plan-change ack
+// (channel.AppendPlanChange) and the per-site statistics payload
+// (stats.MarshalPeerStats). JSON of a pattern.QueryPattern,
+// pattern.Annotated or stats.PeerStats is flagged when the encoded value
+// is one of them (through pointers, slices, arrays and maps), not when
+// one sits in a field of a larger struct: an advertisement carries its
+// peer's statistics by design, and advertisements are set-up traffic
+// that stays JSON. So do the trace records that ride final packets off
+// the happy path.
 // No legitimate site remains: a finding here is a bug to fix, not a site
 // to allowlist.
 package jsonrow

@@ -389,11 +389,18 @@ func (ls localSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.T
 // ran per answered subplan — on large bases that recomputation, not row
 // movement, dominated distributed execution time.
 func (p *Peer) selfStats() *stats.PeerStats {
+	ps, _ := p.selfStatsAt()
+	return ps
+}
+
+// selfStatsAt is selfStats plus the base generation the statistics
+// describe.
+func (p *Peer) selfStatsAt() (*stats.PeerStats, uint64) {
 	gen := p.Base.Gen()
 	p.mu.Lock()
 	if ps := p.statsCache; ps != nil && p.statsGen == gen {
 		p.mu.Unlock()
-		return ps
+		return ps, gen
 	}
 	p.mu.Unlock()
 	bs := rdf.CollectStats(p.Base, p.Schema)
@@ -401,29 +408,33 @@ func (p *Peer) selfStats() *stats.PeerStats {
 	p.mu.Lock()
 	p.statsCache, p.statsGen = ps, gen
 	p.mu.Unlock()
-	return ps
+	return ps, gen
 }
 
 // selfStatsBody is selfStats encoded (stats.MarshalPeerStats), memoized
 // for as long as selfStats hands back the same statistics: every
-// subplan answered at one base generation appends the same bytes. Nil
-// if the statistics cannot be encoded.
-func (p *Peer) selfStatsBody() []byte {
-	ps := p.selfStats()
+// subplan answered at one base generation appends the same bytes. It
+// also returns the statistics' version, the base's stamp and the
+// generation they describe, which the engine compares with the version
+// a root states it holds. The body is nil if the statistics cannot be
+// encoded.
+func (p *Peer) selfStatsBody() (body []byte, stamp, gen uint64) {
+	ps, gen := p.selfStatsAt()
+	stamp = p.Base.Stamp()
 	p.mu.Lock()
 	body, of := p.statsBody, p.statsBodyOf
 	p.mu.Unlock()
 	if of == ps {
-		return body
+		return body, stamp, gen
 	}
 	body, err := stats.MarshalPeerStats(ps)
 	if err != nil {
-		return nil
+		return nil, stamp, gen
 	}
 	p.mu.Lock()
 	p.statsBody, p.statsBodyOf = body, ps
 	p.mu.Unlock()
-	return body
+	return body, stamp, gen
 }
 
 // Advertisement returns the peer's current advertisement (active-schema

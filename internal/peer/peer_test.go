@@ -332,10 +332,10 @@ func TestStatsTrailerEncodedOncePerGeneration(t *testing.T) {
 	p1, p4 := peers[0], peers[3]
 	var bodies [][]byte
 	provide := p4.Engine.StatsProvider
-	p4.Engine.StatsProvider = func() []byte {
-		b := provide()
+	p4.Engine.StatsProvider = func() ([]byte, uint64, uint64) {
+		b, stamp, gen := provide()
 		bodies = append(bodies, b)
-		return b
+		return b, stamp, gen
 	}
 	ask := func() [][]byte {
 		bodies = nil

@@ -3,6 +3,7 @@ package rdf
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Pair is a (subject, object) resource pair related through a property —
@@ -33,16 +34,28 @@ type Pair struct {
 // peer's scans answer in base ids over a PairIDs snapshot, and those
 // batches must stay valid while the base changes under them.
 //
+// Each base carries a dictionary stamp (Stamp) naming its dictionary's
+// lineage: a sequence of terms that only ever grows, so a base id names
+// one term for as long as the stamp stays the same. NewBase and Clone
+// each draw a new stamp; anything that renumbers or reclaims entries (a
+// future compaction) must draw one too, because a root that mirrors the
+// dictionary keys its copy by the stamp.
+//
 // Base is safe for concurrent use.
 type Base struct {
 	mu   sync.RWMutex
 	dict TermDict
 	// runs are the sorted runs, oldest (largest) first; the newest takes
 	// inserts while it holds fewer than bufCap triples.
-	runs []run
-	n    int
-	gen  uint64
+	runs  []run
+	n     int
+	gen   uint64
+	stamp uint64
 }
+
+// stamps is the last dictionary stamp drawn; the first base gets 1, so
+// 0 never names a dictionary.
+var stamps atomic.Uint64
 
 // bufCap is the insert buffer's capacity. Inserting shifts up to bufCap
 // keys (768 B) per order; 64 keeps that shift cheap while a peer base of
@@ -107,9 +120,10 @@ func equalRange(r []key, x key, n int) []key {
 	return r[lo : lo+search(r[lo:], x, n, true)]
 }
 
-// NewBase returns an empty description base.
+// NewBase returns an empty description base with a new dictionary
+// stamp.
 func NewBase() *Base {
-	return &Base{}
+	return &Base{stamp: stamps.Add(1)}
 }
 
 // ids resolves a triple's terms without interning; ok is false when some
@@ -253,6 +267,12 @@ func (b *Base) Gen() uint64 {
 	defer b.mu.RUnlock()
 	return b.gen
 }
+
+// Stamp returns the base's dictionary stamp: two bases with one stamp
+// agree on every id both dictionaries hold. It is never 0 and never
+// changes; its wire form is fixed-width, so its size does not depend on
+// how many bases the process made before.
+func (b *Base) Stamp() uint64 { return b.stamp }
 
 // Len returns the number of stored triples.
 func (b *Base) Len() int {
@@ -579,11 +599,12 @@ func (b *Base) ClassesUsed() []IRI {
 	return out
 }
 
-// Clone returns a deep copy of the base.
+// Clone returns a deep copy of the base under a new dictionary stamp:
+// the copy's dictionary grows apart from the original's.
 func (b *Base) Clone() *Base {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	c := &Base{dict: b.dict.clone(), runs: make([]run, len(b.runs)), n: b.n, gen: b.gen}
+	c := &Base{dict: b.dict.clone(), runs: make([]run, len(b.runs)), n: b.n, gen: b.gen, stamp: stamps.Add(1)}
 	for i, ru := range b.runs {
 		for k := range ru {
 			c.runs[i][k] = append([]key(nil), ru[k]...)

@@ -23,10 +23,11 @@ type TermDict struct {
 	terms []Term
 	// hashes[id] is the memoized termHash of terms[id].
 	hashes []uint64
-	// slots is the power-of-two probe table holding id+1; mask is
-	// len(slots)-1. Both are nil until the first Intern.
+	// slots is the power-of-two probe table holding id+1, nil until the
+	// first Intern. Its probe mask is len(slots)-1, recomputed per probe
+	// rather than stored: the dictionary sits in every Base, whose size
+	// class this keeps.
 	slots []uint32
-	mask  uint64
 }
 
 // hashSeed keys termHash. maphash seeds are random per process, so probe
@@ -47,7 +48,8 @@ func termHash(t Term) uint64 {
 
 // find returns t's id, or the empty slot where it would go.
 func (d *TermDict) find(t Term, h uint64) (id uint32, slot uint64, ok bool) {
-	i := h & d.mask
+	mask := uint64(len(d.slots) - 1)
+	i := h & mask
 	for {
 		s := d.slots[i]
 		if s == 0 {
@@ -56,7 +58,7 @@ func (d *TermDict) find(t Term, h uint64) (id uint32, slot uint64, ok bool) {
 		if id := s - 1; d.hashes[id] == h && d.terms[id] == t {
 			return id, i, true
 		}
-		i = (i + 1) & d.mask
+		i = (i + 1) & mask
 	}
 }
 
@@ -72,7 +74,7 @@ func (d *TermDict) Lookup(t Term) (uint32, bool) {
 // Intern returns t's id, adding t on first use.
 func (d *TermDict) Intern(t Term) uint32 {
 	if d.slots == nil {
-		d.slots, d.mask = make([]uint32, 8), 7
+		d.slots = make([]uint32, 8)
 	}
 	h := termHash(t)
 	id, slot, ok := d.find(t, h)
@@ -100,7 +102,7 @@ func (d *TermDict) grow() {
 		}
 		slots[i] = uint32(id) + 1
 	}
-	d.slots, d.mask = slots, mask
+	d.slots = slots
 }
 
 // Len returns the number of interned terms.
@@ -119,6 +121,5 @@ func (d *TermDict) clone() TermDict {
 		terms:  append([]Term(nil), d.terms...),
 		hashes: append([]uint64(nil), d.hashes...),
 		slots:  append([]uint32(nil), d.slots...),
-		mask:   d.mask,
 	}
 }

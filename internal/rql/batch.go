@@ -1,6 +1,8 @@
 package rql
 
 import (
+	"slices"
+	"strings"
 	"sync"
 
 	"sqpeer/internal/rdf"
@@ -44,21 +46,24 @@ type Batch struct {
 	space any
 }
 
-// TermStore is a grow-only term dictionary, the id space an execution
-// moves remote answers in. The collector rebases each decoded wire frame
-// onto its execution's store, so the frames of every site agree on ids
-// and the operators above them never look a term up; an execution makes
-// its store when the first frame arrives. Local scans need none: they
-// answer in their base's ids, which are just as append-only. BatchOf
-// interns into a fresh store. Batches carry capacity-capped snapshots of
-// the term sequence as their Dict, so ids are stable and snapshots stay
-// immutable while the store grows.
+// TermStore is a grow-only term dictionary, the id space a root moves
+// remote answers in. Each engine keeps one for its lifetime, beside its
+// per-site dictionary mirrors: the collector translates a mirror frame's
+// base ids into the store through the mirror's table, and rebases a
+// self-contained frame onto it, so the frames of every site and every
+// query agree on ids and the operators above them never look a term up.
+// A term a frame brings is interned once per store, with its strings
+// cloned so the store never pins the message it came in. Local scans
+// need no store: they answer in their base's ids, which are just as
+// append-only. BatchOf interns into a fresh store. Batches carry
+// capacity-capped snapshots of the term sequence as their Dict, so ids
+// are stable and snapshots stay immutable while the store grows.
 //
 // The dictionary itself is an rdf.TermDict, the probe-table dictionary
 // every rdf.Base also keeps. The mutex makes interning safe across the
-// execution's collector and branch goroutines; reads of a snapshot need
-// no lock because the store only ever appends past every existing
-// snapshot's length.
+// collectors and branch goroutines that share the store; reads of a
+// snapshot need no lock because the store only ever appends past every
+// existing snapshot's length.
 type TermStore struct {
 	mu   sync.Mutex
 	dict rdf.TermDict
@@ -74,19 +79,119 @@ func (s *TermStore) intern(t rdf.Term) int32 {
 	return int32(s.dict.Intern(t))
 }
 
+// internMarked interns terms[i] for every i with m[i] != 0, setting
+// m[i] to its id + 1. The terms' strings may alias a decoded frame's
+// buffer, so the new ones are stored with their strings copied, all into
+// one allocation: the store pins no frame (nor a base's term table), and
+// a frame's new terms cost one allocation together. Caller holds mu.
+func (s *TermStore) internMarked(terms []rdf.Term, m []int32) {
+	n := 0
+	for i, t := range terms {
+		if m[i] == 0 {
+			continue
+		}
+		if id, ok := s.dict.Lookup(t); ok {
+			m[i] = int32(id) + 1
+		} else {
+			m[i] = -1
+			n += len(t.Value) + len(t.Datatype)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, t := range terms {
+		if m[i] < 0 {
+			sb.WriteString(t.Value)
+			sb.WriteString(string(t.Datatype))
+		}
+	}
+	buf := sb.String()
+	for i, t := range terms {
+		if m[i] >= 0 {
+			continue
+		}
+		t.Value, buf = buf[:len(t.Value)], buf[len(t.Value):]
+		if t.Datatype != "" {
+			t.Datatype, buf = rdf.IRI(buf[:len(t.Datatype)]), buf[len(t.Datatype):]
+		}
+		m[i] = s.intern(t) + 1
+	}
+}
+
 // snapshot returns the current term sequence, capacity-capped so later
 // store appends reallocate instead of scribbling past it. Caller holds mu.
 func (s *TermStore) snapshot() []rdf.Term {
 	return s.dict.Terms()
 }
 
+// Term returns the term with store id id.
+func (s *TermStore) Term(id int32) rdf.Term {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapshot()[id]
+}
+
+// Len returns the number of terms in the store.
+func (s *TermStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dict.Len()
+}
+
+// Intern appends the store id of each term to ids and returns the
+// extended slice, interning new terms as a decoded frame's are: with
+// their strings cloned.
+func (s *TermStore) Intern(ids []int32, terms []rdf.Term) []int32 {
+	m := make([]int32, len(terms))
+	for i := range m {
+		m[i] = 1
+	}
+	s.mu.Lock()
+	s.internMarked(terms, m)
+	s.mu.Unlock()
+	for _, id := range m {
+		ids = append(ids, id-1)
+	}
+	return ids
+}
+
+// Translate rewrites b's ids in place through table, which maps each id
+// b holds to its id in s, and makes b store-backed. It is how a root
+// reads a mirror frame: DecodeMirror leaves the frame's base ids, and the
+// root's mirror of that base maps them into its store by lookup, without
+// touching a term. Returns b for chaining.
+func (b *Batch) Translate(s *TermStore, table []int32) *Batch {
+	for _, col := range b.Cols {
+		for r, id := range col {
+			if id >= 0 {
+				col[r] = table[id]
+			}
+		}
+	}
+	s.mu.Lock()
+	b.Dict = s.snapshot()
+	s.mu.Unlock()
+	b.space = s
+	return b
+}
+
+// Base returns the base whose dictionary b's ids index, or nil when they
+// index a store or b's own dictionary. A serving peer sends a batch on
+// its base in mirror frames.
+func (b *Batch) Base() *rdf.Base {
+	base, _ := b.space.(*rdf.Base)
+	return base
+}
+
 // Rebase rewrites b in place into s's id space, making it store-backed.
-// The collector calls this on every decoded wire frame, so one stream
-// pays one dictionary-sized interning pass per frame and everything
-// downstream of it — concatenation, unions, joins — moves ids without
-// touching a term again. Only the terms b's rows reference are interned,
-// in dictionary order: a batch of base ids carries its base's whole
-// dictionary, of which a scan uses a few entries. Returns b for chaining.
+// The collector calls this on every self-contained frame (a mirror frame
+// is translated instead): only the terms b's rows reference are interned,
+// in dictionary order, a new one with its strings copied. A batch of base
+// ids carries its base's whole dictionary, of which a scan uses a few
+// entries. Returns b for chaining.
 func (b *Batch) Rebase(s *TermStore) *Batch {
 	if b == nil || b.space == s {
 		return b
@@ -99,9 +204,10 @@ func (b *Batch) Rebase(s *TermStore) *Batch {
 // rebaseInto writes b's rows, translated into s's ids, into dst (which
 // may be b.Cols itself) and returns the store snapshot covering them.
 func (b *Batch) rebaseInto(s *TermStore, dst [][]int32) []rdf.Term {
+	src := b.compacted()
 	// m[id] is id's store id + 1; 0 for an id no row references.
-	m := make([]int32, len(b.Dict))
-	for _, col := range b.Cols {
+	m := make([]int32, len(src.Dict))
+	for _, col := range src.Cols {
 		for _, id := range col {
 			if id >= 0 {
 				m[id] = 1
@@ -109,14 +215,10 @@ func (b *Batch) rebaseInto(s *TermStore, dst [][]int32) []rdf.Term {
 		}
 	}
 	s.mu.Lock()
-	for i, used := range m {
-		if used != 0 {
-			m[i] = s.intern(b.Dict[i]) + 1
-		}
-	}
+	s.internMarked(src.Dict, m)
 	snap := s.snapshot()
 	s.mu.Unlock()
-	for c, col := range b.Cols {
+	for c, col := range src.Cols {
 		out := dst[c]
 		for r, id := range col {
 			if id >= 0 {
@@ -579,14 +681,16 @@ func Concat(batches ...*Batch) *Batch {
 	return out
 }
 
-// Slicer cuts successive wire frames from one source batch. It keeps the
-// source-dictionary-sized remap table across Slice calls, resetting only
-// the entries of the ids the previous frame's cells hold — without it a
-// framing loop allocates and zeroes |Dict| ints per frame, which
-// dominates sender-side allocation on large results. The source may be
-// a batch of base ids whose Dict is its base's whole dictionary: frame
-// ids are assigned in order of first appearance, so the frame is the
-// same whatever id space the source uses.
+// Slicer cuts successive wire frames from one source batch. It keeps a
+// remap table sized by the source's dictionary across Slice calls,
+// resetting only the entries of the ids the previous frame's cells hold
+// — without it a framing loop allocates and zeroes |Dict| ints per
+// frame, which dominates sender-side allocation on large results. The
+// source may be a batch of base ids whose Dict is its base's whole
+// dictionary, or a batch on an engine's term store: frame ids are
+// assigned in order of first appearance, so the frame is the same
+// whatever id space the source uses, and a source whose dictionary is
+// far larger than its cells is compacted first (compacted).
 type Slicer struct {
 	src *Batch
 	// remap[id] is the current frame's local id for source id, -1 while
@@ -594,8 +698,62 @@ type Slicer struct {
 	remap []int32
 }
 
-// NewSlicer returns a Slicer over b.
+// compactFactor is how many times its cells a batch's dictionary may
+// hold before a pass that keeps a table indexed by the batch's ids
+// (NewSlicer, Rebase) compacts the batch first.
+const compactFactor = 4
+
+// compacted returns b when its dictionary holds at most compactFactor
+// times its cells, and otherwise a copy whose dictionary holds only the
+// terms b's rows reference, in b's dictionary order, with the ids
+// renumbered to match. A batch on an engine's term store or on a large
+// base carries that whole sequence as its Dict; compacting it sizes the
+// table by what the batch references. The copy's frames are b's: a frame
+// numbers its terms in order of first appearance whatever ids its source
+// uses.
+func (b *Batch) compacted() *Batch {
+	cells := 0
+	for _, col := range b.Cols {
+		cells += len(col)
+	}
+	if len(b.Dict) <= compactFactor*cells {
+		return b
+	}
+	ids := make([]int32, 0, cells)
+	for _, col := range b.Cols {
+		for _, id := range col {
+			if id >= 0 {
+				ids = append(ids, id)
+			}
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := NewBatch(b.Vars...)
+	out.Dict = make([]rdf.Term, len(ids))
+	for i, id := range ids {
+		out.Dict[i] = b.Dict[id]
+	}
+	flat := make([]int32, 0, cells)
+	for c, col := range b.Cols {
+		start := len(flat)
+		for _, id := range col {
+			if id >= 0 {
+				i, _ := slices.BinarySearch(ids, id)
+				id = int32(i)
+			}
+			flat = append(flat, id)
+		}
+		out.Cols[c] = flat[start:len(flat):len(flat)]
+	}
+	out.rows = b.rows
+	return out
+}
+
+// NewSlicer returns a Slicer over b, compacted first when its dictionary
+// is far larger than its cells.
 func NewSlicer(b *Batch) *Slicer {
+	b = b.compacted()
 	remap := make([]int32, len(b.Dict))
 	for i := range remap {
 		remap[i] = -1

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -272,7 +273,23 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add(rawFrame(5, rawDict(3, 0, 2, 'a', 'b', 0, 1, 1, 'c')...))
 	f.Add(rawFrame(6, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...))
 	f.Add(rawFrame(maxFrameStrings+1, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...))
+	// Mirror frames: a whole scan from offset 0, and its tail continuing
+	// fuzzMirrorPrev.
+	scan := mirrorScan(f, 6)
+	for _, lo := range []int{0, 5} {
+		prev := ""
+		if lo > 0 {
+			prev = fuzzMirrorPrev
+		}
+		m := &Mirror{Stamp: 42, Offset: lo, Entries: scan.Dict[lo:]}
+		fr, err := NewMirrorFrame(scan, 0, scan.Len(), m, prev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fr.AppendWire(nil))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzMirror(t, data)
 		b, err := DecodeBatch(data)
 		if err != nil {
 			return
@@ -304,4 +321,170 @@ func FuzzBatchCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mirrorScan is a scan, in base ids, that references every entry of its
+// base's dictionary but the property: n chains x_i p1 y_i.
+func mirrorScan(t testing.TB, n int) *Batch {
+	t.Helper()
+	base := rdf.NewBase()
+	for i := 0; i < n; i++ {
+		base.Add(rdf.Statement(rdf.IRI(fmt.Sprintf("http://d/a#x%d", i)), "http://d/p#p1", rdf.IRI(fmt.Sprintf("http://d/b#y%d", i))))
+	}
+	return scanProp(base, "http://d/p#p1")
+}
+
+// scanProp is a one-pattern scan of property p over base, in base ids.
+func scanProp(base *rdf.Base, p rdf.IRI) *Batch {
+	xs, ys, terms := base.PairIDs(p, nil)
+	b := NewBatch("X", "Y")
+	b.Cols[0], b.Cols[1], b.rows = xs, ys, len(xs)
+	b.space, b.Dict = base, terms
+	return b
+}
+
+// A base-id batch shipped as mirror frames in pieces (entries [0, k) with
+// the first frame, [k, end) with a later one, each continuing the entry
+// before it) and read back through one table onto a store is the
+// relation it was. Each frame re-encodes to its bytes.
+func TestMirrorFramesRoundTrip(t *testing.T) {
+	b := mirrorScan(t, 20)
+	store := NewTermStore()
+	var table []int32
+	end := len(b.Dict)
+	var got []*Batch
+	for _, cut := range [][4]int{{0, 15, 0, 7}, {15, end, 7, 20}} {
+		lo, hi, start, stop := cut[0], cut[1], cut[2], cut[3]
+		m := &Mirror{Stamp: 1 << 60, Offset: lo, Entries: b.Dict[lo:hi]}
+		prev := ""
+		if lo > 0 {
+			prev = b.Dict[lo-1].Value
+		}
+		f, err := NewMirrorFrame(b, start, stop, m, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := f.AppendWire(nil)
+		if len(enc) != f.WireLen() {
+			t.Fatalf("WireLen %d, frame is %d bytes", f.WireLen(), len(enc))
+		}
+		stamp, off, ok := PeekMirror(enc)
+		if !ok || stamp != m.Stamp || off != lo {
+			t.Fatalf("PeekMirror = %d, %d, %v", stamp, off, ok)
+		}
+		peerPrev := ""
+		if off > 0 {
+			peerPrev = store.Term(table[off-1]).Value
+		}
+		dec, dm, err := DecodeMirror(enc, peerPrev)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if re, _ := NewMirrorFrame(dec, 0, dec.Len(), dm, peerPrev); !bytes.Equal(re.AppendWire(nil), enc) {
+			t.Fatal("mirror frame re-encodes differently")
+		}
+		table = store.Intern(table, dm.Entries[len(table)-dm.Offset:])
+		got = append(got, dec.Translate(store, table))
+	}
+	sortedEqual(t, "mirror round trip", Concat(got...).ResultSet(), b.ResultSet())
+}
+
+// DecodeMirror rejects a hostile offset, entry count or id without an
+// allocation sized by the value it claims: at most the handful of fixed
+// allocations a frame's header costs.
+func TestDecodeMirrorRejectsHostileCounts(t *testing.T) {
+	b := mirrorScan(t, 4)
+	f, err := NewMirrorFrame(b, 0, b.Len(), &Mirror{Stamp: 7, Offset: 3, Entries: b.Dict[3:]}, b.Dict[2].Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := f.AppendWire(nil)
+	if _, _, err := DecodeMirror(good, b.Dict[2].Value); err != nil {
+		t.Fatalf("good frame: %v", err)
+	}
+	head := func(offset uint64) []byte {
+		return binary.AppendUvarint(binary.BigEndian.AppendUint64([]byte{mirrorMagic}, 7), offset)
+	}
+	// The good frame's body after its header, with the offset 3 (one byte).
+	body := good[len(head(3)):]
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"offset past int32", append(head(1<<40), body...)},
+		{"offset plus entries past int32", append(head(1<<31-2), body...)},
+		{"huge entry count", append(head(3), 0, 1, 1, 'X', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)},
+		{"id past the entries", append(head(0), 0, 1, 1, 'X', 0, 1, 9)},
+		{"huge row count", append(head(0), 0, 1, 1, 'X', 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)},
+	}
+	for _, c := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(10, func() { _, _, err = DecodeMirror(c.frame, b.Dict[2].Value) })
+		if err == nil {
+			t.Errorf("%s: decoded", c.name)
+		}
+		if allocs > 5 {
+			t.Errorf("%s: %v allocations to reject", c.name, allocs)
+		}
+	}
+}
+
+// fuzzMirrorPrev is the base entry a fuzzed mirror frame at a positive
+// offset continues.
+const fuzzMirrorPrev = "http://d/a#x4"
+
+// fuzzMirror decodes data as a mirror frame continuing fuzzMirrorPrev: a
+// frame that decodes must re-encode to itself at its exact WireLen,
+// every id it holds must index its entries, and it must read back
+// through a table onto a store.
+func fuzzMirror(t *testing.T, data []byte) {
+	b, m, err := DecodeMirror(data, fuzzMirrorPrev)
+	if err != nil {
+		return
+	}
+	prev := ""
+	if m.Offset > 0 {
+		prev = fuzzMirrorPrev
+	}
+	f, err := NewMirrorFrame(b, 0, b.Len(), m, prev)
+	if err != nil {
+		t.Fatalf("decoded mirror frame does not re-encode: %v", err)
+	}
+	if enc := f.AppendWire(nil); !bytes.Equal(enc, data) || f.WireLen() != len(data) {
+		t.Fatalf("mirror frame %x re-encodes as %x (WireLen %d)", data, enc, f.WireLen())
+	}
+	// The receiver holds the base's first Offset entries; stand them in
+	// by one term, since only the shipped entries' ids are checked.
+	end := m.Offset + len(m.Entries)
+	for _, col := range b.Cols {
+		for _, id := range col {
+			if id >= int32(end) {
+				t.Fatalf("id %d past the %d entries the frame covers", id, end)
+			}
+		}
+	}
+	if end > 1<<16 {
+		return // keep the table small
+	}
+	store := NewTermStore()
+	var table []int32
+	for len(table) < m.Offset {
+		table = store.Intern(table, []rdf.Term{termI(fuzzMirrorPrev)})
+	}
+	table = store.Intern(table, m.Entries)
+	ids := make([][]int32, len(b.Cols))
+	for c, col := range b.Cols {
+		ids[c] = slices.Clone(col)
+	}
+	got := b.Translate(store, table)
+	for c, col := range ids {
+		for r, id := range col {
+			if id < int32(m.Offset) {
+				continue
+			}
+			if term, want := got.Dict[got.Cols[c][r]], m.Entries[id-int32(m.Offset)]; term != want {
+				t.Fatalf("row %d column %d = %v, entry %v", r, c, term, want)
+			}
+		}
+	}
 }

@@ -152,3 +152,37 @@ func TestBaseIDBatchInternLeavesBaseSpace(t *testing.T) {
 		t.Errorf("union across the base change:\n%s\nwant:\n%s", g, w)
 	}
 }
+
+// A batch on a store far larger than what its rows reference is framed
+// and rebased with tables sized by its cells, not by the store: the
+// Slicer's table holds the three referenced terms of 20 000, and both
+// passes keep the rows.
+func TestCompactedSizesTablesByCells(t *testing.T) {
+	st := NewTermStore()
+	var terms []rdf.Term
+	for i := 0; i < 20_000; i++ {
+		terms = append(terms, termI("http://d#t"+strconv.Itoa(i)))
+	}
+	st.Intern(nil, terms)
+	b := NewBatch("X", "Y")
+	b.Cols[0] = []int32{19_990, 5, 19_990}
+	b.Cols[1] = []int32{12_000, -1, 5}
+	b.rows, b.space, b.Dict = 3, st, st.dict.Terms()
+	want := strings.Join(b.ResultSet().Sorted(), "\n")
+
+	sl := NewSlicer(b)
+	if len(sl.remap) != 3 {
+		t.Errorf("slicer table of %d entries, want 3", len(sl.remap))
+	}
+	if got := strings.Join(sl.Slice(0, 3).ResultSet().Sorted(), "\n"); got != want {
+		t.Errorf("sliced rows:\n%s\nwant:\n%s", got, want)
+	}
+	fresh := NewTermStore()
+	b.Rebase(fresh)
+	if fresh.Len() != 3 || b.space != fresh {
+		t.Errorf("rebase interned %d terms, want 3", fresh.Len())
+	}
+	if got := strings.Join(b.ResultSet().Sorted(), "\n"); got != want {
+		t.Errorf("rebased rows:\n%s\nwant:\n%s", got, want)
+	}
+}
