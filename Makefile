@@ -55,8 +55,10 @@ bench:
 #   input.
 # - FuzzQueryCodecs decodes arbitrary bytes as every query-path body
 #   (plan, routing request, annotated reply, statistics payload), checks
-#   that a decodable body re-encodes to itself, and round-trips generated
-#   plans, annotations and statistics.
+#   that a decodable body re-encodes to itself (so its front-coded string
+#   table is canonical: maximal shared prefixes, strictly increasing
+#   entries, an exact byte total), and round-trips generated plans,
+#   annotations and statistics; its corpus seeds malformed tables too.
 # - FuzzMembershipMessages feeds arbitrary payloads to a failure
 #   detector's ping, ping-req, sync and push handlers and its gossip
 #   blob; one that does not decode must leave the member view unchanged.

@@ -133,7 +133,7 @@ func (o *opsPlane) serve() error {
 		return err
 	}
 	fmt.Printf("\noperations plane on http://%s — try:\n", bound)
-	for _, ep := range []string{"/metrics", "/healthz", "/debug/events", "/debug/flightrec", "/debug/slo"} {
+	for _, ep := range []string{"/metrics", "/healthz", "/debug/events", "/debug/flightrec", "/debug/slo", "/debug/pprof/"} {
 		fmt.Printf("  curl http://%s%s\n", bound, ep)
 	}
 	fmt.Println("interrupt (ctrl-c) to exit")

@@ -1,6 +1,7 @@
 // Package debugsrv is the live operations surface: a plain net/http
 // listener exposing the obs registry in Prometheus text format plus the
-// /debug endpoints (event log, flight-recorder dumps, SLO state). It is
+// /debug endpoints (event log, flight-recorder dumps, SLO state) and
+// net/http/pprof's live profiles under /debug/pprof/. It is
 // the one deliberately wall-clock-adjacent corner of the middleware —
 // serving HTTP to a human operator is real-time by nature — so the wall
 // clock is confined to a two-function shim below (the SetRealLatency
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"sqpeer/internal/obs"
@@ -85,6 +87,13 @@ func (s *Server) mux() *http.ServeMux {
 	m.HandleFunc("/debug/events", s.handleEvents)
 	m.HandleFunc("/debug/flightrec", s.handleFlightRec)
 	m.HandleFunc("/debug/slo", s.handleSLO)
+	// Live profiles, on this mux only (importing net/http/pprof also
+	// adds them to http.DefaultServeMux, which nothing here serves).
+	m.HandleFunc("/debug/pprof/", pprof.Index)
+	m.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	m.Handle("/debug/pprof/heap", pprof.Handler("heap"))
+	m.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	m.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return m
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -81,6 +82,29 @@ func TestEndpoints(t *testing.T) {
 
 	if sloBody := get("/debug/slo"); !strings.Contains(sloBody, "latency-p99") {
 		t.Fatalf("/debug/slo missing default rules: %q", sloBody)
+	}
+
+	if index := get("/debug/pprof/"); !strings.Contains(index, "heap") {
+		t.Fatalf("/debug/pprof/ does not list the heap profile: %q", index)
+	}
+	if heap := get("/debug/pprof/heap?debug=1"); !strings.Contains(heap, "heap profile:") {
+		t.Fatalf("/debug/pprof/heap is not a heap profile: %.200q", heap)
+	}
+	if h := get("/debug/pprof/heap"); len(h) == 0 {
+		t.Fatal("/debug/pprof/heap served an empty profile")
+	}
+}
+
+// TestPprofRoutes: every profile endpoint is routed on the listener's
+// own mux (the CPU profile and the trace run for seconds, so
+// TestEndpoints fetches only the index and the heap).
+func TestPprofRoutes(t *testing.T) {
+	s := &Server{Registry: obs.NewRegistry()}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/profile", "/debug/pprof/symbol", "/debug/pprof/trace"} {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		if _, pattern := s.mux().Handler(req); pattern == "" || pattern == "/" {
+			t.Errorf("%s is not routed on the debug mux (pattern %q)", path, pattern)
+		}
 	}
 }
 

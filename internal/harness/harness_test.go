@@ -73,7 +73,7 @@ func TestFigure4Deterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("fig4 reports differ between runs:\n%s\n---\n%s", a, b)
 	}
-	if want := "Plan 1+data →   8698 bytes"; !strings.Contains(a.String(), want) {
+	if want := "Plan 1+data →   8400 bytes"; !strings.Contains(a.String(), want) {
 		t.Errorf("fig4 report lacks %q:\n%s", want, a)
 	}
 }

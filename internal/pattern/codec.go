@@ -11,12 +11,14 @@ import (
 // Binary bodies of the routing round trip (DESIGN §12, "Wire format"):
 // the query.route request is a query pattern, its reply an annotated
 // query pattern. Both are wire.Encode bodies, so every string is a
-// reference into the body's sorted string table.
+// reference into the body's sorted, front-coded string table: the
+// schema IRIs share their namespace, and the reply's peer ids their
+// common prefix, once per body.
 //
 //	path pattern     id, subject var, object var, property, domain, range
 //	query pattern    schema name, n, n path patterns, m, m projections
-//	query.route      format, table, query pattern
-//	query.route.reply format, table, query pattern,
+//	query.route      format (2), table, query pattern
+//	query.route.reply format (2), table, query pattern,
 //	                  n peers entries  (pattern id key, k, k peer ids),
 //	                  m rewrite entries (rewrite key, k, k path patterns)
 //
@@ -24,8 +26,8 @@ import (
 // duplicate keys.
 
 const (
-	queryFormat     byte = 1
-	annotatedFormat byte = 1
+	queryFormat     byte = 2
+	annotatedFormat byte = 2
 )
 
 // PathMinBytes is the least a path pattern takes on the wire: six

@@ -8,11 +8,11 @@ import (
 )
 
 // Binary plan body (DESIGN §12, "Wire format"), the raw body of an
-// exec.subplan request and of the ad-hoc overlay's forwarded plan. It is
-// a wire.Encode body, so every string is a reference into the body's
-// sorted string table:
+// exec.subplan request. It is a wire.Encode body, so every string is a
+// reference into the body's sorted, front-coded string table, where the
+// schema IRIs of a scan's path patterns share their namespace once:
 //
-//	plan    format, table, query flag (0 none, 1 a query pattern follows), root node
+//	plan    format (2), table, query flag (0 none, 1 a query pattern follows), root node
 //	scan    1, peer, n ≥ 1, n path patterns
 //	union   2, n ≥ 1, n nodes
 //	join    3, n ≥ 1, n nodes
@@ -20,7 +20,7 @@ import (
 // Nodes decode as written: a decoded tree is the tree that was encoded,
 // node for node, so a decodable body re-encodes to the same bytes.
 
-const planFormat byte = 1
+const planFormat byte = 2
 
 const (
 	kindScan byte = 1 + iota

@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"sqpeer/internal/rdf"
 	"sqpeer/internal/wire"
@@ -64,17 +63,9 @@ const (
 // datatype string.
 const dtFlag = 0x80
 
-// maxFrameStrings caps a frame's decoded string bytes. Front coding
-// lets a few bytes of suffix and prefix lengths stand for long values,
-// so a small frame can claim a large dictionary; the decoder's cap keeps
-// a hostile frame from forcing a huge allocation (it is four times the
-// TCP transport's frame cap), and NewFrame enforces the same cap so no
-// sender ships a frame its peer would refuse.
-const maxFrameStrings = 64 << 20
-
 // ErrFrameTooLarge is NewFrame's refusal of a batch whose strings exceed
-// the cap every decoder enforces.
-var ErrFrameTooLarge = fmt.Errorf("rql: frame strings exceed %d bytes", maxFrameStrings)
+// wire.MaxStrings, the cap every decoder enforces.
+var ErrFrameTooLarge = fmt.Errorf("rql: frame strings exceed %d bytes", wire.MaxStrings)
 
 // The decoder's rejections, wrapped in wire.ErrMalformed; they are fixed
 // values, so rejecting a bad frame allocates nothing.
@@ -160,7 +151,7 @@ func layout(f *Frame) (*Frame, error) {
 	size += wire.UvarintLen(len(f.dict))
 	prev := f.prev
 	for i, t := range f.dict {
-		p := commonPrefix(prev, t.Value)
+		p := wire.CommonPrefix(prev, t.Value)
 		f.shared[i] = int32(p)
 		size += 1 + wire.UvarintLen(p) + wire.StrLen(len(t.Value)-p)
 		f.nbytes += len(t.Value)
@@ -170,7 +161,7 @@ func layout(f *Frame) (*Frame, error) {
 		}
 		prev = t.Value
 	}
-	if f.nbytes > maxFrameStrings {
+	if f.nbytes > wire.MaxStrings {
 		return nil, ErrFrameTooLarge
 	}
 	size += wire.UvarintLen(f.end - f.start)
@@ -181,16 +172,6 @@ func layout(f *Frame) (*Frame, error) {
 	}
 	f.size = size + wire.UvarintLen(f.nbytes)
 	return f, nil
-}
-
-// commonPrefix is the length of the longest common prefix of a and b.
-func commonPrefix(a, b string) int {
-	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 // WireLen is the exact size of the frame, len(f.AppendWire(nil)).
@@ -243,27 +224,6 @@ func AppendBatch(dst []byte, b *Batch) ([]byte, error) {
 		return dst, err
 	}
 	return f.AppendWire(dst), nil
-}
-
-// frameStrings builds a frame's decoded strings into one string: every
-// piece is appended to the builder and sliced back out of its String(),
-// which never moves because the builder is grown to the frame's total
-// up front and never written past it.
-type frameStrings struct {
-	sb    strings.Builder
-	limit int
-}
-
-// add appends prefix and suffix and returns them as one string; ok is
-// false, and nothing is written, when they would overrun the total.
-func (s *frameStrings) add(prefix string, suffix []byte) (v string, ok bool) {
-	start := s.sb.Len()
-	if start+len(prefix)+len(suffix) > s.limit {
-		return "", false
-	}
-	s.sb.WriteString(prefix)
-	s.sb.Write(suffix)
-	return s.sb.String()[start:], true
 }
 
 // DecodeBatch parses a self-contained frame produced by AppendBatch or
@@ -335,16 +295,15 @@ func decodeBody(r *wire.Reader, prev string, offset int) (*Batch, []rdf.Term, er
 	if r.Err() != nil {
 		return nil, nil, r.Err()
 	}
-	if nbytes > maxFrameStrings || nbytes > rem+(rem/3)*(rem+uint64(len(prev))) {
+	if nbytes > wire.MaxStrings || nbytes > rem+(rem/3)*(rem+uint64(len(prev))) {
 		return nil, nil, errBytes
 	}
-	var s frameStrings
-	s.limit = int(nbytes)
-	s.sb.Grow(s.limit)
+	var s wire.Strings
+	s.Grow(int(nbytes))
 	var ok bool
 	vars := make([]string, r.Count(1))
 	for i := range vars {
-		vars[i], ok = s.add("", r.Blob())
+		vars[i], ok = s.Add("", r.Blob())
 		if !ok {
 			return nil, nil, errBytes
 		}
@@ -372,7 +331,7 @@ func decodeBody(r *wire.Reader, prev string, offset int) (*Batch, []rdf.Term, er
 		}
 		t := &dict[i]
 		t.Kind = kind
-		if t.Value, ok = s.add(prev[:shared], suffix); !ok {
+		if t.Value, ok = s.Add(prev[:shared], suffix); !ok {
 			return nil, nil, errBytes
 		}
 		if head&dtFlag != 0 {
@@ -381,14 +340,14 @@ func decodeBody(r *wire.Reader, prev string, offset int) (*Batch, []rdf.Term, er
 				return nil, nil, errNoType
 			}
 			var dtype string
-			if dtype, ok = s.add("", dt); !ok {
+			if dtype, ok = s.Add("", dt); !ok {
 				return nil, nil, errBytes
 			}
 			t.Datatype = rdf.IRI(dtype)
 		}
 		prev = t.Value
 	}
-	if r.Err() == nil && s.sb.Len() != s.limit {
+	if r.Err() == nil && !s.Full() {
 		return nil, nil, errBytes
 	}
 	if err := decodeColumns(r, b, int64(offset)+int64(len(dict))); err != nil {

@@ -117,7 +117,7 @@ func TestCodecFrontCoding(t *testing.T) {
 // are prefixes of one string, so the test holds one copy of them.
 func TestFrameCapEnforcedAtSender(t *testing.T) {
 	const n = 64
-	long := strings.Repeat("x", maxFrameStrings/n+2*n)
+	long := strings.Repeat("x", wire.MaxStrings/n+2*n)
 	// batch holds n distinct values whose lengths, with the variable
 	// name "X", add up to total: n-1 decreasing lengths from about
 	// total/n, and a shorter last one that takes the rest.
@@ -136,17 +136,17 @@ func TestFrameCapEnforcedAtSender(t *testing.T) {
 		b.rows = n
 		return b
 	}
-	atCap, err := NewFrame(batch(maxFrameStrings))
+	atCap, err := NewFrame(batch(wire.MaxStrings))
 	if err != nil {
 		t.Fatalf("batch at the cap: %v", err)
 	}
-	if atCap.nbytes != maxFrameStrings {
+	if atCap.nbytes != wire.MaxStrings {
 		t.Fatalf("batch at the cap has %d string bytes", atCap.nbytes)
 	}
-	if _, err := NewFrame(batch(maxFrameStrings + 1)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := NewFrame(batch(wire.MaxStrings + 1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("batch over the cap: got %v, want ErrFrameTooLarge", err)
 	}
-	if _, err := AppendBatch(nil, batch(maxFrameStrings+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := AppendBatch(nil, batch(wire.MaxStrings+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("AppendBatch over the cap: got %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 		{"kind above blank", rawFrame(5, rawDict(3, 0, 2, 'a', 'b', 0, 1, 1, 'c')...), errKind},
 		{"byte total too high", rawFrame(6, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...), errBytes},
 		{"byte total too low", rawFrame(4, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...), errBytes},
-		{"byte total above cap", rawFrame(maxFrameStrings+1, bytes.Repeat([]byte{0}, 1<<14)...), errBytes},
+		{"byte total above cap", rawFrame(wire.MaxStrings+1, bytes.Repeat([]byte{0}, 1<<14)...), errBytes},
 		{"byte total past what the frame can hold", rawFrame(1<<20, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...), errBytes},
 	}
 	for _, c := range cases {
@@ -272,7 +272,7 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add(rawFrame(5, rawDict(0x81, 0, 2, 'a', 'b', 0, 0, 1, 1, 'c')...))
 	f.Add(rawFrame(5, rawDict(3, 0, 2, 'a', 'b', 0, 1, 1, 'c')...))
 	f.Add(rawFrame(6, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...))
-	f.Add(rawFrame(maxFrameStrings+1, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...))
+	f.Add(rawFrame(wire.MaxStrings+1, rawDict(0, 0, 2, 'a', 'b', 0, 1, 1, 'c')...))
 	// Mirror frames: a whole scan from offset 0, and its tail continuing
 	// fuzzMirrorPrev.
 	scan := mirrorScan(f, 6)

@@ -12,9 +12,10 @@ import (
 // Binary statistics payload (DESIGN §12, "Wire format"): the Stats
 // trailer of the final packet a serving peer sends for every answered
 // subplan. It is a wire.Encode body, so the property IRIs the three maps
-// share are written once, in the body's sorted string table:
+// share are written once, in the body's sorted, front-coded string table
+// (where IRIs of one namespace share it):
 //
-//	format, table, peer,
+//	format (2), table, peer,
 //	  property cards, distinct subjects, distinct objects (each: n, n × (IRI key, count)),
 //	  slots, load
 //
@@ -22,7 +23,7 @@ import (
 // duplicate keys. Advertisements carry statistics too, but they are set-up
 // traffic and stay JSON.
 
-const statsFormat byte = 1
+const statsFormat byte = 2
 
 // MarshalPeerStats encodes ps as a Stats trailer body.
 func MarshalPeerStats(ps *PeerStats) ([]byte, error) {

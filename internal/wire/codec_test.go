@@ -2,10 +2,14 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -146,12 +150,64 @@ func (b bodies) of(name string) [][]byte {
 	}
 }
 
+// table front-codes strs (sorted, distinct, short) as an Encode body's
+// string table: count, byte total, then each entry's shared-prefix
+// length and suffix. Every number fits one byte.
+func table(strs ...string) []byte {
+	b := []byte{byte(len(strs)), 0}
+	prev, nbytes := "", 0
+	for _, s := range strs {
+		p := 0
+		for p < len(prev) && p < len(s) && prev[p] == s[p] {
+			p++
+		}
+		b = append(b, byte(p), byte(len(s)-p))
+		b = append(b, s[p:]...)
+		prev, nbytes = s, nbytes+len(s)
+	}
+	b[1] = byte(nbytes)
+	return b
+}
+
+// body is a hand-made Encode body: format byte, table, rest.
+func body(format byte, tab []byte, rest ...byte) []byte {
+	return slices.Concat([]byte{format}, tab, rest)
+}
+
+// badTable is a malformed string table and the reason a decoder gives.
+type badTable struct {
+	what, why string
+	tab       []byte
+}
+
+// badTables are string tables every codec must reject, most next to the
+// well-formed table they break: [ab ac] is 2 entries, 4 bytes,
+// (0, "ab"), (1, "c").
+var badTables = []badTable{
+	{"table count past the input", "length past end", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0, 0, 1, 'a'}},
+	{"table count the remaining bytes cannot hold", "length past end", []byte{0x40, 0, 0, 0}},
+	{"shared length past the previous entry", "shared prefix longer", []byte{2, 3, 0, 1, 'a', 2, 1, 'b'}},
+	{"first entry shares a prefix", "shared prefix longer", []byte{1, 2, 1, 2, 'a', 'b'}},
+	{"shared length not maximal", "not maximal", []byte{2, 4, 0, 2, 'a', 'b', 0, 2, 'a', 'c'}},
+	{"byte total one short", "byte total", []byte{2, 3, 0, 2, 'a', 'b', 1, 1, 'c'}},
+	{"byte total one long", "byte total", []byte{2, 5, 0, 2, 'a', 'b', 1, 1, 'c'}},
+	{"equal consecutive entries", "out of order", []byte{2, 4, 0, 2, 'a', 'b', 2, 0}},
+	{"entry a prefix of the one above", "out of order", []byte{2, 3, 0, 2, 'a', 'b', 1, 0}},
+	{"entry sorting before the one above", "out of order", []byte{2, 4, 0, 2, 'a', 'c', 1, 1, 'b'}},
+	{"unsorted table", "out of order", []byte{2, 2, 0, 1, 'b', 0, 1, 'a'}},
+	{"byte total past what the body can decode to", "byte total", []byte{1, 0x80, 0x80, 0x40, 0, 1, 'a'}},
+	{"byte total past the cap, in a few bytes", "byte total", []byte{1, 0x81, 0x80, 0x80, 0x20, 0, 1, 'a'}},
+	{"negative byte total", "byte total", []byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 1, 'a'}},
+	{"non-canonical count", "bad varint", []byte{0x81, 0x00, 0, 1, 'a'}},
+	{"non-canonical shared length", "bad varint", []byte{1, 1, 0x80, 0x00, 1, 'a'}},
+}
+
 // TestCodecsRejectMalformed: every body the traced paper query sent
 // decodes and re-encodes to the same bytes, while every proper prefix of
-// one, a body with trailing bytes, counts larger than the input,
-// unsorted or duplicate table strings and map keys, an unused table
-// string and plan nesting past the depth bound are all rejected with
-// wire.ErrMalformed.
+// one, a body with trailing bytes or a foreign format byte, every
+// malformed string table (badTables), counts larger than the input,
+// unsorted or duplicate map keys, an unused table string and plan
+// nesting past the depth bound are all rejected with wire.ErrMalformed.
 func TestCodecsRejectMalformed(t *testing.T) {
 	traced := realBodies(t)
 	for _, c := range codecs {
@@ -178,39 +234,38 @@ func TestCodecsRejectMalformed(t *testing.T) {
 		}
 		reject(c, "trailing byte", append(bytes.Clone(b), 0))
 		reject(c, "foreign format", append([]byte{9}, b[1:]...))
-		// A table claiming 2^40 strings in a few bytes.
-		reject(c, "table count past the input", []byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 'a'})
-		reject(c, "unsorted table", []byte{1, 2, 1, 'b', 1, 'a', 0, 0})
-		reject(c, "duplicate table string", []byte{1, 2, 1, 'a', 1, 'a', 0, 0})
-		reject(c, "non-canonical varint", []byte{1, 0x81, 0x00, 1, 'a'})
+		reject(c, "previous format", append([]byte{b[0] - 1}, b[1:]...))
+		for _, bt := range badTables {
+			b := body(b[0], bt.tab, 0, 0, 0, 0, 0, 0, 0, 0)
+			if _, err := c.decode(b); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), bt.why) {
+				t.Errorf("%s: %s accepted or misreported: %v; want %q", c.name, bt.what, err, bt.why)
+			}
+		}
 	}
 	plans, annotations, statsC := codecs[0], codecs[2], codecs[3]
+	pf, af, sf := traced.plans[0][0], traced.annotations[0][0], traced.stats[0][0]
 
 	// Counts larger than the input, inside the body.
-	reject(plans, "scan pattern count past the input", []byte{1, 1, 1, 'P', 0, 1, 0, 0x7f})
-	reject(plans, "union input count past the input", []byte{1, 0, 0, 2, 0x7f, 1})
-	reject(statsC, "map count past the input", []byte{1, 1, 1, 'P', 0, 0x7f, 0})
+	reject(plans, "scan pattern count past the input", body(pf, table("P"), 0, 1, 0, 0x7f))
+	reject(plans, "union input count past the input", body(pf, table(), 0, 2, 0x7f, 1))
+	reject(statsC, "map count past the input", body(sf, table("P"), 0, 0x7f, 0))
 
 	// Stats map keys must increase: table [P a b], peer P, keys b then a.
-	unsorted := []byte{1, 3, 1, 'P', 1, 'a', 1, 'b', 0, 2, 2, 5, 1, 6, 0, 0, 0, 0}
-	reject(statsC, "unsorted map keys", unsorted)
-	dup := []byte{1, 3, 1, 'P', 1, 'a', 1, 'b', 0, 3, 1, 5, 1, 6, 2, 7, 0, 0, 0, 0}
-	reject(statsC, "duplicate map key", dup)
-	sorted := []byte{1, 3, 1, 'P', 1, 'a', 1, 'b', 0, 2, 1, 5, 2, 6, 0, 0, 0, 0}
+	reject(statsC, "unsorted map keys", body(sf, table("P", "a", "b"), 0, 2, 2, 5, 1, 6, 0, 0, 0, 0))
+	reject(statsC, "duplicate map key", body(sf, table("P", "a", "b"), 0, 3, 1, 5, 1, 6, 2, 7, 0, 0, 0, 0))
+	sorted := body(sf, table("P", "a", "b"), 0, 2, 1, 5, 2, 6, 0, 0, 0, 0)
 	if ps, err := stats.UnmarshalPeerStats(sorted); err != nil || ps.PropertyCard["a"] != 5 || ps.PropertyCard["b"] != 6 {
 		t.Errorf("sorted stats body = %+v, %v", ps, err)
 	}
-	reject(statsC, "unused table string", []byte{1, 2, 1, 'P', 1, 'z', 0, 0, 0, 0, 0, 0})
+	reject(statsC, "unused table string", body(sf, table("P", "z"), 0, 0, 0, 0, 0, 0))
 
-	// Annotation peers map with keys out of order: table [Q1 Q2 X] ...
-	var q bytes.Buffer
-	q.Write([]byte{1, 3, 2, 'Q', '1', 2, 'Q', '2', 1, 'X'})
-	q.Write([]byte{2, 0, 1, 2, 2, 1, 0, 0, 0, 0}) // schema "X", no patterns, projection "X"; peers Q2, Q1
-	reject(annotations, "unsorted annotation keys", q.Bytes())
+	// Annotation peers map with keys out of order: table [Q1 Q2 X],
+	// schema "X", no patterns, projection "X"; peers Q2, Q1.
+	reject(annotations, "unsorted annotation keys", body(af, table("Q1", "Q2", "X"), 2, 0, 1, 2, 2, 1, 0, 0, 0, 0))
 
 	// Plan nesting: a chain of one-input unions over a scan.
 	deep := func(depth int) []byte {
-		b := []byte{1, 1, 1, 'P', 0} // table ["P"], no query
+		b := body(pf, table("P"), 0) // no query
 		for i := 0; i < depth; i++ {
 			b = append(b, 2, 1)
 		}
@@ -227,9 +282,121 @@ func TestCodecsRejectMalformed(t *testing.T) {
 	if _, err := plan.Marshal(&plan.Plan{Root: n}); err == nil {
 		t.Error("plan past the depth bound marshalled")
 	}
-	reject(plans, "empty union", []byte{1, 0, 0, 2, 0})
-	reject(plans, "unknown node kind", []byte{1, 0, 0, 7})
-	reject(plans, "bad query flag", []byte{1, 1, 1, 'P', 2, 1, 0, 1, 0, 0, 0, 0, 0, 0})
+	reject(plans, "empty union", body(pf, table(), 0, 2, 0))
+	reject(plans, "unknown node kind", body(pf, table(), 0, 7))
+	reject(plans, "bad query flag", body(pf, table("P"), 2, 1, 0, 1, 0, 0, 0, 0, 0, 0))
+}
+
+// TestTableCodec: a table of IRIs in one namespace ships the namespace
+// once; well-formed tables (empty ones and an empty string included)
+// decode, every bad table is rejected for its reason, Encode refuses a
+// table past wire.MaxStrings, and rejecting a table that claims a huge
+// byte total allocates nothing sized by the claim.
+func TestTableCodec(t *testing.T) {
+	const ns = "http://ics.forth.gr/SON/syn#"
+	b, err := wire.Encode(1, func(w *wire.Writer) {
+		for _, s := range []string{ns + "p2", ns + "K1", ns + "K2"} {
+			w.Str(s)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := body(1, table(ns+"K1", ns+"K2", ns+"p2"), 2, 0, 1)
+	if !bytes.Equal(b, want) || bytes.Count(b, []byte(ns)) != 1 {
+		t.Errorf("table of one namespace = %q; want %q", b, want)
+	}
+
+	read := func(b []byte) ([]string, error) {
+		r := wire.NewReader(b)
+		r.Table()
+		var out []string
+		for r.Err() == nil && r.Len() > 0 {
+			out = append(out, r.Ref())
+		}
+		return out, r.Finish()
+	}
+	for _, tab := range [][]byte{table(), table(""), table("", "a"), table("ab", "ac"), table("a", "ab", "b")} {
+		n := int(tab[0])
+		refs := make([]byte, n)
+		for i := range refs {
+			refs[i] = byte(i)
+		}
+		if got, err := read(append(bytes.Clone(tab), refs...)); err != nil || len(got) != n {
+			t.Errorf("table %q = %q, %v", tab, got, err)
+		}
+	}
+	for _, bt := range badTables {
+		if _, err := read(append(bytes.Clone(bt.tab), 0, 0)); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), bt.why) {
+			t.Errorf("%s accepted or misreported: %v; want %q", bt.what, err, bt.why)
+		}
+	}
+
+	// Encode refuses a table that decodes past the cap: 65 prefixes of
+	// one 1 MiB string front-code into a few bytes each but decode to
+	// 65 MiB.
+	long := strings.Repeat("x", 1<<20)
+	if _, err := wire.Encode(1, func(w *wire.Writer) {
+		for i := 0; i <= wire.MaxStrings>>20; i++ {
+			w.Str(long[i:])
+		}
+	}); err == nil {
+		t.Error("Encode shipped a table past wire.MaxStrings")
+	}
+
+	// Hostile claims: 1 entry of 1 byte claiming 60 MiB (under the cap,
+	// past what the body can decode to), and 4 096 entries over 25 KiB
+	// claiming one byte past the cap (which the body's size alone would
+	// allow).
+	capped := binary.AppendUvarint([]byte{0x80, 0x20}, wire.MaxStrings+1)
+	capped = append(capped, make([]byte, 25<<10)...)
+	for _, b := range [][]byte{{1, 0x80, 0x80, 0x80, 0x1e, 0, 1, 'a', 0}, capped} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := read(b); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "byte total") {
+			t.Errorf("claim %x... accepted or misreported: %v", b[:6], err)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("rejecting claim %x... allocated %d bytes", b[:6], d)
+		}
+	}
+}
+
+// TestTableDecodeAllocs: decoding a string table costs the same fixed
+// number of allocations whatever its entry count, because every entry
+// is built into one string.
+func TestTableDecodeAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		b, err := wire.Encode(1, func(w *wire.Writer) {
+			for i := 0; i < n; i++ {
+				w.Str(fmt.Sprintf("http://ics.forth.gr/SON/syn#p%d", i))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			r := wire.NewReader(b)
+			r.Format(1)
+			r.Table()
+			for i := 0; i < n; i++ {
+				r.Ref()
+			}
+			if err := r.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(1)
+	if one > 3 {
+		t.Errorf("decoding a 1-entry table costs %v allocations; want ≤ 3", one)
+	}
+	for _, n := range []int{10, 100, 1000} {
+		if got := allocs(n); got != one {
+			t.Errorf("decoding a %d-entry table costs %v allocations; a 1-entry table %v", n, got, one)
+		}
+	}
 }
 
 // FuzzQueryCodecs decodes arbitrary bytes as every query-path body —
@@ -247,6 +414,11 @@ func FuzzQueryCodecs(f *testing.F) {
 		}
 	}
 	f.Add([]byte{}, int64(-1))
+	for _, c := range codecs {
+		for _, bt := range badTables {
+			f.Add(body(traced.of(c.name)[0][0], bt.tab, 0, 0, 0, 0), int64(len(bt.tab)))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		for _, c := range codecs {
 			v, err := c.decode(data)

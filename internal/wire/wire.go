@@ -17,12 +17,25 @@
 //
 // Bodies built with Encode add one more rule: their strings live in a
 // table written once after the format byte, sorted and without
-// duplicates, and the body refers to them by index. A decoder rejects an
-// unsorted or duplicate table and a table entry the body never uses. The
-// table is what makes the repeated IRIs of a plan, an annotation or a
-// statistics payload cost their bytes once, and because it is sorted, a
-// map whose keys are table references is in key order exactly when its
-// reference indices increase.
+// duplicates, and the body refers to them by index. The table is
+// front-coded (the "Plain Front Coding" of HDT's dictionary, which the
+// Results frames of internal/rql use too):
+//
+//	table = n | nbytes | n × (shared | suffix)
+//
+// where shared is the length of the prefix an entry shares with the
+// entry before it, suffix (a length-prefixed string) the rest of the
+// entry, and nbytes the total length of the decoded entries. Sorted IRIs
+// of one namespace share their prefix, so a body ships each namespace
+// once. A decoder rejects a shared length that is not maximal or is
+// longer than the previous entry, an entry that does not sort strictly
+// after the one before it, an inexact nbytes, and a table entry the body
+// never uses; it checks nbytes against what the remaining bytes can
+// decode to, and against MaxStrings, before it allocates, and builds
+// every entry into one string. The table is what makes the repeated IRIs
+// of a plan, an annotation or a statistics payload cost their bytes
+// once, and because it is sorted, a map whose keys are table references
+// is in key order exactly when its reference indices increase.
 package wire
 
 import (
@@ -31,6 +44,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 )
 
 // ErrMalformed reports a short or malformed body. The readers return it
@@ -47,7 +61,62 @@ var (
 	errRef      = fmt.Errorf("%w: string reference out of range", ErrMalformed)
 	errOrder    = fmt.Errorf("%w: strings or keys out of order", ErrMalformed)
 	errUnused   = fmt.Errorf("%w: unused table string", ErrMalformed)
+	errBytes    = fmt.Errorf("%w: string byte total does not match the table", ErrMalformed)
+	errShared   = fmt.Errorf("%w: shared prefix longer than the previous string", ErrMalformed)
+	errMaximal  = fmt.Errorf("%w: shared prefix not maximal", ErrMalformed)
 )
+
+// MaxStrings caps the decoded string bytes of one body or frame. Front
+// coding lets a few bytes of prefix and suffix lengths stand for long
+// strings, so a small body can claim a large total; the cap keeps a
+// hostile one from forcing a huge allocation (it is four times the TCP
+// transport's frame cap), and encoders refuse what it would refuse.
+const MaxStrings = 64 << 20
+
+// errTooLarge is Encode's refusal of a body whose string table decodes to
+// more than MaxStrings bytes.
+var errTooLarge = fmt.Errorf("wire: body strings exceed %d bytes", MaxStrings)
+
+// CommonPrefix is the length of the longest common prefix of a and b.
+func CommonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	i := 0
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// Strings builds a body's or frame's decoded strings into one string:
+// every piece is appended to the builder and sliced back out of its
+// String(), which never moves because the builder is grown to the total
+// up front (Grow) and never written past it. So decoding costs one
+// allocation for all the strings, however many there are.
+type Strings struct {
+	sb    strings.Builder
+	limit int
+}
+
+// Grow sets the total to n bytes and allocates it.
+func (s *Strings) Grow(n int) {
+	s.limit = n
+	s.sb.Grow(n)
+}
+
+// Add appends prefix and suffix and returns them as one string; ok is
+// false, and nothing is written, when they would overrun the total.
+func (s *Strings) Add(prefix string, suffix []byte) (v string, ok bool) {
+	start := s.sb.Len()
+	if start+len(prefix)+len(suffix) > s.limit {
+		return "", false
+	}
+	s.sb.WriteString(prefix)
+	s.sb.Write(suffix)
+	return s.sb.String()[start:], true
+}
+
+// Full reports whether exactly the total has been written.
+func (s *Strings) Full() bool { return s.sb.Len() == s.limit }
 
 // UvarintLen is the encoded size of v as a uvarint.
 func UvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
@@ -109,9 +178,11 @@ func (w *Writer) Fail(err error) {
 	}
 }
 
-// Encode builds a body: the format byte, the sorted string table of
+// Encode builds a body: the format byte, the front-coded table of
 // everything body writes with Str, then body's bytes. The result is
-// allocated once, at (at most a few bytes over) its final size.
+// allocated once, at (at most a few bytes over) its final size. It fails
+// when the table's strings exceed MaxStrings, which every decoder
+// refuses.
 func Encode(format byte, body func(*Writer)) ([]byte, error) {
 	w := Writer{}
 	body(&w)
@@ -121,15 +192,27 @@ func Encode(format byte, body func(*Writer)) ([]byte, error) {
 	refs := len(w.strs)
 	slices.Sort(w.strs)
 	w.strs = slices.Compact(w.strs)
-	size := 1 + UvarintLen(len(w.strs)) + w.size + refs*UvarintLen(len(w.strs))
+	nbytes, table, prev := 0, 0, ""
 	for _, s := range w.strs {
-		size += StrLen(len(s))
+		p := CommonPrefix(prev, s)
+		nbytes += len(s)
+		table += UvarintLen(p) + StrLen(len(s)-p)
+		prev = s
 	}
+	if nbytes > MaxStrings {
+		return nil, errTooLarge
+	}
+	size := 1 + UvarintLen(len(w.strs)) + UvarintLen(nbytes) + table + w.size + refs*UvarintLen(len(w.strs))
 	w.buf = make([]byte, 0, size)
 	w.buf = append(w.buf, format)
 	w.buf = AppendUvarint(w.buf, len(w.strs))
+	w.buf = AppendUvarint(w.buf, nbytes)
+	prev = ""
 	for _, s := range w.strs {
-		w.buf = AppendStr(w.buf, s)
+		p := CommonPrefix(prev, s)
+		w.buf = AppendUvarint(w.buf, p)
+		w.buf = AppendStr(w.buf, s[p:])
+		prev = s
 	}
 	w.write = true
 	body(&w)
@@ -270,20 +353,56 @@ func (r *Reader) End() {
 	}
 }
 
-// Table reads an Encode body's string table, rejecting one that is not
-// strictly increasing.
+// Table reads an Encode body's front-coded string table, rejecting one
+// that would not re-encode to the same bytes. The entries are built into
+// one string, so reading a table costs a fixed number of allocations
+// whatever its size, and a claimed total is checked against what the
+// remaining bytes can decode to before anything is allocated.
 func (r *Reader) Table() {
-	n := r.Count(1)
+	// Every entry takes at least 2 bytes (its shared length and its
+	// suffix length), so at most lit = rem-2n bytes are literal, and no
+	// entry decodes longer than the literal bytes before and in it.
+	n := r.Count(2)
+	nbytes := r.Uv()
 	if r.err != nil {
 		return
 	}
+	if lit := len(r.b) - 2*n; nbytes < 0 || nbytes > MaxStrings || nbytes > n*lit {
+		r.Fail(errBytes)
+		return
+	}
+	var s Strings
+	s.Grow(nbytes)
 	r.table = make([]string, n)
 	r.used = make([]uint64, (n+63)/64)
+	prev := ""
 	for i := range r.table {
-		r.table[i] = r.Str()
-		if i > 0 && r.err == nil && r.table[i] <= r.table[i-1] {
+		shared := r.Uv()
+		suffix := r.Blob()
+		switch {
+		case r.err != nil:
+			return
+		case shared < 0 || shared > len(prev):
+			r.Fail(errShared)
+			return
+		case shared < len(prev) && len(suffix) > 0 && suffix[0] == prev[shared]:
+			r.Fail(errMaximal)
+			return
+		case i > 0 && (len(suffix) == 0 || shared < len(prev) && suffix[0] < prev[shared]):
+			// The entry is a prefix of the one before it, equal to it or
+			// sorts below it.
 			r.Fail(errOrder)
+			return
 		}
+		v, ok := s.Add(prev[:shared], suffix)
+		if !ok {
+			r.Fail(errBytes)
+			return
+		}
+		r.table[i], prev = v, v
+	}
+	if !s.Full() {
+		r.Fail(errBytes)
 	}
 }
 
