@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test lint check bench fuzz perf-smoke clean
+.PHONY: build test lint check bench fuzz perf-smoke cover-ladder clean
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,19 @@ perf-smoke:
 		echo "perf-smoke: faulty_fanout --seed $$s --trace 0"; \
 		python3 perfbench/run.py --workload faulty_fanout --seed $$s --seconds 1 --trace 0 || exit 1; \
 	done
+
+# The recovery ladder (internal/exec/ladder.go: the table of retry,
+# migrate, fill, replan and hole decisions and the code that runs its
+# steps) must stay exercised. This runs the suite with coverage of
+# internal/exec, merges the per-package blocks of the profile (a block
+# ran if any package's tests ran it) and fails, listing them, when some
+# block of the ladder file ran in no test.
+cover-ladder:
+	$(GO) test -coverpkg=./internal/exec -coverprofile=cover-ladder.out ./...
+	@awk -F'[: ]' '$$1 ~ /internal\/exec\/ladder\.go$$/ { if (!($$2 in n) || $$4 > n[$$2]) n[$$2] = $$4 } \
+		END { for (b in n) if (n[b] == 0) print "internal/exec/ladder.go:" b }' cover-ladder.out | sort -n -t: -k2 > cover-ladder.txt
+	@if [ -s cover-ladder.txt ]; then echo "ladder blocks no test executed:"; cat cover-ladder.txt; exit 1; fi
+	@echo "cover-ladder: every block of internal/exec/ladder.go ran"
 
 clean:
 	$(GO) clean ./...

@@ -3,14 +3,10 @@
 // channel per contributing peer, ships subplans, gathers result packets,
 // and combines them with unions (horizontal distribution) and joins
 // (vertical distribution). Join placement follows the configured shipping
-// policy. On peer failure the executor first attempts the paper's
-// plan-change protocol: cancel only the affected plan subtree, pick an
-// alternate peer from a fresh quarantine-aware routing snapshot, and
-// re-dispatch just that subplan, splicing its rows with the retained
-// siblings (checkpointed by per-channel sequence watermarks and per-leaf
-// row ledgers). Only when no alternate peer covers the subtree does it
-// fall back to the legacy ubQL semantics — discard intermediate results,
-// replan around the obsolete peer, restart.
+// policy. Failures climb one recovery ladder (ladder.go): retry, migrate
+// the failed subtree to an alternate peer while its siblings keep their
+// rows (the paper's plan-change protocol), and only then the ubQL
+// discard: replan around the obsolete peer and restart.
 package exec
 
 import (
@@ -36,18 +32,17 @@ import (
 	"sqpeer/internal/stats"
 )
 
-// LocalSource evaluates scan subqueries against a peer's local base.
+// LocalSource evaluates scan subqueries against a peer's local base as
+// row maps. The engine scans through a BatchSource; a peer's source
+// offers both.
 type LocalSource interface {
 	// EvalScan evaluates the conjunction of path patterns locally,
 	// returning the joined rows.
 	EvalScan(patterns []pattern.PathPattern) *rql.ResultSet
 }
 
-// BatchSource is the columnar upgrade of LocalSource: a source that can
-// evaluate a scan straight into a batch, skipping the per-row map
-// materialization EvalScan pays. The engine uses it at the scan leaf
-// whenever the source offers it; a plain LocalSource's rows are
-// converted into a batch there instead.
+// BatchSource evaluates scan subqueries against a peer's local base
+// straight into a batch, with no per-row map: the engine's scan leaf.
 type BatchSource interface {
 	// EvalScanBatch evaluates the conjunction of path patterns locally,
 	// returning the joined rows in columnar form. The executor passes a
@@ -159,7 +154,7 @@ type Engine struct {
 	// Channels is the peer's channel manager.
 	Channels *channel.Manager
 	// Local evaluates scans against the peer's base.
-	Local LocalSource
+	Local BatchSource
 	// Cost estimates placements for HybridShipping; nil forces
 	// DataShipping behaviour.
 	Cost *optimizer.CostModel
@@ -239,9 +234,9 @@ func (e *Engine) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// patternKey renders a node's pattern ids, deduplicated and sorted — the
-// site-independent identity of the data slice a dispatch fetches.
-func patternKey(n plan.Node) string {
+// patternIDs lists the pattern ids of a node's scans, each once, in scan
+// order.
+func patternIDs(n plan.Node) []string {
 	seen := map[string]bool{}
 	var ids []string
 	for _, s := range plan.Scans(n) {
@@ -252,13 +247,20 @@ func patternKey(n plan.Node) string {
 			}
 		}
 	}
+	return ids
+}
+
+// patternKey renders a node's pattern ids, deduplicated and sorted — the
+// site-independent identity of the data slice a dispatch fetches.
+func patternKey(n plan.Node) string {
+	ids := patternIDs(n)
 	sort.Strings(ids)
 	return strings.Join(ids, "+")
 }
 
 // NewEngine wires an engine for a peer into the network, registering the
 // subplan-execution handler.
-func NewEngine(self pattern.PeerID, net *network.Network, ch *channel.Manager, local LocalSource) *Engine {
+func NewEngine(self pattern.PeerID, net *network.Network, ch *channel.Manager, local BatchSource) *Engine {
 	e := &Engine{
 		Self:     self,
 		Net:      net,
@@ -298,12 +300,8 @@ type Result struct {
 }
 
 // Execute runs a distributed plan rooted at this peer and returns the
-// final result set, applying the query pattern's projections. Plans with
-// holes are rejected with *HoleError (unless AllowPartial). With a Router
-// configured, peer failures trigger replanning (up to maxReplans) before
-// surfacing as *PeerFailure. Callers that opted into AllowPartial and
-// need the completeness annotation use ExecuteAnnotated; this wrapper
-// returns the rows alone.
+// final result set, applying the query pattern's projections: the rows
+// of ExecuteAnnotated, without the completeness annotation.
 func (e *Engine) Execute(p *plan.Plan) (*rql.ResultSet, error) {
 	res, err := e.ExecuteAnnotated(p)
 	if err != nil {
@@ -312,13 +310,12 @@ func (e *Engine) Execute(p *plan.Plan) (*rql.ResultSet, error) {
 	return res.Rows, nil
 }
 
-// ExecuteAnnotated is Execute returning the completeness annotation: the
-// adaptation loop of §2.5 with retry/backoff underneath it (transient
-// dispatch failures retry before a peer is declared obsolete), the
-// throughput monitor as a replan trigger, and — under AllowPartial —
-// holes answered as absent branches instead of failure when replanning
-// cannot cover every pattern. It runs as an untagged Low-priority query, under a standalone
-// trace when a Tracer is configured.
+// ExecuteAnnotated runs a distributed plan rooted at this peer and
+// returns its projected rows with their completeness annotation. Plans
+// with holes are rejected with *HoleError unless AllowPartial; failures
+// climb the recovery ladder (ladder.go) before they surface, a peer's as
+// *PeerFailure. It runs as an untagged Low-priority query, under a
+// standalone trace when a Tracer is configured.
 func (e *Engine) ExecuteAnnotated(p *plan.Plan) (*Result, error) {
 	rows, comp, err := e.ExecuteBatch(p, nil, admission.QoS{})
 	if err != nil {
@@ -375,32 +372,20 @@ func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (
 			return nil, Completeness{}, &HoleError{PatternIDs: ids}
 		}
 		rel, runtimeUn, err := e.executeOnce(current, attempt, lastFailure, fetched, span, qos)
-		if err == nil {
-			// The paper's literal run-time trigger: peers whose channels
-			// streamed too few rows this round are replanned around, same
-			// path as a hard failure.
-			if slow := e.slowPeers(); len(slow) > 0 && e.Router != nil && attempt < maxReplans {
-				if span != nil {
-					span.Annotate(fmt.Sprintf("throughput.flagged.%d", attempt), peersCSV(slow))
-				}
-				obsolete := map[pattern.PeerID]bool{}
-				for _, peer := range slow {
-					obsolete[peer] = true
-					e.dropFromRouting(peer)
-				}
-				replanned, rerr := optimizer.Replan(current, obsolete, e.Router)
-				if rerr == nil && !plan.Equal(replanned.Root, current.Root) {
-					rsp := span.Child(obs.KindReplan, fmt.Sprintf("replan.%d", attempt))
-					rsp.Annotate("trigger", "throughput")
-					rsp.Annotate("obsolete", peersCSV(slow))
-					e.record(fact{kind: factReplan, trigger: "throughput", obsolete: peersCSV(slow)}, rsp)
-					rsp.End()
-					current = replanned
-					continue // ubQL discard: drop rs, re-execute
-				}
-				// Replanning can't improve on this round (no alternative or
-				// same plan): keep the rows we already collected.
-			}
+		// The round climbs the ladder: the paper's literal run-time trigger
+		// (peers whose channels streamed too few rows) and a peer failure
+		// both replan around the obsolete peers and restart — ubQL
+		// discard — while replans last.
+		o, obsolete := roundOutcome(err, e.slowPeers)
+		var replanned *plan.Plan
+		var rerr error
+		d := ladder(o, facts{router: e.Router != nil, replans: attempt, partial: e.AllowPartial,
+			reroute: func() (c cover) {
+				replanned, c, rerr = e.replan(current, o, obsolete, attempt, span)
+				return c
+			}})
+		switch d.step {
+		case stepComplete:
 			// These rows are the answer: holes this round could not fill
 			// mid-flight are what the result is missing.
 			comp := Completeness{Complete: len(runtimeUn) == 0, Unanswered: runtimeUn}
@@ -408,32 +393,26 @@ func (e *Engine) ExecuteBatch(p *plan.Plan, span *obs.Span, qos admission.QoS) (
 				e.record(fact{kind: factPartialAnswer}, nil)
 			}
 			return rel, comp, nil
-		}
-		pf, ok := failureOf(err)
-		if !ok || e.Router == nil || attempt >= maxReplans {
-			return nil, Completeness{}, err
-		}
-		// ubQL adaptation: discard intermediates, drop the obsolete peer
-		// from our routing knowledge, replan, restart.
-		e.dropFromRouting(pf.Peer)
-		rsp := span.Child(obs.KindReplan, fmt.Sprintf("replan.%d", attempt))
-		rsp.Annotate("trigger", "failure")
-		rsp.Annotate("obsolete", string(pf.Peer))
-		rsp.End()
-		replanned, rerr := optimizer.Replan(current, map[pattern.PeerID]bool{pf.Peer: true}, e.Router)
-		if rerr != nil {
-			if replanned != nil && e.AllowPartial {
-				// The replan left holes; the next round answers them as
-				// absent branches, noted in the completeness annotation.
-				lastFailure = err
-				// On the root span: rsp has Ended.
-				e.record(fact{kind: factReplan, trigger: "failure-partial", obsolete: string(pf.Peer)}, span)
-				current = replanned
-				continue
+		case stepFail:
+			if rerr != nil {
+				return nil, Completeness{}, fmt.Errorf("exec: adaptation after %v: %w", err, rerr)
 			}
-			return nil, Completeness{}, fmt.Errorf("exec: adaptation after %v: %w", err, rerr)
+			return nil, Completeness{}, err
+		case stepHole:
+			// The next round answers the replan's holes as absent
+			// branches, noted in the completeness annotation with this
+			// failure. On the root span: the replan span has ended.
+			lastFailure = err
+			e.record(fact{kind: factReplan, trigger: "failure-partial", obsolete: peersCSV(obsolete)}, span)
+		case stepReplan:
+			if o == outSlow {
+				rsp := replanSpan(span, attempt, "throughput", obsolete)
+				e.record(fact{kind: factReplan, trigger: "throughput", obsolete: peersCSV(obsolete)}, rsp)
+				rsp.End()
+			} else {
+				e.record(fact{kind: factReplan, trigger: "failure", obsolete: peersCSV(obsolete)}, span)
+			}
 		}
-		e.record(fact{kind: factReplan, trigger: "failure", obsolete: string(pf.Peer)}, span)
 		current = replanned
 	}
 }
@@ -475,20 +454,6 @@ func peersCSV(peers []pattern.PeerID) string {
 		parts[i] = string(p)
 	}
 	return strings.Join(parts, ",")
-}
-
-func failureOf(err error) (*PeerFailure, bool) {
-	for e := err; e != nil; {
-		if pf, ok := e.(*PeerFailure); ok {
-			return pf, true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return nil, false
-		}
-		e = u.Unwrap()
-	}
-	return nil, false
 }
 
 // execution is the per-Execute state: one channel per contacted peer, a
@@ -851,17 +816,11 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 				return nil, errCancelled
 			}
 			e.record(fact{kind: factLocalScan}, nil)
-			// The scan leaf is where rows enter the engine's data plane:
-			// they are born a batch (BatchSource) or become one here, so
-			// every union/join above runs vectorized. The scan answers in
-			// its base's ids (a nil store), at a root as at a serving
-			// peer: no term is interned.
-			var b *rql.Batch
-			if bs, ok := e.Local.(BatchSource); ok {
-				b = bs.EvalScanBatch(v.Patterns, nil)
-			} else {
-				b = rql.BatchOf(e.Local.EvalScan(v.Patterns))
-			}
+			// The scan leaf is where rows enter the engine's data plane,
+			// born a batch, so every union/join above runs vectorized.
+			// The scan answers in its base's ids (a nil store), at a root
+			// as at a serving peer: no term is interned.
+			b := e.Local.EvalScanBatch(v.Patterns, nil)
 			if sp != nil {
 				sp.Annotate("localRows", fmt.Sprintf("%d", b.Len()))
 			}
@@ -929,38 +888,6 @@ func unionAll(bs []*rql.Batch) *rql.Batch {
 	return nil
 }
 
-// runHole resolves a `@?` leaf mid-flight: advertisement updates learned
-// since the plan was generated may cover it now, in which case the hole
-// becomes a dispatched subplan (the paper's plan-change packets carry
-// exactly this upgrade) while sibling branches keep streaming. Unfillable
-// holes become absent branches under AllowPartial, errors otherwise.
-func (ex *execution) runHole(v *plan.Scan, sp *obs.Span) (*rql.Batch, error) {
-	e := ex.engine
-	if e.Router != nil {
-		ann := e.Router.RoutePatterns(v.Patterns)
-		sub := plan.SplitHoles(&plan.Plan{Root: v})
-		filled, nfilled := plan.FillHoles(sub, ann)
-		if nfilled > 0 && !plan.HasHoles(filled.Root) {
-			e.record(fact{kind: factHoleFill, count: nfilled}, nil)
-			hsp := sp.Child(obs.KindHoleFill, "hole-fill")
-			rows, err := ex.run(filled.Root, hsp)
-			hsp.End()
-			return rows, err
-		}
-	}
-	if e.AllowPartial {
-		ex.mu.Lock()
-		for _, id := range v.PatternIDs() {
-			if _, ok := ex.unanswered[id]; !ok {
-				ex.unanswered[id] = ex.holeReason
-			}
-		}
-		ex.mu.Unlock()
-		return nil, nil // absent
-	}
-	return nil, &HoleError{PatternIDs: v.PatternIDs()}
-}
-
 // placeJoin picks the join's execution site under the engine's policy.
 // Remote placement ships the whole join subtree to the site (query
 // shipping); the shipped peer then executes it with itself as the join
@@ -1012,9 +939,9 @@ func largestScanPeer(cm *optimizer.CostModel, j *plan.Join) pattern.PeerID {
 }
 
 // runRemote ships the node to the site peer and gathers its rows through
-// the channel. Identical dispatches from concurrent branches are
-// single-flighted: the first branch ships, the rest wait on its cache
-// entry.
+// the channel, climbing the recovery ladder when the site fails.
+// Identical dispatches from concurrent branches are single-flighted: the
+// first branch ships, the rest wait on its cache entry.
 func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 	e := ex.engine
 	cacheKey := string(site) + "\x00" + n.String()
@@ -1041,42 +968,11 @@ func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (
 	// out. Requires AllowPartial; High-priority work never sheds
 	// (ShouldShed guarantees it).
 	if e.AllowPartial && e.Admission.ShouldShed(ex.qos.Priority) {
-		if ok := ex.shedSubplan(site, n, sp); ok {
-			ent.rows, ent.err = nil, nil // nil batch: the absent-branch sentinel
-			close(ent.done)
-			return ent.rows, ent.err
-		}
+		ex.shedSubplan(site, n, sp)
+		close(ent.done) // nil batch: the absent-branch sentinel
+		return nil, nil
 	}
-	// Proactive plan change: a site the throughput monitor already flagged
-	// is migrated away from before we sink a dispatch into it. If no
-	// alternate peer covers the subtree, dispatch to the slow site anyway.
-	if tm := e.Throughput; tm != nil && e.Router != nil && tm.IsFlagged(site) {
-		if rows, migrated, merr := ex.tryMigrate(site, n, sp); migrated {
-			ent.rows, ent.err = rows, merr
-			close(ent.done)
-			return ent.rows, ent.err
-		}
-	}
-	ex.acquire()
-	if ex.cancelled() {
-		ent.err = errCancelled
-	} else {
-		dsp := sp.ChildAt(obs.KindDispatch, "dispatch@"+string(site), string(site))
-		ent.rows, ent.err = ex.dispatchRetry(site, n, dsp)
-		dsp.End()
-	}
-	ex.release()
-	// Surgical recovery: a terminal peer failure migrates just this
-	// subtree to an alternate peer instead of failing the round. The pool
-	// token is released first — the migrated subtree re-enters ex.run and
-	// acquires its own tokens (token holders never acquire twice).
-	if ent.err != nil && !errors.Is(ent.err, errCancelled) {
-		if pf, ok := failureOf(ent.err); ok && pf.Peer == site {
-			if rows, migrated, merr := ex.tryMigrate(site, n, sp); migrated {
-				ent.rows, ent.err = rows, merr
-			}
-		}
-	}
+	ent.rows, ent.err = ex.climb(site, n, sp)
 	close(ent.done)
 	return ent.rows, ent.err
 }
@@ -1085,32 +981,13 @@ func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (
 // completeness holes: every scan pattern under it is recorded
 // unanswered with a shed reason, the tenant is charged a shed, and the
 // ledger gets a "shed" entry so the overload experiment can prove shed
-// work surfaced as partial answers rather than bare timeouts. Returns
-// false when the subtree carries no patterns to annotate (nothing to
-// shed honestly — the caller dispatches normally).
-func (ex *execution) shedSubplan(site pattern.PeerID, n plan.Node, sp *obs.Span) bool {
+// work surfaced as partial answers rather than bare timeouts. A shipped
+// subtree always has scans (holes never ship), so there is always a
+// pattern to name.
+func (ex *execution) shedSubplan(site pattern.PeerID, n plan.Node, sp *obs.Span) {
 	e := ex.engine
-	var ids []string
-	seen := map[string]bool{}
-	for _, s := range plan.Scans(n) {
-		for _, id := range s.PatternIDs() {
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-	}
-	if len(ids) == 0 {
-		return false
-	}
 	reason := fmt.Sprintf("shed: overload at %s (%s)", e.Self, ex.qos.Priority)
-	ex.mu.Lock()
-	for _, id := range ids {
-		if _, ok := ex.unanswered[id]; !ok {
-			ex.unanswered[id] = reason
-		}
-	}
-	ex.mu.Unlock()
+	ex.markUnanswered(patternIDs(n), reason)
 	ssp := sp.Child(obs.KindShed, "shed@"+string(site))
 	if ssp != nil {
 		ssp.Annotate("reason", reason)
@@ -1122,190 +999,18 @@ func (ex *execution) shedSubplan(site pattern.PeerID, n plan.Node, sp *obs.Span)
 		Site: site, Subplan: n.String(), Patterns: patternKey(n), Attempt: ex.attempt,
 	}}, ssp)
 	ssp.End()
-	return true
 }
 
-// tryMigrate is the plan-change protocol's root-side decision: quarantine
-// the failed (or flagged) site exactly as a restart would, cut its scans
-// out of the subtree, route the uncovered patterns against a fresh
-// quarantine-aware snapshot, and — when every pattern found an alternate
-// peer — re-dispatch only the rewritten subtree. Sibling rows already
-// collected stay where they are; the single-flight cache splices the
-// migrated rows in their place. Returns migrated=false when the subtree
-// has no alternate: the caller then falls back to the legacy
-// discard-replan-restart path (or, for a flagged-but-alive site, just
-// dispatches to it).
-//
-// Ordering note: each migration quarantines its site BEFORE routing. A
-// migrated branch that lands on a sibling's in-flight cache entry
-// therefore routed before that sibling quarantined its own site — so a
-// cycle of branches waiting on each other's entries would need every
-// route to precede every quarantine, which the per-branch
-// quarantine-then-route order makes impossible. The wait graph stays
-// acyclic no matter how concurrent migrations interleave.
-func (ex *execution) tryMigrate(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql.Batch, bool, error) {
-	e := ex.engine
-	if e.Router == nil || ex.cancelled() || e.DisableMigration {
-		return nil, false, nil
-	}
-	// The same quarantine the restart path applies, so migration and
-	// restart agree on which peers the re-route may use — required for
-	// the migrated answer to equal the restarted one.
-	e.dropFromRouting(site)
-	sub := &plan.Plan{Root: n}
-	excluded, cut := plan.ExcludePeers(sub, map[pattern.PeerID]bool{site: true})
-	if cut == 0 {
-		return nil, false, nil
-	}
-	var holePatterns []pattern.PathPattern
-	for _, h := range plan.Holes(excluded.Root) {
-		holePatterns = append(holePatterns, h.Patterns...)
-	}
-	ann := e.Router.RoutePatterns(holePatterns)
-	filled, _ := plan.FillHoles(plan.SplitHoles(excluded), ann)
-	if plan.HasHoles(filled.Root) {
-		// Decision rule: no alternate peer covers the subtree → migration
-		// cannot help; the caller surfaces the failure and the legacy
-		// restart (or a partial answer) takes over.
-		return nil, false, nil
-	}
+// markUnanswered records the patterns as unanswered for reason; a
+// pattern keeps the first reason recorded for it.
+func (ex *execution) markUnanswered(ids []string, reason string) {
 	ex.mu.Lock()
-	if ex.migrations >= maxMigrations {
-		ex.mu.Unlock()
-		return nil, false, nil
+	defer ex.mu.Unlock()
+	for _, id := range ids {
+		if _, ok := ex.unanswered[id]; !ok {
+			ex.unanswered[id] = reason
+		}
 	}
-	ex.migrations++
-	retained := ex.completedRows
-	ex.mu.Unlock()
-	msp := sp.Child(obs.KindMigrate, "migrate-from@"+string(site))
-	if msp != nil {
-		msp.Annotate("retainedRows", fmt.Sprintf("%d", retained))
-	}
-	e.record(fact{kind: factMigrate, count: retained, entry: LedgerEntry{
-		Site: site, Subplan: n.String(), Patterns: patternKey(n), Attempt: ex.attempt,
-	}}, msp)
-	rows, err := ex.run(filled.Root, msp)
-	msp.End()
-	if err == nil && rows == nil {
-		rows = rql.NewBatch()
-	}
-	return rows, true, err
-}
-
-// dispatchRetry wraps dispatch with the transient-failure retry loop:
-// a dispatch that failed for a reason that may heal (drop, deadline,
-// partition, crash) is retried up to MaxRetries times with doubling
-// backoff charged to the logical clock, resetting the site's failed
-// channel so each attempt opens fresh. Outcomes feed the health tracker.
-//
-// Retries are checkpointed: rows that reached us before the failure are a
-// contiguous prefix (the destination aborts streaming at its first failed
-// send, the channel watermark proves contiguity, and the collector keeps
-// no frame after one it could not read), so the retry asks the
-// destination to resume after them. A frame the dictionary mirror
-// refused is retried once more than MaxRetries allows: it fails only
-// because the root's table changed under the request, and the retry
-// states the fresh table. The destination acknowledges with
-// a PlanChange packet — "resume-honored" keeps the prefix, "checkpoint-
-// invalid" discards it and re-streams from scratch.
-func (ex *execution) dispatchRetry(site pattern.PeerID, n plan.Node, leaf *obs.Span) (*rql.Batch, error) {
-	e := ex.engine
-	backoff := float64(retryBackoffMS)
-	var partial *rql.Batch // checkpointed rows from failed attempts
-	checkpoint := 0        // contiguous row prefix already delivered
-	resumed := false
-	pendingBackoffMS := 0.0 // backoff owed to the next try's span
-	retries := e.MaxRetries
-	var err error
-	for try := 0; ; try++ {
-		// The first try streams under a "stream" span; each retry gets a
-		// "retry" span carrying its backoff charge plus the re-sent
-		// transfer — so the retry/backoff phase prices what the failure
-		// cost, not just the waiting.
-		kind, name := obs.KindStream, "stream"
-		if try > 0 {
-			kind, name = obs.KindRetry, fmt.Sprintf("retry.%d", try)
-		}
-		ssp := leaf.Child(kind, name)
-		ssp.ChargeMS(pendingBackoffMS)
-		pendingBackoffMS = 0
-		var res *remoteResult
-		res, err = ex.dispatch(site, n, try, checkpoint, ssp)
-		ssp.End()
-		if res != nil {
-			switch {
-			case res.restarted:
-				// The destination rejected our checkpoint and re-streamed
-				// from row 0: drop the retained prefix (set-union keeps the
-				// answer right either way; the ledger keeps the accounting
-				// honest).
-				e.record(fact{kind: factCheckpointRejected, count: checkpoint}, nil)
-				ssp.Annotate("checkpoint", "invalid")
-				partial, checkpoint, resumed = nil, 0, false
-			case checkpoint > 0 && res.resumed:
-				resumed = true
-				ssp.Annotate("checkpoint", "resumed")
-				// On the leaf span: ssp has already Ended.
-				e.record(fact{kind: factResume, site: site, count: checkpoint}, leaf)
-			}
-			if rel := res.gathered(); rel != nil {
-				if partial == nil {
-					partial = rel
-				} else {
-					// Retried tries re-stream after the checkpoint, so the
-					// new segment extends (never overlaps) the retained
-					// prefix; union keeps the set semantics honest if a
-					// destination ever re-sends a boundary row.
-					partial = partial.Union(rel)
-				}
-			}
-			checkpoint += res.rowCount
-		}
-		if err == nil {
-			if e.Health != nil {
-				e.Health.ReportSuccess(site)
-			}
-			if partial == nil {
-				partial = rql.NewBatch()
-			}
-			ex.recordComplete(site, n, checkpoint, res.watermark, resumed)
-			return partial, nil
-		}
-		if refused(err) && retries == e.MaxRetries {
-			retries++
-		}
-		if try >= retries || !network.Transient(err) || ex.cancelled() {
-			break
-		}
-		wait, hinted := backoff, false
-		if admission.IsOverload(err) {
-			hint, ok := admission.RetryAfterHint(err)
-			if !ok {
-				// Hopeless rejection: capacity frees up after the query's
-				// deadline budget. Fail now so migration (or shedding)
-				// takes over instead of burning retries.
-				break
-			}
-			// The destination said when its capacity frees up: honor its
-			// retry-after instead of the blind doubling curve.
-			wait, hinted = hint, true
-		} else {
-			backoff *= 2
-		}
-		e.record(fact{kind: factRetry, site: site, try: try + 1, waitMS: wait, hinted: hinted}, leaf)
-		pendingBackoffMS = wait
-		ex.resetSite(site)
-	}
-	// Terminal failure: the checkpointed prefix is abandoned (a migration
-	// or restart will fetch the subtree elsewhere, from scratch).
-	e.record(fact{kind: factFailed, count: checkpoint, entry: LedgerEntry{
-		Site: site, Subplan: n.String(), Patterns: patternKey(n),
-		Rows: checkpoint, Attempt: ex.attempt,
-	}}, nil)
-	if e.Health != nil {
-		e.Health.ReportFailure(site)
-	}
-	return nil, err
 }
 
 // recordComplete books a finished dispatch into the ledger, the refetch
@@ -1354,20 +1059,16 @@ func (ex *execution) resetSite(site pattern.PeerID) {
 	ex.engine.Channels.Close(sc.ch)
 }
 
-// dispatch performs one subplan shipment and collects the streamed reply.
-// It returns the remoteResult even on failure: the rows that arrived
-// before the break are a contiguous checkpoint the retry loop keeps.
+// dispatch performs one shipment of the encoded subplan data and collects
+// the streamed reply. It returns the remoteResult even on failure, and
+// every failure as a PeerFailure for site: the rows that arrived before
+// the break are a contiguous checkpoint the retry loop keeps.
 // sp is the try's stream/retry span: the request leg's transfer time is
 // charged to it here, reply packets are charged by the packet collector,
 // and the remote's shipped span record is grafted under it.
-func (ex *execution) dispatch(site pattern.PeerID, n plan.Node, try, resumeFrom int, sp *obs.Span) (*remoteResult, error) {
+func (ex *execution) dispatch(site pattern.PeerID, data []byte, try, resumeFrom int, sp *obs.Span) (*remoteResult, error) {
 	e := ex.engine
 	sc := ex.channelTo(site, sp.TraceID())
-	sub := &plan.Plan{Root: n, Query: nil}
-	data, err := plan.Marshal(sub)
-	if err != nil {
-		return nil, fmt.Errorf("exec: marshal subplan: %w", err)
-	}
 	// Capture the link before taking any lock: the packet collector prices
 	// reply transfers from this snapshot, and LinkBetween takes the
 	// network's own lock.

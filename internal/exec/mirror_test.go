@@ -599,3 +599,64 @@ func TestMirrorOfChoosesTheFrameForm(t *testing.T) {
 		}
 	}
 }
+
+// probeSource runs check before its first scan, then scans inner.
+type probeSource struct {
+	inner BatchSource
+	check func()
+}
+
+func (s *probeSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.TermStore) *rql.Batch {
+	if s.check != nil {
+		s.check()
+		s.check = nil
+	}
+	return s.inner.EvalScanBatch(patterns, store)
+}
+
+// A root whose mirror store has grown past maxMirrorTerms starts a new
+// store as its next execution starts, with every site's table empty, and
+// answers right from there on: the first answers after the reset refill
+// the tables, and later ones read them.
+func TestMirrorStoreResetPastCap(t *testing.T) {
+	rig := newMirrorRig(t, 3)
+	rig.root.Parallelism = 1
+	rig.ask(t, plan1())
+	rig.ask(t, plan1()) // fills the mirrors
+	rig.checkMirror(t, "P4")
+	old := rig.root.mirror.Load().store
+	filler := make([]rdf.Term, maxMirrorTerms+1-old.Len())
+	for i := range filler {
+		filler[i] = rdf.Term{Kind: rdf.KindIRI, Value: fmt.Sprintf("urn:filler:%d", i)}
+	}
+	old.Intern(nil, filler)
+	if old.Len() <= maxMirrorTerms {
+		t.Fatalf("store holds %d terms, want more than %d", old.Len(), maxMirrorTerms)
+	}
+	// P2 answers the root's first remote leaf: when it scans, the new
+	// execution has started and no frame has reached the root yet.
+	probed := false
+	rig.sites["P2"].Local = &probeSource{inner: rig.sites["P2"].Local, check: func() {
+		probed = true
+		m := rig.root.mirror.Load()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.store == old || m.store.Len() != 0 {
+			t.Errorf("the root kept its %d-term store", m.store.Len())
+		}
+		for site, sm := range m.sites {
+			if len(sm.ids) != 0 {
+				t.Errorf("%s's table kept %d entries", site, len(sm.ids))
+			}
+		}
+	}}
+	rig.ask(t, plan1())
+	if !probed {
+		t.Fatal("P2 never scanned")
+	}
+	rig.ask(t, plan1())
+	rig.ask(t, plan1())
+	for _, site := range []pattern.PeerID{"P2", "P3", "P4"} {
+		rig.checkMirror(t, site)
+	}
+}

@@ -63,13 +63,6 @@ type ThroughputMonitor struct {
 	// MinRowsPerTick is the floor below which a channel is flagged.
 	MinRowsPerTick int
 
-	// OnEvent, when set, observes flag/unflag transitions: event is
-	// "flag" (peer dropped below the floor at a Tick) or "unflag" (the
-	// executor cleared it after adapting). Invoked after the monitor
-	// lock is released, in sorted peer order per Tick, so hooks may call
-	// back into the monitor or an obs registry freely.
-	OnEvent func(event string, peer pattern.PeerID)
-
 	mu      sync.Mutex
 	counts  map[pattern.PeerID]int
 	flagged map[pattern.PeerID]bool
@@ -93,9 +86,11 @@ func (m *ThroughputMonitor) Observe(peer pattern.PeerID, rows int) {
 
 // Tick closes the current observation window: every peer whose count is
 // below the floor is flagged obsolete; counters reset. It returns the
-// peers newly flagged this tick, sorted.
+// peers newly flagged this tick, sorted; a peer stays flagged, and is
+// not reported again, until Unflag.
 func (m *ThroughputMonitor) Tick() []pattern.PeerID {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	var newly []pattern.PeerID
 	for peer, n := range m.counts {
 		if n < m.MinRowsPerTick && !m.flagged[peer] {
@@ -104,26 +99,8 @@ func (m *ThroughputMonitor) Tick() []pattern.PeerID {
 		}
 		m.counts[peer] = 0
 	}
-	hook := m.OnEvent
-	m.mu.Unlock()
 	sort.Slice(newly, func(i, j int) bool { return newly[i] < newly[j] })
-	if hook != nil {
-		for _, peer := range newly {
-			hook("flag", peer)
-		}
-	}
 	return newly
-}
-
-// Flagged returns the set of peers currently considered obsolete.
-func (m *ThroughputMonitor) Flagged() map[pattern.PeerID]bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[pattern.PeerID]bool, len(m.flagged))
-	for p := range m.flagged {
-		out[p] = true
-	}
-	return out
 }
 
 // Track registers a peer so that total silence (no Observe calls at all)
@@ -136,26 +113,11 @@ func (m *ThroughputMonitor) Track(peer pattern.PeerID) {
 	}
 }
 
-// IsFlagged reports whether a peer is currently flagged as slow. The
-// executor's mid-flight migration path polls this before dispatching to a
-// site, so a peer flagged during one branch's collection is avoided by
-// sibling branches without waiting for the end-of-round Tick.
-func (m *ThroughputMonitor) IsFlagged(peer pattern.PeerID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.flagged[peer]
-}
-
 // Unflag forgets that a peer was flagged, e.g. after the executor has
 // replanned around it (so a later reinstatement starts clean).
 func (m *ThroughputMonitor) Unflag(peer pattern.PeerID) {
 	m.mu.Lock()
-	was := m.flagged[peer]
+	defer m.mu.Unlock()
 	delete(m.flagged, peer)
 	delete(m.counts, peer)
-	hook := m.OnEvent
-	m.mu.Unlock()
-	if hook != nil && was {
-		hook("unflag", peer)
-	}
 }

@@ -86,13 +86,17 @@ func TestThroughputMonitor(t *testing.T) {
 	if len(newly) != 1 || newly[0] != "P2" {
 		t.Errorf("Tick flagged %v, want [P2]", newly)
 	}
-	if !m.Flagged()["P2"] || m.Flagged()["P1"] {
-		t.Errorf("Flagged = %v", m.Flagged())
-	}
-	// A flagged peer is not re-reported.
+	// A flagged peer is not re-reported while flagged; once unflagged
+	// (and tracked again), a slow window reports it anew.
 	m.Observe("P1", 50)
 	if newly := m.Tick(); len(newly) != 0 {
 		t.Errorf("second Tick re-flagged: %v", newly)
+	}
+	m.Unflag("P2")
+	m.Track("P2")
+	m.Observe("P1", 50)
+	if newly := m.Tick(); len(newly) != 1 || newly[0] != "P2" {
+		t.Errorf("Tick after Unflag flagged %v, want [P2]", newly)
 	}
 	// Tracked-but-silent peers trip the monitor.
 	m2 := optimizer.NewThroughputMonitor(1)

@@ -37,9 +37,6 @@ func assertSameAnnotation(t *testing.T, label string, indexed, brute *pattern.An
 // Figure 2, including the prop4 ⊑ prop1 subsumption hit for P4.
 func TestIndexedRouteMatchesFigure2(t *testing.T) {
 	r := indexedPaperRouter(t)
-	if !r.Registry.Indexed() {
-		t.Fatal("registry should be indexed")
-	}
 	ann, st := r.RouteWithStats(gen.PaperQuery())
 	if !st.Indexed {
 		t.Fatal("route did not use the index")
@@ -189,21 +186,6 @@ func TestIndexedRegistryConcurrentChurn(t *testing.T) {
 	if reg.Len() != 0 {
 		t.Errorf("registry leaked %d peers", reg.Len())
 	}
-}
-
-// TestEnableIndexRetrofit indexes an already-populated registry.
-func TestEnableIndexRetrofit(t *testing.T) {
-	reg := routing.NewRegistry()
-	for peer, as := range gen.PaperActiveSchemas() {
-		reg.Register(peer, as)
-	}
-	reg.EnableIndex(gen.PaperSchema())
-	r := routing.NewRouter(gen.PaperSchema(), reg)
-	ann, st := r.RouteWithStats(gen.PaperQuery())
-	if !st.Indexed {
-		t.Fatal("retrofitted registry did not route via the index")
-	}
-	assertSameAnnotation(t, "retrofit", ann, paperRouter(t).Route(gen.PaperQuery()))
 }
 
 // TestTruncateOnlyScoresAnnotatedPeers pins the truncation fix: with many

@@ -91,28 +91,6 @@ func NewIndexedRegistry(schema *rdf.Schema) *Registry {
 	return r
 }
 
-// EnableIndex retrofits the inverted index onto a registry (e.g. one built
-// through the facade before a schema was known), reindexing every
-// registered advertisement.
-func (r *Registry) EnableIndex(schema *rdf.Schema) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.schema = schema
-	r.index = map[rdf.IRI]map[pattern.PeerID][]pattern.PathPattern{}
-	r.peerProps = map[pattern.PeerID][]rdf.IRI{}
-	for peer, as := range r.schemas {
-		r.indexLocked(peer, as)
-	}
-	r.bump()
-}
-
-// Indexed reports whether the registry maintains the inverted index.
-func (r *Registry) Indexed() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.schema != nil
-}
-
 // bump invalidates the cached view after a mutation. Callers hold r.mu.
 func (r *Registry) bump() {
 	r.epoch++
