@@ -157,32 +157,20 @@ func BenchmarkFig3PlanGeneration(b *testing.B) {
 }
 
 // BenchmarkFig3Execution measures end-to-end distributed execution of
-// Figure 3's plan (channel deployment, subplan shipping, union+join)
-// across branch-parallelism levels: parallelism=1 is the sequential
-// baseline, higher levels fan the independent union branches (§2.4
-// horizontal distribution) across the worker pool. Links sleep a
-// compressed version of their accounted transfer time, so overlapping the
-// independent remote scans shows up as wall-clock savings — the whole
-// point of horizontal distribution.
+// Figure 3's plan (channel deployment, subplan shipping, union+join).
 func BenchmarkFig3Execution(b *testing.B) {
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			peers, net := benchPaperSystem(b, 20)
-			net.SetRealLatency(0.2) // 20ms default link latency → ~4ms slept
-			p1 := peers["P1"]
-			p1.Engine.Parallelism = par
-			pr, err := p1.PlanQuery(gen.PaperQuery())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p1.Engine.Execute(pr.Raw); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	peers, _ := benchPaperSystem(b, 20)
+	p1 := peers["P1"]
+	pr, err := p1.PlanQuery(gen.PaperQuery())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p1.Engine.Execute(pr.Raw); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

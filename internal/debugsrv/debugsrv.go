@@ -4,9 +4,10 @@
 // net/http/pprof's live profiles under /debug/pprof/. It is
 // the one deliberately wall-clock-adjacent corner of the middleware —
 // serving HTTP to a human operator is real-time by nature — so the wall
-// clock is confined to a two-function shim below (the SetRealLatency
-// idiom), the deterministic core never imports this package, and nothing
-// served here feeds back into query results.
+// clock is confined to a two-function shim below (the walltime
+// analyzer's one allowlisted exception), the deterministic core never
+// imports this package, and nothing served here feeds back into query
+// results.
 package debugsrv
 
 import (

@@ -20,7 +20,6 @@ func TestBatchStreamSurvivesReorderDuplication(t *testing.T) {
 	const seed = 20240805
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.BatchSize = 2
 	inj := faults.NewInjector(seed, faults.Rates{Duplicate: 1, DelaySpike: 0.5, SpikeMS: 300})
 	net.SetInjector(inj)
@@ -55,7 +54,6 @@ func TestBatchResumeAtBatchBoundary(t *testing.T) {
 	const batchSize = 2
 	peers, net := paperSystem(t, 4)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 2
 	// The serving peer's BatchSize sets its frames. Drop P4's second
 	// chan.packet: the first batch frame (batchSize rows) reaches the
@@ -139,7 +137,6 @@ func TestNonBatchResultsPacketFails(t *testing.T) {
 	const badRows = 1000
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.Router = nil
 	p4 := peers["P4"]
 	net.Handle("P4", "exec.subplan", func(msg network.Message) ([]byte, error) {
@@ -174,7 +171,6 @@ func TestNonBatchResultsPacketFails(t *testing.T) {
 func TestOneFramePerRowStream(t *testing.T) {
 	peers, _ := paperSystem(t, 8)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	for _, p := range peers {
 		p.Engine.BatchSize = 1 // one frame per row
 	}

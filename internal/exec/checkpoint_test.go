@@ -23,7 +23,6 @@ import (
 func TestCheckpointCountsOnlyKeptRows(t *testing.T) {
 	peers, net := paperSystem(t, 4)
 	p1, p4 := peers["P1"], peers["P4"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 1
 	p1.Engine.Router = nil
 	q := gen.PaperQuery()
@@ -37,7 +36,7 @@ func TestCheckpointCountsOnlyKeptRows(t *testing.T) {
 		From: "P4", Kind: "chan.packet", After: first - 1, Count: 1, Fault: network.Fault{Drop: true},
 	})
 	net.SetInjector(script)
-	srv := &exec.Engine{Self: "P4", Local: p4.Engine.Local, Options: exec.Options{Parallelism: 1}}
+	srv := &exec.Engine{Self: "P4", Local: p4.Engine.Local}
 	calls, resumed := 0, -1
 	net.Handle("P4", "exec.subplan", func(msg network.Message) ([]byte, error) {
 		req, err := channel.DecodeSubplan(msg.Payload)

@@ -21,7 +21,7 @@ func TestCompletenessMergeMixedBranches(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Options:    exec.Options{Parallelism: 1, MaxRetries: 1, AllowPartial: true},
+		Options:    exec.Options{MaxRetries: 1, AllowPartial: true},
 		Quarantine: true,
 	}, net)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestCompletenessShedBranchesSortedDeduped(t *testing.T) {
 	ctl := admission.NewController(admission.Config{MaxConcurrent: 4, HoldMS: 1000})
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Options:   exec.Options{Parallelism: 1, AllowPartial: true},
+		Options:   exec.Options{AllowPartial: true},
 		Admission: ctl,
 	}, net)
 	if err != nil {

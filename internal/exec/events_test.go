@@ -40,7 +40,7 @@ func runMigrationStorm(t *testing.T, traced bool) eventRun {
 			Events: obs.NewEventLog(net.NowMS)}
 		if id == "P1" {
 			cfg.FlightRec = true
-			cfg.Parallelism, cfg.MaxRetries, cfg.BatchSize = 1, 1, 1
+			cfg.MaxRetries, cfg.BatchSize = 1, 1
 			if traced {
 				cfg.Tracer = obs.NewTracer()
 			}

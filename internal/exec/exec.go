@@ -12,9 +12,7 @@ package exec
 import (
 	"cmp"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -86,21 +84,14 @@ func (e *HoleError) Error() string {
 // run-time adaptation choices of §2.5 (retry, migrate, answer
 // partially). peer.Config embeds the same struct, so a peer hands its
 // settings to its engine in one assignment. Every zero value is the
-// default: data shipping, GOMAXPROCS branches, no deadline, no
-// retries, no partial answers, 256-row frames, migration on.
+// default: data shipping, no deadline, no retries, no partial answers,
+// 256-row frames, migration on.
 type Options struct {
 	// Policy places joins; HybridShipping consults Engine.Cost.
 	Policy optimizer.ShippingPolicy
-	// Parallelism bounds how many plan branches one Execute evaluates
-	// concurrently (horizontal distribution, §2.4: per-path-pattern unions
-	// over peers are independent). 0 or negative means GOMAXPROCS; 1
-	// recovers strictly sequential evaluation. Results are deterministic
-	// regardless of the setting: branches are collected per input and
-	// merged in input order.
-	Parallelism int
 	// DeadlineMS, when positive, bounds each dispatch leg on the simulated
 	// clock: a delivery slower than this (hung or gray-failed peer) fails
-	// with a transient error instead of wedging a pool token. Upstream
+	// with a transient error instead of wedging the query. Upstream
 	// packets are bounded separately via Channels.DeadlineMS.
 	DeadlineMS float64
 	// MaxRetries is how many times a transiently-failed dispatch is
@@ -224,14 +215,6 @@ type Engine struct {
 	// mirror is the engine's dictionary mirrors, made when first needed
 	// (see mirrors).
 	mirror atomic.Pointer[mirrorSet]
-}
-
-// parallelism resolves the engine's effective branch parallelism.
-func (e *Engine) parallelism() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // patternIDs lists the pattern ids of a node's scans, each once, in scan
@@ -456,11 +439,12 @@ func peersCSV(peers []pattern.PeerID) string {
 	return strings.Join(parts, ",")
 }
 
-// execution is the per-Execute state: one channel per contacted peer, a
-// single-flight dispatch cache, and the bounded branch pool. One execution
-// may run many goroutines, but each Execute call owns its execution
-// exclusively, so concurrent Execute calls on one engine never share
-// per-execution state.
+// execution is the per-Execute state: one channel per contacted peer and
+// a memo of finished dispatches. An execution runs on the goroutine of
+// the Execute call that owns it: the plan is walked depth first, one
+// branch after another, so concurrent Execute calls on one engine share
+// no per-execution state and nothing in an execution runs concurrently
+// with its walk except the packet callbacks (see mu).
 type execution struct {
 	engine *Engine
 	// attempt is the ExecuteAnnotated restart round this execution runs in
@@ -470,21 +454,16 @@ type execution struct {
 	// completeness annotation when mid-flight filling fails.
 	holeReason string
 	// fetched is ExecuteAnnotated's cross-attempt (site, pattern set) →
-	// rows map backing the refetch accounting; guarded by mu (attempts
-	// run one at a time, branches within an attempt race).
+	// rows map backing the refetch accounting.
 	fetched map[string]int
 	// qos is the tenant/priority the execution runs under: stamped onto
 	// every subplan request, and consulted for root-side shedding.
-	// Immutable after newExecution's caller sets it.
-	qos admission.QoS
-
-	mu    sync.Mutex
+	qos   admission.QoS
 	sites map[pattern.PeerID]*siteChan
-	// cache single-flights remote dispatches within this execution:
-	// optimized plans repeat the same scan under several union branches,
-	// and with branches racing, the first to ask ships the subplan while
-	// the rest wait on its entry.
-	cache map[string]*cacheEntry
+	// memo holds the rows of every finished remote dispatch (nil for a
+	// shed one) by site and subplan: optimized plans repeat the same scan
+	// under several union branches, and only the first ships it.
+	memo map[string]*rql.Batch
 	// migrations counts mid-flight subplan migrations this round, bounded
 	// by maxMigrations.
 	migrations int
@@ -495,49 +474,30 @@ type execution struct {
 	// pattern id → reason.
 	unanswered map[string]string
 
-	// sem is the worker pool, holding Parallelism tokens. Union/join
-	// fan-out spawns one goroutine per branch (tree structure is cheap
-	// and plan-bounded), but the actual leaf work — local scans and
-	// remote dispatches — blocks acquiring a token, so at most
-	// Parallelism leaves execute at once. Token holders never acquire a
-	// second token (leaves don't recurse into this pool), which is what
-	// makes the blocking acquire deadlock-free. nil when Parallelism is
-	// 1: then fan-out is skipped entirely and evaluation is the classic
-	// sequential walk.
-	sem chan struct{}
-	// cancel is closed when any branch fails, making sibling branches
-	// finish early instead of shipping work whose result will be
-	// discarded (ubQL semantics: first failure aborts the round).
-	cancel     chan struct{}
-	cancelOnce sync.Once
+	// mu guards every slot's res and the in-flight collector it points
+	// at. The walk sets and takes res around each send, and the channel's
+	// packet callback fills it: in process that callback runs inside the
+	// send, but a packet that enters through a network.Gateway is
+	// delivered on the gateway's connection goroutine.
+	mu sync.Mutex
 }
 
-// siteChan is the per-peer channel slot: the deployed channel plus a
-// mutex serializing dispatches, so concurrent branches targeting the same
-// peer share one channel (the paper deploys exactly one channel per
-// contributing peer) without interleaving their request/collect cycles.
+// siteChan is the per-peer channel slot: the deployed channel the
+// execution ships every subplan for the peer on (the paper deploys
+// exactly one channel per contributing peer), one request at a time.
 type siteChan struct {
 	ch *channel.Channel
 	// held is what the root held of the site's dictionary and statistics
-	// when the slot was made. Every request on the slot states it, so
-	// what a site ships does not depend on which of the execution's
-	// branches takes the channel first; a retry makes a fresh slot and
-	// states the fresh count.
+	// when the slot was made. Every request on the slot states it, not
+	// what the root holds by the time the request ships: the root's mirror
+	// grows as the slot's earlier answers arrive, and stating it fresh
+	// would change what the later requests ship. A retry makes a fresh
+	// slot and states the fresh count.
 	held holding
-	mu   sync.Mutex
 	// res collects the in-flight dispatch's packets: set when the request
 	// ships, taken when it returns, nil in between. Guarded by the
-	// execution's mu, because the channel's callback runs while the
-	// dispatch holds sc.mu.
+	// execution's mu.
 	res *remoteResult
-}
-
-// cacheEntry is a single-flight memo: done closes when the owning branch
-// has filled rows/err.
-type cacheEntry struct {
-	done chan struct{}
-	rows *rql.Batch
-	err  error
 }
 
 type remoteResult struct {
@@ -592,39 +552,17 @@ func (res *remoteResult) gathered() *rql.Batch {
 	return nil
 }
 
-// errCancelled aborts sibling branches after another branch failed; the
-// failing branch's own error is what surfaces.
-var errCancelled = errors.New("exec: execution cancelled")
-
 func newExecution(e *Engine) *execution {
 	ex := &execution{
 		engine:     e,
 		fetched:    map[string]int{},
 		sites:      map[pattern.PeerID]*siteChan{},
-		cache:      map[string]*cacheEntry{},
+		memo:       map[string]*rql.Batch{},
 		unanswered: map[string]string{},
 		holeReason: "no peer advertises this pattern",
-		cancel:     make(chan struct{}),
-	}
-	if par := e.parallelism(); par > 1 {
-		ex.sem = make(chan struct{}, par)
 	}
 	e.trimMirrors()
 	return ex
-}
-
-// acquire takes a worker token (no-op when sequential); release returns
-// it. Leaf work — the expensive part of a branch — runs between them.
-func (ex *execution) acquire() {
-	if ex.sem != nil {
-		ex.sem <- struct{}{}
-	}
-}
-
-func (ex *execution) release() {
-	if ex.sem != nil {
-		<-ex.sem
-	}
 }
 
 // executeOnce runs one execution round. It returns the round's rows (nil
@@ -652,42 +590,21 @@ func (e *Engine) executeOnce(p *plan.Plan, attempt int, lastFailure error, fetch
 		// annotated — answer.
 		rows = rql.NewBatch()
 	}
-	ex.mu.Lock()
 	var un []Unanswered // nil when every hole was filled
 	for id, reason := range ex.unanswered {
 		un = append(un, Unanswered{PatternID: id, Reason: reason})
 	}
-	ex.mu.Unlock()
 	sort.Slice(un, func(i, j int) bool { return un[i].PatternID < un[j].PatternID })
 	return rows, un, nil
 }
 
-// abort makes every in-flight branch of this execution finish early.
-func (ex *execution) abort() {
-	ex.cancelOnce.Do(func() { close(ex.cancel) })
-}
-
-// cancelled reports whether the execution has been aborted.
-func (ex *execution) cancelled() bool {
-	select {
-	case <-ex.cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// runAll evaluates the inputs of a union or join, fanning out across the
-// branch pool. Results are collected per input index and returned in input
-// order, so the caller's merge is deterministic no matter how the branches
-// interleave. On failure the lowest-index real error wins (matching what
-// sequential evaluation would have surfaced) and siblings are cancelled.
+// runAll evaluates the inputs of a union or join one after another, in
+// input order, and stops at the first error.
 func (ex *execution) runAll(inputs []plan.Node, parent *obs.Span) ([]*rql.Batch, error) {
-	// Branch spans are pre-created here, in input order, BEFORE any
-	// goroutine is spawned: span creation order (and therefore the
-	// exported layout) is a function of the plan alone, no matter how the
-	// branches interleave at run time. Sibling span names are made unique
-	// by the branch index prefix.
+	// Branch spans are made here, in input order, before any branch runs:
+	// every sibling's span exists before the first branch opens spans of
+	// its own, so the exported layout is a function of the plan alone.
+	// Sibling span names are made unique by the branch index prefix.
 	var spans []*obs.Span
 	if parent != nil {
 		spans = make([]*obs.Span, len(inputs))
@@ -696,63 +613,19 @@ func (ex *execution) runAll(inputs []plan.Node, parent *obs.Span) ([]*rql.Batch,
 		}
 		defer endAll(spans)
 	}
-	if len(inputs) == 1 || ex.sem == nil {
-		// Sequential fast path: no goroutines, stop at the first error.
-		out := make([]*rql.Batch, len(inputs))
-		for i, in := range inputs {
-			var bsp *obs.Span
-			if spans != nil {
-				bsp = spans[i]
-			}
-			rs, err := ex.run(in, bsp)
-			if err != nil {
-				ex.abort()
-				return nil, err
-			}
-			out[i] = rs
-		}
-		return out, nil
-	}
-	// One goroutine per branch: goroutines only carry the tree structure
-	// (cheap, bounded by plan size); the worker pool caps the expensive
-	// leaf work, which each branch acquires a token for when it reaches a
-	// scan or dispatch. Keeping structural nodes out of the pool matters:
-	// a union parent that held a token while waiting on its children would
-	// starve its own siblings' leaves.
-	results := make([]*rql.Batch, len(inputs))
-	errs := make([]error, len(inputs))
-	var wg sync.WaitGroup
+	out := make([]*rql.Batch, len(inputs))
 	for i, in := range inputs {
-		var bsp *obs.Span
+		var sp *obs.Span
 		if spans != nil {
-			bsp = spans[i]
+			sp = spans[i]
 		}
-		wg.Add(1)
-		go func(i int, in plan.Node, bsp *obs.Span) {
-			defer wg.Done()
-			results[i], errs[i] = ex.run(in, bsp)
-			if errs[i] != nil {
-				ex.abort()
-			}
-		}(i, in, bsp)
-	}
-	wg.Wait()
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, errCancelled) {
+		rs, err := ex.run(in, sp)
+		if err != nil {
 			return nil, err
 		}
-		if fallback == nil {
-			fallback = err
-		}
+		out[i] = rs
 	}
-	if fallback != nil {
-		return nil, fallback
-	}
-	return results, nil
+	return out, nil
 }
 
 // branchKind maps a plan node to the span kind of its branch span.
@@ -800,9 +673,6 @@ func endAll(spans []*obs.Span) {
 // sp is the node's own span (the branch span its parent pre-created, or
 // the attempt span at the plan root); nil when tracing is off.
 func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
-	if ex.cancelled() {
-		return nil, errCancelled
-	}
 	e := ex.engine
 	switch v := n.(type) {
 	case *plan.Scan:
@@ -810,11 +680,6 @@ func (ex *execution) run(n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 			return ex.runHole(v, sp)
 		}
 		if v.Peer == e.Self {
-			ex.acquire()
-			defer ex.release()
-			if ex.cancelled() {
-				return nil, errCancelled
-			}
 			e.record(fact{kind: factLocalScan}, nil)
 			// The scan leaf is where rows enter the engine's data plane,
 			// born a batch, so every union/join above runs vectorized.
@@ -939,26 +804,18 @@ func largestScanPeer(cm *optimizer.CostModel, j *plan.Join) pattern.PeerID {
 }
 
 // runRemote ships the node to the site peer and gathers its rows through
-// the channel, climbing the recovery ladder when the site fails.
-// Identical dispatches from concurrent branches are single-flighted: the
-// first branch ships, the rest wait on its cache entry.
+// the channel, climbing the recovery ladder when the site fails. A
+// dispatch this execution already finished is answered from its memo.
 func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql.Batch, error) {
 	e := ex.engine
-	cacheKey := string(site) + "\x00" + n.String()
-	ex.mu.Lock()
-	if ent, ok := ex.cache[cacheKey]; ok {
-		ex.mu.Unlock()
+	key := string(site) + "\x00" + n.String()
+	if rows, ok := ex.memo[key]; ok {
+		// The annotation's key is part of the exported trace format.
 		if sp != nil {
 			sp.Annotate("singleflight", "hit")
 		}
-		// Waiters hold no pool token, so the owner can always acquire one
-		// and fill the entry — waiting here cannot deadlock.
-		<-ent.done
-		return ent.rows, ent.err
+		return rows, nil
 	}
-	ent := &cacheEntry{done: make(chan struct{})}
-	ex.cache[cacheKey] = ent
-	ex.mu.Unlock()
 	// Root-side load shedding: once this peer's pool has saturated past
 	// the execution's priority watermark (which only happens when
 	// higher classes piled on top — admission stops same-class entry at
@@ -967,14 +824,18 @@ func (ex *execution) runRemote(site pattern.PeerID, n plan.Node, sp *obs.Span) (
 	// The query answers partially and immediately instead of timing
 	// out. Requires AllowPartial; High-priority work never sheds
 	// (ShouldShed guarantees it).
+	var rows *rql.Batch // nil when shed: the absent-branch sentinel
 	if e.AllowPartial && e.Admission.ShouldShed(ex.qos.Priority) {
 		ex.shedSubplan(site, n, sp)
-		close(ent.done) // nil batch: the absent-branch sentinel
-		return nil, nil
+	} else {
+		var err error
+		if rows, err = ex.climb(site, n, sp); err != nil {
+			// A failed leaf fails the round: nothing asks the memo again.
+			return nil, err
+		}
 	}
-	ent.rows, ent.err = ex.climb(site, n, sp)
-	close(ent.done)
-	return ent.rows, ent.err
+	ex.memo[key] = rows
+	return rows, nil
 }
 
 // shedSubplan converts a not-yet-dispatched remote subtree into
@@ -1004,8 +865,6 @@ func (ex *execution) shedSubplan(site pattern.PeerID, n plan.Node, sp *obs.Span)
 // markUnanswered records the patterns as unanswered for reason; a
 // pattern keeps the first reason recorded for it.
 func (ex *execution) markUnanswered(ids []string, reason string) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
 	for _, id := range ids {
 		if _, ok := ex.unanswered[id]; !ok {
 			ex.unanswered[id] = reason
@@ -1019,13 +878,11 @@ func (ex *execution) recordComplete(site pattern.PeerID, n plan.Node, rows, wate
 	e := ex.engine
 	key := patternKey(n)
 	slice := string(site) + "\x00" + key
-	ex.mu.Lock()
 	_, again := ex.fetched[slice]
 	if !again {
 		ex.fetched[slice] = rows
 	}
 	ex.completedRows += rows
-	ex.mu.Unlock()
 	// A site that already delivered this pattern set in an earlier
 	// dispatch of this query re-paid the whole fetch.
 	refetched := 0
@@ -1040,23 +897,11 @@ func (ex *execution) recordComplete(site pattern.PeerID, n plan.Node, rows, wate
 
 // resetSite retires a site's channel slot after a failed dispatch, so
 // the retry deploys a fresh channel rather than reuse the slot.
-// A dispatch another branch has in flight on the slot finishes first: the
-// slot's mutex is taken before it is retired.
 func (ex *execution) resetSite(site pattern.PeerID) {
-	ex.mu.Lock()
-	sc, ok := ex.sites[site]
-	ex.mu.Unlock()
-	if !ok {
-		return
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	ex.mu.Lock()
-	if ex.sites[site] == sc {
+	if sc, ok := ex.sites[site]; ok {
 		delete(ex.sites, site)
+		ex.engine.Channels.Close(sc.ch)
 	}
-	ex.mu.Unlock()
-	ex.engine.Channels.Close(sc.ch)
 }
 
 // dispatch performs one shipment of the encoded subplan data and collects
@@ -1069,27 +914,12 @@ func (ex *execution) resetSite(site pattern.PeerID) {
 func (ex *execution) dispatch(site pattern.PeerID, data []byte, try, resumeFrom int, sp *obs.Span) (*remoteResult, error) {
 	e := ex.engine
 	sc := ex.channelTo(site, sp.TraceID())
-	// Capture the link before taking any lock: the packet collector prices
-	// reply transfers from this snapshot, and LinkBetween takes the
-	// network's own lock.
+	// The packet collector prices reply transfers from this snapshot of
+	// the link, so it never touches the network's lock.
 	var link stats.Link
 	if sp != nil {
 		link = e.Net.LinkBetween(e.Self, site)
 	}
-	// One request/collect cycle at a time per channel: the slot holds one
-	// in-flight collector, and the request's sequence base is the
-	// channel's watermark, so concurrent branches targeting the same peer
-	// take turns on its channel.
-	sc.mu.Lock()
-	// While this dispatch waited, another branch's retry may have retired
-	// the slot (resetSite): ship on the site's current slot instead of a
-	// channel the root no longer listens on.
-	for !ex.holds(site, sc) {
-		sc.mu.Unlock()
-		sc = ex.channelTo(site, sp.TraceID())
-		sc.mu.Lock()
-	}
-	defer func() { sc.mu.Unlock() }()
 	// The request deploys the channel at the destination. A positive
 	// resumeFrom asks the destination to skip that many leading rows; it
 	// acknowledges with a PlanChange packet before streaming. SeqBase
@@ -1114,7 +944,6 @@ func (ex *execution) dispatch(site pattern.PeerID, data []byte, try, resumeFrom 
 	if tm := e.Throughput; tm != nil {
 		tm.Track(site)
 	}
-	//lint:allow locksafe per-site channel serialization is the point of sc.mu, and SendWithin is deadline-bounded so the hold is finite
 	sendErr := e.Net.SendWithin(e.Self, site, msg.Kind, msg.Payload, e.DeadlineMS)
 	// Delivery is synchronous: by the time Send returns, the remote has
 	// executed and its packets have been dispatched to our collector. Even
@@ -1142,33 +971,15 @@ func (ex *execution) dispatch(site pattern.PeerID, data []byte, try, resumeFrom 
 // the first subplan shipped on the channel opens it at the destination.
 // trace is the query's trace id, recorded on the channel for its events.
 func (ex *execution) channelTo(site pattern.PeerID, trace string) *siteChan {
-	e := ex.engine
-	ex.mu.Lock()
-	sc, ok := ex.sites[site]
-	ex.mu.Unlock()
-	if ok {
+	if sc, ok := ex.sites[site]; ok {
 		return sc
 	}
-	// Read the mirror's state outside ex.mu: lock order stays one-deep.
-	fresh := &siteChan{held: e.mirrors().holding(site)}
-	ex.mu.Lock()
-	if sc, ok = ex.sites[site]; !ok {
-		sc = fresh
-		sc.ch = e.Channels.Deploy(trace, func(pkt channel.Packet) { ex.onPacket(sc, pkt) })
-		ex.sites[site] = sc
-	}
-	ex.mu.Unlock()
-	if !ok {
-		e.record(fact{kind: factChannelOpened}, nil)
-	}
+	e := ex.engine
+	sc := &siteChan{held: e.mirrors().holding(site)}
+	sc.ch = e.Channels.Deploy(trace, func(pkt channel.Packet) { ex.onPacket(sc, pkt) })
+	ex.sites[site] = sc
+	e.record(fact{kind: factChannelOpened}, nil)
 	return sc
-}
-
-// holds reports whether sc is the execution's current slot for site.
-func (ex *execution) holds(site pattern.PeerID, sc *siteChan) bool {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.sites[site] == sc
 }
 
 // onPacket folds one accepted packet into the site slot's in-flight
@@ -1304,13 +1115,10 @@ func (ex *execution) onPacket(sc *siteChan, pkt channel.Packet) {
 // local — no destination holds state past the request it handled — so
 // the order does not matter.
 func (ex *execution) closeAll() {
-	ex.mu.Lock()
-	sites := ex.sites
-	ex.sites = map[pattern.PeerID]*siteChan{}
-	ex.mu.Unlock()
-	for _, sc := range sites {
+	for _, sc := range ex.sites {
 		ex.engine.Channels.Close(sc.ch)
 	}
+	clear(ex.sites)
 }
 
 // handleSubplan executes a subplan shipped by a remote root: joins run at

@@ -36,7 +36,6 @@ func runFold(t *testing.T, inj network.Injector, p4Batch int, withWatermark bool
 	t.Helper()
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 2
 	p1.Engine.DeadlineMS = 200
 	for _, p := range peers {

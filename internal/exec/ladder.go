@@ -25,7 +25,6 @@ const (
 	outOverload                 // the site's admission refused the subplan, with a retry-after hint
 	outHopeless                 // the site's admission refused it with no hint: capacity frees past the deadline
 	outRefused                  // the root's dictionary mirror refused a frame
-	outCancelled                // the try failed while a sibling's failure aborted the round
 	outPermanent                // a Failure packet, an unreadable frame, a stream with no final packet
 	// How a leaf ended.
 	outSiteFailed // the site gave up: no try answered
@@ -70,7 +69,6 @@ type facts struct {
 	backoffMS  float64 // the blind wait: retryBackoffMS, doubled per blind retry
 	router     bool    // Engine.Router is set
 	migration  bool    // Options.DisableMigration is off
-	cancelled  bool    // the round is aborting
 	replans    int     // replans this execution made so far
 	partial    bool    // Options.AllowPartial
 	// reroute drops the failed peers from routing and routes what they
@@ -101,8 +99,8 @@ type decision struct {
 //	refused      a retry left                                    retry after the backoff
 //	any other try outcome, or no retry left                      fail: the site gives up
 //	--- a leaf ---
-//	site failed  router, migration on, not cancelled,
-//	             reroute covers, budget left                     migrate
+//	site failed  router, migration on, reroute covers,
+//	             budget left                                     migrate
 //	site failed  otherwise                                       fail: the round fails
 //	hole         router, reroute covers                          fill
 //	hole         otherwise                                       hole: an absent branch
@@ -145,7 +143,7 @@ func ladder(o outcome, f facts) decision {
 		}
 		return decision{step: stepRetry, waitMS: f.backoffMS}
 	case outSiteFailed:
-		if f.router && f.migration && !f.cancelled && f.reroute() == covered && f.budget() {
+		if f.router && f.migration && f.reroute() == covered && f.budget() {
 			return decision{step: stepMigrate}
 		}
 	case outHole:
@@ -177,12 +175,10 @@ func ladder(o outcome, f facts) decision {
 // outcomeOf classifies how a dispatch try ended, and an overload's
 // retry-after hint. A rejection that crossed a socket arrives as its
 // bare transient DeliveryError and is retried blind.
-func outcomeOf(err error, cancelled bool) (outcome, float64) {
+func outcomeOf(err error) (outcome, float64) {
 	switch {
 	case err == nil:
 		return outOK, 0
-	case cancelled:
-		return outCancelled, 0
 	case refused(err):
 		return outRefused, 0
 	case admission.IsOverload(err):
@@ -231,13 +227,10 @@ func (ex *execution) climb(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql
 	if err != nil {
 		return nil, fmt.Errorf("exec: marshal subplan: %w", err)
 	}
-	ex.acquire()
-	if ex.cancelled() {
-		ex.release()
-		return nil, errCancelled
-	}
 	leaf := sp.ChildAt(obs.KindDispatch, "dispatch@"+string(site), string(site))
 	f := facts{maxRetries: e.MaxRetries, backoffMS: retryBackoffMS}
+	var d decision
+	var res *remoteResult
 	var partial *rql.Batch  // checkpointed rows from failed tries
 	checkpoint := 0         // contiguous row prefix already delivered
 	resumed := false        // the site honored a checkpoint
@@ -253,7 +246,6 @@ func (ex *execution) climb(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql
 		}
 		ssp := leaf.Child(kind, name)
 		ssp.ChargeMS(pendingBackoffMS)
-		var res *remoteResult
 		res, err = ex.dispatch(site, data, f.try, checkpoint, ssp)
 		ssp.End()
 		switch {
@@ -280,20 +272,8 @@ func (ex *execution) climb(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql
 		}
 		checkpoint += res.rowCount
 		var o outcome
-		o, f.hintMS = outcomeOf(err, ex.cancelled())
-		d := ladder(o, f)
-		if d.step == stepComplete {
-			if e.Health != nil {
-				e.Health.ReportSuccess(site)
-			}
-			// A try that answered delivered its final Results frame, so
-			// partial holds at least that frame.
-			ex.recordComplete(site, n, checkpoint, res.watermark, resumed)
-			leaf.End()
-			ex.release()
-			return partial, nil
-		}
-		if d.step != stepRetry {
+		o, f.hintMS = outcomeOf(err)
+		if d = ladder(o, f); d.step != stepRetry {
 			break
 		}
 		f.refused = f.refused || o == outRefused
@@ -304,6 +284,16 @@ func (ex *execution) climb(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql
 		pendingBackoffMS = d.waitMS
 		ex.resetSite(site)
 	}
+	leaf.End()
+	if d.step == stepComplete {
+		if e.Health != nil {
+			e.Health.ReportSuccess(site)
+		}
+		// A try that answered delivered its final Results frame, so
+		// partial holds at least that frame.
+		ex.recordComplete(site, n, checkpoint, res.watermark, resumed)
+		return partial, nil
+	}
 	// The site gave up: the checkpointed prefix is abandoned (a migration
 	// or restart fetches the subtree elsewhere, from scratch).
 	e.record(fact{kind: factFailed, count: checkpoint, entry: LedgerEntry{
@@ -313,15 +303,10 @@ func (ex *execution) climb(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql
 	if e.Health != nil {
 		e.Health.ReportFailure(site)
 	}
-	leaf.End()
-	// The pool token is released before any migration: the migrated
-	// subtree re-enters ex.run and acquires its own tokens (token holders
-	// never acquire twice).
-	ex.release()
 	var alternate *plan.Plan
 	retained := 0
-	d := ladder(outSiteFailed, facts{
-		router: e.Router != nil, migration: !e.DisableMigration, cancelled: ex.cancelled(),
+	d = ladder(outSiteFailed, facts{
+		router: e.Router != nil, migration: !e.DisableMigration,
 		reroute: func() cover {
 			alternate = ex.reroute(site, n)
 			return covers(alternate)
@@ -355,14 +340,6 @@ func (ex *execution) climb(site pattern.PeerID, n plan.Node, sp *obs.Span) (*rql
 // the migrated answer's equality to the restarted one needs), cuts the
 // site's scans out of the subtree, and fills the holes from a fresh
 // quarantine-aware snapshot. nil when some pattern found no other peer.
-//
-// Ordering note: each migration quarantines its site BEFORE routing. A
-// migrated branch that lands on a sibling's in-flight cache entry
-// therefore routed before that sibling quarantined its own site — so a
-// cycle of branches waiting on each other's entries would need every
-// route to precede every quarantine, which the per-branch
-// quarantine-then-route order makes impossible. The wait graph stays
-// acyclic no matter how concurrent migrations interleave.
 func (ex *execution) reroute(site pattern.PeerID, n plan.Node) *plan.Plan {
 	e := ex.engine
 	e.dropFromRouting(site)
@@ -383,7 +360,7 @@ func covers(p *plan.Plan) cover {
 // runHole resolves a `@?` leaf mid-flight: advertisement updates learned
 // since the plan was generated may cover it now, in which case the hole
 // becomes a dispatched subplan (the paper's plan-change packets carry
-// exactly this upgrade) while sibling branches keep streaming. A hole no
+// exactly this upgrade) while sibling branches keep their rows. A hole no
 // snapshot covers is an absent branch, reported unanswered. Holes reach
 // execution only under AllowPartial (ExecuteBatch rejects a holed plan
 // otherwise), and they never ship.
@@ -410,8 +387,6 @@ func (ex *execution) runHole(v *plan.Scan, sp *obs.Span) (*rql.Batch, error) {
 // sibling rows the round has completed so far (what the migration
 // retains); ok is false when none is left.
 func (ex *execution) takeMigration() (retained int, ok bool) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
 	if ex.migrations >= maxMigrations {
 		return 0, false
 	}

@@ -59,8 +59,6 @@ func TestLadder(t *testing.T) {
 			want: decision{step: stepRetry, waitMS: 10}, e2e: refusedOnce},
 		{name: "mirror refused again, no retry left", o: outRefused, f: facts{try: 1, refused: true, backoffMS: 20},
 			want: decision{step: stepFail}, e2e: refusedTwice},
-		{name: "cancelled", o: outCancelled, f: facts{maxRetries: 2},
-			want: decision{step: stepFail}, e2e: cancelledTry},
 		{name: "permanent", o: outPermanent, f: facts{maxRetries: 2},
 			want: decision{step: stepFail}, e2e: failurePacket},
 		// A leaf whose site gave up.
@@ -70,8 +68,6 @@ func TestLadder(t *testing.T) {
 			want: decision{step: stepFail}, e2e: lostRequestNoRouter},
 		{name: "site failed, migration off", o: outSiteFailed, f: facts{router: true},
 			want: decision{step: stepFail}, e2e: restarted},
-		{name: "site failed while cancelled", o: outSiteFailed, f: facts{router: true, migration: true, cancelled: true},
-			want: decision{step: stepFail}, e2e: cancelledTry},
 		{name: "site failed, no alternate", o: outSiteFailed, f: facts{router: true, migration: true},
 			alt: uncovered, reads: "reroute", want: decision{step: stepFail}, e2e: soleHolderStrict},
 		{name: "site failed, budget spent", o: outSiteFailed, f: facts{router: true, migration: true},
@@ -130,20 +126,18 @@ func TestLadder(t *testing.T) {
 func TestOutcomeOf(t *testing.T) {
 	hopeless := hopelessErr()
 	for _, c := range []struct {
-		err       error
-		cancelled bool
-		want      outcome
+		err  error
+		want outcome
 	}{
-		{nil, true, outOK},
-		{&PeerFailure{Peer: "P2", Err: &network.DeliveryError{Transient: true}}, true, outCancelled},
-		{&PeerFailure{Peer: "P2", Err: errMirrorRefused}, false, outRefused},
-		{&PeerFailure{Peer: "P2", Err: overloaded()}, false, outOverload},
-		{&PeerFailure{Peer: "P2", Err: hopeless}, false, outHopeless},
-		{&PeerFailure{Peer: "P2", Err: &network.DeliveryError{Transient: true, RetryAfterMS: 5}}, false, outTransient},
-		{&PeerFailure{Peer: "P2", Err: errors.New("exec: remote failure")}, false, outPermanent},
+		{nil, outOK},
+		{&PeerFailure{Peer: "P2", Err: errMirrorRefused}, outRefused},
+		{&PeerFailure{Peer: "P2", Err: overloaded()}, outOverload},
+		{&PeerFailure{Peer: "P2", Err: hopeless}, outHopeless},
+		{&PeerFailure{Peer: "P2", Err: &network.DeliveryError{Transient: true, RetryAfterMS: 5}}, outTransient},
+		{&PeerFailure{Peer: "P2", Err: errors.New("exec: remote failure")}, outPermanent},
 	} {
-		if got, _ := outcomeOf(c.err, c.cancelled); got != c.want {
-			t.Errorf("outcomeOf(%v, %v) = %d, want %d", c.err, c.cancelled, got, c.want)
+		if got, _ := outcomeOf(c.err); got != c.want {
+			t.Errorf("outcomeOf(%v) = %d, want %d", c.err, got, c.want)
 		}
 	}
 }
@@ -155,7 +149,6 @@ func TestOutcomeOf(t *testing.T) {
 func newLadderRig(t *testing.T, advertised ...pattern.PeerID) *mirrorRig {
 	t.Helper()
 	rig := newMirrorRig(t, 3)
-	rig.root.Parallelism = 1
 	rig.root.MaxRetries = 0
 	rig.root.Events = obs.NewEventLog(rig.net.NowMS)
 	if len(advertised) > 0 {
@@ -543,46 +536,6 @@ func refusedTwice(t *testing.T) {
 	wantPeerFailure(t, r, "P4")
 	if !refused(r.err) || r.m.Retries != 1 {
 		t.Errorf("want one refusal retried and the second surfaced: %v, %+v", r.err, r.m)
-	}
-}
-
-// cancelledTry aborts the round while P2's final packet is lost, and
-// aborts another round before its leaf dispatches at all.
-func cancelledTry(t *testing.T) {
-	rig := newLadderRig(t, "P1", "P2", "P3", "P4")
-	rig.root.MaxRetries = 2
-	q := gen.PaperQuery()
-	ex := newExecution(rig.root)
-	defer ex.closeAll()
-	rig.net.SetInjector(&tap{
-		on: func(m network.Message) {
-			if m.From == "P2" && m.Kind == "chan.packet" {
-				ex.abort()
-			}
-		},
-		script: faults.NewScript(&faults.ScriptRule{From: "P2", Kind: "chan.packet", After: 2, Count: 1, Fault: network.Fault{Drop: true}}),
-	})
-	_, err := ex.runRemote("P2", plan.NewScan(q.Patterns[0], "P2"), nil)
-	var pf *PeerFailure
-	if !errors.As(err, &pf) || pf.Peer != "P2" {
-		t.Fatalf("want P2's PeerFailure, got %v", err)
-	}
-	if m := rig.root.Metrics(); m.Retries != 0 || m.Migrations != 0 {
-		t.Errorf("an aborting round retried or migrated: %+v", m)
-	}
-	if _, ok := rig.root.Router.Registry.Get("P2"); !ok {
-		t.Error("an aborting round dropped P2 from routing")
-	}
-
-	before := rig.root.Metrics().SubplansShipped
-	ex2 := newExecution(rig.root)
-	defer ex2.closeAll()
-	ex2.abort()
-	if _, err := ex2.runRemote("P3", plan.NewScan(q.Patterns[1], "P3"), nil); !errors.Is(err, errCancelled) {
-		t.Errorf("a leaf of an aborted round answered %v, want errCancelled", err)
-	}
-	if rig.root.Metrics().SubplansShipped != before {
-		t.Error("a leaf of an aborted round shipped its subplan")
 	}
 }
 

@@ -28,7 +28,6 @@ func killMidStream(site pattern.PeerID, n int) *faults.Script {
 func TestMigrationRecoversFailedSubtree(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 1
 	p1.Engine.BatchSize = 1
 	net.SetInjector(killMidStream("P4", 1))
@@ -70,7 +69,6 @@ func TestMigrationAblationMatchesRestart(t *testing.T) {
 	run := func(restart bool) (*exec.Metrics, string) {
 		peers, net := paperSystem(t, 3)
 		p1 := peers["P1"]
-		p1.Engine.Parallelism = 1
 		p1.Engine.MaxRetries = 1
 		p1.Engine.BatchSize = 1
 		p1.Engine.DisableMigration = restart
@@ -134,7 +132,6 @@ func TestHorizontalSiblingsAreNotRefetches(t *testing.T) {
 func TestResumeRetryKeepsCheckpointedRows(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 2
 	// P4 streams one row per frame (the serving peer's BatchSize sets its
 	// frames). Drop exactly one packet: P4's second result row. The retry
@@ -179,7 +176,6 @@ func TestResumeRetryKeepsCheckpointedRows(t *testing.T) {
 func TestMidFlightHoleFill(t *testing.T) {
 	peers, _ := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.AllowPartial = true
 
 	// Plan as if only P2's Q1 coverage were known: Q2 becomes a hole.

@@ -43,7 +43,7 @@ func newMirrorRig(t *testing.T, pairs int) *mirrorRig {
 // manager, as a peer that left and came back.
 func (rig *mirrorRig) serve(id pattern.PeerID, base *rdf.Base) *Engine {
 	e := NewEngine(id, rig.net, channel.NewManager(id, rig.net), baseSource{base: base, schema: gen.PaperSchema()})
-	e.Options = Options{Policy: optimizer.DataShipping, Parallelism: 4, MaxRetries: 2, DeadlineMS: 200, BatchSize: 1}
+	e.Options = Options{Policy: optimizer.DataShipping, MaxRetries: 2, DeadlineMS: 200, BatchSize: 1}
 	e.Channels.DeadlineMS = 200
 	rig.sites[id], rig.bases[id] = e, base
 	return e
@@ -242,7 +242,6 @@ func TestMirrorFilledOnSecondAnswer(t *testing.T) {
 // that made it, stating the table as it stands.
 func TestMirrorResumesAfterLostFinal(t *testing.T) {
 	rig := newMirrorRig(t, 3)
-	rig.root.Parallelism = 1
 	rig.ask(t, plan1())
 	rig.ask(t, plan1()) // fills the mirror
 	// Warm query: P2 answers Q1 in three one-row frames; drop the third.
@@ -316,8 +315,7 @@ func TestMirrorRefusesFrameBeyondTable(t *testing.T) {
 // yet, in its first query and in the one that fills the mirror: both
 // requests state what the root held when the execution met the site, so
 // the traffic is the same whichever branch takes the site's channel
-// first. The union's branches run in both orders, one at a time, and
-// then concurrently.
+// first. The union's branches run in both orders.
 func TestMirrorTwoBranchesOneColdSite(t *testing.T) {
 	q := gen.PaperQuery()
 	branches := []plan.Node{
@@ -329,19 +327,15 @@ func TestMirrorTwoBranchesOneColdSite(t *testing.T) {
 	reversed := slices.Clone(branches)
 	slices.Reverse(reversed)
 	var want []int
-	for run, c := range []struct {
-		branches []plan.Node
-		par      int
-	}{{branches, 1}, {reversed, 1}, {branches, 4}, {reversed, 4}} {
+	for run, order := range [][]plan.Node{branches, reversed} {
 		// Enough pairs that the sites' dictionaries run past 128
 		// entries, where a split range's offsets would change width.
 		rig := newMirrorRig(t, 80)
-		rig.root.Parallelism = c.par
 		delete(rig.bases, "P1") // the plan reads no P1 data
 		var got []int
 		for q := 0; q < 3; q++ {
 			rig.net.ResetCounters()
-			rig.ask(t, &plan.Plan{Query: gen.PaperQuery(), Root: plan.NewUnion(c.branches...)})
+			rig.ask(t, &plan.Plan{Query: gen.PaperQuery(), Root: plan.NewUnion(order...)})
 			got = append(got, rig.net.Counters().Bytes)
 		}
 		rig.checkMirror(t, "P4")
@@ -360,7 +354,6 @@ func TestMirrorTwoBranchesOneColdSite(t *testing.T) {
 // request states the generation before it until one decodes.
 func TestMirrorStatsTrailerAfterLostFinal(t *testing.T) {
 	rig := newMirrorRig(t, 3)
-	rig.root.Parallelism = 1
 	var mu sync.Mutex
 	gen4 := uint64(7)
 	corrupt := false
@@ -620,7 +613,6 @@ func (s *probeSource) EvalScanBatch(patterns []pattern.PathPattern, store *rql.T
 // the tables, and later ones read them.
 func TestMirrorStoreResetPastCap(t *testing.T) {
 	rig := newMirrorRig(t, 3)
-	rig.root.Parallelism = 1
 	rig.ask(t, plan1())
 	rig.ask(t, plan1()) // fills the mirrors
 	rig.checkMirror(t, "P4")

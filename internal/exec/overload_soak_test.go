@@ -46,7 +46,7 @@ func TestOverloadSoak(t *testing.T) {
 	})
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Options:    exec.Options{Parallelism: 2, DeadlineMS: 300, MaxRetries: 2, AllowPartial: true},
+		Options:    exec.Options{DeadlineMS: 300, MaxRetries: 2, AllowPartial: true},
 		Quarantine: true,
 		Admission:  rootCtl,
 	}, net)

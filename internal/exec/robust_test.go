@@ -39,7 +39,6 @@ func (si *scriptInjector) Intercept(m network.Message) network.Fault {
 func TestRetryRecoversDroppedDispatch(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 2
 	net.SetInjector(&scriptInjector{drops: map[string]int{"exec.subplan": 1}})
 
@@ -73,7 +72,6 @@ func TestRetryRecoversDroppedDispatch(t *testing.T) {
 func TestNoRetriesByDefault(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	net.SetInjector(&scriptInjector{drops: map[string]int{"exec.subplan": 1}})
 
 	pr, err := p1.PlanQuery(gen.PaperQuery())
@@ -97,7 +95,6 @@ func TestNoRetriesByDefault(t *testing.T) {
 func TestDeadlineUnwedgesGrayPeer(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.DeadlineMS = 100
 	p1.Channels.DeadlineMS = 100
 	p1.Engine.MaxRetries = 1
@@ -130,7 +127,6 @@ func TestDeadlineUnwedgesGrayPeer(t *testing.T) {
 func TestFailureQuarantinesWithHealthTracker(t *testing.T) {
 	peers, net := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	h := routing.NewHealth(p1.Registry)
 	p1.Engine.Health = h
 	net.Fail("P4")
@@ -175,7 +171,7 @@ func TestPartialAnswerWhenPatternUnanswerable(t *testing.T) {
 	// itself, so patterns really can become unanswerable.
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: gen.PaperSchema(),
-		Options:    exec.Options{Parallelism: 1, MaxRetries: 1, AllowPartial: true},
+		Options:    exec.Options{MaxRetries: 1, AllowPartial: true},
 		Quarantine: true,
 	}, net)
 	if err != nil {
@@ -234,7 +230,6 @@ func TestPartialAnswerWhenPatternUnanswerable(t *testing.T) {
 func TestThroughputMonitorTriggersReplan(t *testing.T) {
 	peers, _ := paperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	// Floor far above what any remote streams: every remote is "slow".
 	p1.Engine.Throughput = optimizer.NewThroughputMonitor(1000)
 

@@ -85,9 +85,9 @@ func TestServingExecutionMakesNoTermStore(t *testing.T) {
 // A root that holds part of the data scans it in its base's ids and
 // joins the scans with remote frames on its store. The plan is the
 // Figure-2 join distributed over every (Q1 site, Q2 site) pair, so each
-// remote scan repeats under three union branches and the racing branches
-// share its single-flight cache entry; the branches that pair it with a
-// root scan rebase copies, never the shared batch. Run under -race.
+// remote scan repeats under three union branches, which share its
+// memoized batch; the branches that pair it with a root scan rebase
+// copies, never the shared batch.
 func TestRootJoinsBaseIDScansWithCachedFrames(t *testing.T) {
 	schema := gen.PaperSchema()
 	bases := gen.PaperBases(3)
@@ -103,7 +103,7 @@ func TestRootJoinsBaseIDScansWithCachedFrames(t *testing.T) {
 			merged.Add(tr)
 		}
 	}
-	root.Options = Options{Policy: optimizer.DataShipping, Parallelism: 4}
+	root.Options = Options{Policy: optimizer.DataShipping}
 	ex := newExecution(root)
 	defer ex.closeAll()
 
@@ -116,12 +116,11 @@ func TestRootJoinsBaseIDScansWithCachedFrames(t *testing.T) {
 	if _, err := ex.run(remote, nil); err != nil {
 		t.Fatalf("run remote scans: %v", err)
 	}
-	if len(ex.cache) != 4 {
-		t.Fatalf("%d cached dispatches, want the 4 remote scans", len(ex.cache))
+	if len(ex.memo) != 4 {
+		t.Fatalf("%d memoized dispatches, want the 4 remote scans", len(ex.memo))
 	}
 	kept := map[string]*rql.Batch{}
-	for key, ent := range ex.cache {
-		b := ent.rows
+	for key, b := range ex.memo {
 		c := &rql.Batch{Vars: b.Vars, Dict: b.Dict, Cols: make([][]int32, len(b.Cols))}
 		for i, col := range b.Cols {
 			c.Cols[i] = slices.Clone(col)
@@ -151,8 +150,8 @@ func TestRootJoinsBaseIDScansWithCachedFrames(t *testing.T) {
 	if g, w := strings.Join(got.Sorted(), "\n"), strings.Join(want.Sorted(), "\n"); g != w || want.Len() == 0 {
 		t.Fatalf("answer:\n%s\nwant:\n%s", g, w)
 	}
-	for key, ent := range ex.cache {
-		b, k := ent.rows, kept[key]
+	for key, b := range ex.memo {
+		k := kept[key]
 		if k == nil {
 			t.Errorf("dispatch %q was not cached by the first run", key)
 			continue

@@ -54,7 +54,6 @@ func tracedAskJSONL(t *testing.T) []byte {
 	t.Helper()
 	peers, _, tracer, _ := tracedPaperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	if _, err := p1.Ask(gen.PaperRQL); err != nil {
 		t.Fatalf("traced ask: %v", err)
 	}
@@ -114,7 +113,6 @@ func TestCrossPeerSpanPropagation(t *testing.T) {
 func TestTraceRetrySpans(t *testing.T) {
 	peers, net, tracer, _ := tracedPaperSystem(t, 3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 2
 	net.SetInjector(&scriptInjector{drops: map[string]int{"exec.subplan": 1}})
 	if _, err := p1.Ask(gen.PaperRQL); err != nil {

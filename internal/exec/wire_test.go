@@ -59,75 +59,64 @@ func wideSites(t *testing.T, syn *gen.Synthetic) (*peer.Peer, map[pattern.PeerID
 	return peers["C"], peers, net
 }
 
-// TestWireBytesIndependentOfDispatchOrder runs one 12-site query at
-// parallelism 1 and 4, repeatedly, on one system, then once more on a
-// second system built alike. Concurrent dispatch numbers the sites'
-// channels in a different order each time, and every run draws later
-// channel numbers than the one before; neither may change what crosses
-// the wire. The first run on a system ships self-contained frames and
-// the sites' statistics and dictionary stamps; the second ships the
-// sites' dictionary entries, which the root then mirrors, so every later
-// run ships the same, smaller traffic. The second system's first two
-// runs ship what the first system's did.
-func TestWireBytesIndependentOfDispatchOrder(t *testing.T) {
+// TestWireBytesIndependentOfChannelNumbers runs one 12-site query
+// repeatedly on one system, then twice more on a second system built
+// alike. Every run draws later channel numbers than the one before, and
+// that may not change what crosses the wire. The first run on a system
+// ships self-contained frames and the sites' statistics and dictionary
+// stamps; the second ships the sites' dictionary entries, which the root
+// then mirrors, so every later run ships the same, smaller traffic. The
+// second system's first two runs ship what the first system's did.
+func TestWireBytesIndependentOfChannelNumbers(t *testing.T) {
 	root, net, query := wideSystem(t)
-	run := func(root *peer.Peer, net *network.Network, par int) network.Counters {
+	run := func(root *peer.Peer, net *network.Network) network.Counters {
 		t.Helper()
-		root.Engine.Parallelism = par
 		net.ResetCounters()
 		rows, err := root.Ask(query)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+			t.Fatal(err)
 		}
 		if rows.Len() != 30 {
-			t.Fatalf("parallelism %d: %d rows, want 30", par, rows.Len())
+			t.Fatalf("%d rows, want 30", rows.Len())
 		}
 		return net.Counters()
 	}
-	cold := run(root, net, 1)
+	cold := run(root, net)
 	if cold.PerKind["exec.subplan"] < 12 {
 		t.Fatalf("query shipped %d subplans, want one per site", cold.PerKind["exec.subplan"])
 	}
-	fill := run(root, net, 4)
-	var warm network.Counters
-	for i, par := range []int{4, 4, 1} {
-		got := run(root, net, par)
-		if i == 0 {
-			warm = got
-			if got.Messages != cold.Messages || got.Bytes >= cold.Bytes {
-				t.Errorf("warm run: %d messages / %d bytes, cold run %d / %d; want as many messages and fewer bytes",
-					got.Messages, got.Bytes, cold.Messages, cold.Bytes)
-			}
-			continue
-		}
-		if got.Bytes != warm.Bytes || got.Messages != warm.Messages {
-			t.Errorf("warm run %d (parallelism %d): %d messages / %d bytes, first warm run %d / %d",
-				i, par, got.Messages, got.Bytes, warm.Messages, warm.Bytes)
+	fill := run(root, net)
+	warm := run(root, net)
+	if warm.Messages != cold.Messages || warm.Bytes >= cold.Bytes {
+		t.Errorf("warm run: %d messages / %d bytes, cold run %d / %d; want as many messages and fewer bytes",
+			warm.Messages, warm.Bytes, cold.Messages, cold.Bytes)
+	}
+	for i := 1; i < 3; i++ {
+		if got := run(root, net); got.Bytes != warm.Bytes || got.Messages != warm.Messages {
+			t.Errorf("warm run %d: %d messages / %d bytes, first warm run %d / %d",
+				i, got.Messages, got.Bytes, warm.Messages, warm.Bytes)
 		}
 	}
 	root2, net2, _ := wideSystem(t)
 	for i, want := range []network.Counters{cold, fill} {
-		if got := run(root2, net2, 4-3*i); got.Bytes != want.Bytes || got.Messages != want.Messages {
-			t.Errorf("second system's run %d (parallelism %d): %d messages / %d bytes, first system's %d / %d",
-				i, 4-3*i, got.Messages, got.Bytes, want.Messages, want.Bytes)
+		if got := run(root2, net2); got.Bytes != want.Bytes || got.Messages != want.Messages {
+			t.Errorf("second system's run %d: %d messages / %d bytes, first system's %d / %d",
+				i, got.Messages, got.Bytes, want.Messages, want.Bytes)
 		}
 	}
 }
 
-// TestSimulatedTimeExactUnderParallelDispatch runs one seeded 12-site
-// fanout at parallelism 8, on two systems built alike, several times
-// each. Concurrent dispatch accounts the sites' deliveries in a
-// different order every run; the simulated time must still read the same
-// bits, so runs and sweeps can compare it exactly. A system's first run
-// ships self-contained frames and its second the dictionary entries the
-// root then mirrors, so each run compares with the same run on the first
-// system, and the warm runs of a system with each other.
-func TestSimulatedTimeExactUnderParallelDispatch(t *testing.T) {
+// TestSimulatedTimeExactAcrossRuns runs one seeded 12-site fanout on two
+// systems built alike, several times each: the simulated time must read
+// the same bits, so runs and sweeps can compare it exactly. A system's
+// first run ships self-contained frames and its second the dictionary
+// entries the root then mirrors, so each run compares with the same run
+// on the first system, and the warm runs of a system with each other.
+func TestSimulatedTimeExactAcrossRuns(t *testing.T) {
 	const runs = 4
 	var want [runs]float64
 	for sys := 0; sys < 2; sys++ {
 		root, net, query := wideSystem(t)
-		root.Engine.Parallelism = 8
 		for run := 0; run < runs; run++ {
 			net.ResetCounters()
 			if _, err := root.Ask(query); err != nil {
@@ -251,7 +240,7 @@ func TestStreamSpansChargeWhatTheNetworkCharged(t *testing.T) {
 
 // TestWireTrafficIsAFunctionOfTheScript builds two 12-site systems one
 // after the other, with thousands of other bases made in between, and
-// replays one script on each at parallelism 4: queries over the sites,
+// replays one script on each: queries over the sites,
 // with a base update between them that adds terms to one site's
 // dictionary and moves its statistics. What a root mirrors of each site
 // makes the bytes depend on everything the root heard before, so each
@@ -263,7 +252,6 @@ func TestWireTrafficIsAFunctionOfTheScript(t *testing.T) {
 	steps := []string{syn.RQL(1, 2), syn.RQL(1, 1), "update", syn.RQL(2, 1), syn.RQL(1, 2), syn.RQL(1, 2)}
 	replay := func() []string {
 		root, peers, net := wideSites(t, syn)
-		root.Engine.Parallelism = 4
 		var out []string
 		for i, step := range steps {
 			net.ResetCounters()

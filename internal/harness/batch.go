@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 
-	"sqpeer/internal/exec"
 	"sqpeer/internal/gen"
 	"sqpeer/internal/network"
 	"sqpeer/internal/obs"
@@ -84,8 +83,7 @@ func claimBatch() *Report {
 // root P0 with no base so every result row is shipped — and executes the
 // unoptimized chain query (unions and join at the root, no join
 // push-down) once, measuring allocator cost around the Execute call
-// only. Parallelism 1 keeps dispatch order, and therefore the digest,
-// deterministic. With checkCentral set, the answer is then
+// only. With checkCentral set, the answer is then
 // compared against the centralized evaluation, outside the measurement.
 func runBatchPoint(chains, providers, props int, checkCentral bool) batchRun {
 	syn := gen.NewSynthetic(props, false)
@@ -94,7 +92,7 @@ func runBatchPoint(chains, providers, props int, checkCentral bool) batchRun {
 	var nodes []*peer.Peer
 	for id, base := range bases {
 		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: syn.Schema,
-			Base: base, Options: exec.Options{Parallelism: 1}}, net)
+			Base: base}, net)
 		if err != nil {
 			panic(err)
 		}
@@ -106,8 +104,7 @@ func runBatchPoint(chains, providers, props int, checkCentral bool) batchRun {
 		nodes = append(nodes, p)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	p0, err := peer.New(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: syn.Schema,
-		Options: exec.Options{Parallelism: 1}}, net)
+	p0, err := peer.New(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: syn.Schema}, net)
 	if err != nil {
 		panic(err)
 	}

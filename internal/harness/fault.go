@@ -98,7 +98,7 @@ func runFaultPoint(seed int64, rounds int, rate float64, restart bool) faultPoin
 	peers := map[pattern.PeerID]*peer.Peer{}
 	for _, id := range ids {
 		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: bases[id], Options: exec.Options{Parallelism: 1}}, net)
+			Base: bases[id]}, net)
 		if err != nil {
 			panic(err)
 		}
@@ -108,7 +108,7 @@ func runFaultPoint(seed int64, rounds int, rate float64, restart bool) faultPoin
 	// bounded retry with backoff, quarantine-based health tracking and
 	// opt-in partial answers. It is never faulted (schedule root).
 	p0, err := peer.New(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Options: exec.Options{Parallelism: 1, DeadlineMS: 200, MaxRetries: 3,
+		Options: exec.Options{DeadlineMS: 200, MaxRetries: 3,
 			AllowPartial: true, DisableMigration: restart},
 		Quarantine: true}, net)
 	if err != nil {

@@ -137,7 +137,7 @@ func newMemberSystem(seed int64) *memberSystem {
 		return &membership.Options{Seed: seed}
 	}
 	root, err := peer.New(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Options:    exec.Options{Parallelism: 1, DeadlineMS: 200, MaxRetries: 3, AllowPartial: true},
+		Options:    exec.Options{DeadlineMS: 200, MaxRetries: 3, AllowPartial: true},
 		Quarantine: true, Membership: mopts()}, net)
 	if err != nil {
 		panic(err)
@@ -157,7 +157,7 @@ func newMemberSystem(seed int64) *memberSystem {
 			prop = "prop2"
 		}
 		p, err := peer.New(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: roleBase(string(id), 2, prop), Options: exec.Options{Parallelism: 1, DeadlineMS: 200},
+			Base: roleBase(string(id), 2, prop), Options: exec.Options{DeadlineMS: 200},
 			Membership: mopts()}, net)
 		if err != nil {
 			panic(err)

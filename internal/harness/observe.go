@@ -213,7 +213,7 @@ func runObserveScenario(seed int64, plane bool) observeRun {
 	peers := map[pattern.PeerID]*peer.Peer{}
 	for _, id := range ids {
 		p, err := peer.New(planeCfg(peer.Config{ID: id, Kind: peer.SimplePeer, Schema: schema,
-			Base: bases[id], Options: exec.Options{Parallelism: 1, DeadlineMS: 200, BatchSize: 1}, Membership: mopts()}), net)
+			Base: bases[id], Options: exec.Options{DeadlineMS: 200, BatchSize: 1}, Membership: mopts()}), net)
 		if err != nil {
 			panic(err)
 		}
@@ -223,7 +223,7 @@ func runObserveScenario(seed int64, plane bool) observeRun {
 		MaxConcurrent: observeMaxConc, HoldMS: observeHoldMS, Clock: net.NowMS,
 	})
 	cfg := planeCfg(peer.Config{ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Options:    exec.Options{Parallelism: 1, DeadlineMS: 200, MaxRetries: 3, AllowPartial: true},
+		Options:    exec.Options{DeadlineMS: 200, MaxRetries: 3, AllowPartial: true},
 		Quarantine: true, Membership: mopts(),
 		Admission: rootCtl})
 	cfg.Tracer = tracer

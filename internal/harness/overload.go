@@ -225,7 +225,6 @@ func runOverloadPass(cfg overloadCfg) overloadRun {
 	for _, id := range ids {
 		p, err := peer.New(peer.Config{
 			ID: id, Kind: peer.SimplePeer, Schema: schema, Base: bases[id],
-			Options: exec.Options{Parallelism: 1},
 			Admission: admission.NewController(admission.Config{
 				MaxConcurrent: serverConcurrent, HoldMS: serverHoldMS,
 				Clock: net.NowMS, Disabled: cfg.disabled,
@@ -250,7 +249,7 @@ func runOverloadPass(cfg overloadCfg) overloadRun {
 	rootCtl := admission.NewController(rootCfg)
 	p0, err := peer.New(peer.Config{
 		ID: "P0", Kind: peer.ClientPeer, Schema: schema,
-		Options:    exec.Options{Parallelism: 1, DeadlineMS: 300, MaxRetries: 2, AllowPartial: true},
+		Options:    exec.Options{DeadlineMS: 300, MaxRetries: 2, AllowPartial: true},
 		Quarantine: true,
 		Admission:  rootCtl,
 	}, net)

@@ -37,7 +37,6 @@ type recoverModeRun struct {
 func runRecoverControlled(mode string) recoverModeRun {
 	peers, net := paperSystem(3)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	p1.Engine.MaxRetries = 1
 	peers["P4"].Engine.BatchSize = 1 // the serving peer sets its frames
 	p1.Engine.DisableMigration = mode == "restart"

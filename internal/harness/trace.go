@@ -53,13 +53,12 @@ func tracedSystem(pairs int) (map[pattern.PeerID]*peer.Peer, *network.Network, *
 
 // tracedAsk runs the Figure-3 paper query at P1 on a traced system and
 // returns the tracer, registry, network counters and an answer digest.
-// Parallelism is pinned to 1 so the byte-identity gate has no schedule
-// freedom at all; the k-token queue model reintroduces parallelism
+// The execution is sequential, so the byte-identity gate has no schedule
+// freedom at all; the k-token queue model introduces parallelism
 // analytically at Analyze time.
 func tracedAsk(pairs int) (*obs.Tracer, *obs.Registry, network.Counters, string) {
 	peers, net, tracer, reg := tracedSystem(pairs)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	rows, err := p1.Ask(gen.PaperRQL)
 	if err != nil {
 		panic(fmt.Sprintf("trace: traced ask failed: %v", err))
@@ -74,7 +73,6 @@ func tracedAsk(pairs int) (*obs.Tracer, *obs.Registry, network.Counters, string)
 func untracedAsk(pairs int) (network.Counters, string) {
 	peers, net := paperSystem(pairs)
 	p1 := peers["P1"]
-	p1.Engine.Parallelism = 1
 	rows, err := p1.Ask(gen.PaperRQL)
 	if err != nil {
 		panic(fmt.Sprintf("trace: untraced ask failed: %v", err))

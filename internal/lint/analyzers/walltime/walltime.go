@@ -3,10 +3,9 @@
 // deadlines, retry backoff) is charged to the simulated logical clock
 // (network.Counters.SimulatedMS, CallWithin deadlines), so a stray
 // time.Now or time.Sleep makes same-seed reruns diverge and couples
-// results to host load. The two legitimate exceptions — the
-// network.SetRealLatency sleep shim and the debugsrv uptime shim
-// (operator-facing wall time that never feeds results) — carry
-// //lint:allow walltime directives at their definition sites.
+// results to host load. The one legitimate exception, the debugsrv
+// uptime shim (operator-facing wall time that never feeds results),
+// carries //lint:allow walltime directives at its definition site.
 package walltime
 
 import (
@@ -47,7 +46,7 @@ func run(pass *analysis.Pass) (any, error) {
 			fn := analysis.FuncOf(pass.TypesInfo, sel)
 			if analysis.PkgFunc(fn, "time") && forbidden[fn.Name()] {
 				pass.Reportf(sel.Pos(),
-					"wall-clock time.%s is forbidden here: charge the logical clock (network SimulatedMS / CallWithin) or use an allowlisted shim (network.SetRealLatency, the debugsrv uptime shim)", fn.Name())
+					"wall-clock time.%s is forbidden here: charge the logical clock (network SimulatedMS / CallWithin) or use the allowlisted debugsrv uptime shim", fn.Name())
 			}
 			return true
 		})

@@ -5,10 +5,7 @@
 // network-agnostic; this substrate exposes exactly the costs the paper
 // argues about (number of messages routed, bytes shipped, per-peer query
 // load) while keeping experiments deterministic and laptop-fast: latency
-// is accounted, not slept — unless SetRealLatency opts a network into
-// sleeping a scaled-down version of each transfer, which wall-clock
-// benchmarks use to make overlap between concurrent remote scans
-// observable.
+// is accounted, not slept.
 package network
 
 import (
@@ -18,7 +15,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"sqpeer/internal/pattern"
 	"sqpeer/internal/stats"
@@ -143,9 +139,6 @@ type Network struct {
 	links    map[linkKey]stats.Link
 	downed   map[NodeID]bool
 	cut      map[linkKey]bool
-	// realLatency > 0 makes every inter-node delivery sleep
-	// link.TransferMS × realLatency milliseconds (see SetRealLatency).
-	realLatency float64
 	// injector, when set, is consulted on every inter-node delivery.
 	injector Injector
 
@@ -154,7 +147,7 @@ type Network struct {
 	// simNS is the logical clock in nanoseconds. Each latency is rounded
 	// to a whole nanosecond before it is added, so the integer sum, and
 	// with it Counters.SimulatedMS and NowMS, is the same in whatever
-	// order parallel dispatch accounts one run's deliveries.
+	// order concurrent senders account their deliveries.
 	simNS int64
 }
 
@@ -234,18 +227,6 @@ func (n *Network) LinkBetween(a, b NodeID) stats.Link {
 	return stats.DefaultLink
 }
 
-// SetRealLatency makes deliveries between distinct nodes sleep their
-// accounted transfer time scaled by the given factor (1.0 = real time,
-// 0.1 = 10× compressed, 0 = never sleep — the default). Deterministic
-// experiments keep it off; wall-clock benchmarks turn it on so that the
-// executor's overlap of independent remote scans shows up as elapsed-time
-// savings rather than only as accounting.
-func (n *Network) SetRealLatency(scale float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.realLatency = scale
-}
-
 // SetInjector installs (or, with nil, removes) the fault injector
 // consulted on every inter-node delivery. See internal/faults for the
 // seeded implementation.
@@ -253,19 +234,6 @@ func (n *Network) SetInjector(inj Injector) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.injector = inj
-}
-
-// delay sleeps the scaled simulated latency of a delivery when real
-// latency is enabled. Self-deliveries are always free.
-func (n *Network) delay(m Message, latencyMS float64) {
-	n.mu.RLock()
-	scale := n.realLatency
-	n.mu.RUnlock()
-	if scale <= 0 || m.From == m.To {
-		return
-	}
-	//lint:allow walltime the SetRealLatency shim exists to sleep scaled simulated latency for wall-clock benches
-	time.Sleep(time.Duration(latencyMS * scale * float64(time.Millisecond)))
 }
 
 // Fail marks a node down: every message to it errors until Recover.
@@ -400,7 +368,6 @@ func (n *Network) deliver(m Message, deadlineMS float64) ([]byte, error) {
 			Detail: fmt.Sprintf("network: %s(%s→%s) lost in transit (%s)", m.Kind, m.From, m.To, reason)}
 	}
 	n.account(m, latency)
-	n.delay(m, latency)
 	reply, err := h(m)
 	if err != nil {
 		return nil, fmt.Errorf("network: %s(%s→%s): %w", m.Kind, m.From, m.To, err)
@@ -470,7 +437,6 @@ func (n *Network) replyLeg(m Message, deadlineMS float64) error {
 		return &DeliveryError{Reason: reason, Transient: true,
 			Detail: fmt.Sprintf("network: %s(%s→%s) lost in transit (%s)", m.Kind, m.From, m.To, reason)}
 	}
-	n.delay(m, latency)
 	return nil
 }
 

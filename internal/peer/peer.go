@@ -60,10 +60,14 @@ func (k Kind) String() string {
 type Config struct {
 	// Options are the settings of the peer's execution engine, handed
 	// to it as they are: shipping policy for the peer's own queries,
-	// branch parallelism, dispatch deadline (which also bounds the
-	// peer's channel opens and control-plane RPCs), retries, partial
-	// answers, frame size and the migration switch.
+	// dispatch deadline (which also bounds the peer's channel opens and
+	// control-plane RPCs), retries, partial answers, frame size and the
+	// migration switch.
 	exec.Options
+	// Parallelism is read by nothing.
+	//
+	// Deprecated: ignored; every execution is sequential.
+	Parallelism int
 	// ID names the peer on the network.
 	ID pattern.PeerID
 	// Kind is the peer's role.

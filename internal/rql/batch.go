@@ -252,8 +252,8 @@ func sameSpace(batches []*Batch) bool {
 // aligned returns the batches on one term sequence: the inputs
 // themselves when they already share one, else copies of them rebased
 // onto the first store among them, or onto a fresh store when none has
-// one. An input is never rewritten: the executor's single-flight cache
-// hands one batch to several branches.
+// one. An input is never rewritten: the executor's dispatch memo hands
+// one batch to several branches.
 func aligned(batches []*Batch) []*Batch {
 	if sameSpace(batches) {
 		return batches
