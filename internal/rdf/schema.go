@@ -60,10 +60,17 @@ type Schema struct {
 	rebuildMu sync.Mutex
 }
 
-// closures is an immutable snapshot of the schema's hierarchies.
+// closures is an immutable snapshot of the schema's hierarchies: the
+// up-closures as sets, for the subsumption tests, and the down-closures
+// as sorted lists, which the Sub* readers return as they are (every scan
+// expands its property through one). The lists are capacity-clipped, so
+// a caller's append copies instead of writing into the snapshot.
 type closures struct {
 	classUp map[IRI]map[IRI]bool // class -> all superclasses incl. itself
 	propUp  map[IRI]map[IRI]bool // prop  -> all superproperties incl. itself
+
+	subClasses map[IRI][]IRI // class -> all subclasses incl. itself, sorted
+	subProps   map[IRI][]IRI // prop  -> all subproperties incl. itself, sorted
 }
 
 // NewSchema returns an empty schema with the given name.
@@ -250,10 +257,13 @@ func (s *Schema) rebuild() *closures {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
 	if s.dirty.Load() || s.closed.Load() == nil {
+		classes, props := keysOfClasses(s.classes), keysOfProps(s.properties)
 		c := &closures{
-			classUp: closure(keysOfClasses(s.classes), s.superClass),
-			propUp:  closure(keysOfProps(s.properties), s.superProp),
+			classUp: closure(classes, s.superClass),
+			propUp:  closure(props, s.superProp),
 		}
+		c.subClasses = downLists(classes, c.classUp)
+		c.subProps = downLists(props, c.propUp)
 		s.closed.Store(c)
 		s.dirty.Store(false)
 	}
@@ -300,6 +310,22 @@ func closure(nodes []IRI, super map[IRI][]IRI) map[IRI]map[IRI]bool {
 	return up
 }
 
+// downLists inverts up-closures over the sorted nodes into each node's
+// down-closure, a sorted, clipped list. Visiting the nodes in order
+// appends every list in order.
+func downLists(nodes []IRI, up map[IRI]map[IRI]bool) map[IRI][]IRI {
+	subs := make(map[IRI][]IRI, len(nodes))
+	for _, n := range nodes {
+		for u := range up[n] {
+			subs[u] = append(subs[u], n)
+		}
+	}
+	for u, l := range subs {
+		subs[u] = l[:len(l):len(l)]
+	}
+	return subs
+}
+
 // IsSubClassOf reports whether sub ⊑ super in the class hierarchy
 // (reflexive and transitive). Undeclared classes are only subsumed by
 // themselves and rdfs:Resource.
@@ -326,17 +352,10 @@ func (s *Schema) SuperClasses(c IRI) []IRI {
 	return sortedKeys(s.rebuild().classUp[c])
 }
 
-// SubClasses returns every subclass of c including c, sorted. It inverts
-// the closure, so cost is linear in schema size.
+// SubClasses returns every subclass of c including c, sorted. The slice
+// is the schema's own: read it, do not write to it.
 func (s *Schema) SubClasses(c IRI) []IRI {
-	var out []IRI
-	for sub, ups := range s.rebuild().classUp {
-		if ups[c] {
-			out = append(out, sub)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.rebuild().subClasses[c]
 }
 
 // SuperProperties returns every superproperty of p including p, sorted.
@@ -344,16 +363,10 @@ func (s *Schema) SuperProperties(p IRI) []IRI {
 	return sortedKeys(s.rebuild().propUp[p])
 }
 
-// SubProperties returns every subproperty of p including p, sorted.
+// SubProperties returns every subproperty of p including p, sorted. The
+// slice is the schema's own: read it, do not write to it.
 func (s *Schema) SubProperties(p IRI) []IRI {
-	var out []IRI
-	for sub, ups := range s.rebuild().propUp {
-		if ups[p] {
-			out = append(out, sub)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.rebuild().subProps[p]
 }
 
 func sortedKeys(m map[IRI]bool) []IRI {

@@ -1,6 +1,9 @@
 package rdf
 
 import (
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -236,5 +239,78 @@ func TestSubsumptionPartialOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClosureListsMatchInversion checks the precomputed closure lists
+// over random hierarchies: each Sub* list must equal a brute-force
+// inversion of the up-closures (every node whose up-set holds the
+// argument, sorted) and each Super* list the sorted up-set, before and
+// after a mutation re-dirties the schema; and appending to a returned
+// list must not write into the schema's copy.
+func TestClosureListsMatchInversion(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var classes, props []IRI
+	for i := 0; i < 10; i++ {
+		classes = append(classes, IRI(testNS+"K"+strconv.Itoa(i)))
+		props = append(props, IRI(testNS+"p"+strconv.Itoa(i)))
+	}
+	addEdges := func(s *Schema, n int) {
+		for i := 0; i < n; i++ {
+			a, b := rng.Intn(len(classes)), rng.Intn(len(classes))
+			_ = s.SetSubClassOf(classes[a], classes[b])
+			a, b = rng.Intn(len(props)), rng.Intn(len(props))
+			_ = s.SetSubPropertyOf(props[a], props[b])
+		}
+	}
+	invert := func(up map[IRI]map[IRI]bool, x IRI) []IRI {
+		var out []IRI
+		for n, ups := range up {
+			if ups[x] {
+				out = append(out, n)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	// read checks one reader's list against want, and that a caller's
+	// append to it, and a write through the appended slice, leave the
+	// schema's list as it was.
+	read := func(name string, x IRI, reader func(IRI) []IRI, want []IRI) {
+		t.Helper()
+		if got := reader(x); !slices.Equal(got, want) {
+			t.Fatalf("%s(%s) = %v, want %v", name, x.Local(), got, want)
+		}
+		grown := append(reader(x), "intruder")
+		grown[0] = "intruder"
+		if got := reader(x); !slices.Equal(got, want) {
+			t.Fatalf("%s(%s) after a caller's append = %v, want %v", name, x.Local(), got, want)
+		}
+	}
+	undeclared := IRI(testNS + "undeclared")
+	check := func(s *Schema) {
+		t.Helper()
+		c := s.rebuild()
+		for _, x := range append(slices.Clone(classes), undeclared) {
+			read("SubClasses", x, s.SubClasses, invert(c.classUp, x))
+			read("SuperClasses", x, s.SuperClasses, sortedKeys(c.classUp[x]))
+		}
+		for _, x := range append(slices.Clone(props), undeclared) {
+			read("SubProperties", x, s.SubProperties, invert(c.propUp, x))
+			read("SuperProperties", x, s.SuperProperties, sortedKeys(c.propUp[x]))
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		s := NewSchema(testNS)
+		for _, c := range classes {
+			s.MustAddClass(c)
+		}
+		for _, p := range props {
+			s.MustAddProperty(p, classes[0], classes[0])
+		}
+		addEdges(s, rng.Intn(12))
+		check(s)
+		addEdges(s, 1+rng.Intn(4))
+		check(s)
 	}
 }

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -45,10 +46,12 @@ func CollectStats(b *Base, schema *Schema) *BaseStats {
 		// Count every schema property and class so subsumption-contributed
 		// cardinalities appear even when the superproperty or superclass
 		// itself has no direct triples.
-		for _, p := range schema.Properties() {
+		ps, cs := schema.Properties(), schema.Classes()
+		props, classes = slices.Grow(props, len(ps)), slices.Grow(classes, len(cs))
+		for _, p := range ps {
 			props = append(props, p.Name)
 		}
-		for _, c := range schema.Classes() {
+		for _, c := range cs {
 			classes = append(classes, c.Name)
 		}
 	}
@@ -106,15 +109,15 @@ type hierarchy struct {
 	members []IRI
 }
 
-// hierarchies resolves each distinct name's closure, in first-seen order.
+// hierarchies resolves each distinct name's closure, in sorted order,
+// sorting names in place. The closures are the schema's own lists, so
+// the result is the one allocation.
 func hierarchies(names []IRI, schema *Schema, sub func(IRI, *Schema) []IRI) []hierarchy {
-	seen := map[IRI]bool{}
-	var out []hierarchy
-	for _, n := range names {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, hierarchy{n, sub(n, schema)})
-		}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	out := make([]hierarchy, len(names))
+	for i, n := range names {
+		out[i] = hierarchy{n, sub(n, schema)}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package rql
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -356,72 +357,133 @@ func (b *Batch) ResultSet() *ResultSet {
 	return rs
 }
 
-// hashIDs folds an id tuple into a 64-bit FNV-1a hash. Ids are shifted
-// by one so the unbound sentinel (-1) hashes distinctly from id 0. The
-// batch operators key their dedup sets and join indexes on this hash —
-// a scalar, so the maps never allocate per entry the way string-keyed
-// maps do — and verify genuine tuple equality against the columns on
-// every hash hit, so collisions cost a comparison, never a wrong answer.
+// hashIDs folds an id tuple into a 64-bit hash, two ids per
+// multiply-fold step: each word is mixed into the state by a 64×64→128
+// multiply whose halves are XORed, so every bit of the result (the
+// tables index by the low ones) depends on every input bit. The unbound
+// sentinel (-1) is just another 32-bit pattern. The hash never leaves
+// the process; the tables verify tuple equality against the columns on
+// every hit, so a collision costs a comparison, never a wrong answer.
 func hashIDs(ids []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		x := uint32(id + 1)
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64((x >> s) & 0xff)
-			h *= 1099511628211
-		}
+	h := uint64(len(ids))
+	for len(ids) >= 2 {
+		h = mix(h ^ (uint64(uint32(ids[0])) | uint64(uint32(ids[1]))<<32))
+		ids = ids[2:]
 	}
-	return h
+	if len(ids) == 1 {
+		h = mix(h ^ uint64(uint32(ids[0])))
+	}
+	return mix(h)
 }
 
-// dedup admits unique id tuples into out, appending each new row. head
-// maps a tuple hash to the first admitted out-row with that hash;
-// genuinely colliding tuples (same hash, different ids — vanishingly
-// rare but handled) chain through over.
+// mix is one multiply-fold round, with the odd constants of the golden
+// ratio and of splitmix64.
+func mix(x uint64) uint64 {
+	hi, lo := bits.Mul64(x^0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9)
+	return hi ^ lo
+}
+
+// table is the open-addressed index behind the operators' dedup sets and
+// join indexes: a power-of-two array of slots, each 0 (empty) or a row
+// number + 1, probed linearly from the hash's low bits. It stores no
+// keys: a caller compares a candidate with the row a slot names in its
+// own columns. It is at most half full, so every probe ends at an empty
+// slot within a few steps; operators size it for their input, and it
+// doubles (rehashing every row) only when an operator's output outruns
+// that, as a join's matches can outnumber its probe rows.
+type table struct {
+	slots []int32
+	n     int
+}
+
+// newTable returns a table that holds hint rows without growing.
+func newTable(hint int) table {
+	size := 8
+	for size < 2*hint {
+		size <<= 1
+	}
+	return table{slots: make([]int32, size)}
+}
+
+// find probes from hash h's slot for a row eq accepts. It returns that
+// row's slot and the row, or the empty slot that ends the probe and -1.
+func (t *table) find(h uint64, eq func(row int32) bool) (int, int32) {
+	mask := len(t.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return i, -1
+		}
+		if eq(s - 1) {
+			return i, s - 1
+		}
+	}
+}
+
+// put stores row in empty slot i and reports whether the table is now
+// more than half full and must grow.
+func (t *table) put(i int, row int32) bool {
+	t.slots[i] = row + 1
+	t.n++
+	return 2*t.n > len(t.slots)
+}
+
+// grow doubles the table, re-placing every row by its hash.
+func (t *table) grow(hash func(row int32) uint64) {
+	old := t.slots
+	t.slots = make([]int32, 2*len(old))
+	for _, s := range old {
+		if s != 0 {
+			i, _ := t.find(hash(s-1), noRow)
+			t.slots[i] = s
+		}
+	}
+}
+
+// noRow accepts no row: a probe with it ends at an empty slot.
+func noRow(int32) bool { return false }
+
+// dedup admits unique id tuples into out, appending each new row; its
+// table indexes out's rows.
 type dedup struct {
-	out  *Batch
-	head map[uint64]int32
-	over map[uint64][]int32
+	out *Batch
+	t   table
+	// row is scratch for rehashing out's rows when the table grows.
+	row []int32
 }
 
 func newDedup(out *Batch, hint int) *dedup {
-	return &dedup{out: out, head: make(map[uint64]int32, hint)}
+	return &dedup{out: out, t: newTable(hint), row: make([]int32, len(out.Cols))}
 }
 
 // sameRow reports whether admitted out-row r equals the candidate tuple.
 func (d *dedup) sameRow(r int32, ids []int32) bool {
-	for c := range d.out.Cols {
-		if d.out.Cols[c][r] != ids[c] {
+	for c, col := range d.out.Cols {
+		if col[r] != ids[c] {
 			return false
 		}
 	}
 	return true
 }
 
-// admit appends ids to out unless an equal tuple was admitted before,
-// reporting whether the row is new.
-func (d *dedup) admit(ids []int32) bool {
-	h := hashIDs(ids)
-	r, ok := d.head[h]
-	if !ok {
-		d.head[h] = int32(d.out.rows)
-		d.out.appendIDs(ids)
-		return true
+// admit appends ids to out unless an equal tuple was admitted before.
+func (d *dedup) admit(ids []int32) {
+	i, r := d.t.find(hashIDs(ids), func(r int32) bool { return d.sameRow(r, ids) })
+	if r >= 0 {
+		return
 	}
-	if d.sameRow(r, ids) {
-		return false
-	}
-	for _, or := range d.over[h] {
-		if d.sameRow(or, ids) {
-			return false
-		}
-	}
-	if d.over == nil {
-		d.over = map[uint64][]int32{}
-	}
-	d.over[h] = append(d.over[h], int32(d.out.rows))
 	d.out.appendIDs(ids)
-	return true
+	if d.t.put(i, int32(d.out.rows-1)) {
+		d.t.grow(d.rowHash)
+	}
+}
+
+// rowHash is the hash of admitted out-row r.
+func (d *dedup) rowHash(r int32) uint64 {
+	for c, col := range d.out.Cols {
+		d.row[c] = col[r]
+	}
+	return hashIDs(d.row)
 }
 
 // adoptDict shares src's dictionary and space with b, making src's ids
@@ -450,21 +512,30 @@ func adoptee(batches []*Batch) *Batch {
 }
 
 // columnsOf maps each requested variable to its column index in b, -1
-// when b's schema lacks it.
+// when b's schema lacks it (the last column when b names it twice).
+// Schemas hold a handful of variables, so a scan beats building a map.
 func columnsOf(b *Batch, vars []string) []int {
-	pos := make(map[string]int, len(b.Vars))
-	for i, v := range b.Vars {
-		pos[v] = i
-	}
 	out := make([]int, len(vars))
 	for i, v := range vars {
-		if c, ok := pos[v]; ok {
-			out[i] = c
-		} else {
-			out[i] = -1
+		out[i] = -1
+		for c := len(b.Vars) - 1; c >= 0; c-- {
+			if b.Vars[c] == v {
+				out[i] = c
+				break
+			}
 		}
 	}
 	return out
+}
+
+// distinctNames reports whether vars names no variable twice.
+func distinctNames(vars []string) bool {
+	for i, v := range vars {
+		if slices.Contains(vars[:i], v) {
+			return false
+		}
+	}
+	return true
 }
 
 // cell is row r's id in column c of b, unbound when c is -1 (b lacks the
@@ -545,51 +616,40 @@ func (b *Batch) Join(o *Batch) *Batch {
 	}
 	buildShared := columnsOf(build, shared)
 	probeShared := columnsOf(probe, shared)
-	// Chained hash index over the build side's shared-variable ids: head
-	// maps a key hash to the newest build row, next links same-hash
-	// predecessors (-1 terminates). Key equality is re-verified against
-	// the columns at probe time, so the index needs no per-row key
-	// storage at all.
-	head := make(map[uint64]int32, build.Len())
+	// The index holds the first build row of each distinct key (the
+	// build side's shared-variable ids) and next chains the later rows
+	// with that key (-1 ends a chain). Filled from the last row back, the
+	// chains run in build-row order, the order the row-at-a-time join
+	// emits matches in. Keys are compared against the columns, so the
+	// index stores no key.
+	idx := newTable(build.rows)
 	next := make([]int32, build.rows)
 	keyIDs := make([]int32, len(shared))
-	for r := 0; r < build.rows; r++ {
+	sameKey := func(r int32) bool { return buildKeyEqual(build, buildShared, r, keyIDs) }
+	for r := build.rows - 1; r >= 0; r-- {
 		for i, c := range buildShared {
 			keyIDs[i] = build.cell(c, r)
 		}
-		h := hashIDs(keyIDs)
-		if prev, ok := head[h]; ok {
-			next[r] = prev
+		i, head := idx.find(hashIDs(keyIDs), sameKey)
+		next[r] = head
+		if head >= 0 {
+			idx.slots[i] = int32(r) + 1 // r now heads its key's chain
 		} else {
-			next[r] = -1
+			idx.put(i, int32(r)) // never fills: at most build.rows keys
 		}
-		head[h] = int32(r)
 	}
 	buildCols := columnsOf(build, vars)
 	probeCols := columnsOf(probe, vars)
 	d := newDedup(out, probe.Len())
 	ids := make([]int32, len(vars))
-	var matches []int32
 	for r := 0; r < probe.rows; r++ {
 		for i, c := range probeShared {
 			keyIDs[i] = probe.cell(c, r)
 		}
-		br, ok := head[hashIDs(keyIDs)]
-		if !ok {
-			continue
-		}
-		// The chain yields newest-first; collect and reverse so matches
-		// emit in build-row order exactly like the row-at-a-time join.
-		matches = matches[:0]
+		_, br := idx.find(hashIDs(keyIDs), sameKey)
 		for ; br >= 0; br = next[br] {
-			if buildKeyEqual(build, buildShared, br, keyIDs) {
-				matches = append(matches, br)
-			}
-		}
-		for i := len(matches) - 1; i >= 0; i-- {
-			br := int(matches[i])
 			for i := range vars {
-				id := build.cell(buildCols[i], br)
+				id := build.cell(buildCols[i], int(br))
 				if id < 0 {
 					id = probe.cell(probeCols[i], r)
 				}
@@ -651,7 +711,12 @@ func (b *Batch) Limit(n int) *Batch {
 // the destination streams disjoint slices of an already-deduplicated
 // relation, so concatenation reproduces exactly what a per-segment Union
 // would — minus the quadratic re-scan of everything already received.
+// Concat of one batch over a schema naming each variable once is that
+// batch itself: a collector that received one frame returns it.
 func Concat(batches ...*Batch) *Batch {
+	if len(batches) == 1 && batches[0] != nil && distinctNames(batches[0].Vars) {
+		return batches[0]
+	}
 	batches = aligned(batches)
 	var vars []string
 	total := 0

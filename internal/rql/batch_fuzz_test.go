@@ -104,7 +104,8 @@ func batchCopy(b *Batch) *Batch {
 // change an input's columns or dictionary. A form's row order is its
 // scan's (a base of its own orders its ids differently), so each form is
 // checked against its own rendering, and that against the scan of the
-// base the relations share.
+// base the relations share. A decoded frame that repeats A's rows must
+// still be deduplicated by union, projection and join.
 func FuzzBatchOps(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 1, 2, 2, 3, 1, 2, 1, 4, 2, 7, 3, 5, 0})
 	f.Add([]byte{2, 4, 1, 6, 1, 6, 2, 7, 3, 0, 4, 2, 0, 3, 5, 1, 1, 1})
@@ -171,6 +172,27 @@ func FuzzBatchOps(f *testing.F) {
 			if !reflect.DeepEqual(b.Cols, kept[i].Cols) || !slices.Equal(b.Dict, kept[i].Dict) {
 				t.Fatalf("input %d changed", i)
 			}
+		}
+		scanA := formsA[0]
+		rsA := scanA.ResultSet()
+		twice := NewResultSet(rsA.Vars...)
+		twice.Rows = append(slices.Clone(rsA.Rows), rsA.Rows...)
+		enc, err := AppendBatch(nil, NewSlicer(Concat(scanA, scanA)).Slice(0, 2*scanA.Len()))
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		frame, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if got, want := UnionAll(frame), NewResultSet().Union(twice); !sameRelation(got, want) {
+			t.Errorf("UnionAll of A twice = %v, want %v", got.ResultSet(), want)
+		}
+		if got, want := frame.Project(frame.Vars), twice.Project(twice.Vars); !sameRelation(got, want) {
+			t.Errorf("Project of A twice = %v, want %v", got.ResultSet(), want)
+		}
+		if got, want := frame.Join(formsB[0]), twice.Join(formsB[0].ResultSet()); !sameRelation(got, want) {
+			t.Errorf("A twice ⋈ B = %v, want %v", got.ResultSet(), want)
 		}
 	})
 }

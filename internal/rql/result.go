@@ -3,6 +3,7 @@ package rql
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -245,29 +246,23 @@ func (rs *ResultSet) EstimatedBytes() int {
 	return n
 }
 
+// mergeVars returns a's variables followed by those of b it lacks.
+// Schemas hold a handful of variables, so scans beat building maps.
 func mergeVars(a, b []string) []string {
 	out := append([]string{}, a...)
-	seen := map[string]bool{}
-	for _, v := range a {
-		seen[v] = true
-	}
 	for _, v := range b {
-		if !seen[v] {
-			seen[v] = true
+		if !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
 	return out
 }
 
+// sharedVars returns b's variables that a also names, in b's order.
 func sharedVars(a, b []string) []string {
-	inA := map[string]bool{}
-	for _, v := range a {
-		inA[v] = true
-	}
 	var out []string
 	for _, v := range b {
-		if inA[v] {
+		if slices.Contains(a, v) {
 			out = append(out, v)
 		}
 	}
